@@ -34,8 +34,7 @@ def _recursive_doubling(
     acc = value
     if rank >= m:
         # Surplus ranks contribute their value, then wait for the result.
-        yield from comm.send_raw(rank - m, tag, acc, size)
-        msg = yield from comm.recv_raw(rank - m, tag)
+        msg = yield from comm.sendrecv_raw(rank - m, tag, acc, size)
         return msg.payload
     if rank < rem:
         msg = yield from comm.recv_raw(rank + m, tag)
@@ -43,8 +42,7 @@ def _recursive_doubling(
     mask = 1
     while mask < m:
         partner = rank ^ mask
-        yield from comm.send_raw(partner, tag, acc, size)
-        msg = yield from comm.recv_raw(partner, tag)
+        msg = yield from comm.sendrecv_raw(partner, tag, acc, size)
         acc = op(acc, msg.payload)
         mask <<= 1
     if rank < rem:
@@ -76,10 +74,10 @@ def _ring(
     # Reduce-scatter: in step s we forward chunk (rank - s) mod p.
     for step in range(nprocs - 1):
         send_chunk = (rank - step) % nprocs
-        yield from comm.send_raw(
-            right, tag, (send_chunk, partials[send_chunk]), chunk_bytes
+        msg = yield from comm.sendrecv_raw(
+            right, tag, (send_chunk, partials[send_chunk]), chunk_bytes,
+            source=left,
         )
-        msg = yield from comm.recv_raw(left, tag)
         chunk, partial = msg.payload
         # The received chunk accumulates OUR value before moving on.
         partials[chunk] = op(partial, value)
@@ -88,8 +86,9 @@ def _ring(
     # Allgather: circulate the reduced chunks; every rank sees the result.
     carry = (reduced_chunk, result)
     for _ in range(nprocs - 1):
-        yield from comm.send_raw(right, tag, carry, chunk_bytes)
-        msg = yield from comm.recv_raw(left, tag)
+        msg = yield from comm.sendrecv_raw(
+            right, tag, carry, chunk_bytes, source=left
+        )
         carry = msg.payload
     return result
 
@@ -137,8 +136,7 @@ def _rabenseifner(
     acc = value
     # Fold the non-power-of-two remainder into the core, as in _recursive_doubling.
     if rank >= m:
-        yield from comm.send_raw(rank - m, tag, acc, size)
-        msg = yield from comm.recv_raw(rank - m, tag)
+        msg = yield from comm.sendrecv_raw(rank - m, tag, acc, size)
         return msg.payload
     if rank < rem:
         msg = yield from comm.recv_raw(rank + m, tag)
@@ -149,16 +147,14 @@ def _rabenseifner(
     while mask < m:
         partner = rank ^ mask
         block = max(1, block // 2)
-        yield from comm.send_raw(partner, tag, acc, block)
-        msg = yield from comm.recv_raw(partner, tag)
+        msg = yield from comm.sendrecv_raw(partner, tag, acc, block)
         acc = op(acc, msg.payload)
         mask <<= 1
     # Allgather phase: distance halves, message size doubles.
     mask = m >> 1
     while mask > 0:
         partner = rank ^ mask
-        yield from comm.send_raw(partner, tag, acc, block)
-        msg = yield from comm.recv_raw(partner, tag)
+        yield from comm.sendrecv_raw(partner, tag, acc, block)
         # Blocks are fully reduced by now; keep ours (scalar convention:
         # both sides hold the same total).
         block = min(size, block * 2)

@@ -25,8 +25,9 @@ def _pairwise(
     for k in range(1, nprocs):
         dest = (rank + k) % nprocs
         src = (rank - k) % nprocs
-        yield from comm.send_raw(dest, tag, values[dest], size)
-        msg = yield from comm.recv_raw(src, tag)
+        msg = yield from comm.sendrecv_raw(
+            dest, tag, values[dest], size, source=src
+        )
         out[src] = msg.payload
     return out
 
@@ -59,10 +60,9 @@ def _bruck(
         }
         for d in block:
             del pending[d]
-        yield from comm.send_raw(
-            to, tag, block, size * max(1, len(block))
+        msg = yield from comm.sendrecv_raw(
+            to, tag, block, size * max(1, len(block)), source=frm
         )
-        msg = yield from comm.recv_raw(frm, tag)
         for d, payload in msg.payload.items():
             if d == rank:
                 out[d] = payload

@@ -39,8 +39,7 @@ def _linear(comm: "Communicator", tag: int) -> Generator:
         for peer in range(1, comm.size):
             yield from comm.send_raw(peer, tag, size=TOKEN_BYTES)
     else:
-        yield from comm.send_raw(0, tag, size=TOKEN_BYTES)
-        yield from comm.recv_raw(0, tag)
+        yield from comm.sendrecv_raw(0, tag, size=TOKEN_BYTES)
 
 
 def _tree(comm: "Communicator", tag: int) -> Generator:
@@ -53,8 +52,7 @@ def _tree(comm: "Communicator", tag: int) -> Generator:
     for child in reversed(children):
         yield from comm.recv_raw(child, tag)
     if parent is not None:
-        yield from comm.send_raw(parent, tag, size=TOKEN_BYTES)
-        yield from comm.recv_raw(parent, tag)
+        yield from comm.sendrecv_raw(parent, tag, size=TOKEN_BYTES)
     # Release phase: forward to children.
     for child in children:
         yield from comm.send_raw(child, tag, size=TOKEN_BYTES)
@@ -69,8 +67,9 @@ def _double_ring(comm: "Communicator", tag: int) -> Generator:
     right = (rank + 1) % size
     if rank == 0:
         for _ in range(2):
-            yield from comm.send_raw(right, tag, size=TOKEN_BYTES)
-            yield from comm.recv_raw(left, tag)
+            yield from comm.sendrecv_raw(
+                right, tag, size=TOKEN_BYTES, source=left
+            )
     else:
         for _ in range(2):
             yield from comm.recv_raw(left, tag)
@@ -84,8 +83,7 @@ def _bruck(comm: "Communicator", tag: int) -> Generator:
     while dist < size:
         to = (rank + dist) % size
         frm = (rank - dist) % size
-        yield from comm.send_raw(to, tag, size=TOKEN_BYTES)
-        yield from comm.recv_raw(frm, tag)
+        yield from comm.sendrecv_raw(to, tag, size=TOKEN_BYTES, source=frm)
         dist <<= 1
 
 
@@ -98,16 +96,14 @@ def _recursive_doubling(comm: "Communicator", tag: int) -> Generator:
     rem = size - m
     if rank >= m:
         # Surplus ranks notify a partner in the power-of-two core and wait.
-        yield from comm.send_raw(rank - m, tag, size=TOKEN_BYTES)
-        yield from comm.recv_raw(rank - m, tag)
+        yield from comm.sendrecv_raw(rank - m, tag, size=TOKEN_BYTES)
         return
     if rank < rem:
         yield from comm.recv_raw(rank + m, tag)
     mask = 1
     while mask < m:
         partner = rank ^ mask
-        yield from comm.send_raw(partner, tag, size=TOKEN_BYTES)
-        yield from comm.recv_raw(partner, tag)
+        yield from comm.sendrecv_raw(partner, tag, size=TOKEN_BYTES)
         mask <<= 1
     if rank < rem:
         yield from comm.send_raw(rank + m, tag, size=TOKEN_BYTES)

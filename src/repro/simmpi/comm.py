@@ -13,9 +13,10 @@ in the same order on every process, the ids agree across the group (the
 same argument MPI implementations use for context ids).
 
 ``split``/``split_type`` are implemented as real collectives (an allgather
-of (color, key) pairs over the ring algorithm) so that communicator
-creation has a realistic, payload-dependent cost — the paper deliberately
-includes this cost when measuring the hierarchical schemes (Section IV-E).
+of (color, key) pairs over the Bruck algorithm, ⌈log₂ p⌉ steps — the
+short-message path MPICH and Open MPI take) so that communicator creation
+has a realistic, payload-dependent cost — the paper deliberately includes
+this cost when measuring the hierarchical schemes (Section IV-E).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Generator, Hashable, Sequence
 from repro.errors import CommunicatorError
 from repro.obs.events import CollectiveEnter, CollectiveExit
 from repro.simmpi.engine import SendRecvCmd
-from repro.simmpi.message import Message
+from repro.simmpi.message import ANY_SOURCE, Message
 from repro.simmpi.process import ProcessContext
 
 #: Width of each communicator's tag window.
@@ -37,6 +38,31 @@ MAX_USER_TAG = 1 << 19
 COMM_TYPE_SHARED = "shared"
 #: Extension (hwloc-style): processes on the same socket.
 COMM_TYPE_SOCKET = "socket"
+
+
+def split_groups(
+    infos: Sequence[tuple[Hashable, int]], parent_ranks: Sequence[int]
+) -> tuple[dict[Hashable, tuple[int, ...]], list[int | None]]:
+    """Group the gathered ``(color, key)`` pairs of one ``split`` call.
+
+    ``infos[r]`` is parent rank ``r``'s pair and ``parent_ranks[r]`` its
+    global rank.  Returns ``(groups, positions)``: ``groups[color]`` is
+    that colour's global ranks ordered by ``(key, parent rank)`` and
+    ``positions[r]`` is parent rank ``r``'s index in its group (``None``
+    for a ``None`` colour).
+    """
+    keyed: dict[Hashable, list[tuple[int, int]]] = {}
+    for rank, (color, key) in enumerate(infos):
+        if color is not None:
+            keyed.setdefault(color, []).append((key, rank))
+    groups: dict[Hashable, tuple[int, ...]] = {}
+    positions: list[int | None] = [None] * len(infos)
+    for color, members in keyed.items():
+        members.sort()
+        groups[color] = tuple(parent_ranks[rank] for _, rank in members)
+        for index, (_, rank) in enumerate(members):
+            positions[rank] = index
+    return groups, positions
 
 
 class Communicator:
@@ -71,6 +97,11 @@ class Communicator:
         self.rank = comm_rank
         self.size = len(self._ranks)
         self._coll_seq = 0
+        #: Attribute cache in the manner of ``MPI_Comm_set_attr``: a layer
+        #: that derives state from this communicator (the hierarchical
+        #: schemes' per-level communicators) keeps it here under its own
+        #: key, so the state lives exactly as long as the handle does.
+        self.attrs: dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------
     # Rank/tag translation
@@ -178,10 +209,32 @@ class Communicator:
         self, source: int | None, tag: int
     ) -> Generator[Any, Any, Message]:
         """Receive with a pre-qualified tag; ``source=None`` = ANY_SOURCE."""
-        from repro.simmpi.message import ANY_SOURCE
-
         gsrc = ANY_SOURCE if source is None else self.global_rank(source)
         msg = yield from self.ctx.recv(gsrc, tag)
+        return msg
+
+    def sendrecv_raw(
+        self,
+        dest: int,
+        tag: int,
+        payload: Any = None,
+        size: int = 8,
+        source: int | None = None,
+    ) -> Generator[Any, Any, Message]:
+        """``send_raw`` to ``dest`` then ``recv_raw`` from ``source``
+        (default: ``dest``) on one pre-qualified tag, as one fused
+        :class:`SendRecvCmd` — bit-identical to the pair, one generator
+        resume and two frame chains cheaper per exchange.
+        """
+        gdest = self.global_rank(dest)
+        msg = yield SendRecvCmd(
+            dest=gdest,
+            tag=tag,
+            payload=payload,
+            size=size,
+            source=gdest if source is None else self.global_rank(source),
+            recv_tag=tag,
+        )
         return msg
 
     # ------------------------------------------------------------------
@@ -302,15 +355,15 @@ class Communicator:
     # Communicator construction
     # ------------------------------------------------------------------
     def _alloc_comm_id(self) -> int:
-        counter = getattr(self.ctx, "_comm_id_counter", 1)
-        self.ctx._comm_id_counter = counter + 1  # type: ignore[attr-defined]
+        counter = self.ctx._comm_id_counter
+        self.ctx._comm_id_counter = counter + 1
         return counter
 
     def dup(self) -> Generator[Any, Any, "Communicator"]:
         """Collective duplicate (synchronizes via a barrier, like MPI)."""
         new_id = self._alloc_comm_id()
         yield from self.barrier(algorithm="tree")
-        return Communicator(self.ctx, self._ranks, new_id)
+        return Communicator(self.ctx, self._ranks, new_id, self.rank)
 
     def split(
         self, color: Hashable, key: int | None = None
@@ -319,19 +372,34 @@ class Communicator:
 
         Implemented as a real allgather of (color, key) pairs so the cost of
         communicator creation appears in measured synchronization durations.
+        Every member gathers the same pairs, so the grouping is computed by
+        the first member to get there and shared through the engine: O(p)
+        host work per split instead of O(p) per member.
         """
         my_key = self.rank if key is None else key
-        infos = yield from self.allgather((color, my_key), size=16)
+        # (first member, comm id) names this communicator within the
+        # simulation — no process holds two communicators with one id —
+        # and the sequence number names this call on it.
+        memo_key = (self._ranks[0], self.comm_id, self._coll_seq)
+        infos = yield from self.allgather(
+            (color, my_key), size=16, algorithm="bruck"
+        )
         new_id = self._alloc_comm_id()
+        memo = self.ctx.engine.split_memo
+        entry = memo.get(memo_key)
+        if entry is None:
+            entry = memo[memo_key] = [
+                split_groups(infos, self._ranks), self.size
+            ]
+        entry[1] -= 1
+        if not entry[1]:
+            del memo[memo_key]
         if color is None:
             return None
-        members = sorted(
-            (info[1], r)
-            for r, info in enumerate(infos)
-            if info[0] == color
+        groups, positions = entry[0]
+        return Communicator(
+            self.ctx, groups[color], new_id, comm_rank=positions[self.rank]
         )
-        ranks = tuple(self._ranks[r] for _, r in members)
-        return Communicator(self.ctx, ranks, new_id)
 
     def split_type(
         self, split_kind: str, key: int | None = None

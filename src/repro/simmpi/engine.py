@@ -296,6 +296,10 @@ class Engine:
         self._live = 0
         #: Commands deferred by the causality gate (queue round-trips).
         self.gate_deferrals = 0
+        #: ``Communicator.split`` grouping tables, shared by the members of
+        #: one split call; an entry lives from the first member's use to
+        #: the last member's (see :meth:`Communicator.split`).
+        self.split_memo: dict[tuple[int, int, int], list] = {}
         #: ``rank -> node`` resolved once at run() (hot-path cache).
         self._node_cache: list[int] = []
         #: ``src * num_ranks + dest -> Level`` memo of ``level_of``

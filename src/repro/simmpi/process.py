@@ -56,6 +56,8 @@ class ProcessContext:
         self.core = core
         #: Busy-wait loop period: a deadline wait lands up to this much late.
         self.poll_interval = float(poll_interval)
+        #: Next communicator id this process hands out (0 is the world).
+        self._comm_id_counter = 1
 
     # ------------------------------------------------------------------
     # Time

@@ -13,8 +13,10 @@ concrete realizations are provided as factories:
 Communicator creation is *included* in the synchronized region on purpose:
 the paper measures it as part of the synchronization duration ("this
 allows for a more realistic and fairer assessment").  Communicators are
-cached on the scheme instance so repeated synchronizations reuse them, as
-a real implementation would.
+cached as an attribute of the communicator they were split from (keyed
+by the scheme instance, as a real implementation would with
+``MPI_Comm_set_attr``), so repeated synchronizations reuse them and a
+finished simulation takes them with it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class HierarchicalSync(ClockSyncAlgorithm):
         self.inter_node = inter_node
         self.intra_node = intra_node or ClockPropagationSync()
         self.inter_socket = inter_socket
-        self._comms: dict[tuple, dict] = {}
 
     def label(self) -> str:
         parts = ["Top", self.inter_node.label()]
@@ -68,17 +69,15 @@ class HierarchicalSync(ClockSyncAlgorithm):
     def _build_comms(self, comm: "Communicator") -> Generator:
         """Create the per-level communicators (collective; cached).
 
-        The cache key includes the engine identity so an algorithm instance
-        reused across simulations (separate mpiruns) rebuilds rather than
-        resurrecting communicators bound to a dead engine.
+        The cache is an attribute of ``comm`` itself, so an algorithm
+        instance reused across simulations (separate mpiruns) rebuilds
+        rather than resurrecting communicators bound to a dead engine,
+        and never keeps a finished engine alive.
         """
-        ctx = comm.ctx
-        key = (id(ctx.engine), ctx.rank)
-        cache = self._comms.setdefault(key, {})
-        if cache.get("world_id") == comm.comm_id:
+        cache = comm.attrs.get(self)
+        if cache is not None:
             return cache
-        cache.clear()
-        cache["world_id"] = comm.comm_id
+        cache = {}
         # Intra-node: MPI_COMM_TYPE_SHARED split.
         comm_intranode = yield from comm.split_type(COMM_TYPE_SHARED)
         cache["intranode"] = comm_intranode
@@ -92,9 +91,10 @@ class HierarchicalSync(ClockSyncAlgorithm):
             cache["intrasocket"] = comm_intrasocket
             # Socket leaders within a node: one process per socket.
             socket_leader = comm_intrasocket.rank == 0
-            color = ("sockleaders", ctx.node) if socket_leader else None
+            color = ("sockleaders", comm.ctx.node) if socket_leader else None
             comm_sockleaders = yield from comm.split(color, key=comm.rank)
             cache["sockleaders"] = comm_sockleaders
+        comm.attrs[self] = cache
         return cache
 
     def sync_stats_summary(self) -> dict[str, dict[str, float]]:

@@ -130,8 +130,9 @@ class SKaMPIOffset(OffsetAlgorithm):
         rtt_min = np.inf
         for _ in range(self.nexchanges):
             s_last = ctx.read_clock(clock)
-            yield from comm.send(p_ref, PINGPONG_TAG, s_last, TIMESTAMP_BYTES)
-            msg = yield from comm.recv(p_ref, PINGPONG_TAG)
+            msg = yield from comm.sendrecv(
+                p_ref, PINGPONG_TAG, s_last, TIMESTAMP_BYTES
+            )
             t_last = msg.payload
             s_now = ctx.read_clock(clock)
             td_min = max(td_min, t_last - s_now)
@@ -184,8 +185,7 @@ class MeanRTTOffset(OffsetAlgorithm):
         samples = []
         for _ in range(self.rtt_pingpongs):
             t0 = ctx.read_clock(clock)
-            yield from comm.send(p_ref, PINGPONG_TAG, 0.0, TIMESTAMP_BYTES)
-            yield from comm.recv(p_ref, PINGPONG_TAG)
+            yield from comm.sendrecv(p_ref, PINGPONG_TAG, 0.0, TIMESTAMP_BYTES)
             t1 = ctx.read_clock(clock)
             samples.append(t1 - t0)
         return float(np.mean(samples))

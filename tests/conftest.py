@@ -45,8 +45,12 @@ def run_spmd(
     time_source: TimeSourceSpec = CLOCK_GETTIME,
     seed: int = 0,
     clocks_per: str = "node",
+    **sim_kwargs,
 ):
-    """Run an SPMD generator body on a small machine; returns the result."""
+    """Run an SPMD generator body on a small machine; returns the result.
+
+    ``sim_kwargs`` go to :class:`Simulation` (``sink=``, ``check=``, ...).
+    """
     machine = Machine(
         num_nodes=num_nodes,
         sockets_per_node=2,
@@ -60,6 +64,7 @@ def run_spmd(
         time_source=time_source,
         seed=seed,
         clocks_per=clocks_per,
+        **sim_kwargs,
     )
     return sim, sim.run(body)
 

@@ -209,6 +209,24 @@ class TestAllgatherAlltoall:
         expected = [r ** 2 for r in range(n)]
         assert spmd(main, nodes, rpn) == [expected] * n
 
+    @pytest.mark.parametrize("algorithm", sorted(ALLGATHER_ALGORITHMS))
+    @pytest.mark.parametrize("p", [2, 3, 6, 7, 12, 16])
+    def test_allgather_moves_exactly_p_p_minus_1_blocks(self, algorithm, p):
+        """Each rank must receive p-1 blocks and no algorithm may ship a
+        block twice — in particular Bruck's last round on a
+        non-power-of-two group sends only the p - dist blocks missing."""
+        size = 24
+
+        def main(ctx, comm):
+            out = yield from comm.allgather(
+                (comm.rank, "x"), size=size, algorithm=algorithm
+            )
+            return out
+
+        _, res = run_spmd(main, num_nodes=p, ranks_per_node=1)
+        assert res.values == [[(r, "x") for r in range(p)]] * p
+        assert res.engine_stats["bytes_sent"] == p * (p - 1) * size
+
     @pytest.mark.parametrize("nodes,rpn", SIZES)
     def test_alltoall_transpose(self, nodes, rpn):
         n = nodes * rpn

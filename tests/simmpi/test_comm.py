@@ -1,8 +1,13 @@
 """Unit tests for communicators: translation, tags, split."""
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.cluster.netmodels import infiniband_qdr
 from repro.errors import CommunicatorError
-from repro.simmpi.comm import MAX_USER_TAG, Communicator
+from repro.simmpi.comm import MAX_USER_TAG, Communicator, split_groups
+from repro.sync.registry import algorithm_from_label
 from tests.conftest import run_spmd
 
 
@@ -159,3 +164,151 @@ class TestSplit:
         _, res = run_spmd(main, num_nodes=2, ranks_per_node=2)
         assert res.values[2] == "from0"
         assert res.values[3] == "from1"
+
+
+#: p -> (nodes, ranks per node): odd, even non-power-of-two and power-of-two
+#: group sizes, with several ranks per node wherever p factors.
+SPLIT_SHAPES = {
+    1: (1, 1), 2: (1, 2), 3: (3, 1), 5: (5, 1), 6: (3, 2),
+    7: (7, 1), 12: (3, 4), 16: (4, 4), 64: (16, 4),
+}
+
+
+def _log2_ceil(p):
+    return (p - 1).bit_length()
+
+
+def _split_everywhere(p, split):
+    """Run ``split(ctx, comm)`` on p ranks; per world rank, the new
+    communicator's ``(group, rank)`` (or None) plus placement."""
+    nodes, rpn = SPLIT_SHAPES[p]
+
+    def main(ctx, comm):
+        sub = yield from split(ctx, comm)
+        got = None if sub is None else (sub.group, sub.rank)
+        return got, (ctx.node, ctx.socket)
+
+    _, res = run_spmd(main, num_nodes=nodes, ranks_per_node=rpn)
+    return res
+
+
+def _expected(pairs, parent=None):
+    """Reference grouping, one member at a time: the expression ``split``
+    evaluated per member before the grouping was shared.  ``parent`` maps
+    parent ranks to global ranks (default: the world, where they agree).
+    """
+    parent = range(len(pairs)) if parent is None else parent
+    out = []
+    for rank, (color, _) in enumerate(pairs):
+        if color is None:
+            out.append(None)
+            continue
+        members = sorted(
+            (info[1], r) for r, info in enumerate(pairs) if info[0] == color
+        )
+        group = tuple(parent[r] for _, r in members)
+        out.append((group, group.index(parent[rank])))
+    return out
+
+
+@pytest.mark.parametrize("p", sorted(SPLIT_SHAPES))
+class TestSplitGroups:
+    def test_split_by_color(self, p):
+        res = _split_everywhere(
+            p, lambda ctx, comm: comm.split(comm.rank % 3)
+        )
+        got = [value[0] for value in res.values]
+        assert got == _expected([(r % 3, r) for r in range(p)])
+
+    def test_split_none_color(self, p):
+        res = _split_everywhere(
+            p, lambda ctx, comm: comm.split(None if comm.rank % 2 else 0)
+        )
+        got = [value[0] for value in res.values]
+        assert got == _expected(
+            [(None if r % 2 else 0, r) for r in range(p)]
+        )
+
+    def test_split_key_reverses(self, p):
+        res = _split_everywhere(
+            p, lambda ctx, comm: comm.split(comm.rank % 2, key=-comm.rank)
+        )
+        got = [value[0] for value in res.values]
+        assert got == _expected([(r % 2, -r) for r in range(p)])
+
+    @pytest.mark.parametrize("kind", ["shared", "socket"])
+    def test_split_type(self, p, kind):
+        res = _split_everywhere(
+            p, lambda ctx, comm: comm.split_type(kind)
+        )
+        width = 1 if kind == "shared" else 2
+        places = [value[1][:width] for value in res.values]
+        got = [value[0] for value in res.values]
+        assert got == _expected([(places[r], r) for r in range(p)])
+
+    def test_one_split_sends_p_log_p_messages(self, p):
+        res = _split_everywhere(
+            p, lambda ctx, comm: comm.split(comm.rank % 2)
+        )
+        assert res.engine_stats["messages_sent"] == p * _log2_ceil(p)
+        # Every member consumed the shared grouping: nothing left behind.
+        assert res.engine_stats["messages_unreceived"] == 0
+
+
+class TestSplitCost:
+    def test_split_memo_is_emptied(self):
+        def main(ctx, comm):
+            yield from comm.split(comm.rank % 2)
+            sub = yield from comm.split_type("shared")
+            yield from sub.split(0)
+
+        sim, _ = run_spmd(main, num_nodes=3, ranks_per_node=2)
+        assert sim.engine.split_memo == {}
+
+    def test_h2hca_sync_is_logarithmic_in_messages(self):
+        """64x4 ranks: communicator creation must not dominate the sync
+        (a linear-step split alone would send 2 * p * (p - 1))."""
+        algorithm = algorithm_from_label(
+            "Top/hca3/8/skampi_offset/4/Bottom/ClockPropagation",
+            fitpoint_spacing=1e-3,
+        )
+        p = 256
+
+        def main(ctx, comm):
+            yield from algorithm.sync_clocks(comm, ctx.hardware_clock)
+
+        _, res = run_spmd(
+            main, num_nodes=64, ranks_per_node=4, network=infiniband_qdr()
+        )
+        assert res.engine_stats["messages_sent"] < 6 * p * _log2_ceil(p)
+
+
+colors = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=3),
+    st.tuples(
+        st.just("socket"),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
+    ),
+)
+
+
+class TestSplitGroupsProperty:
+    @given(
+        pairs=st.lists(
+            st.tuples(colors, st.integers(min_value=-5, max_value=5)),
+            min_size=1, max_size=40,
+        ),
+        stride=st.integers(min_value=1, max_value=7),
+    )
+    def test_shared_table_equals_per_member_computation(self, pairs, stride):
+        # A sub-communicator's parent ranks: any increasing global ranks.
+        parent = [3 + stride * r for r in range(len(pairs))]
+        groups, positions = split_groups(pairs, parent)
+        got = [
+            None if color is None else (groups[color], positions[rank])
+            for rank, (color, _) in enumerate(pairs)
+        ]
+        assert got == _expected(pairs, parent)
+        assert None not in groups

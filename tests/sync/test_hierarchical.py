@@ -1,5 +1,8 @@
 """Tests for the HlHCA hierarchical synchronization scheme."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.accuracy import ground_truth_accuracy
@@ -94,6 +97,36 @@ class TestH2HCA:
         first = max(v[0] for v in res.values)
         second = max(v[1] for v in res.values)
         assert second < first
+
+    def test_reused_instance_does_not_pin_finished_engines(self):
+        """One scheme instance shared by every rank of several successive
+        simulations (as ``run_latency_benchmark(sync_algorithm=...)``
+        callers do) must let each finished engine go — by reference
+        counting alone: simulations left for the cycle collector pile up
+        between collections and show as peak RSS."""
+        alg = h2hca(nfitpoints=6, fitpoint_spacing=1e-4)
+
+        def main(ctx, comm):
+            yield from alg.sync_clocks(comm, ctx.hardware_clock)
+            return ctx.now
+
+        engines = []
+        finals = []
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(4):
+                sim, res = run_spmd(main, num_nodes=4, ranks_per_node=4,
+                                    network=infiniband_qdr(), seed=3)
+                engines.append(weakref.ref(sim.engine))
+                finals.append(res.values)
+                del sim, res
+            alive = sum(ref() is not None for ref in engines)
+        finally:
+            gc.enable()
+        assert alive <= 1
+        # Each simulation rebuilt its communicators from scratch.
+        assert all(values == finals[0] for values in finals)
 
 
 class TestH3HCA:

@@ -15,7 +15,7 @@ sweeps *when to resync* against a clock-error SLO:
 Each policy serves the same deterministic query stream (open-loop
 Poisson clients; the error-bound policy is additionally run against a
 closed-loop client population).  The table reports throughput, batched
-tail latencies (p50/p99/p999 from the seeded-reservoir histograms),
+tail latencies (exact p50/p99/p999 over every served query),
 ground-truth clock-error quantiles, stale-read rate, epoch-cache hit
 ratio, and an SLO verdict per policy.
 

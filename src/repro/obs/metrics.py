@@ -12,6 +12,14 @@ Naming convention (dotted, Prometheus-ish): the engine publishes
 Metrics keyed with ``rank=`` aggregate per process; ``merged`` folds the
 per-rank series of one name into a single job-level view.  Like the event
 sinks, metrics are passive: updating them never perturbs the simulation.
+
+Histograms keep an exact scalar summary and estimate quantiles from a
+bounded, deterministic reservoir sampled by skipping (Vitter's
+Algorithm L): the sampler draws the index of the next value to keep, so
+a value that is not kept costs one integer compare and a batch costs
+what its kept values cost.  Where the full array of observations is in
+hand (the service driver's latencies), report quantiles from the array
+and use the histogram only as the registry's summary of it.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import math
 import random
 from contextlib import contextmanager
 from typing import Iterable, Iterator
+
+import numpy as np
 
 #: Fixed seed for every histogram's reservoir sampler: downsampling must
 #: be a pure function of the observation sequence so repeated runs (and
@@ -70,35 +80,60 @@ class Histogram:
     """Streaming summary (count/sum/min/max) plus a bounded sample buffer.
 
     Quantiles come from a deterministic **reservoir** (Vitter's
-    Algorithm R with a fixed-seed per-instance RNG): every offered
-    observation has equal retention probability, so post-merge quantiles
-    no longer favor early/first-worker samples, yet the buffer is still
-    a pure function of the observation sequence — repeated runs stay
-    bit-identical.  The scalar summary stays exact regardless of volume.
+    Algorithm L with a fixed-seed per-instance RNG).  The first
+    ``max_samples`` values fill the buffer; from then on the sampler
+    draws the *index of the next value to keep* instead of one random
+    number per value, so an observation that is not kept costs one
+    integer compare and a stream of n values costs about
+    ``3 * k * ln(n / k)`` draws instead of n.  Every offered value still
+    has equal retention probability, and the buffer is a pure function
+    of the observation sequence — repeated runs stay bit-identical, and
+    :meth:`observe_many` keeps exactly the values a loop of
+    :meth:`observe` would, under any chunking, because both draw only at
+    kept indices.  The scalar summary stays exact regardless of volume.
     """
 
     __slots__ = ("count", "total", "min_value", "max_value", "_samples",
-                 "max_samples", "_offered", "_rng")
+                 "max_samples", "_offered", "_next", "_w", "_rng")
 
     def __init__(self, max_samples: int = 4096) -> None:
+        if max_samples < 1:
+            raise ValueError("max_samples must be >= 1")
         self.count = 0
         self.total = 0.0
         self.min_value = math.inf
         self.max_value = -math.inf
         self.max_samples = max_samples
         self._samples: list[float] = []
+        #: Values offered to the reservoir so far (observations plus
+        #: replayed merge samples), and the index of the next one kept.
         self._offered = 0
+        self._next = 0
+        #: Algorithm L's running weight: the largest of the ``k`` uniform
+        #: keys a keyed reservoir would hold after the values seen so far.
+        self._w = 1.0
         self._rng = random.Random(RESERVOIR_SEED)
 
+    def _keep(self, value: float) -> None:
+        """Retain the value at index ``_next``; draw the next kept index."""
+        samples = self._samples
+        k = self.max_samples
+        if len(samples) < k:
+            samples.append(value)
+            if len(samples) < k:
+                self._next += 1
+                return
+        else:
+            samples[self._rng.randrange(k)] = value
+        uniform = self._rng.random
+        self._w *= math.exp(math.log(uniform()) / k)
+        self._next += int(math.log(uniform()) / math.log1p(-self._w)) + 1
+
     def _offer(self, value: float) -> None:
-        """Offer one value to the reservoir (Algorithm R)."""
+        """Offer one value to the reservoir."""
+        if self._offered == self._next:
+            self._keep(value)
         self._offered += 1
-        if len(self._samples) < self.max_samples:
-            self._samples.append(value)
-            return
-        slot = self._rng.randrange(self._offered)
-        if slot < self.max_samples:
-            self._samples[slot] = value
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -112,49 +147,75 @@ class Histogram:
     def observe_many(self, values) -> None:
         """Observe a batch (numpy array or sequence) of values.
 
-        The reservoir consumes values one at a time in order, so the
+        The reservoir jumps from kept index to kept index, so the
         retained sample buffer — and therefore every quantile — is
         bit-identical to a loop of :meth:`observe` calls over the same
-        sequence.  The scalar summary is folded batch-wise (``fsum`` for
-        the total), which is exact rather than order-accumulated.
+        sequence, however it is chunked.  The scalar summary is folded
+        batch-wise (``fsum`` for the total), which is exact rather than
+        order-accumulated.
         """
-        values = [float(v) for v in values]
-        if not values:
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        if n == 0:
             return
-        self.count += len(values)
+        self.count += n
         self.total += math.fsum(values)
-        lo = min(values)
-        hi = max(values)
+        lo = float(values.min())
+        hi = float(values.max())
         if lo < self.min_value:
             self.min_value = lo
         if hi > self.max_value:
             self.max_value = hi
-        for value in values:
-            self._offer(value)
+        base = self._offered
+        # While filling, every index is kept: take all but the slot that
+        # completes the buffer (its _keep draws the first skip) at once.
+        fill = min(n, self.max_samples - 1 - len(self._samples))
+        if fill > 0:
+            self._samples.extend(values[:fill].tolist())
+            self._next += fill
+        end = base + n
+        while self._next < end:
+            self._keep(float(values[self._next - base]))
+        self._offered = end
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def quantiles(self, qs: Iterable[float]) -> list[float]:
+        """Interpolated quantile estimates from one sort of the samples."""
+        if not self._samples:
+            return [0.0 for _ in qs]
+        ordered = sorted(self._samples)
+        last = len(ordered) - 1
+        out = []
+        for q in qs:
+            h = min(float(last), max(0.0, q * last))
+            lo = int(h)
+            hi = min(lo + 1, last)
+            frac = h - lo
+            out.append(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
+        return out
+
     def quantile(self, q: float) -> float:
         """Interpolated quantile estimate from the retained samples."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        h = min(len(ordered) - 1.0, max(0.0, q * (len(ordered) - 1)))
-        lo = int(h)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = h - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return self.quantiles((q,))[0]
 
     def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` in: exact summary, its buffer replayed through
+        this reservoir.
+
+        The replay is deterministic and gives every replayed value the
+        same chance as this histogram's own observations, so late or
+        other-worker samples are represented.  It does *not* weight by
+        ``other.count``: a full buffer standing for a million
+        observations is offered as ``max_samples`` values, so merged
+        quantiles lean towards the side that was downsampled less.
+        """
         self.count += other.count
         self.total += other.total
         self.min_value = min(self.min_value, other.min_value)
         self.max_value = max(self.max_value, other.max_value)
-        # Replay the other buffer through this reservoir: deterministic
-        # (fixed-seed RNG stream) and unbiased over the full sequence,
-        # instead of keeping only the head of other._samples.
         for value in other._samples:
             self._offer(value)
 
@@ -262,14 +323,15 @@ class MetricsRegistry:
             }
         for (name, rank), h in sorted(self._histograms.items(),
                                       key=lambda kv: str(kv[0])):
+            p50, p99, p999 = h.quantiles((0.5, 0.99, 0.999))
             out["histograms"][label(name, rank)] = {
                 "count": h.count,
                 "mean": h.mean,
                 "min": h.min_value if h.count else 0.0,
                 "max": h.max_value if h.count else 0.0,
-                "p50": h.quantile(0.5),
-                "p99": h.quantile(0.99),
-                "p999": h.quantile(0.999),
+                "p50": p50,
+                "p99": p99,
+                "p999": p999,
             }
         return out
 

@@ -8,17 +8,25 @@ measurement noise), a :class:`~repro.service.core.ClockService` serving
 a generated query stream, and a resync policy deciding when the models
 are refreshed.
 
-Everything is vectorized per epoch: the queries landing within one sync
-generation are answered through one batched model evaluation, their
-ground-truth errors are scored against the oracle clocks, and latencies
-come from the batching cost model over the full arrival sequence.  The
-run is a pure function of ``(policy, config, workload, seed)`` — no
+Everything is vectorized, at the widest scope each quantity allows.
+**Per stream**, before the epoch loop: request latencies (the batching
+cost model over the full arrival sequence) and every clock reading —
+the queried readings, ``compare``'s second readings and the three kinds
+of ground truth.  Sync fits models and never adjusts a clock, so a
+:class:`~repro.simtime.hardware.HardwareClock` reading is a function of
+true time alone, and one batched read sliced per epoch is bit-identical
+to per-epoch reads.  **Per epoch** (one sync generation): the model
+arithmetic, staleness bounds and error scoring of the queries landing in
+it, through one batched evaluation per query shape.  Reported latency
+and clock-error quantiles are exact, computed from the run's own arrays.
+The run is a pure function of ``(policy, config, workload, seed)`` — no
 wall-clock value feeds any reported quantity except the ``wall_s``
 throughput figure, which never enters ``report.json``.
 
 Observability lands on the process-wide defaults (so the parallel
 executor's isolate-and-merge contract applies unchanged): latency and
-clock-error histograms plus service counters in the metrics registry,
+clock-error histograms plus service counters in the metrics registry
+(fed only when one is attached; no reported number reads them back),
 and per-interval ``service.stale_rate`` / ``clock.error`` /
 ``service.error_bound`` series with ``resync`` markers in the telemetry
 bank — the series the ``stale_read`` health detector scans.
@@ -32,6 +40,7 @@ rank.  Violations raise
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,7 +51,7 @@ from contextlib import nullcontext
 
 from repro.check.config import active_check_mode
 from repro.errors import ConfigurationError, InvariantViolation
-from repro.obs.metrics import Histogram, get_default_metrics
+from repro.obs.metrics import get_default_metrics
 from repro.obs.timeseries import get_default_timeseries
 from repro.prof.core import get_default_profiler
 from repro.service.core import ClockService
@@ -202,13 +211,13 @@ def _reads(
 ) -> np.ndarray:
     """Per-query clock readings, grouped by rank for batch evaluation."""
     out = np.empty(times.size, dtype=np.float64)
-    for rank in np.unique(ranks):
-        mask = ranks == rank
-        clock = clocks[int(rank)]
-        out[mask] = (
-            clock.read_raw_many(times[mask]) if raw
-            else clock.read_many(times[mask])
-        )
+    for rank, clock in enumerate(clocks):
+        queries = np.flatnonzero(ranks == rank)
+        if queries.size:
+            at = times[queries]
+            out[queries] = (
+                clock.read_raw_many(at) if raw else clock.read_many(at)
+            )
     return out
 
 
@@ -276,15 +285,6 @@ def run_service(
     def zone(name: str):
         return profiler.zone(name) if profiler is not None else nullcontext()
 
-    latency_hist = (
-        metrics.histogram("service.latency") if metrics is not None
-        else Histogram()
-    )
-    error_hist = (
-        metrics.histogram("service.clock_error") if metrics is not None
-        else Histogram()
-    )
-
     wall_t0 = time.perf_counter()
     with zone("service.sync"):
         cluster.sync(t_start)
@@ -293,9 +293,43 @@ def run_service(
     with zone("service.batching"):
         done, _sizes = config.batching.respond(times)
     latencies = done - times
-    errors = np.empty(times.size, dtype=np.float64)
+
+    # Sync fits models, it never adjusts a clock: a reading is a function
+    # of true time alone, so readings and ground truth are taken once
+    # over the whole stream and sliced per epoch below.
+    reads_t0 = time.perf_counter_ns()
+    ops, ranks, ranks2 = stream.ops, stream.ranks, stream.ranks2
+    # Stream positions of each query shape (ascending, so an epoch's
+    # share of one is a slice of it).
+    now_q = np.flatnonzero(ops == OP_NOW)
+    translate_q = np.flatnonzero(ops == OP_TRANSLATE)
+    compare_q = np.flatnonzero(ops == OP_COMPARE)
+    clocks = cluster.clocks
+    readings = _reads(clocks, ranks, times)
+    readings_b = np.empty(times.size, dtype=np.float64)
+    readings_b[compare_q] = _reads(
+        clocks, ranks2[compare_q], times[compare_q]
+    )
+    # Both events of a compare happen at the same true instant, so its
+    # ground-truth delta is identically zero.
+    truth = np.zeros(times.size, dtype=np.float64)
+    truth[now_q] = clocks[cluster.ref_rank].read_raw_many(times[now_q])
+    truth[translate_q] = _reads(
+        clocks, ranks2[translate_q], times[translate_q], raw=True
+    )
+    if profiler is not None:
+        profiler.add(
+            "service.serve", time.perf_counter_ns() - reads_t0, count=0
+        )
+
+    values = np.empty(times.size, dtype=np.float64)
+    err_abs = np.empty(times.size, dtype=np.float64)
     bounds = np.empty(times.size, dtype=np.float64)
     stale = np.empty(times.size, dtype=bool)
+
+    def in_epoch(queries: np.ndarray, seg: slice) -> np.ndarray:
+        lo, hi = np.searchsorted(queries, (seg.start, seg.stop))
+        return queries[lo:hi]
 
     start = 0
     syncs = 1
@@ -309,72 +343,37 @@ def run_service(
         seg = slice(start, stop)
         if stop > start:
             seg_t0 = time.perf_counter_ns()
-            seg_times = times[seg]
-            seg_ops = stream.ops[seg]
-            seg_ranks = stream.ranks[seg]
-            seg_ranks2 = stream.ranks2[seg]
-            readings = _reads(cluster.clocks, seg_ranks, seg_times)
-            seg_values = np.empty(seg_times.size, dtype=np.float64)
-            seg_errors = np.empty(seg_times.size, dtype=np.float64)
-            seg_bounds = np.empty(seg_times.size, dtype=np.float64)
-            seg_stale = np.empty(seg_times.size, dtype=bool)
+            q = in_epoch(now_q, seg)
+            if q.size:
+                values[q], bounds[q], stale[q] = service.now_batch(
+                    ranks[q], readings[q], times[q]
+                )
 
-            m = seg_ops == OP_NOW
-            if m.any():
-                values, bnd, stl = service.now_batch(
-                    seg_ranks[m], readings[m], seg_times[m]
+            q = in_epoch(translate_q, seg)
+            if q.size:
+                values[q], bounds[q], stale[q] = service.translate_batch(
+                    readings[q], ranks[q], ranks2[q], times[q]
                 )
-                truth = cluster.clocks[cluster.ref_rank].read_raw_many(
-                    seg_times[m]
-                )
-                seg_values[m] = values
-                seg_errors[m] = values - truth
-                seg_bounds[m] = bnd
-                seg_stale[m] = stl
 
-            m = seg_ops == OP_TRANSLATE
-            if m.any():
-                values, bnd, stl = service.translate_batch(
-                    readings[m], seg_ranks[m], seg_ranks2[m], seg_times[m]
+            q = in_epoch(compare_q, seg)
+            if q.size:
+                values[q], bounds[q], stale[q] = service.compare_batch(
+                    ranks[q], readings[q], ranks2[q], readings_b[q],
+                    times[q],
                 )
-                truth = _reads(
-                    cluster.clocks, seg_ranks2[m], seg_times[m], raw=True
-                )
-                seg_values[m] = values
-                seg_errors[m] = values - truth
-                seg_bounds[m] = bnd
-                seg_stale[m] = stl
-
-            m = seg_ops == OP_COMPARE
-            if m.any():
-                readings_b = _reads(
-                    cluster.clocks, seg_ranks2[m], seg_times[m]
-                )
-                values, bnd, stl = service.compare_batch(
-                    seg_ranks[m], readings[m],
-                    seg_ranks2[m], readings_b, seg_times[m],
-                )
-                # Both events happen at the same true instant, so the
-                # ground-truth delta is identically zero.
-                seg_values[m] = values
-                seg_errors[m] = values
-                seg_bounds[m] = bnd
-                seg_stale[m] = stl
 
             if check_mode is not None:
                 _check_epoch(
-                    service, seg_ops, seg_ranks, seg_ranks2,
-                    readings, seg_values,
+                    service, ops[seg], ranks[seg], ranks2[seg],
+                    readings[seg], values[seg],
                 )
 
-            errors[seg] = seg_errors
-            bounds[seg] = seg_bounds
-            stale[seg] = seg_stale
+            err_abs[seg] = np.abs(values[seg] - truth[seg])
             if profiler is not None:
                 profiler.add(
                     "service.serve",
                     time.perf_counter_ns() - seg_t0,
-                    count=seg_times.size,
+                    count=stop - start,
                 )
         start = stop
         if t_next >= t_end:
@@ -387,8 +386,9 @@ def run_service(
         if bank is not None:
             bank.mark("resync", t_next, f"gen{cluster.generation}")
 
-    latency_hist.observe_many(latencies)
-    error_hist.observe_many(np.abs(errors))
+    if metrics is not None:
+        metrics.histogram("service.latency").observe_many(latencies)
+        metrics.histogram("service.clock_error").observe_many(err_abs)
     wall_s = time.perf_counter() - wall_t0
 
     # ------------------------------------------------------------------
@@ -408,7 +408,6 @@ def run_service(
         stale_counts = np.bincount(
             buckets - base, weights=stale.astype(np.float64)
         )
-        err_abs = np.abs(errors)
         for b in range(counts.size):
             if counts[b] == 0:
                 continue
@@ -426,10 +425,14 @@ def run_service(
                 float(bounds[in_bucket].max()),
             )
 
-    err_abs = np.abs(errors)
-    quantile = (
-        lambda a, q: float(np.quantile(a, q)) if a.size else 0.0
+    def quantiles(a: np.ndarray, qs: list[float]) -> list[float]:
+        # One partition of the array serves every requested quantile.
+        return np.quantile(a, qs).tolist() if a.size else [0.0] * len(qs)
+
+    latency_p50, latency_p99, latency_p999 = quantiles(
+        latencies, [0.5, 0.99, 0.999]
     )
+    error_p50, error_p99 = quantiles(err_abs, [0.5, 0.99])
     return ServicePolicyResult(
         policy=policy.label(),
         workload=workload.label(),
@@ -443,16 +446,16 @@ def run_service(
         cache_hits=stats.epoch_hits,
         cache_misses=stats.epoch_misses,
         cache_hit_ratio=stats.cache_hit_ratio(),
-        latency_p50=latency_hist.quantile(0.5),
-        latency_p99=latency_hist.quantile(0.99),
-        latency_p999=latency_hist.quantile(0.999),
-        latency_mean=latency_hist.mean,
-        clock_error_p50=quantile(err_abs, 0.5),
-        clock_error_p99=quantile(err_abs, 0.99),
-        clock_error_max=float(err_abs.max()) if err_abs.size else 0.0,
-        slo_met=bool(
-            err_abs.size and quantile(err_abs, 0.99) <= config.slo
+        latency_p50=latency_p50,
+        latency_p99=latency_p99,
+        latency_p999=latency_p999,
+        latency_mean=(
+            math.fsum(latencies) / latencies.size if latencies.size else 0.0
         ),
+        clock_error_p50=error_p50,
+        clock_error_p99=error_p99,
+        clock_error_max=float(err_abs.max()) if err_abs.size else 0.0,
+        slo_met=bool(err_abs.size and error_p99 <= config.slo),
         sim_qps=times.size / workload.duration,
         wall_s=wall_s,
     )

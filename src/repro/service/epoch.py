@@ -16,7 +16,9 @@ Per-response staleness comes from the paper's accuracy analysis
 fit's residual error and grows with model age at a rate set by each
 rank's drift family.  The reference rank serves its own readings, so its
 bound is identically zero; every other rank accumulates both its own and
-the reference oscillator's wander.
+the reference oscillator's wander.  Ranks are grouped by family at
+compile time (``DriftModel.growth_key()``), so a batch evaluates each
+family's growth once, however many ranks share it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ class ModelEpoch:
     ref_rank: int = 0
     #: Per-rank ``1 + |slope|`` error-scale factors (precompiled).
     _scale: np.ndarray = field(init=False, repr=False)
+    #: Per-rank index into ``_family_drifts``: ranks whose drifts share a
+    #: growth key share one staleness-growth evaluation per batch.
+    _family: np.ndarray = field(init=False, repr=False)
+    _family_drifts: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         slopes = np.asarray(self.slopes, dtype=np.float64)
@@ -65,6 +71,24 @@ class ModelEpoch:
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
         object.__setattr__(self, "_scale", 1.0 + np.abs(slopes))
+        index_of: dict = {}
+        family_drifts: list = []
+        family = np.empty(slopes.size, dtype=np.intp)
+        for rank, drift in enumerate(self.drifts):
+            key = (
+                drift.growth_key() if isinstance(drift, DriftModel)
+                else abs(float(drift))
+            )
+            # An unknown family (key None) is never shared.
+            index = None if key is None else index_of.get(key)
+            if index is None:
+                index = len(family_drifts)
+                family_drifts.append(drift)
+                if key is not None:
+                    index_of[key] = index
+            family[rank] = index
+        object.__setattr__(self, "_family", family)
+        object.__setattr__(self, "_family_drifts", tuple(family_drifts))
 
     @property
     def num_ranks(self) -> int:
@@ -106,8 +130,8 @@ class ModelEpoch:
     # ------------------------------------------------------------------
     # Staleness bounds
     # ------------------------------------------------------------------
-    def _growth(self, rank: int, ages: np.ndarray) -> np.ndarray:
-        drift = self.drifts[rank]
+    def _growth(self, family: int, ages: np.ndarray) -> np.ndarray:
+        drift = self._family_drifts[family]
         if isinstance(drift, DriftModel):
             return drift.error_growth_many(ages)
         return abs(float(drift)) * np.clip(ages, 0.0, None)
@@ -120,20 +144,30 @@ class ModelEpoch:
         Non-reference ranks accumulate their own *and* the reference
         oscillator's wander (the fitted slope only froze their relative
         rate at sync time); the reference rank serves its own readings,
-        which cannot go stale.
+        which cannot go stale.  Growth is evaluated once per drift
+        family in the batch, not once per rank; each element goes
+        through the same IEEE-754 operations either way.
         """
         ranks = np.asarray(ranks)
         ages = np.asarray(ages, dtype=np.float64)
-        ref_growth = self._growth(self.ref_rank, ages)
-        bounds = np.zeros(ranks.shape, dtype=np.float64)
-        for rank in np.unique(ranks):
-            if rank == self.ref_rank:
-                continue
-            mask = ranks == rank
-            growth = self._growth(int(rank), ages[mask])
-            bounds[mask] = self.base_error + self._scale[rank] * (
-                growth + ref_growth[mask]
+        ref_family = int(self._family[self.ref_rank])
+        ref_growth = self._growth(ref_family, ages)
+        if len(self._family_drifts) == 1:
+            growth = ref_growth
+        else:
+            families = self._family[ranks]
+            growth = np.empty(ages.shape, dtype=np.float64)
+            present = np.flatnonzero(
+                np.bincount(families, minlength=len(self._family_drifts))
             )
+            for family in present:
+                mask = families == family
+                growth[mask] = (
+                    ref_growth[mask] if family == ref_family
+                    else self._growth(int(family), ages[mask])
+                )
+        bounds = self.base_error + self._scale[ranks] * (growth + ref_growth)
+        bounds[ranks == self.ref_rank] = 0.0
         return bounds
 
     def max_bound(self, age: float) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import Hashable
 
 import numpy as np
 
@@ -71,6 +72,15 @@ class DriftModel(abc.ABC):
         ages = np.clip(np.asarray(ages, dtype=np.float64), 0.0, None)
         return self.excursion_bound() * ages
 
+    def growth_key(self) -> Hashable | None:
+        """Hashable value of everything :meth:`error_growth` depends on.
+
+        Two models with equal keys have the same ``error_growth`` at
+        every age, so a batch layer may evaluate it once for both.
+        ``None`` (the default) means unknown: never shared.
+        """
+        return None
+
 
 class ConstantDrift(DriftModel):
     """A perfectly stable oscillator with a fixed skew.
@@ -92,6 +102,9 @@ class ConstantDrift(DriftModel):
 
     def excursion_bound(self) -> float:
         return 0.0
+
+    def growth_key(self) -> Hashable:
+        return ("constant",)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConstantDrift(skew={self.skew:g})"
@@ -176,6 +189,9 @@ class RandomWalkDrift(DriftModel):
         ages = np.clip(np.asarray(ages, dtype=np.float64), 0.0, None)
         walk = 3.0 * self.sigma * ages ** 1.5 / math.sqrt(3.0)
         return np.minimum(walk, self.excursion_bound() * ages)
+
+    def growth_key(self) -> Hashable:
+        return ("walk", self.sigma, self.max_excursion)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

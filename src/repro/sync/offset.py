@@ -157,6 +157,11 @@ class MeanRTTOffset(OffsetAlgorithm):
     The RTT between a pair is measured once and cached (the paper's
     ``have_rtt`` flag); ``rtt_pingpongs`` controls that estimate's sample
     count.  Reply messages use a synchronous send, as in the original.
+
+    The cache is an attribute of the communicator the pair measured
+    over (``comm.attrs``), so an instance reused across simulations
+    re-measures instead of serving a dead run's RTT, and holds no
+    per-run state itself.
     """
 
     name = "mean_rtt_offset"
@@ -166,7 +171,6 @@ class MeanRTTOffset(OffsetAlgorithm):
         if rtt_pingpongs < 1:
             raise SyncError("rtt_pingpongs must be >= 1")
         self.rtt_pingpongs = rtt_pingpongs
-        self._rtt_cache: dict[tuple[int, int, int], float] = {}
 
     def _measure_rtt(
         self,
@@ -200,14 +204,13 @@ class MeanRTTOffset(OffsetAlgorithm):
         ctx = comm.ctx
         rank = comm.rank
         self._phase_begin(comm, p_ref, client)
-        # Keyed by engine identity too: an algorithm instance reused across
-        # simulated mpiruns must not recycle a dead run's RTT estimate.
-        key = (id(ctx.engine), comm.comm_id, p_ref, client)
-        if key not in self._rtt_cache:
+        rtt_cache = comm.attrs.setdefault(self, {})
+        key = (p_ref, client)
+        if key not in rtt_cache:
             rtt = yield from self._measure_rtt(comm, clock, p_ref, client)
             # The reference side gets None; it does not need the value.
-            self._rtt_cache[key] = rtt if rtt is not None else 0.0
-        rtt = self._rtt_cache[key]
+            rtt_cache[key] = rtt if rtt is not None else 0.0
+        rtt = rtt_cache[key]
         if rank == p_ref:
             for _ in range(self.nexchanges):
                 yield from comm.recv(client, PINGPONG_TAG)

@@ -1,5 +1,10 @@
 """Metrics primitives, registry aggregation, and engine integration."""
 
+import math
+
+import numpy as np
+import pytest
+
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -94,6 +99,117 @@ class TestPrimitives:
         parent.merge_from(worker)
         assert parent.gauge("g").value == 0.0
         assert parent.gauge("g").set_count == 2
+
+
+class _CountingRng:
+    """Delegates to a histogram's RNG, counting every draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self._rng.random()
+
+    def randrange(self, n):
+        self.draws += 1
+        return self._rng.randrange(n)
+
+
+def _looped(values, cap):
+    hist = Histogram(max_samples=cap)
+    for v in values:
+        hist.observe(v)
+    return hist
+
+
+def _state(hist):
+    return (hist._samples, hist.count, hist.min_value, hist.max_value)
+
+
+class TestReservoirSkipSampling:
+    """Algorithm L: draws only at kept indices, so batches == loops."""
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [50_000],                      # n >> k in one batch
+            [10, 53, 1, 1, 935, 49_000],   # fill completes on a chunk edge
+            [63, 2, 0, 49_935],            # ... and inside a chunk; an empty one
+            [7] * 7_142 + [6],             # many small batches past the fill
+        ],
+    )
+    def test_observe_many_equals_observe_loop(self, chunks, as_array):
+        values = np.random.default_rng(3).normal(size=sum(chunks))
+        reference = _looped(values.tolist(), cap=64)
+        hist = Histogram(max_samples=64)
+        start = 0
+        total = 0.0
+        for size in chunks:
+            chunk = values[start:start + size]
+            hist.observe_many(chunk if as_array else chunk.tolist())
+            total += math.fsum(chunk)  # exact per batch, as before
+            start += size
+        assert _state(hist) == _state(reference)
+        assert all(type(v) is float for v in hist._samples)
+        assert hist.total == total
+
+    def test_observe_many_then_observe_continues_the_same_stream(self):
+        values = [float(v) for v in range(5_000)]
+        hist = Histogram(max_samples=32)
+        hist.observe_many(values[:1_000])
+        for v in values[1_000:3_000]:
+            hist.observe(v)
+        hist.observe_many(np.array(values[3_000:]))
+        assert _state(hist) == _state(_looped(values, cap=32))
+
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0)])
+    def test_observe_many_of_nothing_changes_nothing(self, empty):
+        hist = Histogram()
+        hist.observe_many(empty)
+        assert hist.count == 0 and hist._samples == []
+        assert hist.quantile(0.5) == 0.0
+
+    def test_retained_positions_are_uniform(self):
+        # Observe each value's own position: the buffer then shows
+        # which indices of the stream were kept.  Seeded, so the counts
+        # are fixed numbers and the tolerance (4 binomial sigmas of
+        # sqrt(4096 * 0.1 * 0.9) = 19.2) is not a flaky one.
+        n, k = 400_000, 4096
+        hist = Histogram(max_samples=k)
+        hist.observe_many(np.arange(n, dtype=np.float64))
+        assert len(set(hist._samples)) == k
+        per_bin, _ = np.histogram(hist._samples, bins=10, range=(0, n))
+        assert per_bin.sum() == k
+        assert np.abs(per_bin - k / 10).max() < 77
+
+    def test_cost_is_draws_per_kept_value_not_per_value(self):
+        n, k = 1_000_000, 4096
+        hist = Histogram(max_samples=k)
+        rng = hist._rng = _CountingRng(hist._rng)
+        hist.observe_many(np.random.default_rng(0).random(n))
+        assert hist.count == n and len(hist._samples) == k
+        # Per-value sampling (Algorithm R) makes n - k draws here.
+        assert 0 < rng.draws <= 4 * k * (1 + math.log(n / k))
+
+    def test_scalar_observe_draws_only_at_kept_indices(self):
+        hist = Histogram(max_samples=16)
+        rng = hist._rng = _CountingRng(hist._rng)
+        for v in range(20_000):
+            hist.observe(float(v))
+        assert rng.draws <= 4 * 16 * (1 + math.log(20_000 / 16))
+
+    def test_quantiles_is_quantile_with_one_sort(self):
+        hist = _looped([float(v % 101) for v in range(10_000)], cap=256)
+        qs = (0.0, 0.5, 0.99, 0.999, 1.0)
+        assert hist.quantiles(qs) == [hist.quantile(q) for q in qs]
+        assert Histogram().quantiles(qs) == [0.0] * len(qs)
+
+    def test_rejects_an_empty_reservoir(self):
+        with pytest.raises(ValueError):
+            Histogram(max_samples=0)
 
 
 class TestRegistry:

@@ -11,13 +11,16 @@ reports, so their structural invariants get property coverage:
 * :class:`~repro.obs.metrics.Histogram` — the exact scalar summary
   (count/total/min/max) is invariant under splitting the observation
   stream across histograms that are then merged, the reservoir stays
-  bounded, and quantiles stay inside ``[min, max]``.
+  bounded, and quantiles stay inside ``[min, max]``; the skip sampler
+  keeps the same values whether the stream arrives one by one or in
+  batches, however the batches are cut.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +154,37 @@ class TestHistogramReservoirMerge:
             hist.observe(float(v))
         assert hist.quantile(0.0) == float(min(values))
         assert hist.quantile(1.0) == float(max(values))
+
+
+class TestHistogramBatchEquivalence:
+    @given(
+        values=sample_values,
+        sizes=st.lists(
+            st.integers(min_value=0, max_value=50),
+            min_size=1, max_size=12,
+        ),
+        cap=st.integers(min_value=1, max_value=64),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_observe_many_is_a_loop_of_observe(
+        self, values, sizes, cap, as_array
+    ):
+        """Any chunking of ``observe_many`` keeps what ``observe`` keeps.
+
+        With up to 300 values, caps of 1..64 and chunks of 0..50, the
+        drawn chunkings end before, on, and after the fill point.
+        """
+        values = [float(v) for v in values]
+        looped = Histogram(max_samples=cap)
+        for v in values:
+            looped.observe(v)
+        batched = Histogram(max_samples=cap)
+        for chunk in _chunked(values, sizes):
+            batched.observe_many(np.array(chunk) if as_array else chunk)
+        assert batched._samples == looped._samples
+        assert batched.count == looped.count == len(values)
+        assert batched.min_value == looped.min_value
+        assert batched.max_value == looped.max_value
+        assert batched.total == math.fsum(values)
+        assert batched._next == looped._next

@@ -7,6 +7,11 @@ The service's two cache layers promise exactness, not approximation:
   the vectorized batch path;
 * a resync bumps the generation and must drop both caches — no answer
   computed against the old models may ever be served afterwards.
+
+The serving path's two batch shortcuts promise the same exactness:
+staleness bounds grouped by drift family equal the per-rank loop they
+replaced, and clock readings taken once over a stream equal the readings
+of any partition of it.
 """
 
 import numpy as np
@@ -14,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.core import ClockService
+from repro.service.driver import _reads
+from repro.service.epoch import ModelEpoch
+from repro.simtime.drift import ConstantDrift, RandomWalkDrift
+from repro.simtime.sources import CLOCK_GETTIME, GETTIMEOFDAY, make_node_clocks
 from repro.sync.linear_model import LinearDriftModel
+from tests.service.test_epoch import UnkeyedWalk, reference_bounds_for
 
 slopes = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
 intercepts = st.floats(min_value=-1e2, max_value=1e2, allow_nan=False)
@@ -97,3 +107,83 @@ class TestCachedTranslate:
         # The post-resync answer comes from the NEW models, exactly.
         new = sets[1]
         assert after.value == new[1].apply_inverse(new[0].apply(t))
+
+
+def _walk(cls, sigma, excursion):
+    return cls(
+        0.0, sigma=sigma, rng=np.random.default_rng(0),
+        max_excursion=excursion,
+    )
+
+
+#: Drift entries over few enough distinct parameters that drawn epochs
+#: share families often: two walk parameter sets, an unkeyed walk,
+#: constant drifts, and plain rates of either sign.
+drift_entries = st.one_of(
+    st.sampled_from([
+        ("walk", 3e-7, 20e-6), ("walk", 1e-7, 5e-6), ("unkeyed", 3e-7, 20e-6),
+    ]).map(lambda k: _walk(
+        UnkeyedWalk if k[0] == "unkeyed" else RandomWalkDrift, k[1], k[2]
+    )),
+    st.sampled_from([0.0, 1e-5]).map(ConstantDrift),
+    st.sampled_from([1.5e-5, -1.5e-5, 4e-5, 0.0]),
+)
+
+
+class TestGroupedBounds:
+    @given(data=st.data(), num_ranks=st.integers(min_value=2, max_value=9))
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_bounds_equal_the_per_rank_loop(self, data, num_ranks):
+        drifts = data.draw(st.lists(
+            drift_entries, min_size=num_ranks, max_size=num_ranks
+        ))
+        ref_rank = data.draw(st.integers(0, num_ranks - 1))
+        epoch = ModelEpoch(
+            generation=0, synced_at=0.0,
+            slopes=np.array(data.draw(st.lists(
+                slopes, min_size=num_ranks, max_size=num_ranks
+            ))),
+            intercepts=np.zeros(num_ranks),
+            drifts=tuple(drifts), base_error=1e-7, ref_rank=ref_rank,
+        )
+        # Any subset of ranks may be absent from the batch.
+        present = data.draw(st.lists(
+            st.integers(0, num_ranks - 1), min_size=1, max_size=num_ranks
+        ))
+        batch = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(present),
+                st.floats(min_value=-10.0, max_value=600.0),
+            ),
+            max_size=40,
+        ))
+        ranks = np.array([r for r, _ in batch], dtype=np.int64)
+        at = np.array([a for _, a in batch], dtype=np.float64)
+        assert np.array_equal(
+            epoch.bounds_for(ranks, at),
+            reference_bounds_for(epoch, ranks, at),
+        )
+
+
+class TestReadsOncePerStream:
+    @given(
+        seed=st.integers(0, 2**16),
+        spec=st.sampled_from([CLOCK_GETTIME, GETTIMEOFDAY]),
+        raw=st.booleans(),
+        cuts=st.lists(st.integers(0, 200), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slices_of_one_read_equal_reads_of_the_slices(
+        self, seed, spec, raw, cuts
+    ):
+        rng = np.random.default_rng(seed)
+        times = np.sort(rng.uniform(0.0, 40.0, 200))
+        ranks = rng.integers(0, 4, 200)
+        # Fresh clocks on each side: segments materialize lazily, and
+        # neither the order nor the grouping of reads may matter.
+        whole = _reads(make_node_clocks(4, spec, seed), ranks, times, raw=raw)
+        clocks = make_node_clocks(4, spec, seed)
+        edges = sorted({0, 200, *cuts})
+        for a, b in zip(edges, edges[1:]):
+            part = _reads(clocks, ranks[a:b], times[a:b], raw=raw)
+            assert np.array_equal(part, whole[a:b])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import pytest
 from repro.check.config import checking
 from repro.errors import ConfigurationError
 from repro.obs.health import evaluate_health
-from repro.obs.metrics import MetricsRegistry, default_metrics
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    default_metrics,
+    get_default_metrics,
+)
 from repro.obs.report import build_report
 from repro.obs.timeseries import TimeSeriesBank, default_timeseries
 from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
@@ -22,6 +28,8 @@ from repro.service import (
     run_service,
 )
 from repro.experiments.service_slo import _policy_job
+from repro.service.driver import _reads
+from repro.service.workload import generate
 
 QUICK = ServiceConfig(num_ranks=4)
 SHORT = WorkloadSpec(mode="open", duration=12.0, rate=1500.0)
@@ -107,6 +115,17 @@ class TestRunService:
             )
         assert res.queries > 0
 
+    @staticmethod
+    def _latencies(seed: int) -> np.ndarray:
+        """The latency array ``run_service(..., SHORT, QUICK, seed)`` scores."""
+        _cluster_seed, workload_seed = np.random.SeedSequence(seed).spawn(2)
+        stream = generate(
+            SHORT, QUICK.num_ranks, workload_seed, QUICK.batching
+        )
+        times = stream.times + QUICK.fit_window
+        done, _sizes = QUICK.batching.respond(times)
+        return done - times
+
     def test_emits_metrics_and_timeseries(self):
         registry = MetricsRegistry()
         bank = TimeSeriesBank()
@@ -116,15 +135,76 @@ class TestRunService:
             )
         assert registry.counter("service.queries").value == res.queries
         assert registry.counter("service.resyncs").value == res.syncs
+        # The result's quantiles are exact over the run's own arrays ...
+        latencies = self._latencies(seed=5)
+        assert latencies.size == res.queries
+        assert [res.latency_p50, res.latency_p99, res.latency_p999] == [
+            float(np.quantile(latencies, q)) for q in (0.5, 0.99, 0.999)
+        ]
+        assert res.latency_mean == math.fsum(latencies) / latencies.size
+        # ... and the registry's histograms summarize the same arrays:
+        # exact count/min/max/mean, reservoir-estimated quantiles.
         hist = registry.histogram("service.latency")
         assert hist.count == res.queries
-        assert hist.quantile(0.5) == res.latency_p50
+        assert hist.min_value == latencies.min()
+        assert hist.max_value == latencies.max()
+        assert hist.mean == res.latency_mean
+        assert hist.quantile(0.5) == pytest.approx(res.latency_p50, rel=0.05)
+        errors = registry.histogram("service.clock_error")
+        assert errors.count == res.queries
+        assert errors.min_value >= 0.0
+        assert errors.max_value == res.clock_error_max
+        assert errors.quantile(0.5) == pytest.approx(
+            res.clock_error_p50, rel=0.05
+        )
         names = bank.names()
         assert "service.stale_rate" in names
         assert "service.error_bound" in names
         assert "clock.error" in names
         marks = bank.marks_named("resync")
         assert len(marks) == res.syncs - 1
+
+    def test_no_registry_means_no_histogram(self, monkeypatch):
+        assert get_default_metrics() is None
+        built = []
+        init = Histogram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Histogram, "__init__", counting_init)
+        bare = run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
+        assert built == []
+        # Attaching a registry changes no reported number.
+        with default_metrics(MetricsRegistry()):
+            observed = run_service(
+                PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5
+            )
+        assert len(built) == 2
+        assert volatile_free(bare) == volatile_free(observed)
+
+
+class TestReadsOncePerStream:
+    @pytest.mark.parametrize("raw", [False, True], ids=["quantized", "raw"])
+    def test_epoch_slices_equal_per_epoch_reads(self, raw):
+        """What run_service hoists out of its epoch loop: one read of the
+        whole stream, sliced at resync instants, is exactly the per-epoch
+        reads (on fresh clocks, so lazy segment growth is covered)."""
+        stream = generate(
+            SHORT, QUICK.num_ranks, np.random.SeedSequence(4), QUICK.batching
+        )
+        times = stream.times + QUICK.fit_window
+
+        def fresh_clocks():  # spawn() advances a SeedSequence: new one each
+            return SimulatedCluster(QUICK, np.random.SeedSequence(3)).clocks
+
+        whole = _reads(fresh_clocks(), stream.ranks, times, raw=raw)
+        clocks = fresh_clocks()
+        edges = np.searchsorted(times, [0.0, 4.0, 4.25, 9.0, 1e9])
+        for a, b in zip(edges, edges[1:]):
+            part = _reads(clocks, stream.ranks[a:b], times[a:b], raw=raw)
+            assert np.array_equal(part, whole[a:b])
 
 
 class TestJobsMergeIdentity:

@@ -1,5 +1,7 @@
 """Unit tests for the clock-offset algorithms (SKaMPI, Mean-RTT)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -107,14 +109,40 @@ class TestMeanRTTOffset:
             alg = MeanRTTOffset(4, rtt_pingpongs=6)
             if comm.rank in (0, 1):
                 yield from alg.measure_offset(comm, ctx.hardware_clock, 0, 1)
-                before = len(alg._rtt_cache)
+                before = dict(comm.attrs[alg])
                 yield from alg.measure_offset(comm, ctx.hardware_clock, 0, 1)
-                return (before, len(alg._rtt_cache))
+                return (before, comm.attrs[alg])
             return None
 
         _, res = run_spmd(main, num_nodes=2, ranks_per_node=1,
                           network=ideal_network(), time_source=spec)
-        assert res.values[1] == (1, 1)
+        before, after = res.values[1]
+        assert list(before) == [(0, 1)] and before[(0, 1)] > 0.0
+        assert after == before
+
+    def test_reused_instance_keeps_no_state_between_simulations(self):
+        # The RTT cache used to live on the instance under id(engine):
+        # one entry per pair per simulation for the life of the
+        # instance, and an id recycled after a finished engine was freed
+        # could serve a dead run's RTT.  gc stays off so nothing is
+        # reclaimed (or recycled) behind the test's back.
+        shared = MeanRTTOffset(4, rtt_pingpongs=6)
+        pristine = {"nexchanges": 4, "rtt_pingpongs": 6}
+        gc.disable()
+        try:
+            for latency in (2e-6, 40e-6, 2e-6, 9e-6):
+                network = ideal_network(latency=latency)
+                _, reused = measure_with(lambda: shared, network=network)
+                _, fresh = measure_with(
+                    lambda: MeanRTTOffset(4, rtt_pingpongs=6), network=network
+                )
+                assert reused.values[1] == fresh.values[1]
+                assert reused.values[1].rtt == pytest.approx(
+                    2 * latency, rel=0.2
+                )
+                assert vars(shared) == pristine
+        finally:
+            gc.enable()
 
     def test_validation(self):
         with pytest.raises(SyncError):

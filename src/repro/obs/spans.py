@@ -13,8 +13,9 @@ that reassembles the flat event stream into per-run causal structure:
 * **block intervals** — ``ProcBlock``→``ProcWake`` per rank, for slack
   accounting, plus ack wakes kept as causal dependencies.
 
-Everything is opt-in: with no recorder attached the engine's quiet fast
-path still binds and no event objects are constructed at all.  Because
+Everything is opt-in: with no recorder attached the engine's emission
+sites are failed ``is not None`` tests and no event objects are
+constructed at all.  Because
 message ``seq`` numbers restart at 0 for every engine run, the recorder
 segments its history into :class:`SpanRun` units — either explicitly
 via :meth:`SpanRecorder.run_break` (the parallel executor calls it

@@ -94,8 +94,8 @@ def _scaling_rates(entry: dict[str, Any]) -> dict[str, float]:
     only points measuring the same configuration ever compare (a CI
     sweep at a tiny budget must not gate against the full-size default
     sweep, and a calendar-queue sweep must not gate against a heap one).
-    Points recorded before the engine grew selectable kernels default to
-    ``heap`` — that is what those trees ran.
+    Points recorded before the calendar queue landed carry no field and
+    default to ``heap`` — that is what those trees ran.
     """
     section = entry.get("scaling", {})
     workload = section.get("workload", "ring")
@@ -134,8 +134,8 @@ def check_bench(
     # Engine throughput is gated per event-queue kernel: a calendar-queue
     # entry never compares against a heap one (they are different
     # implementations, not the same code getting faster or slower).
-    # Entries recorded before the engine grew selectable kernels ran the
-    # heap, and keep the historical unsuffixed check name.
+    # Entries recorded before the calendar queue landed carry no field:
+    # they ran the heap, and keep the historical unsuffixed check name.
     engine_rates: dict[str, list[float]] = {}
     for e in entries:
         engine = e.get("engine", {})

@@ -17,20 +17,21 @@ order, which keeps shared state (per-node NIC availability, ``ANY_SOURCE``
 mailboxes) causal while still letting uncontended message chains run
 inline without queue churn.
 
-Pending events live in a pluggable queue (see :mod:`repro.simmpi.eventq`):
-the default calendar/bucket queue pays O(1) amortized per event at any
-rank count, the legacy binary heap is kept for A/B comparison.  Both pop
-in identical ``(time, seq)`` order, so the choice — like the bucket
-width — is a pure performance knob.
+There is one configuration of the kernel.  Pending events live in a
+calendar queue (:class:`repro.simmpi.eventq.CalendarQueue`) whose bucket
+width follows from the network model and the rank count, and every
+message goes through one send path (``_do_send``) and one delivery path
+(``_finish_delivery``).  The six optional hooks — event sink, metrics
+registry, time-series bank, fault injector, profiler, fabric pricing —
+are read into locals at the top of those two methods and each hook site
+is one ``is not None`` test on a local, so a run with no hook attached
+pays a dozen pointer comparisons per message and nothing else.
 
 Determinism: queue ties are broken by a monotonic sequence number, and all
 randomness flows from per-process `numpy` generators spawned from a single
 :class:`numpy.random.SeedSequence` — identical seeds give bit-identical
-simulations.  The one gated exception is ``delay_mode="burst"``, which
-draws whole bursts of per-message delay variates as numpy arrays: it is
-deterministic per seed but consumes the uniform stream in a different
-order than the scalar path, so it is off by default and carries its own
-golden baselines.
+simulations, with or without hooks attached
+(``tests/simmpi/test_obs_determinism.py`` pins this hook by hook).
 """
 
 from __future__ import annotations
@@ -46,20 +47,15 @@ from repro.obs import events as obs_events
 from repro.obs.events import EventSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesBank
-from repro.simmpi.eventq import QUEUE_KINDS, auto_bucket_width, make_queue
+from repro.simmpi.eventq import CalendarQueue, auto_bucket_width
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, RecvDescriptor
 from repro.simmpi.network import Level, NetworkModel
-from repro.simmpi.rngpool import DEFAULT_CHUNK, UniformPool
+from repro.simmpi.rngpool import UniformPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.prof.core import Profiler
 
-
-#: Recognized ``delay_mode`` spellings.
-DELAY_MODES = ("scalar", "burst")
-#: Stochastic delay addends precomputed per (process, level) burst refill.
-DEFAULT_DELAY_BURST = 64
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +167,7 @@ class _Proc:
         "seed",
         "_rng",
         "pool",
-        "bursts",
         "mailbox",
-        "recv_wait",
         "block_time",
     )
 
@@ -200,14 +194,10 @@ class _Proc:
         #: Chunked uniform pool feeding this process's message-delay
         #: draws; a dedicated stream (spawned from the same per-process
         #: seed) so pool prefetching never steals draws from ``rng``.
-        #: Built on first send by the engine (which knows the chunk size).
+        #: Built on first send by the engine.
         self.pool: UniformPool | None = None
-        #: Per-level burst buffers of precomputed stochastic delay
-        #: addends (``delay_mode="burst"`` only).
-        self.bursts: list[list] | None = None
         #: Messages deposited for this rank, in send order.
         self.mailbox: list[Message] = []
-        self.recv_wait: RecvDescriptor | None = None
         #: True time at which the process last blocked (diagnostics).
         self.block_time = 0.0
 
@@ -234,25 +224,8 @@ class Engine:
         metrics: MetricsRegistry | None = None,
         timeseries: TimeSeriesBank | None = None,
         injector: "FaultInjector | None" = None,
-        rng_pool_chunk: int = DEFAULT_CHUNK,
         profiler: "Profiler | None" = None,
-        event_queue: str = "calendar",
-        bucket_width: float | None = None,
-        delay_mode: str = "scalar",
-        delay_burst: int = DEFAULT_DELAY_BURST,
     ) -> None:
-        if event_queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"event_queue must be one of {QUEUE_KINDS}, "
-                f"got {event_queue!r}"
-            )
-        if delay_mode not in DELAY_MODES:
-            raise SimulationError(
-                f"delay_mode must be one of {DELAY_MODES}, "
-                f"got {delay_mode!r}"
-            )
-        if delay_burst < 1:
-            raise SimulationError("delay_burst must be >= 1")
         self.network = network
         self.level_of = level_of
         #: Maps a rank to its node id; required for NIC-gap modelling.
@@ -270,27 +243,10 @@ class Engine:
             else np.random.SeedSequence(seed)
         )
         self._procs: list[_Proc] = []
-        #: Pending-event queue kind ("calendar" or "heap") and the bucket
-        #: width for the calendar kernel (None = auto from the network
-        #: model and rank count).  Both are pure performance knobs: all
-        #: kinds/widths pop events in the same (time, seq) order, which
-        #: the kernel-equivalence suite pins.
-        self.event_queue = event_queue
-        self.bucket_width = bucket_width
         self._queue = None  # built in _run(), once num_ranks is known
         self._seq = 0  # event-queue tie-break counter
         self._msg_seq = 0  # message sequence numbers (send order)
         self._started = False
-        #: Chunk size cap of the per-process delay-draw pools (a pure perf
-        #: knob: results are bit-identical for any value, see rngpool).
-        self.rng_pool_chunk = rng_pool_chunk
-        #: How per-message stochastic delays are drawn: "scalar" (default;
-        #: one pooled uniform per variate, the bit-identity baseline) or
-        #: "burst" (vectorized numpy bursts per (process, level) — same
-        #: distribution and deterministic per seed, but a different draw
-        #: order, hence gated behind this option with its own goldens).
-        self.delay_mode = delay_mode
-        self.delay_burst = int(delay_burst)
         #: Unfinished processes; the causality gate is skipped once only
         #: one process remains (no shared state left to keep causal).
         self._live = 0
@@ -306,16 +262,12 @@ class Engine:
         #: (hot-path cache; int keys hash cheaper than rank tuples).
         self._level_cache: dict[int, Level] = {}
         self._rank_stride = 0  # num_ranks snapshot for level-cache keys
-        #: True while running with every optional hook absent (no sink,
-        #: metrics, timeseries, injector, profiler, or fabric pricing):
-        #: the per-message path then dispatches to observation-free
-        #: twins of _do_send/_finish_delivery.  Same draws, same state
-        #: updates — bit-identical, just with the ~dozen hook branches
-        #: removed from the hottest call in the simulator.
-        self._quiet = False
+        #: ``(sink, metrics, timeseries, injector, profiler, fabric)`` as
+        #: of run(): the per-message methods unpack it into locals, so a
+        #: hook site costs one pointer comparison.
+        self._hooks: tuple = (None,) * 6
         #: Optional observability hooks (see :mod:`repro.obs`).  Both are
-        #: passive; with ``sink=None`` the emission sites reduce to one
-        #: pointer comparison (the zero-overhead fast path).
+        #: passive: they never draw randomness or advance virtual time.
         self.sink = sink
         self.metrics = metrics
         #: Optional clock-health telemetry bank (see
@@ -328,8 +280,7 @@ class Engine:
         #: Optional wall-time self-profiler (see :mod:`repro.prof`).
         #: Profiling only reads the host clock — it never draws
         #: randomness or advances virtual time, so profiled runs are
-        #: bit-identical to unprofiled ones; with ``None`` every
-        #: instrumentation site is one pointer comparison.
+        #: bit-identical to unprofiled ones.
         self.profiler = profiler
         #: Monotonically increasing count of delivered messages (stats).
         self.messages_delivered = 0
@@ -418,11 +369,9 @@ class Engine:
 
     def _pool_of(self, proc: _Proc) -> UniformPool:
         """Materialize a process's delay-draw pool on first send."""
-        pool = UniformPool(
-            np.random.default_rng(proc.seed.spawn(1)[0]),
-            self.rng_pool_chunk,
+        pool = proc.pool = UniformPool(
+            np.random.default_rng(proc.seed.spawn(1)[0])
         )
-        proc.pool = pool
         return pool
 
     # ------------------------------------------------------------------
@@ -442,43 +391,49 @@ class Engine:
         finally:
             prof.pop(start)
 
-    def _make_queue(self):
-        width = self.bucket_width
-        if width is None:
-            # One message's service window: CPU overheads plus the mean
-            # coarsest-level wire time of a minimal payload.  A p-rank
-            # job keeps ~p events inside such a window, so dividing by p
-            # keeps per-bucket occupancy roughly constant at every scale.
-            network = self.network
-            service = (
-                network.o_send
-                + network.o_recv
-                + network.expected_delay(Level.REMOTE, 8)
-            )
-            width = auto_bucket_width(service, len(self._procs))
-        return make_queue(self.event_queue, width)
+    def _make_queue(self) -> CalendarQueue:
+        # One message's service window: CPU overheads plus the mean
+        # coarsest-level wire time of a minimal payload.  A p-rank job
+        # keeps ~p events inside such a window, so dividing by p keeps
+        # per-bucket occupancy roughly constant at every scale.
+        network = self.network
+        service = (
+            network.o_send
+            + network.o_recv
+            + network.expected_delay(Level.REMOTE, 8)
+        )
+        return CalendarQueue(auto_bucket_width(service, len(self._procs)))
 
     def _run(self) -> list[Any]:
-        if self.injector is not None:
+        sink = self.sink
+        metrics = self.metrics
+        bank = self.timeseries
+        injector = self.injector
+        if injector is not None:
             # The schedule is known a priori: emit one record per fault
             # so traces show fault windows at their exact virtual times.
-            events = self.injector.schedule_events()
-            if self.sink is not None:
+            events = injector.schedule_events()
+            if sink is not None:
                 for event in events:
-                    self.sink.emit(event)
-            if self.metrics is not None and events:
-                self.metrics.counter("faults.scheduled").inc(len(events))
-            if self.timeseries is not None:
+                    sink.emit(event)
+            if metrics is not None and events:
+                metrics.counter("faults.scheduled").inc(len(events))
+            if bank is not None:
                 # Fault markers anchor the resync-latency detector; they
                 # are rank-agnostic (a fault hits a node/level, and the
                 # error series of every rank may react to it).
                 for event in events:
-                    self.timeseries.mark(
+                    bank.mark(
                         "fault", event.time,
                         f"{event.kind}:{event.name}@{event.target}",
                     )
+        self._hooks = (
+            sink, metrics, bank, injector, self.profiler,
+            self.extra_node_latency,
+        )
         self._queue = queue = self._make_queue()
-        for proc in self._procs:
+        procs = self._procs
+        for proc in procs:
             if proc.gen is None:
                 raise SimulationError(f"rank {proc.rank} has no body bound")
             self._schedule(proc, 0.0)
@@ -486,28 +441,12 @@ class Engine:
         # rank->node and (src, dest)->level maps are pure functions.  The
         # node cache is a flat list; levels memoize lazily (only pairs
         # that actually communicate are materialized).
-        self._node_cache = [
-            self.node_of(rank) for rank in range(len(self._procs))
-        ]
+        self._node_cache = [self.node_of(rank) for rank in range(len(procs))]
         self._level_cache.clear()
-        self._rank_stride = len(self._procs)
-        self._live = len(self._procs)
-        self._quiet = (
-            self.sink is None
-            and self.metrics is None
-            and self.timeseries is None
-            and self.injector is None
-            and self.profiler is None
-            and self.extra_node_latency is None
-            # Instance-level monkeypatches (the sanitizer's mutant tests
-            # replace these bound methods) must keep taking effect.
-            and "_do_send" not in self.__dict__
-            and "_finish_delivery" not in self.__dict__
-        )
+        self._rank_stride = len(procs)
+        self._live = len(procs)
 
-        procs = self._procs
         max_true_time = self.max_true_time
-        bank = self.timeseries
         pop = queue.pop
         events = 0
         max_depth = self.max_queue_depth
@@ -542,21 +481,18 @@ class Engine:
             self.events_processed += events
             self.max_queue_depth = max_depth
 
-        unfinished = [p.rank for p in self._procs if not p.finished]
-        if unfinished:
-            states = {
-                p.rank: p.blocked for p in self._procs if p.rank in unfinished
-            }
+        states = {p.rank: p.blocked for p in procs if not p.finished}
+        if states:
             # An attached sanitizer (see repro.check) can name the
             # blocked-wait cycle; without one the raw states must do.
-            diagnose = getattr(self.sink, "deadlock_diagnosis", None)
+            diagnose = getattr(sink, "deadlock_diagnosis", None)
             detail = f"\n{diagnose(self)}" if diagnose is not None else ""
             raise DeadlockError(
-                f"deadlock: ranks {unfinished} blocked with states "
+                f"deadlock: ranks {list(states)} blocked with states "
                 f"{states}{detail}"
             )
         self.messages_unreceived = sum(len(p.mailbox) for p in procs)
-        return [p.result for p in self._procs]
+        return [p.result for p in procs]
 
     def _schedule(self, proc: _Proc, time: float) -> None:
         seq = self._seq
@@ -589,43 +525,31 @@ class Engine:
         # re-read from the queue each iteration.
         queue = self._queue
         gate = self._live > 1
-        sink = self.sink
-        injector = self.injector
-        prof = self.profiler
+        horizon = self.max_true_time
+        sink, _, _, injector, prof, _ = self._hooks
         send = gen.send
-        if self._quiet:
-            do_send = self._do_send_quiet
-            finish = self._finish_delivery_quiet
-        else:
-            # self.__dict__ lookups first, so instance-level monkeypatches
-            # (the mutant tests) keep intercepting the hot path.
-            do_send = self._do_send
-            finish = self._finish_delivery
+        # Ordinary attribute lookups: an instance-level patch of either
+        # method (the sanitizer's mutant tests) intercepts the hot path.
+        do_send = self._do_send
+        finish = self._finish_delivery
         while True:
             if cmd is None:
+                # "proc.advance" is the inline execution of process code
+                # between two commands — the sync algorithms' compute
+                # (fitting, offset math, clock reads) lands here, with
+                # finer zones nested by those layers.
                 if prof is not None:
-                    # "proc.advance" is the inline execution of process
-                    # code between two commands — the sync algorithms'
-                    # compute (fitting, offset math, clock reads) lands
-                    # here, with finer zones nested by those layers.
                     start = prof.push("proc.advance")
-                    try:
-                        cmd = send(value)
-                    except StopIteration as stop:
+                try:
+                    cmd = send(value)
+                except StopIteration as stop:
+                    proc.finished = True
+                    proc.result = stop.value
+                    self._live -= 1
+                    return
+                finally:
+                    if prof is not None:
                         prof.pop(start)
-                        proc.finished = True
-                        proc.result = stop.value
-                        self._live -= 1
-                        return
-                    prof.pop(start)
-                else:
-                    try:
-                        cmd = send(value)
-                    except StopIteration as stop:
-                        proc.finished = True
-                        proc.result = stop.value
-                        self._live -= 1
-                        return
                 value = None
             if gate and proc.now > queue.frontier:
                 # Ahead of the frontier: defer until the queue catches up.
@@ -636,14 +560,28 @@ class Engine:
                 self.gate_deferrals += 1
                 self._schedule(proc, proc.now)
                 return
+            if proc.now > horizon:
+                # A process that runs inline never goes through the queue,
+                # so the event loop's horizon check would never see it.
+                raise SimulationError(
+                    f"simulation exceeded max_true_time={horizon}"
+                )
             cls = type(cmd)
-            if cls is SendCmd:
+            if cls is SendCmd or cls is SendRecvCmd:
                 if prof is not None:
                     start = prof.push("engine.send")
                     do_send(proc, cmd)
                     prof.pop(start)
                 else:
                     do_send(proc, cmd)
+                if cls is SendRecvCmd:
+                    # Receive half: loop back with a synthesized RecvCmd
+                    # so the causality gate is re-evaluated between the
+                    # halves at exactly the point the unfused
+                    # SendCmd/RecvCmd pair would have re-entered it (the
+                    # send advanced proc.now).
+                    cmd = RecvCmd(cmd.source, cmd.recv_tag)
+                    continue
                 if cmd.synchronous:
                     # Sender parks until the receiver matches (rendezvous).
                     proc.blocked = "ssend"
@@ -669,19 +607,6 @@ class Engine:
                 value = finish(proc, msg)
                 if prof is not None:
                     prof.pop(start)
-            elif cls is SendRecvCmd:
-                if prof is not None:
-                    start = prof.push("engine.send")
-                    do_send(proc, cmd)
-                    prof.pop(start)
-                else:
-                    do_send(proc, cmd)
-                # Receive half: loop back with a synthesized RecvCmd so
-                # the causality gate is re-evaluated between the halves
-                # at exactly the point the unfused SendCmd/RecvCmd pair
-                # would have re-entered it (the send advanced proc.now).
-                cmd = RecvCmd(cmd.source, cmd.recv_tag)
-                continue
             elif cls is ElapseCmd:
                 # duration >= 0 is guaranteed by ElapseCmd construction.
                 duration = cmd.duration
@@ -702,109 +627,107 @@ class Engine:
     # Point-to-point mechanics
     # ------------------------------------------------------------------
     def _do_send(self, proc: _Proc, cmd: SendCmd | SendRecvCmd) -> None:
-        if not 0 <= cmd.dest < len(self._procs):
-            raise MatchingError(f"send to invalid rank {cmd.dest}")
-        # Hot-path locals (one message = one _do_send call).
+        """Price one message and deposit it (or wake its receiver).
+
+        The only send path.  A hook that is absent costs one test on a
+        local per site.  The observers (sink, metrics, time series,
+        profiler) never draw from the delay pool or touch simulation
+        state, so attaching them leaves the run bit-identical; injector
+        and fabric act only through the delays, gaps and payloads they
+        return.
+        """
+        procs = self._procs
+        rank = proc.rank
+        dest_rank = cmd.dest
+        if not 0 <= dest_rank < len(procs):
+            raise MatchingError(f"send to invalid rank {dest_rank}")
+        size = cmd.size
+        synchronous = cmd.synchronous
+        sink, metrics, bank, injector, prof, fabric = self._hooks
         network = self.network
-        sink = self.sink
-        metrics = self.metrics
-        bank = self.timeseries
-        injector = self.injector
-        prof = self.profiler
         pool = proc.pool
         if pool is None:
             pool = self._pool_of(proc)
         level_cache = self._level_cache
-        pair = proc.rank * self._rank_stride + cmd.dest
+        pair = rank * self._rank_stride + dest_rank
         level = level_cache.get(pair)
         if level is None:
-            level = level_cache[pair] = self.level_of(proc.rank, cmd.dest)
+            level = level_cache[pair] = self.level_of(rank, dest_rank)
         send_time = proc.now
         seq = self._msg_seq
         self._msg_seq = seq + 1
         self.messages_sent += 1
-        self.bytes_sent += cmd.size
+        self.bytes_sent += size
         if sink is not None:
             t0 = prof.clock() if prof is not None else 0
             sink.emit(obs_events.MsgSend(
-                time=send_time, rank=proc.rank, dest=cmd.dest, tag=cmd.tag,
-                size=cmd.size, seq=seq, level=level.name,
-                synchronous=cmd.synchronous,
+                time=send_time, rank=rank, dest=dest_rank, tag=cmd.tag,
+                size=size, seq=seq, level=level.name,
+                synchronous=synchronous,
             ))
-            if cmd.synchronous:
+            if synchronous:
                 sink.emit(obs_events.ProcBlock(
-                    time=send_time, rank=proc.rank, reason="ssend",
-                    source=cmd.dest, tag=cmd.tag,
+                    time=send_time, rank=rank, reason="ssend",
+                    source=dest_rank, tag=cmd.tag,
                 ))
             if prof is not None:
                 # Sink overhead (incl. an attached sanitizer behind a
                 # TeeSink) accounted where it is paid.
                 prof.add("obs.sink", prof.clock() - t0)
-        if cmd.synchronous:
+        if synchronous:
             self.rendezvous_stalls += 1
             proc.block_time = send_time
         if metrics is not None:
-            metrics.counter("engine.messages.sent", proc.rank).inc()
-            metrics.counter("engine.bytes.sent",
-                            proc.rank).inc(cmd.size)
-            if cmd.synchronous:
-                metrics.counter("engine.rendezvous.stalls",
-                                proc.rank).inc()
-        proc.now += network.o_send
+            metrics.counter("engine.messages.sent", rank).inc()
+            metrics.counter("engine.bytes.sent", rank).inc(size)
+            if synchronous:
+                metrics.counter("engine.rendezvous.stalls", rank).inc()
+        now = proc.now = send_time + network.o_send
         t0 = prof.clock() if prof is not None else 0
-        if self.delay_mode == "scalar":
-            delay = network.delay_from_pool(level, cmd.size, pool)
-        else:
-            delay = network.base_delay(level, cmd.size) + self._burst_next(
-                proc, level, pool
-            )
+        delay = network.delay_from_pool(level, size, pool)
         if injector is not None:
             # Link faults: windowed degradation of the delay draw (a
             # directed fault keys on this message's (src, dst) pair).
             delay = injector.perturb_delay(
                 send_time, level, delay, proc.get_rng(),
-                src=proc.rank, dst=cmd.dest,
+                src=rank, dst=dest_rank,
             )
+        remote = level == Level.REMOTE
         nodes = self._node_cache
-        if (
-            self.extra_node_latency is not None
-            and level == Level.REMOTE
-        ):
-            delay += self.extra_node_latency(
-                nodes[proc.rank], nodes[cmd.dest]
-            )
-        arrival = send_time + network.o_send + delay
+        if fabric is not None and remote:
+            delay += fabric(nodes[rank], nodes[dest_rank])
+        arrival = now + delay
         gap = network.nic_gap
-        if gap > 0.0 and level == Level.REMOTE:
+        if remote and gap > 0.0:
             # Egress: messages leaving a node serialize at its NIC.
-            src_node = nodes[proc.rank]
+            src_node = nodes[rank]
             egress_gap = gap
             if injector is not None:
                 # NIC storm faults: the serialization gap grows.
-                egress_gap = gap * injector.nic_gap_factor(
-                    proc.now, src_node
-                )
-            inject = max(proc.now, self._nic_egress.get(src_node, 0.0))
+                egress_gap = gap * injector.nic_gap_factor(now, src_node)
+            inject = self._nic_egress.get(src_node, 0.0)
+            if now > inject:
+                inject = now
             self._nic_egress[src_node] = inject + egress_gap
             # Congestion: delay variance grows with the backlog this
             # message found at the NIC (queueing, adaptive routing...).
-            backlog = (inject - proc.now) / egress_gap
+            backlog = (inject - now) / egress_gap
             cj = network.congestion_jitter
             if cj > 0.0 and backlog > 0.0:
                 delay += cj * backlog * -log1p(-pool.next())
             arrival = inject + egress_gap + delay
             # Ingress: arrivals at the destination node serialize too.
-            dst_node = nodes[cmd.dest]
+            dst_node = nodes[dest_rank]
             ingress_gap = gap
             if injector is not None:
-                ingress_gap = gap * injector.nic_gap_factor(
-                    proc.now, dst_node
-                )
-            arrival = max(arrival, self._nic_ingress.get(dst_node, 0.0))
+                ingress_gap = gap * injector.nic_gap_factor(now, dst_node)
+            ingress_free = self._nic_ingress.get(dst_node, 0.0)
+            if ingress_free > arrival:
+                arrival = ingress_free
             self._nic_ingress[dst_node] = arrival + ingress_gap
             if sink is not None and backlog > 0.0:
                 sink.emit(obs_events.NicQueue(
-                    time=send_time, rank=proc.rank, node=src_node,
+                    time=send_time, rank=rank, node=src_node,
                     backlog=backlog, inject_time=inject,
                 ))
             if metrics is not None:
@@ -813,12 +736,11 @@ class Engine:
                 )
             if bank is not None and backlog > 0.0:
                 bank.sample(
-                    "engine.nic.backlog", send_time, backlog,
-                    rank=proc.rank,
+                    "engine.nic.backlog", send_time, backlog, rank=rank
                 )
         if prof is not None:
             # Delay draw + fault perturbation + NIC serialization model:
-            # the per-message network pricing (vectorized in burst mode).
+            # the per-message network pricing.
             prof.add("net.delay", prof.clock() - t0)
         payload = cmd.payload
         if injector is not None and injector.perturbs_payloads:
@@ -827,176 +749,47 @@ class Engine:
             # adversarial injectors set the flag, so plain fault
             # schedules never pay for (or draw RNG in) this hook.
             payload = injector.perturb_payload(
-                send_time, proc.rank, cmd.dest, cmd.tag, payload,
+                send_time, rank, dest_rank, cmd.tag, payload,
                 proc.get_rng(),
             )
         msg = Message(
-            source=proc.rank,
-            dest=cmd.dest,
+            source=rank,
+            dest=dest_rank,
             tag=cmd.tag,
             payload=payload,
-            size=cmd.size,
+            size=size,
             send_time=send_time,
             arrival=arrival,
             seq=seq,
-            sync_sender=proc if cmd.synchronous else None,
+            sync_sender=proc if synchronous else None,
         )
-        dest = self._procs[cmd.dest]
+        dest = procs[dest_rank]
         blocked = dest.blocked
-        if isinstance(blocked, RecvDescriptor) and msg.matches(
+        if type(blocked) is RecvDescriptor and msg.matches(
             blocked.source, blocked.tag
         ):
             # Wake the receiver: it resumes once the message arrives.
             dest.blocked = None
-            dest.pending_value = None
-            resume_at = max(dest.now, msg.arrival)
+            resume_at = dest.now
+            if arrival > resume_at:
+                resume_at = arrival
             dest.now = resume_at
             if sink is not None:
                 sink.emit(obs_events.ProcWake(
-                    time=resume_at, rank=dest.rank,
+                    time=resume_at, rank=dest_rank,
                     cause="deliver", seq=seq,
                 ))
             dest.pending_value = self._finish_delivery(dest, msg)
             self._schedule(dest, resume_at)
         else:
-            dest.mailbox.append(msg)
-            depth = len(dest.mailbox)
+            mailbox = dest.mailbox
+            mailbox.append(msg)
+            depth = len(mailbox)
             if depth > self.max_mailbox_depth:
                 self.max_mailbox_depth = depth
             if metrics is not None:
                 metrics.histogram("engine.mailbox.depth",
-                                  dest.rank).observe(depth)
-
-    def _do_send_quiet(self, proc: _Proc, cmd: SendCmd | SendRecvCmd) -> None:
-        """Observation-free twin of :meth:`_do_send`.
-
-        Selected (with :meth:`_finish_delivery_quiet`) when ``_quiet`` is
-        set: no sink, metrics bank, timeseries, fault injector, profiler,
-        or fabric-pricing hook is attached.  Every RNG draw and every
-        piece of simulation state (times, NIC egress/ingress, mailboxes,
-        counters) is touched in exactly the order of the full path, so
-        results are bit-identical — only the hook branches are gone.
-        Keep the two in lockstep when changing either.
-        """
-        if not 0 <= cmd.dest < len(self._procs):
-            raise MatchingError(f"send to invalid rank {cmd.dest}")
-        network = self.network
-        pool = proc.pool
-        if pool is None:
-            pool = self._pool_of(proc)
-        level_cache = self._level_cache
-        pair = proc.rank * self._rank_stride + cmd.dest
-        level = level_cache.get(pair)
-        if level is None:
-            level = level_cache[pair] = self.level_of(proc.rank, cmd.dest)
-        send_time = proc.now
-        seq = self._msg_seq
-        self._msg_seq = seq + 1
-        self.messages_sent += 1
-        self.bytes_sent += cmd.size
-        if cmd.synchronous:
-            self.rendezvous_stalls += 1
-            proc.block_time = send_time
-        proc.now += network.o_send
-        if self.delay_mode == "scalar":
-            delay = network.delay_from_pool(level, cmd.size, pool)
-        else:
-            delay = network.base_delay(level, cmd.size) + self._burst_next(
-                proc, level, pool
-            )
-        arrival = send_time + network.o_send + delay
-        gap = network.nic_gap
-        if gap > 0.0 and level == Level.REMOTE:
-            nodes = self._node_cache
-            src_node = nodes[proc.rank]
-            inject = max(proc.now, self._nic_egress.get(src_node, 0.0))
-            self._nic_egress[src_node] = inject + gap
-            backlog = (inject - proc.now) / gap
-            cj = network.congestion_jitter
-            if cj > 0.0 and backlog > 0.0:
-                delay += cj * backlog * -log1p(-pool.next())
-            arrival = inject + gap + delay
-            dst_node = nodes[cmd.dest]
-            ingress_free = self._nic_ingress.get(dst_node, 0.0)
-            if ingress_free > arrival:
-                arrival = ingress_free
-            self._nic_ingress[dst_node] = arrival + gap
-        msg = Message(
-            source=proc.rank,
-            dest=cmd.dest,
-            tag=cmd.tag,
-            payload=cmd.payload,
-            size=cmd.size,
-            send_time=send_time,
-            arrival=arrival,
-            seq=seq,
-            sync_sender=proc if cmd.synchronous else None,
-        )
-        dest = self._procs[cmd.dest]
-        blocked = dest.blocked
-        if type(blocked) is RecvDescriptor and msg.matches(
-            blocked.source, blocked.tag
-        ):
-            dest.blocked = None
-            resume_at = dest.now
-            if msg.arrival > resume_at:
-                resume_at = msg.arrival
-            dest.now = resume_at
-            dest.pending_value = self._finish_delivery_quiet(dest, msg)
-            self._schedule(dest, resume_at)
-        else:
-            dest.mailbox.append(msg)
-            depth = len(dest.mailbox)
-            if depth > self.max_mailbox_depth:
-                self.max_mailbox_depth = depth
-
-    def _finish_delivery_quiet(self, proc: _Proc, msg: Message) -> Message:
-        """Observation-free twin of :meth:`_finish_delivery`."""
-        proc.now += self.network.o_recv
-        self.messages_delivered += 1
-        self.bytes_delivered += msg.size
-        sender = msg.sync_sender
-        if sender is not None:
-            pair = msg.dest * self._rank_stride + msg.source
-            level = self._level_cache.get(pair)
-            if level is None:
-                level = self._level_cache[pair] = self.level_of(
-                    msg.dest, msg.source
-                )
-            pool = proc.pool
-            if pool is None:
-                pool = self._pool_of(proc)
-            ack_delay = self.network.delay_from_pool(level, 8, pool)
-            resume_at = max(proc.now, msg.arrival) + ack_delay
-            sender.now = max(sender.now, resume_at)
-            sender.blocked = None
-            self._schedule(sender, sender.now)
-            msg.sync_sender = None
-        return msg
-
-    def _burst_next(
-        self, proc: _Proc, level: Level, pool: UniformPool
-    ) -> float:
-        """Next precomputed stochastic delay addend for (proc, level).
-
-        Burst mode refills a per-(process, level) buffer of
-        ``delay_burst`` addends in one vectorized pass (see
-        :meth:`NetworkModel.stochastic_burst`), then hands them out by
-        cursor.  The ack path and congestion draws stay scalar — they are
-        rare and share the pool's stream either way.
-        """
-        bursts = proc.bursts
-        if bursts is None:
-            bursts = proc.bursts = [None, None, None, None]
-        state = bursts[level]
-        if state is None or state[1] >= len(state[0]):
-            buf = self.network.stochastic_burst(
-                level, self.delay_burst, pool
-            )
-            state = bursts[level] = [buf, 0]
-        buf, idx = state
-        state[1] = idx + 1
-        return buf[idx]
+                                  dest_rank).observe(depth)
 
     def _match_mailbox(self, proc: _Proc, source: int, tag: int) -> Message | None:
         for i, msg in enumerate(proc.mailbox):
@@ -1007,29 +800,30 @@ class Engine:
 
     def _finish_delivery(self, proc: _Proc, msg: Message) -> Message:
         """Charge receive overhead and release a rendezvous sender."""
-        prof = self.profiler
-        # Binding-edge detection for the causal DAG: both call paths
-        # assign (never compute past) the arrival when the receiver had
-        # to wait for this message, so exact equality is reliable here.
-        waited = proc.now == msg.arrival
-        proc.now += self.network.o_recv
+        sink, metrics, _, injector, prof, _ = self._hooks
+        network = self.network
+        matched_at = proc.now
+        proc.now = matched_at + network.o_recv
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
-        if self.sink is not None:
+        if sink is not None:
             t0 = prof.clock() if prof is not None else 0
-            self.sink.emit(obs_events.MsgDeliver(
+            # ``waited`` is the binding-edge flag of the causal DAG: both
+            # call paths assign (never compute past) the arrival when the
+            # receiver had to wait for this message, so exact equality
+            # with the pre-overhead time is reliable here.
+            sink.emit(obs_events.MsgDeliver(
                 time=proc.now, rank=proc.rank, source=msg.source,
                 tag=msg.tag, size=msg.size, seq=msg.seq,
                 latency=proc.now - msg.send_time,
-                arrival=msg.arrival, waited=waited,
+                arrival=msg.arrival, waited=matched_at == msg.arrival,
             ))
             if prof is not None:
                 prof.add("obs.sink", prof.clock() - t0)
-        if self.metrics is not None:
-            self.metrics.counter("engine.messages.delivered",
-                                 proc.rank).inc()
-            self.metrics.counter("engine.bytes.delivered",
-                                 proc.rank).inc(msg.size)
+        if metrics is not None:
+            metrics.counter("engine.messages.delivered", proc.rank).inc()
+            metrics.counter("engine.bytes.delivered",
+                            proc.rank).inc(msg.size)
         sender = msg.sync_sender
         if sender is not None:
             # The ack travels back; the sender resumes after its arrival.
@@ -1043,10 +837,10 @@ class Engine:
             if pool is None:
                 pool = self._pool_of(proc)
             t0 = prof.clock() if prof is not None else 0
-            ack_delay = self.network.delay_from_pool(level, 8, pool)
-            if self.injector is not None:
+            ack_delay = network.delay_from_pool(level, 8, pool)
+            if injector is not None:
                 # The ack travels receiver → original sender.
-                ack_delay = self.injector.perturb_delay(
+                ack_delay = injector.perturb_delay(
                     proc.now, level, ack_delay, proc.get_rng(),
                     src=msg.dest, dst=msg.source,
                 )
@@ -1055,13 +849,13 @@ class Engine:
             resume_at = max(proc.now, msg.arrival) + ack_delay
             sender.now = max(sender.now, resume_at)
             sender.blocked = None
-            if self.sink is not None:
-                self.sink.emit(obs_events.ProcWake(
+            if sink is not None:
+                sink.emit(obs_events.ProcWake(
                     time=sender.now, rank=sender.rank,
                     cause="ack", seq=msg.seq,
                 ))
-            if self.metrics is not None:
-                self.metrics.histogram(
+            if metrics is not None:
+                metrics.histogram(
                     "engine.rendezvous.stall_time", sender.rank
                 ).observe(sender.now - sender.block_time)
             self._schedule(sender, sender.now)
@@ -1079,11 +873,8 @@ class Engine:
         """Snapshot of the engine's built-in counters.
 
         Always available (no sink or registry required); the counters are
-        plain integer adds on paths the engine executes anyway.  Counter
-        semantics are identical for every event-queue kind (the
-        kernel-equivalence tests pin this), so health reports stay
-        comparable across kernels; the kind itself is exposed as the
-        ``event_queue`` attribute, not here (stats stay int-valued).
+        plain integer adds on paths the engine executes anyway, and they
+        do not depend on which hooks are attached.
         """
         return {
             "num_ranks": len(self._procs),

@@ -1,19 +1,22 @@
-"""Pending-event queues for the engine: legacy heap and calendar buckets.
+"""Pending-event queues: the engine's calendar buckets and a reference heap.
 
 The engine's event loop needs three operations on the pending-event set —
 ``push``, ``pop-min`` and an exact *frontier* peek (the causality gate
 compares every command against the earliest pending event).  Events are
 ``(time, seq, rank)`` tuples where ``seq`` is a monotonic tie-breaker, so
 ``(time, seq)`` is a total order and **any** implementation that pops in
-that order is observationally identical to any other: the queue kind is a
-pure performance knob, like the RNG pool chunk size.
+that order is observationally identical to any other.
 
-Two kernels:
+The engine always runs on :class:`CalendarQueue` (there is no option to
+pick another).  :class:`HeapQueue` stays as the reference the calendar
+queue is checked against: the property tests drive both in lockstep,
+``tests/simmpi/test_kernel_equivalence.py`` swaps it into whole
+simulations, and perfbench's probes time both side by side.
 
-* :class:`HeapQueue` — the original ``heapq`` binary heap.  O(log n) per
-  operation with n the pending-event count; the constant is small (C
-  heap, tuple comparisons) but grows with rank count, since a p-rank job
-  keeps ~p events pending.
+* :class:`HeapQueue` — a ``heapq`` binary heap.  O(log n) per operation
+  with n the pending-event count; the constant is small (C heap, tuple
+  comparisons) but grows with rank count, since a p-rank job keeps ~p
+  events pending.
 * :class:`CalendarQueue` — fixed-width time buckets held in a sparse
   dict, with a small heap of *bucket indices* standing in for the usual
   overflow list.  Pops walk the current bucket (sorted once, lazily, per
@@ -26,7 +29,7 @@ Both maintain ``frontier`` — the exact time of the earliest live event
 (``math.inf`` when empty) — as a plain attribute, so the engine's
 causality gate is one float comparison instead of a heap peek, and
 ``size`` — the live-event count — for queue-depth telemetry that is
-identical across kernels (satisfying the PR-4/6 health-report contract).
+identical across kinds.
 
 Cancellation is lazy: :meth:`cancel` marks a sequence number dead and the
 queue discards the entry whenever it surfaces.  ``size`` drops
@@ -50,7 +53,7 @@ __all__ = [
     "make_queue",
 ]
 
-#: Recognized ``event_queue`` spellings, in preference order.
+#: Kind names :func:`make_queue` accepts.
 QUEUE_KINDS = ("calendar", "heap")
 
 #: Auto-width numerator: the calendar queue aims for a handful of events
@@ -66,15 +69,15 @@ def auto_bucket_width(service_window: float, num_ranks: int) -> float:
 
     ``service_window`` is the engine's estimate of one message's service
     time (send/recv overheads plus the finest base latency); it is a
-    deterministic function of the network model, so the width — like the
-    queue kind itself — never depends on anything but the configuration.
+    deterministic function of the network model, so the width never
+    depends on anything but the simulated job.
     """
     window = service_window if service_window > 0.0 else 1e-6
     return window * _TARGET_OCCUPANCY / max(1, num_ranks)
 
 
 class HeapQueue:
-    """Binary-heap event queue (the pre-calendar kernel, kept for A/B)."""
+    """Binary-heap event queue (the reference, not used by the engine)."""
 
     __slots__ = ("_heap", "_cancelled", "frontier", "size")
 

@@ -203,36 +203,6 @@ class NetworkModel:
             d += outlier_scale * -log1p(-pool.next())
         return d
 
-    def stochastic_burst(
-        self, level: Level, n: int, pool: UniformPool
-    ) -> list[float]:
-        """``n`` stochastic delay addends for ``level``, vectorized.
-
-        Returns the additive jitter+outlier terms (everything in
-        :meth:`delay` beyond the deterministic base) as a list, computed
-        in one numpy pass over ``3·n`` pooled uniforms — jitter, outlier
-        trigger, outlier magnitude per addend.  The scalar path draws the
-        magnitude only when the trigger fires, so burst draws consume the
-        uniform stream in a *different order* than scalar draws: same
-        distribution, deterministic per seed, but not bit-identical —
-        which is why the engine gates burst mode behind an explicit
-        option.  A level with no stochastic terms consumes no draws.
-        """
-        _, _, jitter, outlier_prob, outlier_scale = self._fast[level]
-        if jitter == 0.0 and outlier_prob == 0.0:
-            return [0.0] * n
-        u = pool.take(3 * n)
-        addend = np.zeros(n)
-        if jitter > 0.0:
-            addend += jitter * -np.log1p(-u[:n])
-        if outlier_prob > 0.0:
-            addend += np.where(
-                u[n:2 * n] < outlier_prob,
-                outlier_scale * -np.log1p(-u[2 * n:]),
-                0.0,
-            )
-        return addend.tolist()
-
     def expected_delay(self, level: Level, size: int) -> float:
         """Mean wire time (used by latency estimators, not the engine)."""
         p = self._resolved[level]

@@ -104,12 +104,8 @@ class Simulation:
         timeseries: TimeSeriesBank | None = None,
         faults: FaultSchedule | None = None,
         injector: FaultInjector | None = None,
-        rng_pool_chunk: int | None = None,
         check: str | None = None,
         profiler: Profiler | None = None,
-        event_queue: str = "calendar",
-        bucket_width: float | None = None,
-        delay_mode: str = "scalar",
     ) -> None:
         """Set up the job.
 
@@ -145,11 +141,6 @@ class Simulation:
         (e.g. a child spawned by the parallel campaign executor); engine
         and clock streams are derived from it identically either way.
 
-        ``rng_pool_chunk`` sizes the engine's batched uniform-draw pools
-        (default: :data:`repro.simmpi.rngpool.DEFAULT_CHUNK`).  It is a
-        pure performance knob — results are identical for every chunk
-        size, which ``tests/parallel`` pins.
-
         ``check`` attaches the simulation sanitizer (see
         :mod:`repro.check`): ``"strict"`` raises
         :class:`~repro.errors.InvariantViolation` at the first broken
@@ -165,16 +156,11 @@ class Simulation:
         Profiling only reads the host clock, so profiled runs are
         bit-identical to unprofiled ones.
 
-        ``event_queue`` picks the engine's pending-event kernel
-        (``"calendar"`` — default, O(1) amortized bucket queue — or
-        ``"heap"``, the legacy binary heap) and ``bucket_width`` sizes
-        the calendar buckets (None = auto).  Both are pure performance
-        knobs: every kind/width pops events in the same order, so
-        results are bit-identical (the kernel-equivalence suite pins
-        this).  ``delay_mode="burst"`` vectorizes per-message delay
-        draws; it is deterministic per seed but consumes the uniform
-        stream in a different order than the default ``"scalar"`` path,
-        so it changes results and carries its own goldens.
+        The engine itself has no settings: one calendar event queue
+        sized from ``network`` and the rank count, one pooled scalar
+        delay draw per variate, one send path whatever is attached
+        (see :mod:`repro.simmpi.engine`).  Every keyword above describes
+        the simulated job or attaches a hook; none tunes the simulator.
         """
         if clocks_per not in ("node", "socket", "core"):
             raise SimulationError(
@@ -251,14 +237,6 @@ class Simulation:
             timeseries=self.timeseries,
             injector=injector,
             profiler=self.profiler,
-            event_queue=event_queue,
-            bucket_width=bucket_width,
-            delay_mode=delay_mode,
-            **(
-                {"rng_pool_chunk": rng_pool_chunk}
-                if rng_pool_chunk is not None
-                else {}
-            ),
         )
         clock_rng = np.random.default_rng(clock_seed)
         # One clock per time-source domain; ranks in a domain share it.

@@ -1,11 +1,9 @@
-"""Determinism contracts of this repo's performance machinery.
+"""Determinism contract of the parallel campaign executor.
 
-Two bit-identity guarantees gate every optimization here:
-
-* the parallel campaign executor must reproduce the serial campaign
-  exactly (same seeds, same submission order, same floats), and
-* the engine's chunked uniform pools must reproduce the unbatched
-  (chunk=1) delay stream exactly — chunk size is a pure perf knob.
+The parallel executor must reproduce the serial campaign exactly (same
+seeds, same submission order, same floats).  (That the delay pools'
+chunk size cannot change a draw is pinned on ``UniformPool`` itself, in
+``tests/simmpi/test_network.py``; the engine takes no chunk argument.)
 
 CI runs this module with ``-rs`` and fails if anything was skipped, so
 the equivalence evidence cannot silently disappear.
@@ -20,9 +18,6 @@ from repro.experiments.common import (
     QUICK,
     run_sync_accuracy_campaign,
 )
-from repro.obs.events import MsgDeliver, RecordingSink
-from repro.simmpi.simulation import Simulation
-
 
 TINY = replace(QUICK, num_nodes=4, ranks_per_node=2, nfitpoints=8,
                nexchanges=6, nmpiruns=2)
@@ -56,49 +51,3 @@ class TestCampaignSerialParallelIdentity:
         for x, y in zip(a.runs, b.runs):
             assert x.duration == y.duration
             assert x.max_offsets == y.max_offsets
-
-
-def _ring_job(chunk: int | None):
-    """Run one message-heavy job recording every delivery event."""
-    sink = RecordingSink()
-    machine = JUPITER.machine(4, 2)
-    sim = Simulation(
-        machine=machine,
-        network=JUPITER.network(),
-        seed=11,
-        sink=sink,
-        rng_pool_chunk=chunk,
-    )
-
-    def main(ctx, comm):
-        n = ctx.nprocs
-        for r in range(40):
-            yield from comm.sendrecv(
-                dest=(ctx.rank + 1) % n,
-                send_tag=r,
-                size=64 if r % 3 else 4096,
-                source=(ctx.rank - 1) % n,
-            )
-        total = yield from comm.allreduce(ctx.rank)
-        return total
-
-    result = sim.run(main)
-    return result, sink.of_type(MsgDeliver)
-
-
-class TestRngPoolChunkInvariance:
-    def test_chunked_pool_matches_unbatched_stream(self):
-        # chunk=1 refills one draw at a time — the unbatched reference;
-        # the default chunk batches ~1k draws per refill.  Every delivery
-        # (time, latency, order) must agree exactly.
-        result_ref, deliveries_ref = _ring_job(chunk=1)
-        result_big, deliveries_big = _ring_job(chunk=None)
-        assert result_ref.values == result_big.values
-        assert len(deliveries_ref) == len(deliveries_big)
-        assert deliveries_ref == deliveries_big
-
-    def test_intermediate_chunk_sizes_agree(self):
-        _, ref = _ring_job(chunk=1)
-        for chunk in (7, 64):
-            _, got = _ring_job(chunk=chunk)
-            assert got == ref

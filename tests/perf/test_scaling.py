@@ -107,33 +107,25 @@ class TestTrajectoryRoundTrip:
 
 
 class TestQueueSelection:
+    """There is none: the kind is trajectory data (``repro.perf.regress``
+    keys history on it) and the ``--queue`` flag is gone."""
+
     def test_point_records_queue_kind(self):
-        pt = probe_point(
-            8, budget=TINY_BUDGET, zones=False, event_queue="heap"
-        )
-        assert pt["event_queue"] == "heap"
+        pt = probe_point(8, budget=TINY_BUDGET, zones=False)
+        assert pt["event_queue"] == "calendar"
         assert pt["gate_deferrals"] >= 0
 
-    def test_queue_kinds_bit_identical(self):
-        """The queue kernel is a pure perf knob: same counts either way."""
-        cal = probe_point(
-            8, budget=TINY_BUDGET, zones=False, event_queue="calendar"
-        )
-        heap = probe_point(
-            8, budget=TINY_BUDGET, zones=False, event_queue="heap"
-        )
-        for key in ("messages", "events_processed", "max_queue_depth",
-                    "gate_deferrals"):
-            assert cal[key] == heap[key]
-
     def test_cli_queue_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--p", "8", "--queue", "heap"])
+        assert "--queue" in capsys.readouterr().err
         assert main([
             "--p", "8", "--budget", str(TINY_BUDGET), "--no-zones",
-            "--queue", "heap", "--json",
+            "--json",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["event_queue"] == "heap"
-        assert doc["points"][0]["event_queue"] == "heap"
+        assert doc["event_queue"] == "calendar"
+        assert doc["points"][0]["event_queue"] == "calendar"
 
 
 class TestDepthProbe:
@@ -192,7 +184,7 @@ class TestCompare:
         bench = str(tmp_path / "bench.json")
         assert main([
             "--p", "8", "16", "--budget", str(TINY_BUDGET), "--no-zones",
-            "--queue", "heap", "--record", "prior", "--output", bench,
+            "--record", "prior", "--output", bench,
         ]) == 0
         capsys.readouterr()
         fresh = scaling_probe(
@@ -201,8 +193,7 @@ class TestCompare:
         rows = compare_to_trajectory(fresh, bench)
         assert [r["p"] for r in rows] == [8, 16]
         for row in rows:
-            # Best prior is the recorded heap sweep, any queue kind.
-            assert row["prior"]["event_queue"] == "heap"
+            assert row["prior"]["event_queue"] == "calendar"
             assert row["prior"]["label"] == "prior"
             assert row["speedup"] == pytest.approx(
                 row["msgs_per_sec"] / row["prior"]["msgs_per_sec"]

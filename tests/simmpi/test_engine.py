@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster.netmodels import ideal_network
+from repro.cluster.netmodels import ideal_network, infiniband_qdr
+from repro.cluster.topology import Machine
 from repro.errors import DeadlockError, MatchingError, SimulationError
 from repro.simmpi.engine import (
     ElapseCmd,
@@ -12,6 +13,7 @@ from repro.simmpi.engine import (
     WaitUntilCmd,
 )
 from repro.simmpi.network import Level
+from repro.simmpi.simulation import Simulation
 
 
 def make_engine(n=2, seed=0, network=None, **kw):
@@ -207,8 +209,63 @@ class TestLifecycle:
 
         engine.bind(0, other())
         engine.bind(1, body())
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError) as err:
             engine.run()
+        # Ranks and their blocked states, each listed once.
+        message = str(err.value)
+        assert "ranks [0, 1] blocked" in message
+        assert message.count("RecvDescriptor") == 2
+
+    def test_deadlock_message_skips_finished_ranks(self):
+        engine = make_engine(3)
+
+        def done():
+            return
+            yield
+
+        def stuck():
+            yield RecvCmd(source=0, tag=1)
+
+        engine.bind(0, done())
+        engine.bind(1, stuck())
+        engine.bind(2, done())
+        with pytest.raises(DeadlockError, match=r"ranks \[1\] blocked"):
+            engine.run()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_inline_rank_meets_the_horizon(self, p):
+        """A rank that never leaves the inline loop still hits max_true_time.
+
+        The event loop checks the horizon on popped events only; rank 0
+        elapsing forever (its peers blocked in recv, the queue empty)
+        never goes back through the queue.  The loop is bounded so a
+        regression fails here instead of hanging the suite.
+        """
+        sim = Simulation(
+            Machine(p, 1, 1, 1), infiniband_qdr(), max_true_time=100.0
+        )
+
+        def main(ctx, comm):
+            if ctx.rank == 0:
+                for _ in range(10_000):
+                    yield from ctx.elapse(1.0)
+                return ctx.now
+            yield from comm.recv(source=0, tag=0)
+
+        with pytest.raises(SimulationError, match="max_true_time=100.0"):
+            sim.run(main)
+        assert sim.engine.proc_now(0) <= 102.0
+
+    def test_finishing_past_the_horizon_is_not_an_error(self):
+        """Only a *command* issued past the horizon raises."""
+        engine = make_engine(1, max_true_time=10.0)
+
+        def body():
+            yield WaitUntilCmd(true_time=50.0)
+            return "done"
+
+        engine.bind(0, body())
+        assert engine.run() == ["done"]
 
     def test_cannot_run_twice(self):
         engine = make_engine(1)
@@ -394,3 +451,27 @@ class TestDeterminism:
         a = self._run_once(1)
         b = self._run_once(2)
         assert [t for *_, t in a] != [t for *_, t in b]
+
+
+class TestRemovedOptions:
+    """The engine has one configuration; its old perf knobs are gone."""
+
+    REMOVED = {
+        "event_queue": "heap",
+        "bucket_width": 1e-6,
+        "delay_mode": "burst",
+        "delay_burst": 64,
+        "rng_pool_chunk": 1,
+    }
+
+    def test_engine_rejects_them(self):
+        for name, value in self.REMOVED.items():
+            with pytest.raises(TypeError, match=name):
+                make_engine(**{name: value})
+
+    def test_simulation_rejects_them(self):
+        for name, value in self.REMOVED.items():
+            with pytest.raises(TypeError, match=name):
+                Simulation(
+                    Machine(2, 1, 1, 1), infiniband_qdr(), **{name: value}
+                )

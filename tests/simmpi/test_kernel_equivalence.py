@@ -1,17 +1,16 @@
-"""End-to-end kernel equivalence: the event queue is a pure perf knob.
+"""End-to-end kernel equivalence: the event queue cannot change a result.
 
 ``test_eventq.py`` pins the ``(time, seq)`` pop-order contract on the
 queue objects in isolation; these tests pin it through whole
-simulations.  For every workload family the repo exercises — the perf
-ring, a Fig. 3-style sync round, and a fault-recovery run — the
-``"calendar"`` and ``"heap"`` kernels (and explicit bucket widths
-spanning six orders of magnitude) must yield bit-identical results,
-engine stats, observability event streams and metrics.
-
-The one *intentional* divergence is ``delay_mode="burst"``: it draws
-each message's latency uniforms in one vectorized pass, which changes
-RNG draw *order* (not distribution).  It is gated behind an explicit
-option, deterministic per seed, and pinned by its own goldens here.
+simulations.  The engine builds exactly one queue — the calendar queue
+at its automatic width — and has no option to pick another, so the
+alternatives are swapped in from here by overriding
+``Engine._make_queue``: the binary heap (the lockstep reference of the
+property tests) and calendar queues whose widths span nine orders of
+magnitude.  For every workload family the repo exercises — the perf
+ring, a Fig. 3-style sync round, and a fault-recovery run — all of them
+must yield bit-identical results, engine stats, observability event
+streams and metrics.
 """
 
 from __future__ import annotations
@@ -19,13 +18,14 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.netmodels import infiniband_qdr
-from repro.errors import SimulationError
 from repro.cluster.topology import Machine
 from repro.faults.evaluate import run_recovery
 from repro.faults.scenarios import make_scenario
 from repro.obs.events import RecordingSink
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.harness import _ring_main, ring_machine
+from repro.simmpi.engine import Engine
+from repro.simmpi.eventq import CalendarQueue, HeapQueue
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync import HCA3Sync
@@ -33,8 +33,9 @@ from repro.sync import HCA3Sync
 QUIET = CLOCK_GETTIME.with_(skew_walk_sigma=1e-9)
 
 #: Queue configurations that must all be observationally identical.
-#: Widths straddle the auto width from both sides: 1e-9 forces heavy
-#: bucket hopping, 1.0 degenerates to one bucket (an insort list).
+#: ``("calendar", None)`` is the engine as shipped.  The widths straddle
+#: the auto width from both sides: 1e-9 forces heavy bucket hopping, 1.0
+#: degenerates to one bucket (an insort list).
 VARIANTS = [
     ("heap", None),
     ("calendar", None),
@@ -42,6 +43,26 @@ VARIANTS = [
     ("calendar", 1e-6),
     ("calendar", 1.0),
 ]
+
+
+_SHIPPED_MAKE_QUEUE = Engine._make_queue
+
+
+@pytest.fixture
+def use_queue(monkeypatch):
+    """Swap the queue every ``Engine`` builds (test-side fake)."""
+
+    def swap(kind, width=None):
+        def make(engine):
+            if kind == "heap":
+                return HeapQueue()
+            if width is not None:
+                return CalendarQueue(width)
+            return _SHIPPED_MAKE_QUEUE(engine)
+
+        monkeypatch.setattr(Engine, "_make_queue", make)
+
+    return swap
 
 
 def _sync_body(ctx, comm):
@@ -55,8 +76,7 @@ def _sync_body(ctx, comm):
     return (readings, ctx.now)
 
 
-def _run_ring(event_queue, bucket_width=None, delay_mode="scalar",
-              seed=3):
+def _run_ring(seed=3):
     sink = RecordingSink()
     metrics = MetricsRegistry()
     sim = Simulation(
@@ -65,9 +85,6 @@ def _run_ring(event_queue, bucket_width=None, delay_mode="scalar",
         seed=seed,
         sink=sink,
         metrics=metrics,
-        event_queue=event_queue,
-        bucket_width=bucket_width,
-        delay_mode=delay_mode,
     )
     res = sim.run(_ring_main(96))
     return {
@@ -81,19 +98,17 @@ def _run_ring(event_queue, bucket_width=None, delay_mode="scalar",
     }
 
 
-def _run_fig3(event_queue, bucket_width=None, seed=7):
+def _run_fig3(seed=7):
     machine = Machine(num_nodes=2, sockets_per_node=2,
                       cores_per_socket=1, ranks_per_node=2,
                       name="testbox")
     sim = Simulation(machine=machine, network=infiniband_qdr(),
-                     time_source=QUIET, seed=seed,
-                     event_queue=event_queue,
-                     bucket_width=bucket_width)
+                     time_source=QUIET, seed=seed)
     res = sim.run(_sync_body)
     return {"values": res.values, "stats": res.engine_stats}
 
 
-def _run_fault(event_queue, seed=0):
+def _run_fault(seed=0):
     report = run_recovery(
         make_scenario("ntp_step"),
         resync_age=8.0,
@@ -101,7 +116,6 @@ def _run_fault(event_queue, seed=0):
         num_nodes=4,
         ranks_per_node=2,
         seed=seed,
-        event_queue=event_queue,
     )
     return {
         "samples": report.samples,
@@ -111,66 +125,60 @@ def _run_fault(event_queue, seed=0):
 
 
 class TestRingEquivalence:
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return _run_ring("heap")
+    @pytest.fixture
+    def reference(self, use_queue):
+        use_queue("heap")
+        return _run_ring()
 
     @pytest.mark.parametrize(
         "event_queue,bucket_width", VARIANTS[1:],
         ids=lambda v: str(v),
     )
-    def test_matches_heap(self, reference, event_queue, bucket_width):
-        assert _run_ring(event_queue, bucket_width) == reference
+    def test_matches_heap(self, reference, use_queue, event_queue,
+                          bucket_width):
+        use_queue(event_queue, bucket_width)
+        assert _run_ring() == reference
 
-    def test_stats_counted_equivalently(self, reference):
+    def test_stats_counted_equivalently(self, reference, use_queue):
         """Bucket-queue runs count gate deferrals / depth like heap runs."""
-        stats = _run_ring("calendar")["stats"]
+        use_queue("calendar")
+        stats = _run_ring()["stats"]
         for key in ("messages_sent", "events_processed",
                     "gate_deferrals", "max_queue_depth"):
             assert stats[key] == reference["stats"][key]
 
 
 class TestFig3Equivalence:
-    def test_calendar_matches_heap(self):
-        assert _run_fig3("calendar") == _run_fig3("heap")
+    def test_calendar_matches_heap(self, use_queue):
+        shipped = _run_fig3()
+        use_queue("heap")
+        assert shipped == _run_fig3()
 
     @pytest.mark.parametrize("width", [1e-9, 1.0])
-    def test_extreme_widths_match(self, width):
-        assert _run_fig3("calendar", bucket_width=width) == \
-            _run_fig3("heap")
+    def test_extreme_widths_match(self, use_queue, width):
+        use_queue("heap")
+        reference = _run_fig3()
+        use_queue("calendar", width)
+        assert _run_fig3() == reference
 
 
 class TestFaultRecoveryEquivalence:
-    def test_calendar_matches_heap(self):
-        assert _run_fault("calendar") == _run_fault("heap")
+    def test_calendar_matches_heap(self, use_queue):
+        shipped = _run_fault()
+        use_queue("heap")
+        assert shipped == _run_fault()
 
 
-class TestBurstModeGating:
-    """Burst delay sampling is opt-in, divergent, and deterministic."""
-
-    def test_burst_differs_from_scalar(self):
-        # Different RNG draw order => genuinely different message
-        # timings.  (The ring's *return value* is an allreduce of ranks,
-        # timing-independent by construction, so compare event streams.)
-        scalar = _run_ring("calendar")
-        burst = _run_ring("calendar", delay_mode="burst")
-        assert burst["events"] != scalar["events"]
-        assert burst["values"] == scalar["values"]
-
-    def test_burst_is_deterministic_per_seed(self):
-        a = _run_ring("calendar", delay_mode="burst")
-        b = _run_ring("calendar", delay_mode="burst")
-        assert a == b
-
-    def test_burst_identical_across_queue_kinds(self):
-        # The divergence comes from delay_mode alone; the queue kind
-        # still never matters.
-        a = _run_ring("calendar", delay_mode="burst")
-        b = _run_ring("heap", delay_mode="burst")
-        assert a == b
-
-    def test_invalid_options_raise(self):
-        with pytest.raises(SimulationError):
-            _run_ring("fibonacci")
-        with pytest.raises(SimulationError):
-            _run_ring("calendar", delay_mode="vortex")
+class TestTheFakeTakesEffect:
+    def test_engine_runs_on_the_swapped_queue(self, use_queue):
+        """Guards the suite itself: the override must reach the engine."""
+        use_queue("heap")
+        sim = Simulation(machine=ring_machine(2, 2),
+                         network=infiniband_qdr(), seed=0)
+        sim.run(_ring_main(4))
+        assert type(sim.engine._queue) is HeapQueue
+        use_queue("calendar")
+        sim = Simulation(machine=ring_machine(2, 2),
+                         network=infiniband_qdr(), seed=0)
+        sim.run(_ring_main(4))
+        assert type(sim.engine._queue) is CalendarQueue

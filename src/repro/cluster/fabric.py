@@ -53,6 +53,10 @@ class TorusFabric:
         self.dims = tuple(dims)
         self.per_hop_latency = float(per_hop_latency)
         self.num_nodes = math.prod(dims)
+        #: ``(node_a, node_b) -> extra latency`` for the pairs that have
+        #: communicated; ``dims`` and the hop cost never change, so the
+        #: route is computed once per pair.
+        self._latency: dict[tuple[int, int], float] = {}
 
     @classmethod
     def cube_for(cls, num_nodes: int,
@@ -85,7 +89,13 @@ class TorusFabric:
     def extra_latency(self, node_a: int, node_b: int) -> float:
         if node_a == node_b:
             return 0.0
-        return self.per_hop_latency * self.hops(node_a, node_b)
+        pair = (node_a, node_b)
+        latency = self._latency.get(pair)
+        if latency is None:
+            latency = self._latency[pair] = (
+                self.per_hop_latency * self.hops(node_a, node_b)
+            )
+        return latency
 
     def diameter(self) -> int:
         """Maximum hop count between any two nodes."""

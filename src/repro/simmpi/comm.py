@@ -25,9 +25,10 @@ from typing import Any, Generator, Hashable, Sequence
 
 from repro.errors import CommunicatorError
 from repro.obs.events import CollectiveEnter, CollectiveExit
-from repro.simmpi.engine import SendRecvCmd
+from repro.simmpi.engine import ExchangeCmd, ExchangeShape, SendRecvCmd
 from repro.simmpi.message import ANY_SOURCE, Message
 from repro.simmpi.process import ProcessContext
+from repro.simtime.base import Clock
 
 #: Width of each communicator's tag window.
 TAG_STRIDE = 1 << 20
@@ -191,6 +192,33 @@ class Communicator:
             recv_tag=self._user_tag(rtag),
         )
         return msg
+
+    def exchange(
+        self,
+        peer: int,
+        tag: int,
+        n: int,
+        clock: Clock,
+        shape: ExchangeShape,
+        initiator: bool,
+        size: int = 8,
+    ) -> Generator[Any, Any, list[tuple] | None]:
+        """This side of ``n`` timestamped ping-pongs with rank ``peer``.
+
+        One :class:`ExchangeCmd`: the engine plays the round trips and
+        reads ``clock`` between the legs.  The initiator gets the
+        per-round ``(before, stamp, after)`` readings, the responder None.
+        """
+        rounds = yield ExchangeCmd(
+            peer=self.global_rank(peer),
+            tag=self._user_tag(tag),
+            n=n,
+            clock=clock,
+            shape=shape,
+            initiator=initiator,
+            size=size,
+        )
+        return rounds
 
     # ------------------------------------------------------------------
     # Raw p2p for collective implementations (tag already fully qualified)

@@ -6,6 +6,8 @@ true time* (``ProcessContext.now``) and yields command objects:
 * :class:`SendCmd` — deposit a message (eager or rendezvous),
 * :class:`RecvCmd` — blocking receive with source/tag matching,
 * :class:`SendRecvCmd` — fused exchange (send, then blocking receive),
+* :class:`ExchangeCmd` — one side of the *n* timestamped ping-pongs of an
+  offset measurement; the engine plays the legs itself,
 * :class:`ElapseCmd` / :class:`WaitUntilCmd` — advance local time.
 
 The engine executes a process *inline* until it blocks on an unmatched
@@ -16,6 +18,14 @@ queue catches up.  The gate makes execution order equal to simulated-time
 order, which keeps shared state (per-node NIC availability, ``ANY_SOURCE``
 mailboxes) causal while still letting uncontended message chains run
 inline without queue churn.
+
+An :class:`ExchangeCmd` is a program, not an action: the engine expands it
+into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs and clock reads the
+rank would have issued one generator resume at a time, and each leg goes
+through the gate, the send path and the delivery path like any other
+command.  *Accepting* it is therefore not gated — acceptance touches no
+shared state, and a gate check there would defer where the written-out
+loop never did, which changes the event stream.
 
 There is one configuration of the kernel.  Pending events live in a
 calendar queue (:class:`repro.simmpi.eventq.CalendarQueue`) whose bucket
@@ -36,6 +46,7 @@ simulations, with or without hooks attached
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from math import log1p
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
@@ -55,7 +66,7 @@ from repro.simmpi.rngpool import UniformPool
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.prof.core import Profiler
-
+    from repro.simtime.base import Clock
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +138,64 @@ class SendRecvCmd:
             )
 
 
+class ExchangeShape(enum.Enum):
+    """The ping-pong leg shapes of the paper's Appendix A, as
+    :mod:`repro.sync.offset` plays them (``ping`` travels initiator →
+    responder, ``pong`` back; "stamped" means the payload is the sender's
+    clock reading taken just before the send)."""
+
+    #: SKaMPI (Algorithm 7): stamped eager ping, stamped eager pong; the
+    #: initiator also reads its clock when the pong arrives.
+    STAMPED = "stamped"
+    #: RTT estimate (Algorithm 8, ``have_rtt``): the initiator reads its
+    #: clock around an eager ping of ``0.0``; the responder reads nothing
+    #: and answers ``0.0``.
+    TIMED = "timed"
+    #: Mean-RTT (Algorithm 8): synchronous ping of ``0.0`` taken without a
+    #: reading, stamped synchronous pong, one reading on arrival.
+    RENDEZVOUS = "rendezvous"
+
+
+@dataclass(slots=True)
+class ExchangeCmd:
+    """One side of ``n`` timestamped round trips with global rank ``peer``.
+
+    The initiator (the client of an offset measurement) gets back a list
+    of ``n`` tuples ``(before, stamp, after)``: its clock reading before
+    the ping (``None`` for :attr:`ExchangeShape.RENDEZVOUS`, which takes
+    none), the pong's payload, and its reading once the pong is received.
+    The responder gets ``None``.  Both sides read their *own* ``clock``
+    (the reference of HCA3 passes its global clock model), each read
+    charging ``clock.read_overhead`` to the rank's time line.
+
+    Equivalent, message for message and event for event, to the rank
+    program looping over ``read_clock``/``sendrecv``/``recv``/``send``/
+    ``ssend`` itself, minus the generator resumes between the legs.
+    """
+
+    peer: int
+    tag: int
+    n: int
+    clock: "Clock"
+    shape: ExchangeShape
+    initiator: bool
+    size: int = 8
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise SimulationError(
+                f"an exchange needs n >= 1 round trips, got {self.n}"
+            )
+        if self.size < 0:
+            raise SimulationError(
+                f"message size must be >= 0, got {self.size}"
+            )
+        if not isinstance(self.shape, ExchangeShape):
+            raise SimulationError(
+                f"shape must be an ExchangeShape, got {self.shape!r}"
+            )
+
+
 @dataclass(slots=True)
 class ElapseCmd:
     """Consume ``duration`` seconds of local computation.
@@ -149,7 +218,37 @@ class WaitUntilCmd:
     true_time: float
 
 
-Command = SendCmd | RecvCmd | SendRecvCmd | ElapseCmd | WaitUntilCmd
+Command = (
+    SendCmd | RecvCmd | SendRecvCmd | ExchangeCmd | ElapseCmd | WaitUntilCmd
+)
+
+
+class _Exchange:
+    """A rank's progress through its active :class:`ExchangeCmd`."""
+
+    __slots__ = ("cmd", "left", "send", "recv", "pinged", "before", "rounds")
+
+    def __init__(self, cmd: ExchangeCmd) -> None:
+        self.cmd = cmd
+        #: Round trips not yet started.
+        self.left = cmd.n
+        peer, tag, size = cmd.peer, cmd.tag, cmd.size
+        rendezvous = cmd.shape is ExchangeShape.RENDEZVOUS
+        # The leg commands, built once and re-issued every round (a
+        # stamped leg gets its payload set just before it is issued).
+        self.send: SendCmd | SendRecvCmd = (
+            SendRecvCmd(peer, tag, 0.0, size, peer, tag)
+            if cmd.initiator and not rendezvous
+            else SendCmd(peer, tag, 0.0, size, rendezvous)
+        )
+        self.recv = RecvCmd(peer, tag)
+        #: Initiator, rendezvous shape: the ping is out, the pong not yet
+        #: asked for.
+        self.pinged = False
+        #: Initiator: the current round's reading before the ping.
+        self.before: float | None = None
+        #: Initiator: the finished rounds, handed back at the end.
+        self.rounds: list[tuple] | None = [] if cmd.initiator else None
 
 
 class _Proc:
@@ -169,6 +268,7 @@ class _Proc:
         "pool",
         "mailbox",
         "block_time",
+        "exchange",
     )
 
     def __init__(self, rank: int, seed: np.random.SeedSequence) -> None:
@@ -200,6 +300,9 @@ class _Proc:
         self.mailbox: list[Message] = []
         #: True time at which the process last blocked (diagnostics).
         self.block_time = 0.0
+        #: The :class:`ExchangeCmd` in progress, stepped by the engine in
+        #: place of resuming ``gen``; None otherwise.
+        self.exchange: _Exchange | None = None
 
     def get_rng(self) -> np.random.Generator:
         """The algorithm-visible random stream, built on first use."""
@@ -534,6 +637,18 @@ class Engine:
         finish = self._finish_delivery
         while True:
             if cmd is None:
+                exchange = proc.exchange
+                if exchange is not None:
+                    # An exchange in progress: take its next leg in place
+                    # of resuming the generator.  The leg then meets the
+                    # gate below as the command the rank would have
+                    # yielded at this point.
+                    cmd = self._exchange_leg(proc, exchange, value)
+                    value = None
+                    if cmd is None:
+                        proc.exchange = None
+                        value = exchange.rounds
+            if cmd is None:
                 # "proc.advance" is the inline execution of process code
                 # between two commands — the sync algorithms' compute
                 # (fitting, offset math, clock reads) lands here, with
@@ -551,6 +666,12 @@ class Engine:
                     if prof is not None:
                         prof.pop(start)
                 value = None
+                if type(cmd) is ExchangeCmd:
+                    # Accepted without a gate check: this touches no
+                    # shared state, and the legs are gated one by one.
+                    proc.exchange = self._accept_exchange(proc, cmd)
+                    cmd = None
+                    continue
             if gate and proc.now > queue.frontier:
                 # Ahead of the frontier: defer until the queue catches up.
                 # With a single live process there is nobody left to
@@ -622,6 +743,82 @@ class Engine:
             else:
                 raise SimulationError(f"unknown command {cmd!r}")
             cmd = None
+
+    # ------------------------------------------------------------------
+    # Clock reads and timestamped exchanges
+    # ------------------------------------------------------------------
+    def read_clock(self, rank: int, clock: "Clock") -> float:
+        """Read ``clock`` for ``rank`` now, charging its read overhead.
+
+        The one clock-read body: rank programs reach it through
+        :meth:`ProcessContext.read_clock`, exchange legs directly.
+        """
+        proc = self._procs[rank]
+        prof = self.profiler
+        t0 = prof.clock() if prof is not None else 0
+        overhead = clock.read_overhead
+        if overhead:
+            proc.now += overhead
+        value = clock.read(proc.now)
+        if prof is not None:
+            # The hardware-clock/drift evaluation (segment-table walks,
+            # quantization) as its own zone.
+            prof.add("clock.read", prof.clock() - t0)
+        return value
+
+    def _accept_exchange(self, proc: _Proc, cmd: ExchangeCmd) -> _Exchange:
+        """Check the peer, like ``_do_send`` does, before any leg runs."""
+        peer = cmd.peer
+        if not 0 <= peer < len(self._procs):
+            raise MatchingError(f"exchange with invalid rank {peer}")
+        if peer == proc.rank:
+            raise MatchingError(f"rank {peer} cannot exchange with itself")
+        return _Exchange(cmd)
+
+    def _exchange_leg(
+        self, proc: _Proc, exchange: _Exchange, value: Message | None
+    ) -> SendCmd | RecvCmd | SendRecvCmd | None:
+        """The next leg of ``proc``'s exchange, or None once it is over.
+
+        ``value`` is what the previous leg handed back: the matched
+        message after a receive, None after a send and at the start.
+        Clock reads happen here, between the legs, where the rank program
+        took them.
+        """
+        cmd = exchange.cmd
+        shape = cmd.shape
+        if not cmd.initiator:
+            if value is not None:
+                # Ping received: answer it.
+                pong = exchange.send
+                if shape is not ExchangeShape.TIMED:
+                    pong.payload = self.read_clock(proc.rank, cmd.clock)
+                return pong
+            if not exchange.left:
+                return None
+            exchange.left -= 1
+            return exchange.recv
+        if value is not None:
+            # Pong received: the round is complete.
+            exchange.rounds.append((
+                exchange.before, value.payload,
+                self.read_clock(proc.rank, cmd.clock),
+            ))
+        elif exchange.pinged:
+            # Rendezvous ping acknowledged: now wait for the pong.
+            exchange.pinged = False
+            return exchange.recv
+        if not exchange.left:
+            return None
+        exchange.left -= 1
+        ping = exchange.send
+        if shape is ExchangeShape.RENDEZVOUS:
+            exchange.pinged = True
+        else:
+            before = exchange.before = self.read_clock(proc.rank, cmd.clock)
+            if shape is ExchangeShape.STAMPED:
+                ping.payload = before
+        return ping
 
     # ------------------------------------------------------------------
     # Point-to-point mechanics

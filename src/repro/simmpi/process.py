@@ -83,21 +83,7 @@ class ProcessContext:
 
     def read_clock(self, clock: Clock) -> float:
         """Read ``clock`` now; charges the clock's read overhead."""
-        prof = self.engine.profiler
-        if prof is None:
-            overhead = clock.read_overhead
-            if overhead:
-                self.now = self.now + overhead
-            return clock.read(self.now)
-        # Profiled twin: attribute the hardware-clock/drift evaluation
-        # (segment-table walks, quantization) to the "clock.read" zone.
-        t0 = prof.clock()
-        overhead = clock.read_overhead
-        if overhead:
-            self.now = self.now + overhead
-        value = clock.read(self.now)
-        prof.add("clock.read", prof.clock() - t0)
-        return value
+        return self.engine.read_clock(self.rank, clock)
 
     def wtime(self) -> float:
         """``MPI_Wtime``: read this process's hardware clock."""

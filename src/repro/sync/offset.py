@@ -17,6 +17,12 @@ Sign convention: the returned :class:`ClockOffset` carries
 
 Both sides of a pair call ``measure_offset`` collectively; the client
 returns the measurement, the reference returns ``None``.
+
+The ping-pongs themselves are one command per side
+(:meth:`Communicator.exchange`): the engine plays the round trips and
+takes the clock readings between the legs, and the client gets the
+per-round ``(before, stamp, after)`` readings back to do the arithmetic
+on.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 
 from repro.errors import SyncError
 from repro.obs.events import PhaseBegin, PhaseEnd
+from repro.simmpi.engine import ExchangeShape
 from repro.simtime.base import Clock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,6 +81,29 @@ class OffsetAlgorithm(abc.ABC):
     def label(self) -> str:
         return f"{self.name}/{self.nexchanges}"
 
+    def _pingpongs(
+        self,
+        comm: "Communicator",
+        clock: Clock,
+        p_ref: int,
+        client: int,
+        n: int,
+        shape: ExchangeShape,
+    ) -> Generator:
+        """This rank's side of ``n`` ping-pongs of the pair: the client
+        initiates and gets the per-round readings, the reference answers
+        and gets None."""
+        rank = comm.rank
+        if rank != p_ref and rank != client:
+            raise SyncError(
+                f"rank {rank} called measure_offset for pair "
+                f"({p_ref}, {client})"
+            )
+        return comm.exchange(
+            client if rank == p_ref else p_ref, PINGPONG_TAG, n, clock,
+            shape, initiator=rank == client, size=TIMESTAMP_BYTES,
+        )
+
     # -- causal phase annotations (see repro.obs.spans) ---------------
     def _phase_begin(self, comm: "Communicator", p_ref: int,
                      client: int) -> None:
@@ -108,33 +138,19 @@ class SKaMPIOffset(OffsetAlgorithm):
         client: int,
     ) -> Generator:
         ctx = comm.ctx
-        rank = comm.rank
         self._phase_begin(comm, p_ref, client)
-        if rank == p_ref:
-            for _ in range(self.nexchanges):
-                yield from comm.recv(client, PINGPONG_TAG)
-                t_last = ctx.read_clock(clock)
-                yield from comm.send(
-                    client, PINGPONG_TAG, t_last, TIMESTAMP_BYTES
-                )
+        rounds = yield from self._pingpongs(
+            comm, clock, p_ref, client, self.nexchanges,
+            ExchangeShape.STAMPED,
+        )
+        if rounds is None:
             self._phase_end(comm)
             return None
-        if rank != client:
-            raise SyncError(
-                f"rank {rank} called measure_offset for pair "
-                f"({p_ref}, {client})"
-            )
         # td_min/td_max bound (ref - client); names follow the paper.
         td_min = -np.inf
         td_max = np.inf
         rtt_min = np.inf
-        for _ in range(self.nexchanges):
-            s_last = ctx.read_clock(clock)
-            msg = yield from comm.sendrecv(
-                p_ref, PINGPONG_TAG, s_last, TIMESTAMP_BYTES
-            )
-            t_last = msg.payload
-            s_now = ctx.read_clock(clock)
+        for s_last, t_last, s_now in rounds:
             td_min = max(td_min, t_last - s_now)
             td_max = min(td_max, t_last - s_last)
             rtt_min = min(rtt_min, s_now - s_last)
@@ -172,28 +188,6 @@ class MeanRTTOffset(OffsetAlgorithm):
             raise SyncError("rtt_pingpongs must be >= 1")
         self.rtt_pingpongs = rtt_pingpongs
 
-    def _measure_rtt(
-        self,
-        comm: "Communicator",
-        clock: Clock,
-        p_ref: int,
-        client: int,
-    ) -> Generator:
-        """Mean round-trip time, measured at the client."""
-        ctx = comm.ctx
-        if comm.rank == p_ref:
-            for _ in range(self.rtt_pingpongs):
-                yield from comm.recv(client, PINGPONG_TAG)
-                yield from comm.send(client, PINGPONG_TAG, 0.0, TIMESTAMP_BYTES)
-            return None
-        samples = []
-        for _ in range(self.rtt_pingpongs):
-            t0 = ctx.read_clock(clock)
-            yield from comm.sendrecv(p_ref, PINGPONG_TAG, 0.0, TIMESTAMP_BYTES)
-            t1 = ctx.read_clock(clock)
-            samples.append(t1 - t0)
-        return float(np.mean(samples))
-
     def measure_offset(
         self,
         comm: "Communicator",
@@ -202,36 +196,31 @@ class MeanRTTOffset(OffsetAlgorithm):
         client: int,
     ) -> Generator:
         ctx = comm.ctx
-        rank = comm.rank
         self._phase_begin(comm, p_ref, client)
         rtt_cache = comm.attrs.setdefault(self, {})
         key = (p_ref, client)
         if key not in rtt_cache:
-            rtt = yield from self._measure_rtt(comm, clock, p_ref, client)
-            # The reference side gets None; it does not need the value.
-            rtt_cache[key] = rtt if rtt is not None else 0.0
+            # Mean round-trip time, measured at the client; the reference
+            # side does not need the value.
+            rounds = yield from self._pingpongs(
+                comm, clock, p_ref, client, self.rtt_pingpongs,
+                ExchangeShape.TIMED,
+            )
+            rtt_cache[key] = 0.0 if rounds is None else float(
+                np.mean([t1 - t0 for t0, _, t1 in rounds])
+            )
         rtt = rtt_cache[key]
-        if rank == p_ref:
-            for _ in range(self.nexchanges):
-                yield from comm.recv(client, PINGPONG_TAG)
-                tlocal = ctx.read_clock(clock)
-                yield from comm.ssend(
-                    client, PINGPONG_TAG, tlocal, TIMESTAMP_BYTES
-                )
+        rounds = yield from self._pingpongs(
+            comm, clock, p_ref, client, self.nexchanges,
+            ExchangeShape.RENDEZVOUS,
+        )
+        if rounds is None:
             self._phase_end(comm)
             return None
-        if rank != client:
-            raise SyncError(
-                f"rank {rank} called measure_offset for pair "
-                f"({p_ref}, {client})"
-            )
         local_times = np.empty(self.nexchanges)
         time_var = np.empty(self.nexchanges)
-        for i in range(self.nexchanges):
-            yield from comm.ssend(p_ref, PINGPONG_TAG, 0.0, TIMESTAMP_BYTES)
-            msg = yield from comm.recv(p_ref, PINGPONG_TAG)
-            ref_time = msg.payload
-            local_times[i] = ctx.read_clock(clock)
+        for i, (_, ref_time, local_time) in enumerate(rounds):
+            local_times[i] = local_time
             # current offset estimate: client - ref (ref_time was stamped
             # ~rtt/2 before our read).
             time_var[i] = local_times[i] - ref_time - rtt / 2.0

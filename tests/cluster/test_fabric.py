@@ -38,6 +38,24 @@ class TestTorusGeometry:
         t = TorusFabric((8,), per_hop_latency=1e-6)
         assert t.extra_latency(0, 4) == pytest.approx(4e-6)
 
+    def test_memoised_latency_equals_fresh(self):
+        """The per-pair memo serves what the route computation gives."""
+        t = TorusFabric((3, 4, 5), per_hop_latency=0.12e-6)
+        nodes = range(t.num_nodes)
+        first = {(a, b): t.extra_latency(a, b) for a in nodes for b in nodes}
+        for (a, b), latency in first.items():
+            assert t.extra_latency(a, b) == latency  # now from the memo
+            assert latency == (
+                t.per_hop_latency * t.hops(a, b) if a != b else 0.0
+            )
+
+    def test_out_of_range_nodes_raise_with_a_warm_memo(self):
+        t = TorusFabric((3, 4, 5))
+        t.extra_latency(1, 0)  # same flat index as (0, 60) would have
+        for a, b in [(0, 60), (60, 0), (-1, 3), (3, -1)]:
+            with pytest.raises(ValueError):
+                t.extra_latency(a, b)
+
     def test_diameter(self):
         assert TorusFabric((4, 4, 4)).diameter() == 6
 

@@ -8,12 +8,15 @@ from repro.errors import DeadlockError, MatchingError, SimulationError
 from repro.simmpi.engine import (
     ElapseCmd,
     Engine,
+    ExchangeCmd,
+    ExchangeShape,
     RecvCmd,
     SendCmd,
     WaitUntilCmd,
 )
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
+from repro.simtime.hardware import HardwareClock
 
 
 def make_engine(n=2, seed=0, network=None, **kw):
@@ -451,6 +454,103 @@ class TestDeterminism:
         a = self._run_once(1)
         b = self._run_once(2)
         assert [t for *_, t in a] != [t for *_, t in b]
+
+
+class TestExchange:
+    """``ExchangeCmd``: one command per side of n timestamped ping-pongs.
+
+    That it equals the written-out loop message for message is
+    tests/properties/test_property_exchange.py; here: what each side gets
+    back, and what is rejected before any leg runs.
+    """
+
+    @staticmethod
+    def _pair(shape, n=3):
+        engine = make_engine()
+        clock = HardwareClock()  # reads true time
+
+        def side(peer, initiator):
+            rounds = yield ExchangeCmd(peer, 7, n, clock, shape, initiator)
+            return rounds
+
+        engine.bind(0, side(1, False))
+        engine.bind(1, side(0, True))
+        return engine, engine.run()
+
+    @pytest.mark.parametrize("shape", list(ExchangeShape))
+    def test_initiator_gets_the_rounds_responder_none(self, shape):
+        engine, (responder, initiator) = self._pair(shape)
+        assert responder is None
+        assert len(initiator) == 3
+        assert engine.messages_sent == engine.messages_delivered == 6
+        last = 0.0
+        for before, stamp, after in initiator:
+            if shape is ExchangeShape.RENDEZVOUS:
+                assert before is None
+            else:
+                assert last <= before < after
+            if shape is ExchangeShape.TIMED:
+                assert stamp == 0.0  # the RTT pong carries no reading
+            else:
+                # One clock for both sides: the pong was stamped between
+                # the ping's departure and the pong's arrival.
+                assert (before or last) < stamp < after
+            last = after
+        assert engine.rendezvous_stalls == (
+            6 if shape is ExchangeShape.RENDEZVOUS else 0
+        )
+
+    def test_each_read_charges_the_clock_overhead(self):
+        engine = make_engine(network=ideal_network(latency=1e-6))
+        costly = HardwareClock(read_overhead=1e-3)
+
+        def side(peer, initiator):
+            yield ExchangeCmd(
+                peer, 7, 2, costly, ExchangeShape.STAMPED, initiator
+            )
+
+        engine.bind(0, side(1, False))
+        engine.bind(1, side(0, True))
+        engine.run()
+        # Initiator: two reads per round trip; responder: one.
+        assert engine.proc_now(1) >= 4e-3
+        assert 2e-3 <= engine.proc_now(0) < engine.proc_now(1)
+
+    @pytest.mark.parametrize("field, value, complaint", [
+        ("n", 0, "n >= 1"), ("size", -1, "size must be >= 0"),
+        ("shape", "stamped", "must be an ExchangeShape"),
+    ])
+    def test_construction_rejects(self, field, value, complaint):
+        kwargs = {
+            "n": 1, "size": 8, "shape": ExchangeShape.STAMPED, field: value,
+        }
+        with pytest.raises(SimulationError, match=complaint):
+            ExchangeCmd(
+                peer=1, tag=7, clock=HardwareClock(), initiator=True,
+                **kwargs,
+            )
+
+    @pytest.mark.parametrize("peer, complaint", [
+        (2, "invalid rank 2"), (-1, "invalid rank -1"), (0, "with itself"),
+    ])
+    def test_acceptance_rejects_the_peer_before_any_leg(self, peer, complaint):
+        engine = make_engine()
+
+        def body():
+            yield ExchangeCmd(
+                peer, 7, 4, HardwareClock(), ExchangeShape.STAMPED, True
+            )
+
+        def idle():
+            return
+            yield
+
+        engine.bind(0, body())
+        engine.bind(1, idle())
+        with pytest.raises(MatchingError, match=complaint):
+            engine.run()
+        assert engine.messages_sent == 0
+        assert engine.proc_now(0) == 0.0  # not even a clock read
 
 
 class TestRemovedOptions:

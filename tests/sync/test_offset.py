@@ -5,8 +5,10 @@ import gc
 import numpy as np
 import pytest
 
-from repro.cluster.netmodels import ideal_network
+from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.errors import SyncError
+from repro.prof import Profiler
+from repro.sync import HCA3Sync, JKSync
 from repro.sync.offset import ClockOffset, MeanRTTOffset, SKaMPIOffset
 from tests.conftest import PERFECT_TIME, run_spmd
 
@@ -161,3 +163,58 @@ class TestMeanRTTOffset:
             truth = sim.clocks[1].read_raw(0.0) - sim.clocks[0].read_raw(0.0)
             mr_err.append(abs(res.values[1].offset - truth))
         assert np.mean(sk_err) < np.mean(mr_err)
+
+
+class TestOneCommandPerMeasurement:
+    """A measurement costs each side one generator resume, whatever n is.
+
+    Counts, not a stopwatch: with F fit points, R = 1 for
+    ``recompute_intercept`` and n exchanges, a pair used to resume its two
+    rank programs ``3·n·(F+R) + (F−1)`` times (a ``sendrecv`` per round
+    trip on the client, a ``recv`` and a ``send`` on the reference, plus
+    the fit-point spacing); with the ping-pongs as one ``ExchangeCmd`` per
+    side it is ``2·(F+R) + (F−1)``.  Clock reads and offset rounds are
+    what they were before the command existed.
+    """
+
+    P, F, N, RTT = 16, 5, 3, 10
+
+    @staticmethod
+    def _count(prof, zone):
+        return sum(z.count for path, z in prof.walk() if path[-1] == zone)
+
+    @pytest.mark.parametrize("recompute", [False, True])
+    @pytest.mark.parametrize("offset_cls", [SKaMPIOffset, MeanRTTOffset])
+    @pytest.mark.parametrize("sync_cls", [HCA3Sync, JKSync])
+    def test_counts(self, sync_cls, offset_cls, recompute):
+        alg = sync_cls(
+            offset_cls(self.N), nfitpoints=self.F,
+            recompute_intercept=recompute, fitpoint_spacing=1e-3,
+        )
+
+        def main(ctx, comm):
+            yield from alg.sync_clocks(comm, ctx.hardware_clock)
+
+        prof = Profiler()
+        run_spmd(main, num_nodes=4, ranks_per_node=4,
+                 network=infiniband_qdr(), profiler=prof)
+        pairs = self.P - 1
+        measurements = self.F + recompute
+        mean_rtt = offset_cls is MeanRTTOffset
+        per_pair = 2 * measurements + (self.F - 1)
+        if mean_rtt:
+            per_pair += 2  # the cached RTT phase: one command per side
+        if sync_cls is JKSync:
+            per_pair += 2  # the go-ahead message: one send, one recv
+        # One resume starts each rank, one follows each command.
+        assert self._count(prof, "proc.advance") == self.P + pairs * per_pair
+        assert self._count(prof, "sync.offset.rounds") == pairs * measurements
+        if mean_rtt:
+            # RTT phase: the client reads around each ping-pong, the
+            # reference not at all; then one read per side per exchange.
+            reads = 2 * self.RTT + measurements * 2 * self.N
+        else:
+            # Client: before and after each round trip, plus the final
+            # timestamp; reference: one stamp per pong.
+            reads = measurements * (3 * self.N + 1)
+        assert self._count(prof, "clock.read") == pairs * reads

@@ -17,7 +17,9 @@ tests use the oracle to validate the measurement machinery itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Sequence
+
+import numpy as np
 
 from repro.simtime.base import Clock
 from repro.simtime.drift import DriftModel
@@ -37,8 +39,6 @@ def _sample_clients(
     clients = list(range(1, size))
     if sample_fraction >= 1.0:
         return clients
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     k = max(1, int(round(sample_fraction * len(clients))))
     picked = rng.choice(len(clients), size=k, replace=False)
@@ -93,6 +93,87 @@ def check_clock_accuracy(
 def max_abs_offset(per_client: dict[int, float]) -> float:
     """The paper's y-axis: max |offset| over the checked clients."""
     return max(abs(v) for v in per_client.values())
+
+
+def sync_then_check(
+    algorithm,
+    offset_alg: OffsetAlgorithm,
+    wait_times: Sequence[float],
+    sample_fraction: float = 1.0,
+    sample_seed: int = 0,
+) -> Callable:
+    """Rank program of one accuracy mpirun: synchronize, then check.
+
+    Every rank returns ``(duration, offsets, global_clock)``: its own
+    synchronization duration, the :func:`check_clock_accuracy` result
+    (rank 0 only, ``None`` elsewhere) and its global clock object.
+    :func:`sync_check_outcome` and :func:`sample_clock_health` read the
+    per-rank list of these tuples.
+    """
+
+    def main(ctx, comm):
+        t0 = ctx.now
+        global_clock = yield from algorithm.sync_clocks(
+            comm, ctx.hardware_clock
+        )
+        duration = ctx.now - t0
+        offsets = yield from check_clock_accuracy(
+            comm,
+            global_clock,
+            offset_alg,
+            wait_times=wait_times,
+            sample_fraction=sample_fraction,
+            sample_seed=sample_seed,
+        )
+        return (duration, offsets, global_clock)
+
+    return main
+
+
+def sync_check_outcome(values: Sequence[tuple]) -> tuple[float, dict]:
+    """One scatter point from the per-rank :func:`sync_then_check` values.
+
+    Returns the synchronization duration (max across ranks) and
+    ``{wait_time: max |offset|}`` as measured by rank 0.
+    """
+    duration = max(v[0] for v in values)
+    max_offsets = {
+        wait: max_abs_offset(per_client)
+        for wait, per_client in values[0][1].items()
+    }
+    return duration, max_offsets
+
+
+def sample_clock_health(
+    bank, values: Sequence[tuple], duration: float,
+    wait_times: Sequence[float], npoints: int,
+) -> None:
+    """Deposit one mpirun's clock-health series into a telemetry bank.
+
+    ``sync.duration`` is sampled once per rank.  ``clock.error`` is each
+    rank's estimated global clock read against rank 0's (the sync
+    reference) on a regular true-time grid of ``npoints`` spanning the
+    accuracy-check window — rank 0 against itself is identically zero
+    and is skipped.  Purely post-hoc: the simulation is finished, so the
+    reads cannot perturb it.
+    """
+    for rank, value in enumerate(values):
+        bank.sample("sync.duration", value[0], value[0], rank=rank)
+    clocks = [value[2] for value in values]
+    span = max(wait_times) if wait_times else 0.0
+    horizon = duration + (span if span > 0.0 else 1.0)
+    # One read_many per clock resolves the whole grid (array pass per
+    # model layer); read_many is pinned bit-identical to per-element read.
+    grid = [
+        duration + (horizon - duration) * i / (npoints - 1)
+        for i in range(npoints)
+    ]
+    ts = np.asarray(grid, dtype=np.float64)
+    ref_reads = clocks[0].read_many(ts)
+    errors = [clk.read_many(ts) - ref_reads for clk in clocks[1:]]
+    for i, t in enumerate(grid):
+        for rank, err in enumerate(errors, start=1):
+            bank.sample("clock.error", t, float(err[i]), rank=rank)
 
 
 def ground_truth_accuracy(

@@ -26,6 +26,10 @@ Observability options (see :mod:`repro.obs`):
   raw local clocks and once through the H2HCA global clocks — open both
   in https://ui.perfetto.dev for the paper's skewed-vs-corrected diff.
 
+An option only some targets read (``--scenario``, ``--slo``,
+``--chrome-trace-dir``) is a usage error on any other target; ``all``
+accepts all of them.
+
 Correctness checking (see :mod:`repro.check` and DESIGN.md §11):
 
 * ``--check`` runs every simulated job under the strict sanitizer —
@@ -81,38 +85,32 @@ from repro.experiments import (
 from repro.faults.scenarios import SCENARIOS
 
 
-def _run_table1(scale: str, seed: int, jobs: int | None) -> str:
-    return table1_machines.format_result(table1_machines.run(seed=seed))
+def _run_table1(args: argparse.Namespace) -> str:
+    return table1_machines.format_result(
+        table1_machines.run(seed=args.seed)
+    )
 
 
-def _run_fig2(scale: str, seed: int, jobs: int | None) -> str:
-    duration = 60.0 if scale == "quick" else 200.0
-    nodes = 4 if scale == "quick" else 10
+def _run_fig2(args: argparse.Namespace) -> str:
+    duration = 60.0 if args.scale == "quick" else 200.0
+    nodes = 4 if args.scale == "quick" else 10
     return fig2_drift.format_result(
         fig2_drift.run(num_nodes=nodes, duration=duration, interval=1.0,
-                       seed=seed)
+                       seed=args.seed)
     )
 
 
-def _run_fault_recovery(scale: str, seed: int, jobs: int | None) -> str:
-    # fault_recovery also honours --scenario; main() threads it through.
-    return fault_recovery.format_result(
-        fault_recovery.run(scale=scale, seed=seed, jobs=jobs)
-    )
+def _simple(module, *reads: str):
+    """Runner of ``module.run(scale, seed, ...)``.
 
+    ``reads`` names the further parsed options the target's ``run``
+    takes (``jobs``, ``scenario``, ``slo``).
+    """
 
-def _run_service_slo(scale: str, seed: int, jobs: int | None) -> str:
-    # service_slo also honours --slo; main() threads it through.
-    return service_slo.format_result(
-        service_slo.run(scale=scale, seed=seed, jobs=jobs)
-    )
-
-
-def _simple(module, parallel: bool = False):
-    def runner(scale: str, seed: int, jobs: int | None) -> str:
-        kwargs = {"jobs": jobs} if parallel else {}
+    def runner(args: argparse.Namespace) -> str:
+        kwargs = {name: getattr(args, name) for name in reads}
         return module.format_result(
-            module.run(scale=scale, seed=seed, **kwargs)
+            module.run(scale=args.scale, seed=args.seed, **kwargs)
         )
 
     return runner
@@ -121,21 +119,28 @@ def _simple(module, parallel: bool = False):
 TARGETS = {
     "table1": _run_table1,
     "fig2": _run_fig2,
-    "fault_recovery": _run_fault_recovery,
-    "service_slo": _run_service_slo,
-    # Campaign-based targets fan individual mpiruns out over --jobs
-    # worker processes; results are bit-identical to --jobs 1.
-    "fig3": _simple(fig3_flat_algorithms, parallel=True),
-    "fig4": _simple(fig4_hier_jupiter, parallel=True),
-    "fig5": _simple(fig5_hier_hydra, parallel=True),
-    "fig6": _simple(fig6_hier_titan, parallel=True),
+    # Targets reading "jobs" fan their independent simulations out over
+    # --jobs worker processes; results are bit-identical to --jobs 1.
+    "fault_recovery": _simple(fault_recovery, "jobs", "scenario"),
+    "service_slo": _simple(service_slo, "jobs", "slo"),
+    "fig3": _simple(fig3_flat_algorithms, "jobs"),
+    "fig4": _simple(fig4_hier_jupiter, "jobs"),
+    "fig5": _simple(fig5_hier_hydra, "jobs"),
+    "fig6": _simple(fig6_hier_titan, "jobs"),
     "fig7": _simple(fig7_barrier_impact),
     "fig8": _simple(fig8_imbalance),
     "fig9": _simple(fig9_roundtime),
     "fig10": _simple(fig10_tracing),
-    # Adversarial degradation tables (scenario presets x algorithms);
-    # cells fan out over --jobs like the campaign targets.
-    "scenario_degradation": _simple(scenario_degradation, parallel=True),
+    # Adversarial degradation tables (scenario presets x algorithms).
+    "scenario_degradation": _simple(scenario_degradation, "jobs"),
+}
+
+#: Options only some targets read, with those targets.  Any other
+#: target (``all`` runs every one) rejects the option.
+TARGET_FLAGS = {
+    "scenario": ("fault_recovery",),
+    "slo": ("service_slo",),
+    "chrome_trace_dir": ("fig10", "fault_recovery"),
 }
 
 
@@ -156,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="run independent simulations of campaign-based targets "
-             "(fig3-fig6, fault_recovery) on N worker processes; 0 means "
-             "one per CPU.  Results are identical to --jobs 1.",
+             "(fig3-fig6, fault_recovery, scenario_degradation, "
+             "service_slo) on N worker processes; 0 means one per CPU.  "
+             "Results are identical to --jobs 1.",
     )
     parser.add_argument(
         "--obs-summary",
@@ -212,19 +218,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scenario",
-        default=fault_recovery.DEFAULT_SCENARIO,
         choices=sorted(SCENARIOS),
-        help="fault scenario for the fault_recovery target",
+        help="fault scenario for the fault_recovery target "
+             f"(default {fault_recovery.DEFAULT_SCENARIO})",
     )
     parser.add_argument(
         "--slo",
         type=float,
-        default=service_slo.DEFAULT_SLO,
         metavar="SECONDS",
         help="clock-error SLO for the service_slo target "
              f"(default {service_slo.DEFAULT_SLO:g}s)",
     )
     return parser
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv``; an option the target would not read is an error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, readers in TARGET_FLAGS.items():
+        if (
+            getattr(args, flag) is not None
+            and args.target not in (*readers, "all")
+        ):
+            parser.error(
+                f"--{flag.replace('_', '-')} is read only by "
+                f"{', '.join(readers)} (and all), not by {args.target}"
+            )
+    if args.scenario is None:
+        args.scenario = fault_recovery.DEFAULT_SCENARIO
+    if args.slo is None:
+        args.slo = service_slo.DEFAULT_SLO
+    return args
 
 
 def _print_obs_summary(
@@ -307,29 +332,15 @@ def _export_chrome_traces(out_dir: str, scale: str, seed: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
 
     def run_targets() -> None:
         for name in targets:
             t0 = time.time()
-            if name == "fault_recovery":
-                output = fault_recovery.format_result(fault_recovery.run(
-                    scale=args.scale, seed=args.seed,
-                    scenario=args.scenario, jobs=args.jobs,
-                ))
-            elif name == "service_slo":
-                output = service_slo.format_result(service_slo.run(
-                    scale=args.scale, seed=args.seed,
-                    jobs=args.jobs, slo=args.slo,
-                ))
-            else:
-                output = TARGETS[name](args.scale, args.seed, args.jobs)
-            print(output)
+            print(TARGETS[name](args))
             print(f"[{name}: {time.time() - t0:.1f}s]\n")
-        if args.chrome_trace_dir and (
-            "fig10" in targets or args.target == "all"
-        ):
+        if args.chrome_trace_dir and "fig10" in targets:
             _export_chrome_traces(
                 args.chrome_trace_dir, args.scale, args.seed
             )

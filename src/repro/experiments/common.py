@@ -18,7 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.accuracy import check_clock_accuracy, max_abs_offset
+from repro.analysis.accuracy import (
+    sample_clock_health,
+    sync_check_outcome,
+    sync_then_check,
+)
 from repro.check import active_check_mode, check_global_clock
 from repro.cluster.machines import MachineSpec
 from repro.obs.timeseries import get_default_timeseries
@@ -225,21 +229,10 @@ def _campaign_job(
     bank = get_default_timeseries()
     prof = get_default_profiler()
 
-    def main(ctx, comm):
-        t0 = ctx.now
-        global_clock = yield from algorithm.sync_clocks(
-            comm, ctx.hardware_clock
-        )
-        duration = ctx.now - t0
-        offsets = yield from check_clock_accuracy(
-            comm,
-            global_clock,
-            check_offset_alg,
-            wait_times=wait_times,
-            sample_fraction=sample_fraction,
-            sample_seed=sample_seed,
-        )
-        return (duration, offsets, global_clock)
+    main = sync_then_check(
+        algorithm, check_offset_alg, wait_times,
+        sample_fraction=sample_fraction, sample_seed=sample_seed,
+    )
 
     with (
         bank.scoped(scope) if bank is not None else nullcontext(),
@@ -258,8 +251,7 @@ def _campaign_job(
             fabric=machine_spec.fabric(machine.num_nodes),
         )
         values = sim.run(main).values
-        duration = max(v[0] for v in values)
-        offsets_by_wait = values[0][1]
+        duration, max_offsets = sync_check_outcome(values)
         if active_check_mode() is not None:
             # Sanitize the synchronized clocks too: every rank's global
             # clock must stay finite, monotone, and slope-≈1 over the
@@ -272,15 +264,10 @@ def _campaign_job(
                     rank=rank, label=scope,
                 )
         if bank is not None:
-            _sample_campaign_telemetry(bank, values, duration, wait_times)
-    return SyncRun(
-        label=label,
-        duration=duration,
-        max_offsets={
-            wait: max_abs_offset(per_client)
-            for wait, per_client in offsets_by_wait.items()
-        },
-    )
+            sample_clock_health(
+                bank, values, duration, wait_times, npoints=25
+            )
+    return SyncRun(label=label, duration=duration, max_offsets=max_offsets)
 
 
 def campaign_summary(result: SyncCampaignResult) -> dict:
@@ -315,37 +302,3 @@ def summary_json(result: SyncCampaignResult) -> str:
     return json.dumps(
         campaign_summary(result), indent=2, sort_keys=True
     ) + "\n"
-
-
-#: Grid points of the post-sync clock-error trajectory per campaign job.
-_ERROR_GRID_POINTS = 25
-
-
-def _sample_campaign_telemetry(bank, values, duration, wait_times) -> None:
-    """Deposit one job's clock-health series into the telemetry bank.
-
-    ``clock.error`` is each rank's estimated global clock read against
-    rank 0's (the sync reference) on a regular true-time grid spanning
-    the accuracy-check window — rank 0 against itself is identically
-    zero and is skipped.  Purely post-hoc: the simulation is finished,
-    so the reads cannot perturb it.
-    """
-    for rank, value in enumerate(values):
-        bank.sample("sync.duration", value[0], value[0], rank=rank)
-    clocks = [value[2] for value in values]
-    span = max(wait_times) if wait_times else 0.0
-    horizon = duration + (span if span > 0.0 else 1.0)
-    # One read_many per clock resolves the whole grid (array pass per
-    # model layer) instead of a rank x grid scalar loop; the emission
-    # order and every double are identical to the scalar version
-    # (read_many is pinned bit-identical to per-element read).
-    grid = [
-        duration + (horizon - duration) * i / (_ERROR_GRID_POINTS - 1)
-        for i in range(_ERROR_GRID_POINTS)
-    ]
-    ts = np.asarray(grid, dtype=np.float64)
-    ref_reads = clocks[0].read_many(ts)
-    errors = [clk.read_many(ts) - ref_reads for clk in clocks[1:]]
-    for i, t in enumerate(grid):
-        for rank, err in enumerate(errors, start=1):
-            bank.sample("clock.error", t, float(err[i]), rank=rank)

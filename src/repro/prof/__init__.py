@@ -4,8 +4,8 @@ See :mod:`repro.prof.core` for the zone API and the passivity contract
 (profiled runs are bit-identical to unprofiled ones), and
 :mod:`repro.prof.export` for the speedscope / table / ``profile.json``
 output formats.  ``python -m repro.experiments <target> --profile DIR``
-is the main entry point; ``python -m repro.perf.scaling`` uses the same
-zones for per-rank-count breakdowns.
+is the main entry point; the traced pass of ``perfbench/run.py`` reads
+the same zones for its per-layer metrics.
 """
 
 from repro.prof.core import (
@@ -24,7 +24,6 @@ from repro.prof.export import (
     top_zones,
     total_effective_ns,
     write_profile,
-    zone_breakdown,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "top_zones",
     "total_effective_ns",
     "write_profile",
-    "zone_breakdown",
 ]

@@ -166,25 +166,10 @@ def format_table(profiler: Profiler, top: int = 15) -> str:
 
 
 def top_zones(profiler: Profiler, top: int = 5) -> list[dict[str, Any]]:
-    """The ``top`` rows by self time (for summaries and bench entries)."""
+    """The ``top`` rows by self time (for summaries)."""
     rows = flatten(profiler)
     rows.sort(key=lambda r: (-r["self_ns"], r["path"]))
     return rows[:top]
-
-
-def zone_breakdown(profiler: Profiler, top: int = 12) -> dict[str, Any]:
-    """Compact per-zone breakdown embedded in bench trajectory entries."""
-    return {
-        "total_ns": total_effective_ns(profiler),
-        "zones": {
-            row["path"]: {
-                "count": row["count"],
-                "total_ns": row["total_ns"],
-                "self_ns": row["self_ns"],
-            }
-            for row in top_zones(profiler, top)
-        },
-    }
 
 
 def write_profile(

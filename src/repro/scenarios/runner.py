@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.accuracy import (
-    check_clock_accuracy,
     ground_truth_accuracy,
-    max_abs_offset,
+    sample_clock_health,
+    sync_check_outcome,
+    sync_then_check,
 )
 from repro.cluster.machines import MACHINES
 from repro.obs.timeseries import get_default_timeseries
@@ -39,9 +40,6 @@ from repro.scenarios.scenario import Scenario
 from repro.simmpi.simulation import Simulation
 from repro.sync.offset import SKaMPIOffset
 from repro.sync.registry import algorithm_from_label
-
-#: Grid points of the per-round clock-error telemetry trajectory.
-_ERROR_GRID_POINTS = 15
 
 #: Ratio floor: degradation is adversarial/max(baseline, this).
 _RATIO_FLOOR = 1e-9
@@ -126,25 +124,6 @@ class CellResult:
         }
 
 
-def _sample_round_telemetry(bank, values, duration, wait_times) -> None:
-    """Per-rank clock.error grid over the accuracy-check window."""
-    for rank, value in enumerate(values):
-        bank.sample("sync.duration", value[0], value[0], rank=rank)
-    clocks = [value[2] for value in values]
-    span = max(wait_times) if wait_times else 0.0
-    horizon = duration + (span if span > 0.0 else 1.0)
-    grid = [
-        duration + (horizon - duration) * i / (_ERROR_GRID_POINTS - 1)
-        for i in range(_ERROR_GRID_POINTS)
-    ]
-    ts = np.asarray(grid, dtype=np.float64)
-    ref_reads = clocks[0].read_many(ts)
-    errors = [clk.read_many(ts) - ref_reads for clk in clocks[1:]]
-    for i, t in enumerate(grid):
-        for rank, err in enumerate(errors, start=1):
-            bank.sample("clock.error", t, float(err[i]), rank=rank)
-
-
 def _run_one(
     scenario: Scenario | None,
     label: str,
@@ -174,20 +153,9 @@ def _run_one(
     sample_seed = seed_int(seedseq)
     bank = get_default_timeseries()
 
-    def main(ctx, comm):
-        t0 = ctx.now
-        global_clock = yield from algorithm.sync_clocks(
-            comm, ctx.hardware_clock
-        )
-        duration = ctx.now - t0
-        offsets = yield from check_clock_accuracy(
-            comm,
-            global_clock,
-            check_offset_alg,
-            wait_times=wait_times,
-            sample_seed=sample_seed,
-        )
-        return (duration, offsets, global_clock)
+    main = sync_then_check(
+        algorithm, check_offset_alg, wait_times, sample_seed=sample_seed
+    )
 
     kwargs = {}
     if scenario is not None:
@@ -205,22 +173,20 @@ def _run_one(
             **kwargs,
         )
         values = sim.run(main).values
-        duration = max(v[0] for v in values)
-        offsets_by_wait = values[0][1]
+        duration, max_offsets = sync_check_outcome(values)
         span = max(wait_times) if wait_times else 0.0
         truth = ground_truth_accuracy(
             [v[2] for v in values], duration + span
         )
         if bank is not None:
-            _sample_round_telemetry(bank, values, duration, wait_times)
+            sample_clock_health(
+                bank, values, duration, wait_times, npoints=15
+            )
     return RoundResult(
         num_nodes=machine.num_nodes,
         num_ranks=machine.num_ranks,
         duration=duration,
-        max_offsets={
-            wait: max_abs_offset(per_client)
-            for wait, per_client in offsets_by_wait.items()
-        },
+        max_offsets=max_offsets,
         ground_truth_error=truth,
     )
 

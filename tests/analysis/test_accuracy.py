@@ -1,13 +1,24 @@
 """Tests for CHECK_CLOCK_ACCURACY (Algorithm 6)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.analysis.accuracy import (
     check_clock_accuracy,
     ground_truth_accuracy,
     max_abs_offset,
+    sample_clock_health,
 )
+from repro.cluster.machines import JUPITER
 from repro.cluster.netmodels import infiniband_qdr
+from repro.experiments.common import QUICK, run_sync_accuracy_campaign
+from repro.obs.timeseries import TimeSeriesBank, default_timeseries
+from repro.scenarios.runner import run_scenario_cell
+from repro.scenarios.scenario import make_preset
+from repro.simtime.drift import ConstantDrift
+from repro.simtime.hardware import HardwareClock
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync import HCA3Sync, SKaMPIOffset
 from tests.conftest import run_spmd
@@ -76,16 +87,83 @@ class TestCheckClockAccuracy:
         assert len(offsets[0.0]) == 2  # 40% of 5 clients
 
 
+class TestSampleClockHealth:
+    """The one telemetry sampler, on synthetic linear clocks."""
+
+    CLOCKS = [
+        HardwareClock(offset=0.0, drift=ConstantDrift(0.0)),
+        HardwareClock(offset=2e-6, drift=ConstantDrift(1e-6)),
+        HardwareClock(offset=-5e-6, drift=ConstantDrift(-3e-6)),
+    ]
+    DURATIONS = [0.25, 0.5, 0.375]
+
+    def sampled(self, wait_times, npoints):
+        bank = TimeSeriesBank()
+        values = [
+            (d, None, clk) for d, clk in zip(self.DURATIONS, self.CLOCKS)
+        ]
+        sample_clock_health(bank, values, 0.5, wait_times, npoints)
+        return bank
+
+    def test_duration_once_per_rank(self):
+        bank = self.sampled((0.0, 4.0), 7)
+        assert bank.ranks_of("sync.duration") == [0, 1, 2]
+        for rank, d in enumerate(self.DURATIONS):
+            assert bank.get("sync.duration", rank).points == [(d, d)]
+
+    @pytest.mark.parametrize("wait_times, end", [
+        ((0.0, 4.0), 4.5),
+        ((0.0,), 1.5),   # zero span: a one-second window
+        ((), 1.5),
+    ])
+    def test_error_grid_and_values(self, wait_times, end):
+        n = 7
+        bank = self.sampled(wait_times, n)
+        assert bank.ranks_of("clock.error") == [1, 2]   # not the reference
+        ts = np.asarray(
+            [0.5 + (end - 0.5) * i / (n - 1) for i in range(n)]
+        )
+        assert ts[0] == 0.5 and ts[-1] == end
+        ref = self.CLOCKS[0].read_many(ts)
+        for rank in (1, 2):
+            series = bank.get("clock.error", rank)
+            assert series.count == n
+            assert series.times() == list(ts)
+            expected = self.CLOCKS[rank].read_many(ts) - ref
+            assert series.values() == list(expected)
+
+    @staticmethod
+    def error_counts(bank):
+        return {
+            series.count
+            for (name, rank), series in bank.items()
+            if name.endswith("clock.error")
+        }
+
+    def test_fig3_job_deposits_25_points_per_rank(self):
+        tiny = replace(QUICK, num_nodes=2, ranks_per_node=2, nfitpoints=4,
+                       nexchanges=4, nmpiruns=1)
+        with default_timeseries(TimeSeriesBank()) as bank:
+            run_sync_accuracy_campaign(
+                JUPITER, ["hca/4/skampi_offset/4"], scale=tiny, seed=0
+            )
+        assert self.error_counts(bank) == {25}
+
+    def test_scenario_round_deposits_15_points_per_rank(self):
+        with default_timeseries(TimeSeriesBank()) as bank:
+            run_scenario_cell(
+                make_preset("delay_attack"), "hca/4/skampi_offset/4",
+                num_nodes=4, ranks_per_node=1, nexchanges=4, rounds=1,
+            )
+        assert self.error_counts(bank) == {15}
+
+
 class TestGroundTruth:
     def test_identical_clocks_zero(self):
-        from repro.simtime.hardware import HardwareClock
-
         clk = HardwareClock(offset=3.0)
         assert ground_truth_accuracy([clk, clk, clk], 1.0) == 0.0
 
     def test_max_over_ranks(self):
-        from repro.simtime.hardware import HardwareClock
-
         clocks = [HardwareClock(offset=0.0), HardwareClock(offset=1.0),
                   HardwareClock(offset=-2.0)]
         assert ground_truth_accuracy(clocks, 0.5) == pytest.approx(2.0)

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import TARGETS, build_parser, main
+from repro.experiments.__main__ import (
+    TARGETS,
+    build_parser,
+    main,
+    parse_args,
+)
 from repro.prof import get_default_profiler
 
 
@@ -27,6 +32,40 @@ class TestParser:
     def test_rejects_unknown_scale(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--scale", "enormous"])
+
+
+class TestTargetFlags:
+    """No flag may be silently ignored: a target rejects what it won't read."""
+
+    FLAGS = [
+        (["--scenario", "thermal_cycle"], ["fault_recovery"]),
+        (["--slo", "1e-4"], ["service_slo"]),
+        (["--chrome-trace-dir", "d"], ["fig10", "fault_recovery"]),
+    ]
+
+    @pytest.mark.parametrize("flag, readers", FLAGS)
+    def test_misused_flag_exits_2_naming_its_targets(
+        self, flag, readers, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag[0] in err
+        for target in readers:
+            assert target in err
+
+    @pytest.mark.parametrize("flag, readers", FLAGS)
+    def test_accepted_by_its_own_targets_and_by_all(self, flag, readers):
+        for target in [*readers, "all"]:
+            args = parse_args([target, *flag])
+            assert args.target == target
+
+    def test_unset_flags_take_the_target_defaults(self):
+        args = parse_args(["all"])
+        assert args.scenario == "ntp_step"
+        assert args.slo == 25e-6
+        assert args.chrome_trace_dir is None
 
 
 class TestMain:

@@ -14,14 +14,13 @@ from math import ceil, log2
 import pytest
 
 from repro.cluster.netmodels import infiniband_qdr
+from repro.cluster.topology import Machine
 from repro.obs.causal import (
     analyze_run,
     critical_path,
     expected_depth,
 )
 from repro.obs.spans import SpanRecorder, SpanRun
-from repro.perf.harness import ring_machine
-from repro.perf.scaling import depth_probe
 from repro.simmpi.simulation import Simulation
 
 EPS = 1e-9
@@ -39,7 +38,7 @@ def traced_flat(p: int, label: str, seed: int = 0) -> SpanRun:
 
     recorder = SpanRecorder()
     sim = Simulation(
-        machine=ring_machine(p // 4, 4), network=infiniband_qdr(),
+        machine=Machine(p // 4, 1, 4, 4), network=infiniband_qdr(),
         seed=seed, sink=recorder,
     )
     sim.run(main)
@@ -67,18 +66,20 @@ class TestDepthPins:
 
     def test_hca_depth_at_p_2048_matches_tree_depth(self):
         # Acceptance: traced p=2048 HCA, measured depth == ceil(log2 p).
-        summary, analysis = depth_probe(2048, label="hca/4/skampi_offset/2")
-        assert summary["level_depth"] == ceil(log2(2048)) == 11
-        assert summary["depth_ratio"] <= 1.0
-        assert analysis["depth"]["algorithms"] == ["hca"]
+        analysis = analyze_run(traced_flat(2048, "hca/4/skampi_offset/2"))
+        depth = analysis["depth"]
+        assert depth["level_depth"] == ceil(log2(2048)) == 11
+        assert depth["ratio"] <= 1.0
+        assert depth["algorithms"] == ["hca"]
         assert analysis["open_edges"] == 0
 
     def test_jk_depth_at_p_2048_is_theta_p(self):
         # Acceptance: flat JK's path visits every one of the p-1 rounds.
-        summary, _ = depth_probe(2048, label="jk/4/skampi_offset/2")
-        assert summary["level_depth"] == 2047
-        assert summary["expected_depth"] == 2047
-        assert summary["depth_ratio"] == 1.0
+        run = traced_flat(2048, "jk/4/skampi_offset/2")
+        depth = analyze_run(run)["depth"]
+        assert depth["level_depth"] == 2047
+        assert depth["expected"] == 2047
+        assert depth["ratio"] == 1.0
 
 
 class TestWalkInvariants:

@@ -17,7 +17,6 @@ from repro.prof.export import (
     speedscope_document,
     top_zones,
     write_profile,
-    zone_breakdown,
 )
 from tests.prof.test_core import FakeClock
 
@@ -115,13 +114,6 @@ class TestTables:
         rows = top_zones(prof, top=100)
         selfs = [r["self_ns"] for r in rows]
         assert selfs == sorted(selfs, reverse=True)
-
-    def test_zone_breakdown_compact(self, prof):
-        bd = zone_breakdown(prof, top=2)
-        assert bd["total_ns"] == prof.total_ns()
-        assert len(bd["zones"]) == 2
-        for row in bd["zones"].values():
-            assert set(row) == {"count", "total_ns", "self_ns"}
 
 
 class TestWriteProfile:

@@ -23,7 +23,6 @@ from repro.faults.evaluate import run_recovery
 from repro.faults.scenarios import make_scenario
 from repro.obs.events import RecordingSink
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.harness import _ring_main, ring_machine
 from repro.simmpi.engine import Engine
 from repro.simmpi.eventq import CalendarQueue, HeapQueue
 from repro.simmpi.simulation import Simulation
@@ -31,6 +30,10 @@ from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync import HCA3Sync
 
 QUIET = CLOCK_GETTIME.with_(skew_walk_sigma=1e-9)
+
+#: Message sizes the ring cycles through (bytes): the small sizes the
+#: sync algorithms use plus a couple of bandwidth-bound ones.
+RING_SIZES = (8, 64, 8, 1024, 8, 65536)
 
 #: Queue configurations that must all be observationally identical.
 #: ``("calendar", None)`` is the engine as shipped.  The widths straddle
@@ -65,6 +68,26 @@ def use_queue(monkeypatch):
     return swap
 
 
+def _ring_main(nrounds: int):
+    """SPMD body: nearest-neighbour ring exchange + periodic barriers."""
+
+    def main(ctx, comm):
+        n = ctx.nprocs
+        right = (ctx.rank + 1) % n
+        left = (ctx.rank - 1) % n
+        for r in range(nrounds):
+            size = RING_SIZES[r % len(RING_SIZES)]
+            yield from comm.sendrecv(
+                dest=right, send_tag=r, size=size, source=left
+            )
+            if r % 64 == 63:
+                yield from comm.barrier()
+        total = yield from comm.allreduce(ctx.rank)
+        return total
+
+    return main
+
+
 def _sync_body(ctx, comm):
     """Fig. 3-style workload: one flat HCA3 sync + clock readings."""
     alg = HCA3Sync(nfitpoints=6, fitpoint_spacing=1e-3)
@@ -80,7 +103,7 @@ def _run_ring(seed=3):
     sink = RecordingSink()
     metrics = MetricsRegistry()
     sim = Simulation(
-        machine=ring_machine(4, 4),
+        machine=Machine(4, 1, 4, 4),
         network=infiniband_qdr(),
         seed=seed,
         sink=sink,
@@ -173,12 +196,12 @@ class TestTheFakeTakesEffect:
     def test_engine_runs_on_the_swapped_queue(self, use_queue):
         """Guards the suite itself: the override must reach the engine."""
         use_queue("heap")
-        sim = Simulation(machine=ring_machine(2, 2),
+        sim = Simulation(machine=Machine(2, 1, 2, 2),
                          network=infiniband_qdr(), seed=0)
         sim.run(_ring_main(4))
         assert type(sim.engine._queue) is HeapQueue
         use_queue("calendar")
-        sim = Simulation(machine=ring_machine(2, 2),
+        sim = Simulation(machine=Machine(2, 1, 2, 2),
                          network=infiniband_qdr(), seed=0)
         sim.run(_ring_main(4))
         assert type(sim.engine._queue) is CalendarQueue

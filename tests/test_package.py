@@ -32,6 +32,13 @@ class TestExports:
             assert hasattr(simmpi, name), name
 
 
+class TestRemovedPackages:
+    def test_old_benchmark_package_is_gone(self):
+        # perfbench/ is the only performance ledger; a revert is loud.
+        with pytest.raises(ModuleNotFoundError):
+            import repro.perf  # noqa: F401
+
+
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for cls in (errors.ClockError, errors.SimulationError,

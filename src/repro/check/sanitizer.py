@@ -18,6 +18,17 @@ Invariant catalog (rule names used in violations):
     (or a mutant) let a process observe the past.  Scheduled
     :class:`~repro.obs.events.FaultInject` records are exempt (they are
     emitted up front, at their future activation times).
+``send-order``
+    Over the whole stream, ``MsgSend`` times never decrease.  This is
+    the causality gate's contract: a send mutates state shared between
+    ranks (NIC egress/ingress tables, sequence numbers, the order of a
+    mailbox across sources), so sends must execute in simulated-time
+    order whichever rank issues them.  ``monotonic-time`` cannot see a
+    breach, because each rank's own time line stays monotone when the
+    gate lets a rank that is ahead send early.  The rule needs no
+    exemption for a lone surviving rank (gate off): when the last other
+    rank sent, the survivor was queued at or after that time, or blocked
+    and woken by a later arrival.
 ``fifo-order``
     Per ``(source, dest, tag)`` channel, messages are *matched* in send
     (sequence-number) order — MPI's non-overtaking rule.  Arrival times
@@ -226,6 +237,8 @@ class SanitizerSink:
         self._delivered_seqs: set[int] = set()
         #: (source, dest, tag) -> last matched seq (non-overtaking check).
         self._last_matched: dict[tuple[int, int, int], int] = {}
+        #: Time of the latest MsgSend of any rank (``send-order``).
+        self._last_send_time = 0.0
         self.sends = 0
         self.deliveries = 0
         self._finalized = False
@@ -302,6 +315,17 @@ class SanitizerSink:
     # ------------------------------------------------------------------
     def _on_send(self, event: obs_events.MsgSend) -> None:
         self.sends += 1
+        if event.time < self._last_send_time:
+            self.violation(
+                "send-order",
+                f"rank {event.rank} sent seq {event.seq} at "
+                f"t={event.time:.9g}, before an earlier send at "
+                f"t={self._last_send_time:.9g} (causality gate breached)",
+                time=event.time, rank=event.rank, seq=event.seq,
+                previous=self._last_send_time,
+            )
+        else:
+            self._last_send_time = event.time
         if event.seq in self._outstanding or event.seq in self._delivered_seqs:
             self.violation(
                 "conservation",

@@ -65,6 +65,14 @@ class FaultInjector:
     #: byzantine behaviour (this base class) skip it entirely.
     perturbs_payloads: bool = False
 
+    #: Whether :meth:`perturb_delay` keeps state from one call to the
+    #: next (a bottleneck queue), so that calls must arrive in virtual-
+    #: time order.  Sends always do; the ack of a rendezvous is priced
+    #: where its *receive* completes, so the engine then gates receives
+    #: from a named source as well.  The windowed faults of this base
+    #: class are functions of time and the caller's own RNG: order-free.
+    stateful_delays: bool = False
+
     def __init__(
         self,
         schedule: FaultSchedule,

@@ -140,6 +140,11 @@ class AdversaryInjector(FaultInjector):
     # ------------------------------------------------------------------
     # Link-delay perturbation keyed by (src, dst)
     # ------------------------------------------------------------------
+    @property
+    def stateful_delays(self) -> bool:  # type: ignore[override]
+        # The CoDel queues below assume non-decreasing call times.
+        return bool(self._congestion)
+
     def perturb_delay(
         self,
         time: float,

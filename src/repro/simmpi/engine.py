@@ -11,21 +11,42 @@ true time* (``ProcessContext.now``) and yields command objects:
 * :class:`ElapseCmd` / :class:`WaitUntilCmd` — advance local time.
 
 The engine executes a process *inline* until it blocks on an unmatched
-receive or a rendezvous acknowledgement — with a **causality gate**: a
-command only executes while its process is not ahead of the earliest
-pending event, otherwise it is deferred and re-issued when the event
-queue catches up.  The gate makes execution order equal to simulated-time
-order, which keeps shared state (per-node NIC availability, ``ANY_SOURCE``
-mailboxes) causal while still letting uncontended message chains run
-inline without queue churn.
+receive or a rendezvous acknowledgement — with a **causality gate** on the
+commands whose effects other ranks can see.  Those are the *ordered*
+commands: the send of a ``SendCmd``/``SendRecvCmd`` (NIC egress/ingress
+tables, message sequence numbers, where a deposit lands in the
+destination's mailbox, the injector's delay/gap/payload hooks) and a
+``RecvCmd`` from ``ANY_SOURCE`` (reads the order of a mailbox across
+sources).  An ordered command executes only when no other rank can act
+before it, otherwise it is deferred and re-issued when the event queue
+catches up; ordered commands therefore happen in simulated-time order
+(the sanitizer's ``send-order`` rule).  Everything else runs ungated: a
+``RecvCmd`` from a named source reads only that source's messages, which
+sit in the source's program order whatever the interleaving (MPI
+non-overtaking), and finding the message or blocking and being woken by
+it both end at ``max(now, arrival) + o_recv``; ``ElapseCmd`` and
+``WaitUntilCmd`` move the rank's own time line only; rank code between
+commands touches rank-local state.  One exception is read off the
+injector: a receive that completes a rendezvous prices the ack through
+``perturb_delay``, so under an injector whose delay hook keeps state
+between calls (``stateful_delays``, a bottleneck queue) receives are
+ordered too.
+
+A wake is not a queue event.  A send that finds its receiver waiting (and
+a receive that releases a rendezvous sender) puts the woken rank on a
+**ready list**; the loop runs ready ranks before it pops the next event,
+and while the list is non-empty every ordered command defers, which keeps
+the waker from overtaking the rank it just woke.  Every runnable rank is
+thus in the queue, on the ready list, or the one running, and the queue
+holds only starts and deferred ordered commands: about one event per
+message when ranks run concurrently, none for a serial ping-pong.
 
 An :class:`ExchangeCmd` is a program, not an action: the engine expands it
 into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs and clock reads the
 rank would have issued one generator resume at a time, and each leg goes
-through the gate, the send path and the delivery path like any other
-command.  *Accepting* it is therefore not gated — acceptance touches no
-shared state, and a gate check there would defer where the written-out
-loop never did, which changes the event stream.
+through the gate (its sends do, its receives name their source), the
+send path and the delivery path like any other command.  *Accepting* it
+touches no shared state and is not gated.
 
 There is one configuration of the kernel.  Pending events live in a
 calendar queue (:class:`repro.simmpi.eventq.CalendarQueue`) whose bucket
@@ -353,7 +374,12 @@ class Engine:
         #: Unfinished processes; the causality gate is skipped once only
         #: one process remains (no shared state left to keep causal).
         self._live = 0
-        #: Commands deferred by the causality gate (queue round-trips).
+        #: Ready list: ranks woken by a delivery or a rendezvous ack that
+        #: have not run yet.  The loop runs them before it pops the next
+        #: event, and while one waits here every ordered command defers.
+        self._woken: list[_Proc] = []
+        #: Ordered commands deferred by the causality gate (each one is a
+        #: queue round-trip).
         self.gate_deferrals = 0
         #: ``Communicator.split`` grouping tables, shared by the members of
         #: one split call; an entry lives from the first member's use to
@@ -400,7 +426,9 @@ class Engine:
         #: Messages still sitting in mailboxes when the run completed
         #: (sent but never received; finalized at the end of run()).
         self.messages_unreceived = 0
-        #: Events popped off the pending-event queue (loop iterations).
+        #: Events popped off the pending-event queue.  A rank run from
+        #: the ready list is not one, so this can be below the message
+        #: count (a serial ping-pong pops nothing at all).
         self.events_processed = 0
         #: Deepest pending-event queue seen during the run.
         self.max_queue_depth = 0
@@ -551,10 +579,18 @@ class Engine:
 
         max_true_time = self.max_true_time
         pop = queue.pop
+        woken = self._woken
         events = 0
         max_depth = self.max_queue_depth
         try:
-            while queue.size:
+            while True:
+                if woken:
+                    # A rank just woken runs now, not through the queue
+                    # (its next ordered command defers there).
+                    self._run_proc(woken.pop())
+                    continue
+                if not queue.size:
+                    break
                 t, _, rank = pop()
                 events += 1
                 depth = queue.size
@@ -605,13 +641,25 @@ class Engine:
     def _run_proc(self, proc: _Proc) -> None:
         """Step ``proc`` inline until it blocks, defers, or finishes.
 
-        Causality gate: a command only executes while its process is not
-        ahead of the earliest pending event in the queue.  Without the
-        gate, a process running ahead of global time would mutate shared
-        state (the per-node NIC availability, ANY_SOURCE mailboxes) out of
-        time order and other processes would observe effects "from the
-        future".  A gated command is stashed on the process and re-issued
-        when the queue catches up.
+        Causality gate: an *ordered* command — the send of a ``SendCmd``
+        or ``SendRecvCmd``, a ``RecvCmd`` from ``ANY_SOURCE`` — executes
+        only while no other rank can act before it: the ready list is
+        empty and the process is not ahead of the earliest pending event.
+        Those are the commands that touch state shared between ranks (NIC
+        tables, message sequence numbers, the order of a mailbox across
+        sources, injector hooks), and the gate makes them happen in
+        simulated-time order.  A gated command is stashed on the process
+        and re-issued when the queue catches up.
+
+        A ``RecvCmd`` from a named source, ``ElapseCmd`` and
+        ``WaitUntilCmd`` are not gated.  The messages of one source sit
+        in a mailbox in that source's program order whatever the
+        interleaving, and finding one there or blocking and being woken
+        by it both end at ``max(now, arrival) + o_recv``; the other two
+        move the rank's own time line only.  (Under an injector with
+        ``stateful_delays`` every receive is ordered: completing a
+        rendezvous prices an ack through its delay hook.)  The horizon
+        check applies to every command.
         """
         gen = proc.gen
         assert gen is not None
@@ -624,12 +672,16 @@ class Engine:
         # each dotted lookup costs a dict probe per command otherwise.
         # _live is constant within one _run_proc activation (it changes
         # only when *this* process finishes, which returns immediately);
-        # the queue frontier is not (sends may wake peers), so it is
-        # re-read from the queue each iteration.
+        # the queue frontier and the ready list are not (sends wake
+        # peers), so both are re-read each iteration.
         queue = self._queue
+        woken = self._woken
         gate = self._live > 1
         horizon = self.max_true_time
         sink, _, _, injector, prof, _ = self._hooks
+        # A receive that completes a rendezvous prices the ack through
+        # the injector; if that hook keeps state, receives are ordered too.
+        recv_ordered = injector is not None and injector.stateful_delays
         send = gen.send
         # Ordinary attribute lookups: an instance-level patch of either
         # method (the sanitizer's mutant tests) intercepts the hot path.
@@ -672,8 +724,21 @@ class Engine:
                     proc.exchange = self._accept_exchange(proc, cmd)
                     cmd = None
                     continue
-            if gate and proc.now > queue.frontier:
-                # Ahead of the frontier: defer until the queue catches up.
+            cls = type(cmd)
+            if (
+                gate
+                and (
+                    cls is SendCmd
+                    or cls is SendRecvCmd
+                    or (
+                        cls is RecvCmd
+                        and (recv_ordered or cmd.source == ANY_SOURCE)
+                    )
+                )
+                and (woken or proc.now > queue.frontier)
+            ):
+                # An ordered command, and a woken rank or a pending event
+                # may act before it: defer until the queue catches up.
                 # With a single live process there is nobody left to
                 # observe shared state out of order, so the round-trip
                 # through the queue is skipped entirely.
@@ -687,7 +752,6 @@ class Engine:
                 raise SimulationError(
                     f"simulation exceeded max_true_time={horizon}"
                 )
-            cls = type(cmd)
             if cls is SendCmd or cls is SendRecvCmd:
                 if prof is not None:
                     start = prof.push("engine.send")
@@ -704,8 +768,9 @@ class Engine:
                     cmd = RecvCmd(cmd.source, cmd.recv_tag)
                     continue
                 if cmd.synchronous:
-                    # Sender parks until the receiver matches (rendezvous).
-                    proc.blocked = "ssend"
+                    # Sender parks until the receiver matches (rendezvous);
+                    # _do_send marked it blocked, and has already released
+                    # it again if the receiver was waiting.
                     return
             elif cls is RecvCmd:
                 start = prof.push("engine.recv") if prof is not None else 0
@@ -874,6 +939,9 @@ class Engine:
         if synchronous:
             self.rendezvous_stalls += 1
             proc.block_time = send_time
+            # Before the hand-over below, so that a release by a receiver
+            # that is already waiting is the last write.
+            proc.blocked = "ssend"
         if metrics is not None:
             metrics.counter("engine.messages.sent", rank).inc()
             metrics.counter("engine.bytes.sent", rank).inc(size)
@@ -965,7 +1033,9 @@ class Engine:
         if type(blocked) is RecvDescriptor and msg.matches(
             blocked.source, blocked.tag
         ):
-            # Wake the receiver: it resumes once the message arrives.
+            # Wake the receiver: it resumes once the message arrives, from
+            # the ready list (no queue event; nothing ordered can run
+            # before it does).
             dest.blocked = None
             resume_at = dest.now
             if arrival > resume_at:
@@ -977,7 +1047,7 @@ class Engine:
                     cause="deliver", seq=seq,
                 ))
             dest.pending_value = self._finish_delivery(dest, msg)
-            self._schedule(dest, resume_at)
+            self._woken.append(dest)
         else:
             mailbox = dest.mailbox
             mailbox.append(msg)
@@ -1055,7 +1125,7 @@ class Engine:
                 metrics.histogram(
                     "engine.rendezvous.stall_time", sender.rank
                 ).observe(sender.now - sender.block_time)
-            self._schedule(sender, sender.now)
+            self._woken.append(sender)
             msg.sync_sender = None
         return msg
 

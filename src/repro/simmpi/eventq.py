@@ -2,8 +2,8 @@
 
 The engine's event loop needs three operations on the pending-event set —
 ``push``, ``pop-min`` and an exact *frontier* peek (the causality gate
-compares every command against the earliest pending event).  Events are
-``(time, seq, rank)`` tuples where ``seq`` is a monotonic tie-breaker, so
+compares every ordered command against the earliest pending event).
+Events are ``(time, seq, rank)`` tuples, ``seq`` a monotonic tie-breaker, so
 ``(time, seq)`` is a total order and **any** implementation that pops in
 that order is observationally identical to any other.
 

@@ -9,6 +9,7 @@ implement deadline waits analytically.
 from __future__ import annotations
 
 import abc
+from math import floor
 
 import numpy as np
 
@@ -75,6 +76,4 @@ def quantize(value: float, granularity: float) -> float:
     """
     if granularity <= 0.0:
         return value
-    import math
-
-    return math.floor(value / granularity) * granularity
+    return floor(value / granularity) * granularity

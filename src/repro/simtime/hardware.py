@@ -15,11 +15,12 @@ the affine inverses of the logical-clock layers above it) to translate a
 from __future__ import annotations
 
 import bisect
+from math import floor
 
 import numpy as np
 
 from repro.errors import ClockError
-from repro.simtime.base import Clock, quantize
+from repro.simtime.base import Clock
 from repro.simtime.drift import ConstantDrift, DriftModel
 
 
@@ -97,7 +98,27 @@ class HardwareClock(Clock):
         return self._local_at[idx] + (1.0 + self._skews[idx]) * (true_time - t0)
 
     def read(self, true_time: float) -> float:
-        return quantize(self.read_raw(true_time), self._granularity)
+        """``quantize(read_raw(true_time), granularity)`` in one body.
+
+        The engine's clock reads all land here, so the three calls are
+        written out: the same check, the same expression in the same
+        operation order, the same floor; the segment table is consulted
+        only when the index is new.
+        """
+        if true_time < 0.0:
+            raise ClockError(f"true time must be >= 0, got {true_time}")
+        length = self.segment_length
+        idx = int(true_time / length)
+        skews = self._skews
+        if idx >= len(skews):
+            self._ensure_segments(idx)
+        value = self._local_at[idx] + (1.0 + skews[idx]) * (
+            true_time - idx * length
+        )
+        granularity = self._granularity
+        if granularity <= 0.0:
+            return value
+        return floor(value / granularity) * granularity
 
     def read_raw_many(self, true_times: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`read_raw` over an array of true times.

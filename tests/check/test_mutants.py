@@ -16,18 +16,21 @@ Mutants (rule each must trip):
 5. delivery counter not incremented → ``stats-consistency``
 6. double ProcBlock on rendezvous   → ``lifecycle``
 7. global clock with slope 2 / non-monotone → ``clock-sanity``
+8. event queue that reports no frontier     → ``send-order``
 """
 
 from __future__ import annotations
 
 import types
+from math import inf
 
 import pytest
 
 from repro.check import InvariantViolation, assert_clock_sane, checking
-from repro.cluster.netmodels import ideal_network
+from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.obs import events as ev
+from repro.simmpi.eventq import CalendarQueue
 from repro.simmpi.simulation import Simulation
 
 
@@ -74,6 +77,37 @@ def rendezvous(ctx, comm):
     yield from ctx.elapse(0.01)
     msg = yield from comm.recv(0, tag=1)
     return msg.payload
+
+
+def fan_in(ctx, comm):
+    """Higher ranks send earlier, all into rank 0's node: the sends
+    contend for one NIC ingress, so their order is simulated state."""
+    if ctx.rank == 0:
+        for source in range(1, ctx.nprocs):
+            yield from comm.recv(source, tag=1)
+        return None
+    yield from ctx.elapse((ctx.nprocs - ctx.rank) * 1e-6)
+    yield from comm.send(0, tag=1, payload=ctx.rank)
+    return None
+
+
+class BlindQueue(CalendarQueue):
+    """Mutant 8: the frontier the causality gate compares against is
+    always "nothing pending", so no rank is ever ahead of it."""
+
+    __slots__ = ()
+    frontier = property(lambda self: inf, lambda self, value: None)
+
+
+def make_fan_in_sim(blind):
+    sim = Simulation(
+        machine=Machine(4, 1, 1, 1, name="fanin"), network=infiniband_qdr(),
+        seed=3, check="strict",
+    )
+    if blind:
+        make_queue = sim.engine._make_queue
+        sim.engine._make_queue = lambda: BlindQueue(make_queue().width)
+    return sim
 
 
 def run_mutated(sim, main):
@@ -192,6 +226,17 @@ class TestEngineMutants:
             run_mutated(sim, rendezvous)
         assert info.value.violation.rule == "lifecycle"
 
+    def test_blind_gate_caught(self):
+        """Mutant 8: sends run in host order, not simulated-time order.
+
+        Each rank's own time line stays monotone, so ``monotonic-time``
+        is silent; only the order of sends *across* ranks gives it away.
+        """
+        sim = make_fan_in_sim(blind=True)
+        with pytest.raises(InvariantViolation) as info:
+            run_mutated(sim, fan_in)
+        assert info.value.violation.rule == "send-order"
+
     def test_report_mode_flags_instead_of_raising(self):
         """The same mutant in report mode: run completes, report dirty."""
         sim = make_sim(check="report")
@@ -218,6 +263,10 @@ class TestEngineMutants:
             sim = make_sim()
             run_mutated(sim, body)
             assert sim.checker.report.ok
+        sim = make_fan_in_sim(blind=False)
+        run_mutated(sim, fan_in)
+        assert sim.checker.report.ok
+        assert sim.engine.gate_deferrals > 0  # the gate did the ordering
 
 
 class TestClockMutants:

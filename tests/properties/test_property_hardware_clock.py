@@ -1,10 +1,13 @@
 """Property-based tests for hardware clocks and the clock stack."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simtime.drift import RandomWalkDrift
+from repro.errors import ClockError
+from repro.simtime.base import quantize
+from repro.simtime.drift import ConstantDrift, RandomWalkDrift, SinusoidalDrift
 from repro.simtime.hardware import HardwareClock
 from repro.sync.clocks import (
     GlobalClockLM,
@@ -30,6 +33,64 @@ def clocks():
         seed=st.integers(min_value=0, max_value=2**31),
         seglen=st.floats(min_value=0.05, max_value=5.0),
     )
+
+
+def drifts(seglen):
+    """One of the three drift families, for a clock of ``seglen``."""
+    skews = st.floats(min_value=-1e-4, max_value=1e-4, allow_nan=False)
+    return st.one_of(
+        st.builds(ConstantDrift, skew=skews),
+        st.builds(
+            lambda skew, seed: RandomWalkDrift(
+                initial_skew=skew, sigma=1e-7,
+                rng=np.random.default_rng(seed),
+            ),
+            skew=skews, seed=st.integers(min_value=0, max_value=2**31),
+        ),
+        st.builds(
+            lambda skew, period: SinusoidalDrift(
+                mean_skew=skew, amplitude=5e-6, period=period,
+                segment_length=seglen,
+            ),
+            skew=skews, period=st.floats(min_value=10.0, max_value=600.0),
+        ),
+    )
+
+
+@st.composite
+def quantized_clocks(draw):
+    seglen = draw(st.floats(min_value=0.05, max_value=5.0))
+    return HardwareClock(
+        offset=draw(st.floats(min_value=0.0, max_value=1e5)),
+        drift=draw(drifts(seglen)),
+        segment_length=seglen,
+        granularity=draw(st.sampled_from([0.0, 1e-9, 1e-6, 3.3e-7, 1e-3])),
+    )
+
+
+class TestReadIsOneBody:
+    """``HardwareClock.read`` writes ``quantize(read_raw(t), g)`` out."""
+
+    @given(
+        clk=quantized_clocks(),
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=80)
+    def test_read_is_quantized_read_raw_bit_for_bit(self, clk, times):
+        # Drawn order, so the segment table grows forwards and is then
+        # re-read backwards, as a run's clock reads do.
+        for t in times:
+            assert clk.read(t) == quantize(clk.read_raw(t), clk.granularity)
+        many = clk.read_many(np.array(times))
+        assert many.tolist() == [clk.read(t) for t in times]
+
+    @given(clk=quantized_clocks(), t=st.floats(max_value=-1e-12, min_value=-10))
+    @settings(max_examples=10)
+    def test_negative_time_still_rejected(self, clk, t):
+        with pytest.raises(ClockError):
+            clk.read(t)
 
 
 class TestHardwareClockProperties:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.errors import DeadlockError, MatchingError, SimulationError
+from repro.obs.events import ProcBlock, ProcWake
 from repro.simmpi.engine import (
     ElapseCmd,
     Engine,
@@ -200,6 +201,45 @@ class TestSsend:
             engine.run()
 
 
+    def test_released_sender_is_never_listed_as_blocked(self):
+        """From its ack wake to its next block a sender is runnable.
+
+        With the receiver already waiting, the send itself releases the
+        sender; marking it ``"ssend"`` after the hand-over left a runnable
+        rank in ``blocked_ranks()`` (and in a ``DeadlockError``'s states)
+        until its queue event popped.
+        """
+        released = set()
+        stale = []
+
+        class Watch:
+            def emit(self, event):
+                if type(event) is ProcWake and event.cause == "ack":
+                    released.add(event.rank)
+                elif type(event) is ProcBlock:
+                    released.discard(event.rank)
+                stale.extend(released.intersection(engine.blocked_ranks()))
+
+        engine = make_engine(network=infiniband_qdr(), sink=Watch())
+
+        def sender():
+            yield ElapseCmd(1.0)  # the receiver blocks first
+            for _ in range(3):
+                yield SendCmd(dest=1, tag=1, synchronous=True)
+                yield RecvCmd(source=1, tag=2)
+
+        def receiver():
+            for _ in range(3):
+                yield RecvCmd(source=0, tag=1)
+                yield SendCmd(dest=0, tag=2)  # emits while 0 is released
+
+        engine.bind(0, sender())
+        engine.bind(1, receiver())
+        engine.run()
+        assert engine.rendezvous_stalls == 3
+        assert stale == []
+
+
 class TestLifecycle:
     def test_deadlock_detected(self):
         engine = make_engine()
@@ -349,8 +389,10 @@ class TestStats:
         }
         assert stats["max_mailbox_depth"] >= 0
         assert stats["gate_deferrals"] >= 0
-        # Every delivery and wakeup pops the heap at least once.
-        assert stats["events_processed"] >= stats["messages_delivered"]
+        # Queue pops: the two starts.  Neither send was ahead of the
+        # frontier and the receiver found both messages in its mailbox.
+        assert stats["events_processed"] == 2
+        assert stats["gate_deferrals"] == 0
         assert stats["max_queue_depth"] >= 1
 
     def test_unreceived_messages_counted(self):
@@ -423,6 +465,125 @@ class TestStats:
         engine.bind(1, receiver())
         engine.run()
         assert engine.stats()["rendezvous_stalls"] == 1
+
+
+class TestGate:
+    """What ``events_processed`` and ``gate_deferrals`` count.
+
+    ``events_processed`` is queue pops.  A rank woken by a delivery runs
+    from the ready list, not through the queue, so pops can be fewer than
+    messages.  ``gate_deferrals`` counts ordered commands (a send, an
+    ``ANY_SOURCE`` receive) put back because another rank could still act
+    before them; nothing else is gated.
+    """
+
+    @pytest.mark.parametrize("network", [ideal_network, infiniband_qdr])
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_pingpong_never_touches_the_queue(self, network, n):
+        engine = make_engine(network=network())
+
+        def ping():
+            for i in range(n):
+                yield SendCmd(dest=1, tag=1, payload=i)
+                yield RecvCmd(source=1, tag=1)
+
+        def pong():
+            for _ in range(n):
+                msg = yield RecvCmd(source=0, tag=1)
+                yield SendCmd(dest=0, tag=1, payload=msg.payload)
+
+        engine.bind(0, ping())
+        engine.bind(1, pong())
+        engine.run()
+        stats = engine.stats()
+        assert stats["messages_delivered"] == 2 * n
+        assert stats["events_processed"] == 2  # the two starts
+        assert stats["gate_deferrals"] == 0
+
+    @staticmethod
+    def _sync_stats(label, seed=0):
+        from repro.sync.registry import algorithm_from_label
+
+        algorithm = algorithm_from_label(label, fitpoint_spacing=1e-3)
+        sim = Simulation(Machine(16, 1, 4, 4), infiniband_qdr(), seed=seed)
+
+        def main(ctx, comm):
+            yield from algorithm.sync_clocks(comm, ctx.hardware_clock)
+
+        return sim.run(main).engine_stats
+
+    def test_jk_is_serial_one_start_per_rank_one_deferral_per_client(self):
+        stats = self._sync_stats("jk/4/skampi_offset/3")
+        p = stats["num_ranks"]
+        assert stats["messages_sent"] > 20 * p
+        assert stats["events_processed"] == 2 * p - 1
+        assert stats["gate_deferrals"] == p - 1
+
+    def test_flat_hca3_is_one_event_per_message(self):
+        stats = self._sync_stats("hca3/recompute_intercept/4/skampi_offset/3")
+        p = stats["num_ranks"]
+        assert stats["events_processed"] <= stats["messages_sent"] + p
+        assert stats["gate_deferrals"] <= stats["messages_sent"]
+
+    #: command issued by rank 0 at t=1 while rank 1 is queued at t=0,
+    #: what rank 1 does so that rank 0 completes, deferrals expected.
+    AHEAD = {
+        "elapse": (lambda: ElapseCmd(1.0), None, 0),
+        "wait_until": (lambda: WaitUntilCmd(5.0), None, 0),
+        "recv_named": (
+            lambda: RecvCmd(source=1, tag=1), lambda: SendCmd(0, 1), 0,
+        ),
+        "send": (lambda: SendCmd(1, 1), lambda: RecvCmd(source=0, tag=1), 1),
+        "recv_any_source": (lambda: RecvCmd(), lambda: SendCmd(0, 1), 1),
+    }
+
+    def _ahead(self, name, **kw):
+        make_cmd, make_peer_cmd, deferrals = self.AHEAD[name]
+        engine = make_engine(**kw)
+
+        def ahead():
+            yield ElapseCmd(1.0)
+            yield make_cmd()
+
+        def peer():
+            if make_peer_cmd is not None:
+                yield make_peer_cmd()
+
+        engine.bind(0, ahead())
+        engine.bind(1, peer())
+        return engine, deferrals
+
+    @pytest.mark.parametrize("name", list(AHEAD))
+    def test_only_ordered_commands_are_gated(self, name):
+        engine, deferrals = self._ahead(name)
+        engine.run()
+        assert engine.gate_deferrals == deferrals
+        assert engine.events_processed == 2 + deferrals
+
+    def test_named_receive_is_ordered_under_a_stateful_injector(self):
+        """A receive can price a rendezvous ack through the injector; if
+        that hook keeps state between calls, its calls must come in
+        virtual-time order, so the receive is gated like a send."""
+        from repro.faults import FaultSchedule
+        from repro.faults.injector import FaultInjector
+
+        class Stateful(FaultInjector):
+            stateful_delays = True
+
+        for injector, deferrals in (
+            (FaultInjector(FaultSchedule("none")), 0),
+            (Stateful(FaultSchedule("none")), 1),
+        ):
+            engine, _ = self._ahead("recv_named", injector=injector)
+            engine.run()
+            assert engine.gate_deferrals == deferrals
+
+    @pytest.mark.parametrize("name", list(AHEAD))
+    def test_every_command_meets_the_horizon(self, name):
+        """Gated or not: a command issued past max_true_time raises."""
+        engine, _ = self._ahead(name, max_true_time=0.5)
+        with pytest.raises(SimulationError, match="max_true_time=0.5"):
+            engine.run()
 
 
 class TestDeterminism:

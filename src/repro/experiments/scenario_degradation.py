@@ -4,7 +4,7 @@ Not a figure of the paper, but the paper's central claim (hierarchical
 synchronization holds clock error at the microsecond level) invites the
 adversarial follow-up: *how gracefully does each algorithm family
 degrade when the honest-clock and well-behaved-link assumptions break?*
-This target runs every scenario preset (:mod:`repro.scenarios`) against
+This target runs the adversary presets (:mod:`repro.faults.scenarios`) against
 a grid of algorithm labels; each cell runs baseline and adversarial
 twins from identical seed streams (:mod:`repro.scenarios.runner`) and
 reports the measured max offset ratio plus the ground-truth error the
@@ -24,8 +24,17 @@ import json
 from dataclasses import dataclass, field
 
 from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
-from repro.scenarios import PRESETS, make_preset
+from repro.faults.scenarios import make_scenario
 from repro.scenarios.runner import CellResult, run_scenario_cell
+
+#: The table's rows.  The order fixes each cell's job seed.
+ROWS = (
+    "byzantine_rank",
+    "congested_fabric",
+    "delay_attack",
+    "rank_churn",
+    "region_tiers",
+)
 
 #: Experiment size per scale:
 #: (nodes, ranks/node, rounds, nexchanges, labels).
@@ -108,7 +117,6 @@ def run(
     ``jobs=N`` is bit-identical to ``jobs=1``.
     """
     num_nodes, ranks_per_node, rounds, nexchanges, labels = _SCALE[scale]
-    presets = sorted(PRESETS)
     result = ScenarioDegradationResult(
         scale=scale,
         seed=seed,
@@ -117,10 +125,10 @@ def run(
         rounds=rounds,
         labels=tuple(labels),
     )
-    seeds = job_seeds(seed, len(presets) * len(labels))
+    seeds = job_seeds(seed, len(ROWS) * len(labels))
     specs: list[JobSpec] = []
-    for preset_idx, preset in enumerate(presets):
-        scenario = make_preset(preset)
+    for preset_idx, preset in enumerate(ROWS):
+        scenario = make_scenario(preset)
         for label_idx, label in enumerate(labels):
             specs.append(JobSpec(
                 fn=_cell_job,

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.cluster.netmodels import infiniband_qdr
 from repro.cluster.topology import Machine
+from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultSchedule
 from repro.parallel import JobSpec, run_jobs
 from repro.obs.events import EventSink
@@ -177,6 +178,12 @@ def _run_recovery_scoped(
         ranks_per_node=ranks_per_node,
         name="faultbox",
     )
+    if scenario.of_kind("churn"):
+        raise ConfigurationError(
+            f"scenario {scenario.name!r} holds a churn entry, but churn "
+            f"acts between campaign rounds and a recovery run is a "
+            f"single run (see repro.scenarios.runner)"
+        )
     # Fail fast on scenarios that cannot act on this job — validated
     # here against the *evaluation* horizon (the Simulation re-validates
     # against its much larger hard time limit).

@@ -1,9 +1,17 @@
-"""Typed fault events and their dict round-trip.
+"""Typed disturbances and their dict round-trip.
 
-Each fault is a frozen dataclass with a ``kind`` tag, a ``start`` true
-time, a ``duration`` (0 for instantaneous faults), and a target.  The
-five kinds mirror the disturbances related work injects to stress sync
-algorithms (HyNTP's perturbation rejection, Skewless' frequency steps):
+Every scheduled disturbance — a fault of the machine or the move of an
+adversary — is one frozen dataclass with a ``kind`` tag, a ``start``
+true time and an optional ``length`` (``None`` = until the run ends).
+Construction range-checks the fields, ``validate(num_ranks, num_nodes,
+horizon)`` rejects an entry that cannot act on a concrete job *before*
+the run starts, and ``to_dict``/:func:`fault_from_dict` round-trip every
+entry through plain dicts (and therefore JSON) for scenario files.
+
+The ten kinds mirror what related work injects to stress sync algorithms
+(HyNTP's perturbation rejection, Skewless' frequency steps) and the
+assumptions the paper's hierarchy makes (honest clocks, well-behaved
+links).  Faults of the machine:
 
 * :class:`ClockStepFault` — NTP-discipline jump of a node clock's reading.
 * :class:`ClockFrequencyFault` — windowed skew excursion (thermal ramp)
@@ -15,17 +23,31 @@ algorithms (HyNTP's perturbation rejection, Skewless' frequency steps):
 * :class:`StragglerFault` — a rank/node computes slower (plus optional
   exponential OS noise) during the window.
 
-``to_dict``/:func:`fault_from_dict` round-trip every fault through plain
-dicts (and therefore JSON) for scenario files.
+Adversaries, which are often transient on purpose — a delay attack
+during the fit window corrupts the learned model; the same attack after
+sync only perturbs the accuracy check:
+
+* :class:`ByzantineClockAdversary` — ranks that lie about timestamps
+  during offset measurement.
+* :class:`DelayAttackAdversary` — asymmetric extra delay on chosen
+  directed links, the classic attack on two-way time transfer.
+* :class:`CongestionAdversary` — a CoDel-style bottleneck queue adding
+  sojourn-dependent queueing delay.
+* :class:`RegionTopologyAdversary` — region-tiered latency classes
+  (NA/EU/AS).
+* :class:`ChurnAdversary` — rank churn between campaign rounds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
+
+#: Directed rank pair: a message travelling ``src -> dst``.
+Link = tuple[int, int]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -33,41 +55,158 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _normalize_links(links) -> tuple[Link, ...]:
+    """JSON gives lists of lists; canonical form is a tuple of int pairs."""
+    return tuple((int(src), int(dst)) for src, dst in links)
+
+
 @dataclass(frozen=True)
-class _FaultBase:
-    """Shared fields/validation of every fault type."""
+class Fault:
+    """Shared window fields/validation of every disturbance kind.
+
+    Each kind adds its own fields and, last, a ``name`` that defaults to
+    its ``kind`` (error messages and the schedule order use it).
+    """
 
     kind: ClassVar[str] = "fault"
-    start: float
+    #: Whether the engine announces an entry of this kind before the run
+    #: (one ``FaultInject`` record, one bank ``fault`` marker).  The five
+    #: machine faults are; the adversary kinds never were (DESIGN §8).
+    announced: ClassVar[bool] = True
+    start: float = 0.0
+    length: float | None = None
 
     def __post_init__(self) -> None:
-        _require(self.start >= 0.0, f"fault start must be >= 0: {self}")
+        _require(self.start >= 0.0, f"{self.kind} start must be >= 0: {self}")
+        _require(
+            self.length is None or self.length > 0.0,
+            f"{self.kind} length must be > 0 (or None for the whole run)",
+        )
+
+    def _require_finite_window(self) -> None:
+        # Announced kinds are drawn as trace spans, which need an end.
+        _require(self.length is not None, f"{self.kind} length must be > 0")
 
     @property
     def duration(self) -> float:
-        return 0.0
+        """Seconds the entry acts for (``inf`` for a whole-run entry)."""
+        return float("inf") if self.length is None else self.length
 
     @property
     def end(self) -> float:
-        """True time at which the fault stops acting."""
+        """True time at which the entry stops acting."""
         return self.start + self.duration
 
     def active(self, true_time: float) -> bool:
-        """Whether the fault's window covers ``true_time``."""
+        """Whether the entry's window covers ``true_time``."""
         return self.start <= true_time < self.end
 
     def target(self) -> str:
         """Human-readable target descriptor (for obs events)."""
         return "cluster"
 
+    def sort_key(self) -> tuple:
+        """Position inside a schedule.
+
+        Entries of one kind are applied in this order, so it is part of
+        the simulated behaviour: announced kinds tie-break on their
+        target, the others on their name, as each did before the two
+        models were one.
+        """
+        return (
+            self.start,
+            self.kind,
+            self.target() if self.announced else self.name,
+        )
+
+    # ------------------------------------------------------------------
+    # Validation against a concrete job
+    # ------------------------------------------------------------------
+    def validate(
+        self,
+        num_ranks: int | None = None,
+        num_nodes: int | None = None,
+        horizon: float | None = None,
+    ) -> "Fault":
+        """Reject an entry that cannot act on the described job.
+
+        The base checks the start time against the run ``horizon`` — an
+        entry scheduled past the end of the run silently never fires,
+        which almost always means a mis-scaled scenario; each kind adds
+        the checks of its own targets (``rank`` < ``num_ranks``, ``node``
+        < ``num_nodes``, both endpoints of a keyed link).  ``None``
+        bounds skip that check; returns ``self`` so calls chain.
+        """
+        if horizon is not None and self.start >= horizon:
+            raise ConfigurationError(
+                f"fault {self.name!r} ({self.kind}) starts at "
+                f"t={self.start:g}s, at or beyond the run horizon "
+                f"{horizon:g}s — it would never fire"
+            )
+        return self
+
+    def _check_rank(
+        self, rank: int | None, num_ranks: int | None,
+        role: str = "targets rank",
+    ) -> None:
+        if (
+            num_ranks is not None
+            and rank is not None
+            and not 0 <= rank < num_ranks
+        ):
+            raise ConfigurationError(
+                f"fault {self.name!r} ({self.kind}) {role} {rank}, "
+                f"but the job has ranks 0..{num_ranks - 1}"
+            )
+
+    def _check_node(self, node: int | None, num_nodes: int | None) -> None:
+        if (
+            num_nodes is not None
+            and node is not None
+            and not 0 <= node < num_nodes
+        ):
+            raise ConfigurationError(
+                f"fault {self.name!r} ({self.kind}) targets node {node}, "
+                f"but the job has nodes 0..{num_nodes - 1}"
+            )
+
+    def _check_links(self, links, num_ranks: int | None) -> None:
+        _require(len(links) > 0, f"{self.kind} needs at least one link")
+        for src, dst in links:
+            _require(
+                src >= 0 and dst >= 0,
+                f"{self.kind} link ranks must be >= 0: ({src}, {dst})",
+            )
+            _require(
+                src != dst,
+                f"{self.kind} cannot target a self-link: ({src}, {dst})",
+            )
+            if num_ranks is not None and not (
+                src < num_ranks and dst < num_ranks
+            ):
+                raise ConfigurationError(
+                    f"fault {self.name!r} ({self.kind}) targets link "
+                    f"({src}, {dst}), but the job has ranks "
+                    f"0..{num_ranks - 1}"
+                )
+
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        out.update(dataclasses.asdict(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = [
+                    list(v) if isinstance(v, tuple) else v for v in value
+                ]
+            out[f.name] = value
         return out
 
 
+# ----------------------------------------------------------------------
+# Faults of the machine
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ClockStepFault(_FaultBase):
+class ClockStepFault(Fault):
     """Instantaneous jump of a node clock's reading (NTP step).
 
     ``step`` is the jump in seconds (negative = backward step, making
@@ -82,14 +221,23 @@ class ClockStepFault(_FaultBase):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _require(self.length is None, "a clock step is instantaneous")
         _require(self.step != 0.0, "clock step must be non-zero")
+
+    @property
+    def duration(self) -> float:
+        return 0.0
+
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        self._check_node(self.node, num_nodes)
+        return super().validate(num_ranks, num_nodes, horizon)
 
     def target(self) -> str:
         return "cluster" if self.node is None else f"node:{self.node}"
 
 
 @dataclass(frozen=True)
-class ClockFrequencyFault(_FaultBase):
+class ClockFrequencyFault(Fault):
     """Windowed oscillator-frequency excursion (thermal event).
 
     During ``[start, start + length)`` the node clock's skew is shifted
@@ -100,7 +248,6 @@ class ClockFrequencyFault(_FaultBase):
     """
 
     kind: ClassVar[str] = "clock_freq"
-    length: float = 0.0
     skew_delta: float = 0.0
     node: int | None = None
     shape: str = "triangle"
@@ -108,23 +255,23 @@ class ClockFrequencyFault(_FaultBase):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(self.length > 0.0, "clock_freq length must be > 0")
+        self._require_finite_window()
         _require(self.skew_delta != 0.0, "skew_delta must be non-zero")
         _require(
             self.shape in ("flat", "triangle"),
             f"unknown excursion shape {self.shape!r}",
         )
 
-    @property
-    def duration(self) -> float:
-        return self.length
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        self._check_node(self.node, num_nodes)
+        return super().validate(num_ranks, num_nodes, horizon)
 
     def target(self) -> str:
         return "cluster" if self.node is None else f"node:{self.node}"
 
 
 @dataclass(frozen=True)
-class LinkFault(_FaultBase):
+class LinkFault(Fault):
     """Windowed degradation of the network's delay draws.
 
     Within the window, every delay drawn at a matching topology level is
@@ -142,7 +289,6 @@ class LinkFault(_FaultBase):
     """
 
     kind: ClassVar[str] = "link"
-    length: float = 0.0
     level: str | None = None
     latency_factor: float = 1.0
     jitter: float = 0.0
@@ -154,7 +300,7 @@ class LinkFault(_FaultBase):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(self.length > 0.0, "link fault length must be > 0")
+        self._require_finite_window()
         _require(self.latency_factor > 0.0, "latency_factor must be > 0")
         _require(self.jitter >= 0.0, "jitter must be >= 0")
         _require(
@@ -179,9 +325,11 @@ class LinkFault(_FaultBase):
                 "a directed link fault cannot target a self-link",
             )
 
-    @property
-    def duration(self) -> float:
-        return self.length
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        # Both endpoints must exist or the fault never matches.
+        self._check_rank(self.src, num_ranks, "keys its link src to rank")
+        self._check_rank(self.dst, num_ranks, "keys its link dst to rank")
+        return super().validate(num_ranks, num_nodes, horizon)
 
     def matches_link(self, src: int | None, dst: int | None) -> bool:
         """Whether the fault applies to the directed message ``src→dst``.
@@ -200,7 +348,7 @@ class LinkFault(_FaultBase):
 
 
 @dataclass(frozen=True)
-class NicStormFault(_FaultBase):
+class NicStormFault(Fault):
     """A node NIC's serialization gap grows by ``gap_factor`` (backlog storm).
 
     Only affects inter-node traffic of networks with ``nic_gap > 0``;
@@ -208,26 +356,25 @@ class NicStormFault(_FaultBase):
     """
 
     kind: ClassVar[str] = "nic_storm"
-    length: float = 0.0
     node: int | None = None
     gap_factor: float = 4.0
     name: str = "nic_storm"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(self.length > 0.0, "nic_storm length must be > 0")
+        self._require_finite_window()
         _require(self.gap_factor > 1.0, "gap_factor must be > 1")
 
-    @property
-    def duration(self) -> float:
-        return self.length
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        self._check_node(self.node, num_nodes)
+        return super().validate(num_ranks, num_nodes, horizon)
 
     def target(self) -> str:
         return "all-nics" if self.node is None else f"node:{self.node}"
 
 
 @dataclass(frozen=True)
-class StragglerFault(_FaultBase):
+class StragglerFault(Fault):
     """A rank (or a whole node) computes slower during the window.
 
     Every ``elapse`` of a matching process is multiplied by ``slowdown``
@@ -237,7 +384,6 @@ class StragglerFault(_FaultBase):
     """
 
     kind: ClassVar[str] = "straggler"
-    length: float = 0.0
     rank: int | None = None
     node: int | None = None
     slowdown: float = 1.0
@@ -246,7 +392,7 @@ class StragglerFault(_FaultBase):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(self.length > 0.0, "straggler length must be > 0")
+        self._require_finite_window()
         _require(self.slowdown >= 1.0, "slowdown must be >= 1")
         _require(self.noise >= 0.0, "noise must be >= 0")
         _require(
@@ -254,9 +400,10 @@ class StragglerFault(_FaultBase):
             "straggler fault must slow something down",
         )
 
-    @property
-    def duration(self) -> float:
-        return self.length
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        self._check_rank(self.rank, num_ranks)
+        self._check_node(self.node, num_nodes)
+        return super().validate(num_ranks, num_nodes, horizon)
 
     def matches(self, rank: int, node: int) -> bool:
         if self.rank is not None:
@@ -273,13 +420,270 @@ class StragglerFault(_FaultBase):
         return "all-ranks"
 
 
-Fault = Union[
-    ClockStepFault,
-    ClockFrequencyFault,
-    LinkFault,
-    NicStormFault,
-    StragglerFault,
-]
+# ----------------------------------------------------------------------
+# Adversaries
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ByzantineClockAdversary(Fault):
+    """Ranks that lie about timestamps during offset measurement.
+
+    While active, every sync-protocol timestamp crossing a listed
+    rank's boundary (the ping-pong payloads of :mod:`repro.sync.offset`
+    it reports as a reference, or records as a client) is shifted by
+    ``bias`` seconds plus a zero-mean normal term of standard deviation
+    ``noise`` — the lie is injected at the message boundary, so honest
+    ranks fit their linear models against poisoned measurements while
+    ground-truth clocks stay untouched (which is what lets the
+    degradation harness score the damage).
+    """
+
+    kind: ClassVar[str] = "byzantine_clock"
+    announced: ClassVar[bool] = False
+    ranks: tuple[int, ...] = (1,)
+    bias: float = 0.0
+    noise: float = 0.0
+    name: str = "byzantine_clock"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        super().__post_init__()
+        _require(len(self.ranks) > 0, "byzantine adversary needs ranks")
+        _require(
+            all(r >= 0 for r in self.ranks),
+            "byzantine ranks must be >= 0",
+        )
+        _require(self.noise >= 0.0, "byzantine noise must be >= 0")
+        _require(
+            self.bias != 0.0 or self.noise > 0.0,
+            "byzantine adversary must lie somehow (bias or noise)",
+        )
+
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        for rank in self.ranks:
+            self._check_rank(rank, num_ranks)
+        return super().validate(num_ranks, num_nodes, horizon)
+
+
+@dataclass(frozen=True)
+class DelayAttackAdversary(Fault):
+    """Asymmetric/variable extra delay on chosen directed links.
+
+    Two-way time transfer assumes symmetric paths; adding
+    ``extra_delay`` seconds (plus exponential ``jitter``, times
+    ``factor``) to *one direction* of a link biases the estimated offset
+    by about half the asymmetry — the textbook delay attack.  ``links``
+    are directed ``(src, dst)`` rank pairs; list both directions to
+    model a symmetric (much less harmful) slowdown.
+    """
+
+    kind: ClassVar[str] = "delay_attack"
+    announced: ClassVar[bool] = False
+    links: tuple[Link, ...] = ((1, 0),)
+    extra_delay: float = 0.0
+    factor: float = 1.0
+    jitter: float = 0.0
+    name: str = "delay_attack"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "links", _normalize_links(self.links))
+        super().__post_init__()
+        self._check_links(self.links, None)
+        _require(self.extra_delay >= 0.0, "extra_delay must be >= 0")
+        _require(self.factor > 0.0, "delay factor must be > 0")
+        _require(self.jitter >= 0.0, "delay jitter must be >= 0")
+        _require(
+            self.extra_delay > 0.0 or self.factor != 1.0 or self.jitter > 0.0,
+            "delay attack must perturb something",
+        )
+
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        self._check_links(self.links, num_ranks)
+        return super().validate(num_ranks, num_nodes, horizon)
+
+
+@dataclass(frozen=True)
+class CongestionAdversary(Fault):
+    """A congested bottleneck with CoDel-style queueing delay.
+
+    Messages crossing a matching link (or any link at ``level``, e.g.
+    ``"REMOTE"``) pass through a single-server queue with deterministic
+    ``service_time`` per message: each one waits for the queue to drain
+    before adding its own service time, so sustained traffic builds
+    sojourn (queueing delay) exactly like a standing bottleneck buffer.
+    The AQM twist follows CoDel: once the sojourn has stayed above
+    ``codel_target`` for ``codel_interval`` seconds, the queue is
+    drained (the controller "drops" the standing backlog) and the
+    interval restarts — so the queueing delay saws between the target
+    and the uncontrolled peak rather than growing without bound.
+    """
+
+    kind: ClassVar[str] = "congestion"
+    announced: ClassVar[bool] = False
+    level: str | None = "REMOTE"
+    links: tuple[Link, ...] = ()
+    service_time: float = 20e-6
+    codel_target: float = 50e-6
+    codel_interval: float = 0.1
+    name: str = "congestion"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "links", _normalize_links(self.links))
+        super().__post_init__()
+        _require(self.service_time > 0.0, "service_time must be > 0")
+        _require(self.codel_target > 0.0, "codel_target must be > 0")
+        _require(self.codel_interval > 0.0, "codel_interval must be > 0")
+        _require(
+            self.level is not None or len(self.links) > 0,
+            "congestion adversary needs a level or explicit links",
+        )
+        if self.links:
+            self._check_links(self.links, None)
+
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        if self.links:
+            self._check_links(self.links, num_ranks)
+        return super().validate(num_ranks, num_nodes, horizon)
+
+
+@dataclass(frozen=True)
+class RegionTopologyAdversary(Fault):
+    """Region-tiered topology: NA/EU/AS-style latency classes.
+
+    Nodes are partitioned into ``regions`` (``"blocked"``: contiguous
+    node ranges; ``"round_robin"``: node i → region i mod k), and every
+    inter-node message between *different* regions gains
+    ``cross_latency`` seconds of one-way latency — the WAN gap that
+    turns a flat cluster into a geo-distributed one.  ``pair_latency``
+    overrides specific region pairs (key ``"A|B"`` with the names
+    sorted), e.g. making NA↔AS slower than NA↔EU.  Only REMOTE
+    (inter-node) traffic is priced, like the fabric hook.
+    """
+
+    kind: ClassVar[str] = "region_topology"
+    announced: ClassVar[bool] = False
+    regions: tuple[str, ...] = ("NA", "EU", "AS")
+    assignment: str = "blocked"
+    cross_latency: float = 30e-3
+    pair_latency: tuple[tuple[str, float], ...] = ()
+    name: str = "region_topology"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "regions", tuple(str(r) for r in self.regions)
+        )
+        object.__setattr__(
+            self,
+            "pair_latency",
+            tuple((str(k), float(v)) for k, v in self.pair_latency),
+        )
+        super().__post_init__()
+        _require(len(self.regions) >= 2, "need at least two regions")
+        _require(
+            len(set(self.regions)) == len(self.regions),
+            "region names must be unique",
+        )
+        _require(
+            self.assignment in ("blocked", "round_robin"),
+            f"unknown region assignment {self.assignment!r}",
+        )
+        _require(self.cross_latency >= 0.0, "cross_latency must be >= 0")
+        known = set(self.regions)
+        for key, value in self.pair_latency:
+            parts = key.split("|")
+            _require(
+                len(parts) == 2 and parts[0] < parts[1],
+                f"pair_latency key must be 'A|B' with A < B: {key!r}",
+            )
+            _require(
+                parts[0] in known and parts[1] in known,
+                f"pair_latency key names unknown regions: {key!r}",
+            )
+            _require(value >= 0.0, f"pair latency must be >= 0: {key!r}")
+        _require(
+            self.cross_latency > 0.0
+            or any(v > 0.0 for _, v in self.pair_latency),
+            "region adversary must price something",
+        )
+
+    def region_of(self, node: int, num_nodes: int) -> str:
+        """The region node ``node`` belongs to under this assignment."""
+        k = len(self.regions)
+        if self.assignment == "round_robin":
+            return self.regions[node % k]
+        # blocked: contiguous, nearly equal-size ranges.
+        return self.regions[min(k - 1, node * k // max(1, num_nodes))]
+
+    def latency_between(self, region_a: str, region_b: str) -> float:
+        """Extra one-way latency between two regions (0 within one)."""
+        if region_a == region_b:
+            return 0.0
+        key = "|".join(sorted((region_a, region_b)))
+        for k, v in self.pair_latency:
+            if k == key:
+                return v
+        return self.cross_latency
+
+
+@dataclass(frozen=True)
+class ChurnAdversary(Fault):
+    """Rank churn mid-campaign: the topology changes between rounds.
+
+    Mid-run membership change would deadlock MPI collectives (there is
+    no fault-tolerant MPI in the simulator), so churn acts at the
+    campaign level — each round of a scenario cell is one simulated
+    ``mpirun``, and this adversary reshapes the machine between rounds:
+
+    * ``"flap"`` — every ``period`` rounds the job alternates between
+      the base node count and ``base - drop`` (nodes leaving and
+      rejoining).
+    * ``"shrink"`` — ``drop`` nodes leave every ``period`` rounds,
+      floored at ``min_nodes``.
+    * ``"grow"`` — the job starts at ``min_nodes`` and gains ``drop``
+      nodes every ``period`` rounds, capped at the base count.
+
+    Sync state never survives a churn event: each round resynchronizes
+    from scratch on the new topology, which is exactly the cost the
+    degradation tables surface.
+    """
+
+    kind: ClassVar[str] = "churn"
+    announced: ClassVar[bool] = False
+    mode: str = "flap"
+    period: int = 1
+    drop: int = 1
+    min_nodes: int = 2
+    name: str = "churn"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require(
+            self.mode in ("flap", "shrink", "grow"),
+            f"unknown churn mode {self.mode!r}",
+        )
+        _require(self.period >= 1, "churn period must be >= 1")
+        _require(self.drop >= 1, "churn drop must be >= 1")
+        _require(self.min_nodes >= 1, "churn min_nodes must be >= 1")
+
+    def validate(self, num_ranks=None, num_nodes=None, horizon=None):
+        if num_nodes is not None and self.min_nodes > num_nodes:
+            raise ConfigurationError(
+                f"fault {self.name!r} ({self.kind}) keeps min "
+                f"{self.min_nodes} nodes, but the job only has {num_nodes}"
+            )
+        return super().validate(num_ranks, num_nodes, horizon)
+
+    def nodes_at(self, round_idx: int, base_nodes: int) -> int:
+        """Node count for campaign round ``round_idx`` (0-based)."""
+        steps = round_idx // self.period
+        if self.mode == "flap":
+            if steps % 2 == 0:
+                return base_nodes
+            return max(self.min_nodes, base_nodes - self.drop)
+        if self.mode == "shrink":
+            return max(self.min_nodes, base_nodes - steps * self.drop)
+        # grow
+        return min(base_nodes, self.min_nodes + steps * self.drop)
+
 
 FAULT_TYPES: dict[str, type] = {
     cls.kind: cls
@@ -289,6 +693,11 @@ FAULT_TYPES: dict[str, type] = {
         LinkFault,
         NicStormFault,
         StragglerFault,
+        ByzantineClockAdversary,
+        DelayAttackAdversary,
+        CongestionAdversary,
+        RegionTopologyAdversary,
+        ChurnAdversary,
     )
 }
 

@@ -1,4 +1,5 @@
-"""Preset fault scenarios.
+"""Preset scenarios: the one registry behind every ``--scenario`` flag,
+the recovery harness and the degradation table's rows.
 
 Each factory returns a :class:`~repro.faults.schedule.FaultSchedule`
 shaped after a disturbance class from the literature:
@@ -13,6 +14,15 @@ shaped after a disturbance class from the literature:
   measurement, Section II).
 * ``straggler_node`` — one node computes slower with heavy OS noise
   (the imbalance source of Figs. 7–8, but asymmetric).
+* ``delay_attack`` — asymmetric extra delay on the reference links, the
+  attack that defeats two-way time transfer.
+* ``byzantine_rank`` — ranks that lie about their timestamps during
+  offset measurement.
+* ``congested_fabric`` — a CoDel-controlled bottleneck queue on all
+  inter-node traffic.
+* ``region_tiers`` — NA/EU/AS latency tiers turn the cluster into a
+  geo-distributed one.
+* ``rank_churn`` — nodes leave and rejoin between campaign rounds.
 
 Factories take explicit times/magnitudes so experiments can scale them;
 the defaults fit a 60–120 s evaluation horizon.
@@ -20,14 +30,19 @@ the defaults fit a 60–120 s evaluation horizon.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.faults.model import (
+    ByzantineClockAdversary,
+    ChurnAdversary,
     ClockFrequencyFault,
     ClockStepFault,
+    CongestionAdversary,
+    DelayAttackAdversary,
     LinkFault,
     NicStormFault,
+    RegionTopologyAdversary,
     StragglerFault,
 )
 from repro.faults.schedule import FaultSchedule
@@ -138,11 +153,124 @@ def straggler_node(
     )
 
 
+def delay_attack(
+    links: Sequence[tuple[int, int]] = ((1, 0),),
+    extra_delay: float = 100e-6,
+    jitter: float = 10e-6,
+) -> FaultSchedule:
+    """Asymmetric delay attack on the reference links during sync."""
+    return FaultSchedule(
+        name="delay_attack",
+        description=(
+            f"asymmetric extra delay of {extra_delay:g}s on "
+            f"{len(tuple(links))} directed link(s) — defeats two-way "
+            f"time transfer"
+        ),
+        faults=[
+            DelayAttackAdversary(
+                links=tuple(links),
+                extra_delay=extra_delay,
+                jitter=jitter,
+            ),
+        ],
+    )
+
+
+def byzantine_rank(
+    ranks: Sequence[int] = (1,),
+    bias: float = 200e-6,
+    noise: float = 20e-6,
+) -> FaultSchedule:
+    """Ranks that lie about their timestamps during offset measurement."""
+    return FaultSchedule(
+        name="byzantine_rank",
+        description=(
+            f"rank(s) {tuple(ranks)} shift every sync timestamp by "
+            f"{bias:g}s (+{noise:g}s noise)"
+        ),
+        faults=[
+            ByzantineClockAdversary(
+                ranks=tuple(ranks), bias=bias, noise=noise
+            ),
+        ],
+    )
+
+
+def congested_fabric(
+    service_time: float = 15e-6,
+    codel_target: float = 60e-6,
+    codel_interval: float = 0.05,
+) -> FaultSchedule:
+    """A CoDel-controlled bottleneck on all inter-node traffic."""
+    return FaultSchedule(
+        name="congested_fabric",
+        description=(
+            f"REMOTE bottleneck queue, {service_time:g}s service time, "
+            f"CoDel target {codel_target:g}s / interval "
+            f"{codel_interval:g}s"
+        ),
+        faults=[
+            CongestionAdversary(
+                level="REMOTE",
+                service_time=service_time,
+                codel_target=codel_target,
+                codel_interval=codel_interval,
+            ),
+        ],
+    )
+
+
+def region_tiers(
+    cross_latency: float = 5e-3,
+    far_latency: float = 20e-3,
+) -> FaultSchedule:
+    """NA/EU/AS latency tiers: nearby regions close, AS far from both."""
+    return FaultSchedule(
+        name="region_tiers",
+        description=(
+            f"NA/EU/AS regions, {cross_latency:g}s cross-region latency "
+            f"({far_latency:g}s to AS)"
+        ),
+        faults=[
+            RegionTopologyAdversary(
+                regions=("NA", "EU", "AS"),
+                assignment="blocked",
+                cross_latency=cross_latency,
+                pair_latency=(
+                    ("AS|EU", far_latency),
+                    ("AS|NA", far_latency),
+                ),
+            ),
+        ],
+    )
+
+
+def rank_churn(
+    mode: str = "flap", drop: int = 2, min_nodes: int = 2
+) -> FaultSchedule:
+    """Nodes leave and rejoin between campaign rounds."""
+    return FaultSchedule(
+        name="rank_churn",
+        description=(
+            f"churn mode {mode!r}: {drop} node(s) per event, floor "
+            f"{min_nodes}"
+        ),
+        faults=[
+            ChurnAdversary(mode=mode, drop=drop, min_nodes=min_nodes),
+        ],
+    )
+
+
 SCENARIOS: dict[str, Callable[..., FaultSchedule]] = {
     "ntp_step": ntp_step,
     "thermal_cycle": thermal_cycle,
     "congestion_burst": congestion_burst,
     "straggler_node": straggler_node,
+    "delay_attack": delay_attack,
+    "byzantine_rank": byzantine_rank,
+    "congested_fabric": congested_fabric,
+    "region_tiers": region_tiers,
+    "rank_churn": rank_churn,
 }
 
 

@@ -1,10 +1,12 @@
-"""Scenario container: an ordered, serializable set of scheduled faults.
+"""The scenario container: an ordered, serializable set of scheduled faults.
 
-A :class:`FaultSchedule` is the unit a :class:`~repro.simmpi.simulation.Simulation`
-consumes: a named, deterministic list of faults sorted by start time.
-Schedules round-trip through plain dicts and JSON (``to_dict``/
-``from_dict``, ``save``/``load``), so scenarios can live in files next
-to experiment configs.
+A :class:`FaultSchedule` is the unit a :class:`~repro.simmpi.simulation.Simulation`,
+the recovery harness and the degradation cells consume: a named,
+deterministic list of faults and adversaries sorted by start time, plus
+the error budget a cell run under it is judged against.  Schedules
+round-trip through plain dicts and JSON (``to_dict``/``from_dict``,
+``save``/``load``), so scenarios — and the fuzzer's repro files — can
+live in files next to experiment configs.
 """
 
 from __future__ import annotations
@@ -18,35 +20,40 @@ from repro.faults.model import (
     ClockFrequencyFault,
     ClockStepFault,
     Fault,
-    LinkFault,
-    NicStormFault,
-    StragglerFault,
     fault_from_dict,
 )
+
+#: Default tolerated post-sync max |offset| (s) before a cell counts as
+#: blown.  Deliberately generous: the fuzzer hunts for *catastrophic*
+#: degradation and broken invariants, not ordinary accuracy loss.
+DEFAULT_ERROR_BUDGET = 50e-3
 
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """A named scenario: faults sorted by (start, kind, target)."""
+    """A named scenario: faults sorted by (start, kind, target or name)."""
 
     name: str
     faults: tuple[Fault, ...] = ()
     description: str = ""
+    error_budget: float = DEFAULT_ERROR_BUDGET
 
     def __init__(
         self,
         name: str,
         faults: Sequence[Fault] = (),
         description: str = "",
+        error_budget: float = DEFAULT_ERROR_BUDGET,
     ) -> None:
         if not name:
             raise ConfigurationError("a fault schedule needs a name")
-        ordered = tuple(
-            sorted(faults, key=lambda f: (f.start, f.kind, f.target()))
-        )
+        if not error_budget > 0.0:
+            raise ConfigurationError("error budget must be > 0")
+        ordered = tuple(sorted(faults, key=lambda f: f.sort_key()))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "faults", ordered)
         object.__setattr__(self, "description", description)
+        object.__setattr__(self, "error_budget", float(error_budget))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -66,6 +73,10 @@ class FaultSchedule:
             max(f.end for f in self.faults),
         )
 
+    def of_kind(self, kind: str) -> list[Fault]:
+        """The entries of one kind, in schedule order."""
+        return [f for f in self.faults if f.kind == kind]
+
     def clock_faults(
         self, node: int
     ) -> list[ClockStepFault | ClockFrequencyFault]:
@@ -76,15 +87,6 @@ class FaultSchedule:
             if isinstance(f, (ClockStepFault, ClockFrequencyFault))
             and (f.node is None or f.node == node)
         ]
-
-    def link_faults(self) -> list[LinkFault]:
-        return [f for f in self.faults if isinstance(f, LinkFault)]
-
-    def nic_faults(self) -> list[NicStormFault]:
-        return [f for f in self.faults if isinstance(f, NicStormFault)]
-
-    def straggler_faults(self) -> list[StragglerFault]:
-        return [f for f in self.faults if isinstance(f, StragglerFault)]
 
     # ------------------------------------------------------------------
     # Validation against a concrete job
@@ -97,65 +99,18 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """Reject faults that cannot act on the described job.
 
-        Checks every fault's target against the job shape (``rank`` must
-        be < ``num_ranks``, ``node`` < ``num_nodes``, and a link-keyed
-        fault's ``src``/``dst`` endpoint ranks must both exist) and its
-        start time against the run ``horizon`` — a fault scheduled past
-        the end of the run silently never fires, which almost always
-        means a mis-scaled scenario.  Raises
+        Every entry checks its own targets against the job shape and its
+        start time against the run ``horizon`` (see
+        :meth:`~repro.faults.model.Fault.validate`).  Raises
         :class:`~repro.errors.ConfigurationError` naming the first
         offending fault; returns ``self`` so calls chain.  ``None``
         bounds skip that check.
         """
         for f in self.faults:
-            rank = getattr(f, "rank", None)
-            if (
-                num_ranks is not None
-                and rank is not None
-                and not 0 <= rank < num_ranks
-            ):
-                raise ConfigurationError(
-                    f"fault {f.name!r} ({f.kind}) targets rank {rank}, "
-                    f"but the job has ranks 0..{num_ranks - 1}"
-                )
-            if num_ranks is not None:
-                # Directed link faults key on a (src, dst) rank pair;
-                # both endpoints must exist or the fault never matches.
-                for end in ("src", "dst"):
-                    endpoint = getattr(f, end, None)
-                    if endpoint is not None and not (
-                        0 <= endpoint < num_ranks
-                    ):
-                        raise ConfigurationError(
-                            f"fault {f.name!r} ({f.kind}) keys its link "
-                            f"{end} to rank {endpoint}, but the job has "
-                            f"ranks 0..{num_ranks - 1}"
-                        )
-            node = getattr(f, "node", None)
-            if (
-                num_nodes is not None
-                and node is not None
-                and not 0 <= node < num_nodes
-            ):
-                raise ConfigurationError(
-                    f"fault {f.name!r} ({f.kind}) targets node {node}, "
-                    f"but the job has nodes 0..{num_nodes - 1}"
-                )
-            if horizon is not None and f.start >= horizon:
-                raise ConfigurationError(
-                    f"fault {f.name!r} ({f.kind}) starts at t={f.start:g}s, "
-                    f"at or beyond the run horizon {horizon:g}s — it "
-                    f"would never fire"
-                )
+            f.validate(
+                num_ranks=num_ranks, num_nodes=num_nodes, horizon=horizon
+            )
         return self
-
-    @property
-    def has_engine_faults(self) -> bool:
-        """Whether any fault needs engine hooks (vs. clock-only wrapping)."""
-        return any(
-            isinstance(f, (LinkFault, NicStormFault, StragglerFault))
-            for f in self.faults
-        )
 
     # ------------------------------------------------------------------
     # Serialization
@@ -164,17 +119,31 @@ class FaultSchedule:
         return {
             "name": self.name,
             "description": self.description,
+            "error_budget": self.error_budget,
             "faults": [f.to_dict() for f in self.faults],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSchedule":
+        """Rebuild a schedule; any key ``to_dict`` does not write is an error.
+
+        A file in an older layout (``adversaries`` next to ``faults``)
+        must fail loudly rather than load without its adversaries and
+        replay "clean".
+        """
+        unknown = sorted(
+            set(data) - {"name", "description", "error_budget", "faults"}
+        )
+        if unknown:
+            raise ConfigurationError(
+                f"fault schedule dict has unknown key(s) {unknown}"
+            )
         try:
-            faults = [fault_from_dict(d) for d in data.get("faults", [])]
             return cls(
                 name=data["name"],
-                faults=faults,
+                faults=[fault_from_dict(d) for d in data.get("faults", [])],
                 description=data.get("description", ""),
+                error_budget=data.get("error_budget", DEFAULT_ERROR_BUDGET),
             )
         except KeyError as exc:
             raise ConfigurationError(
@@ -182,7 +151,7 @@ class FaultSchedule:
             ) from None
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":

@@ -29,13 +29,13 @@ fifth scans the service layer's stale-read-rate series:
   over the algorithm's expected O(log p) / O(p) bound) exceeds 1: the
   round's critical path is deeper than the algorithm's structure
   predicts — an early signal for delay attacks, congestion, or a
-  broken tree (the ROADMAP item-2 adversary scenarios).
+  broken tree (the adversary presets of :mod:`repro.faults.scenarios`).
 * **byzantine suspect** — one rank's mean |error| is a large multiple
   of its scope's population median: the classic signature of a rank
   whose clock (or whose timestamp reports, see
-  :mod:`repro.scenarios`) disagrees with an otherwise-converged
-  cohort.  Needs a minimum cohort size — outliers are only meaningful
-  against a population.
+  :class:`~repro.faults.model.ByzantineClockAdversary`) disagrees with
+  an otherwise-converged cohort.  Needs a minimum cohort size —
+  outliers are only meaningful against a population.
 * **congestion desync** — the network layer's ``net.queue_delay``
   series (queueing sojourn sampled by congestion adversaries) shows a
   sustained standing queue; escalates to critical when the same scope
@@ -63,7 +63,7 @@ STALE_METRIC = "service.stale_rate"
 #: (measured level depth / expected bound, deposited by --critical-path).
 DEPTH_METRIC = "sync.critical.depth_ratio"
 #: Metric (unscoped) name of the queueing-sojourn series (sampled by
-#: congestion adversaries, see repro.scenarios.apply).
+#: congestion adversaries, see repro.faults.injector).
 QUEUE_METRIC = "net.queue_delay"
 #: Marker metric names the detectors correlate against.
 RESYNC_MARKER = "resync"

@@ -1,61 +1,23 @@
-"""Adversarial scenario registry + standing fuzz rig.
+"""Scenario × algorithm cells and the standing fuzz rig.
 
-The paper's hierarchy assumes honest clocks and well-behaved links; this
-package stresses exactly those assumptions.  It layers *adversaries* —
-typed, declarative misbehaviour models — on top of the fault subsystem
-(:mod:`repro.faults`), composes them into named :class:`Scenario`\\ s,
-and applies them to simulated sync campaigns through the engine's
-injector/fabric hook points:
+The paper's hierarchy assumes honest clocks and well-behaved links; the
+disturbances that break those assumptions are fault kinds of
+:mod:`repro.faults`.  This package is the harness that runs them against
+sync algorithms:
 
-* :class:`~repro.scenarios.adversaries.ByzantineClockAdversary` — ranks
-  that lie about timestamps during offset measurement (payload
-  tampering at the sync-message boundary).
-* :class:`~repro.scenarios.adversaries.DelayAttackAdversary` —
-  asymmetric extra delay on chosen directed links, the classic attack
-  that defeats two-way time transfer.
-* :class:`~repro.scenarios.adversaries.CongestionAdversary` — a
-  CoDel-style bottleneck queue adding sojourn-dependent queueing delay.
-* :class:`~repro.scenarios.adversaries.RegionTopologyAdversary` —
-  region-tiered latency classes (NA/EU/AS) priced through the fabric
-  hook.
-* :class:`~repro.scenarios.adversaries.ChurnAdversary` — rank churn
-  between campaign rounds (topology swap per simulated mpirun).
+* :mod:`repro.scenarios.runner` — one scenario × algorithm *cell*:
+  baseline and adversarial twins from identical seed streams, scored on
+  measured offset and ground-truth error (churn reshapes the machine
+  between the cell's rounds).
+* :mod:`repro.scenarios.strategies` — Hypothesis strategies over the
+  scenario space, shared by the fuzzer and the property suite.
+* :mod:`repro.scenarios.fuzz` — ``python -m repro.scenarios.fuzz`` draws
+  random cells, runs them sanitizer-checked, and shrinks + archives
+  violations as replayable JSON repro files.
 
-On top sits a scenario fuzzer (``python -m repro.scenarios.fuzz``) that
-draws random scenario × algorithm cells from Hypothesis strategies, runs
-them sanitizer-checked, and shrinks + archives violations as replayable
-JSON repro files.  See DESIGN.md §16.
+See DESIGN.md §8.
 """
 
-from repro.scenarios.adversaries import (
-    ADVERSARY_TYPES,
-    Adversary,
-    ByzantineClockAdversary,
-    ChurnAdversary,
-    CongestionAdversary,
-    DelayAttackAdversary,
-    RegionTopologyAdversary,
-    adversary_from_dict,
-)
-from repro.scenarios.apply import AdversaryInjector, RegionFabric
-from repro.scenarios.scenario import (
-    PRESETS,
-    Scenario,
-    make_preset,
-)
+from repro.scenarios.runner import CellResult, RoundResult, run_scenario_cell
 
-__all__ = [
-    "ADVERSARY_TYPES",
-    "Adversary",
-    "AdversaryInjector",
-    "ByzantineClockAdversary",
-    "ChurnAdversary",
-    "CongestionAdversary",
-    "DelayAttackAdversary",
-    "PRESETS",
-    "RegionFabric",
-    "RegionTopologyAdversary",
-    "Scenario",
-    "adversary_from_dict",
-    "make_preset",
-]
+__all__ = ["CellResult", "RoundResult", "run_scenario_cell"]

@@ -34,8 +34,10 @@ import sys
 from repro.errors import InvariantViolation
 from repro.scenarios.runner import CellResult, run_scenario_cell
 
-#: Bumped when the repro-file layout changes incompatibly.
-REPRO_VERSION = 1
+#: Bumped when the repro-file layout changes incompatibly (2: a
+#: scenario is one ``faults`` list plus ``error_budget``, no
+#: ``adversaries``).
+REPRO_VERSION = 2
 
 
 def run_cell(cell: dict, check: str | None = "strict") -> CellResult:

@@ -1,6 +1,6 @@
 """Run one scenario × algorithm cell and score the degradation.
 
-A *cell* pairs one :class:`~repro.scenarios.scenario.Scenario` with one
+A *cell* pairs one :class:`~repro.faults.schedule.FaultSchedule` with one
 algorithm label (JK/HCA/HCA2/HCA3/hierarchical/ClockPropSync) on a small
 machine.  Each cell runs ``rounds`` simulated mpiruns twice — once clean
 (baseline) and once under the scenario, from identical seed streams — so
@@ -11,8 +11,8 @@ poison) and the *ground-truth* max error (what the oracle clocks say,
 which lies cannot hide).
 
 Churn adversaries reshape the machine between rounds (each round is one
-``mpirun``); every other adversary acts inside the run through
-:class:`~repro.scenarios.apply.AdversaryInjector`.
+``mpirun``); every other kind acts inside the run through
+:class:`~repro.faults.injector.FaultInjector`.
 
 Everything is reconstructed from primitive picklable arguments so cells
 fan out over :mod:`repro.parallel` workers bit-identically.
@@ -33,10 +33,9 @@ from repro.analysis.accuracy import (
     sync_then_check,
 )
 from repro.cluster.machines import MACHINES
+from repro.faults.schedule import FaultSchedule
 from repro.obs.timeseries import get_default_timeseries
 from repro.parallel import seed_int
-from repro.scenarios.apply import AdversaryInjector
-from repro.scenarios.scenario import Scenario
 from repro.simmpi.simulation import Simulation
 from repro.sync.offset import SKaMPIOffset
 from repro.sync.registry import algorithm_from_label
@@ -125,7 +124,7 @@ class CellResult:
 
 
 def _run_one(
-    scenario: Scenario | None,
+    scenario: FaultSchedule | None,
     label: str,
     spec,
     num_nodes: int,
@@ -157,20 +156,14 @@ def _run_one(
         algorithm, check_offset_alg, wait_times, sample_seed=sample_seed
     )
 
-    kwargs = {}
-    if scenario is not None:
-        kwargs["faults"] = scenario.faults
-        kwargs["injector"] = AdversaryInjector(
-            scenario, machine=machine, timeseries=bank
-        )
     with bank.scoped(scope) if bank is not None else nullcontext():
         sim = Simulation(
             machine=machine,
             network=spec.network(),
             seed=seedseq,
             fabric=spec.fabric(machine.num_nodes),
+            faults=scenario,
             check=check,
-            **kwargs,
         )
         values = sim.run(main).values
         duration, max_offsets = sync_check_outcome(values)
@@ -192,7 +185,7 @@ def _run_one(
 
 
 def run_scenario_cell(
-    scenario: Scenario | dict,
+    scenario: FaultSchedule | dict,
     label: str,
     *,
     spec_name: str = "jupiter",
@@ -216,15 +209,15 @@ def run_scenario_cell(
     failing cell.
     """
     if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
+        scenario = FaultSchedule.from_dict(scenario)
     spec = MACHINES[spec_name]
-    # Validate once against the *base* shape the scenario was authored
-    # for; churned rounds run smaller machines, where adversaries keyed
-    # to departed ranks/links simply stop matching.
+    # Validate against the *base* shape the scenario was authored for;
+    # each round's Simulation validates again against the shape churn
+    # left it, so rank/link keys must fit the churn floor.
     scenario.validate(
         num_ranks=num_nodes * ranks_per_node, num_nodes=num_nodes
     )
-    churn = scenario.churn
+    churn = scenario.of_kind("churn")
     round_seeds = [
         seed_int(child)
         for child in np.random.SeedSequence(seed).spawn(rounds)

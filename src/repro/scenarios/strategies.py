@@ -13,24 +13,23 @@ the error budget — the mode CI smoke runs use to guarantee the
 violation-archiving path is exercised deterministically.
 
 This module imports :mod:`hypothesis` at the top level on purpose;
-``repro.scenarios`` itself does not re-export it, so the registry stays
-importable without Hypothesis installed.
+``repro.scenarios`` itself does not re-export it, so the cell runner
+stays importable without Hypothesis installed.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.faults.model import LinkFault
-from repro.faults.schedule import FaultSchedule
-from repro.scenarios.adversaries import (
+from repro.faults.model import (
     ByzantineClockAdversary,
     ChurnAdversary,
     CongestionAdversary,
     DelayAttackAdversary,
+    LinkFault,
     RegionTopologyAdversary,
 )
-from repro.scenarios.scenario import Scenario
+from repro.faults.schedule import FaultSchedule
 
 #: Valid labels spanning all six algorithm families the fuzzer targets
 #: (JK, HCA, HCA2, HCA3, hierarchical HCA, ClockPropagation).
@@ -140,18 +139,17 @@ def adversaries(
 
 
 @st.composite
-def link_fault_schedules(draw, num_ranks: int, horizon: float = 1.0):
-    """A plain FaultSchedule with one link-keyed LinkFault (or broadcast)."""
+def link_faults(draw, num_ranks: int, horizon: float = 1.0):
+    """One link-keyed :class:`LinkFault` (or a broadcast one)."""
     src, dst = draw(links(num_ranks))
     directed = draw(st.booleans())
-    fault = LinkFault(
+    return LinkFault(
         start=draw(st.sampled_from([0.0, horizon * 0.2])),
         length=horizon * 0.5,
         latency_factor=draw(st.sampled_from([2.0, 5.0])),
         src=src if directed else None,
         dst=dst if directed else None,
     )
-    return FaultSchedule(name="fuzz-faults", faults=[fault])
 
 
 @st.composite
@@ -162,38 +160,33 @@ def scenarios(
     max_adversaries: int = 2,
     hostile: bool = False,
 ):
-    """A valid scenario: 1..max adversaries, optionally plus faults.
+    """A valid scenario: 1..max adversaries, optionally plus a link fault.
 
     When a churn adversary is drawn, every rank/link-keyed adversary and
     fault is keyed inside the churn *floor* shape (min_nodes nodes), so
     it stays in range — and keeps matching — on every churned round.
     """
     n = draw(st.integers(min_value=1, max_value=max_adversaries))
-    advs = []
+    entries = []
     key_ranks, key_nodes = num_ranks, num_nodes
     if num_nodes > 2 and draw(st.booleans()):
         churn = draw(churn_adversaries(num_nodes))
-        advs.append(churn)
+        entries.append(churn)
         key_nodes = churn.min_nodes
         key_ranks = key_nodes * (num_ranks // num_nodes)
-    while len(advs) < n:
-        advs.append(draw(adversaries(
+    while len(entries) < n:
+        entries.append(draw(adversaries(
             key_ranks, key_nodes, hostile=hostile, include_churn=False,
         )))
-    faults = draw(
-        st.one_of(st.none(), link_fault_schedules(key_ranks))
-    )
+    fault = draw(st.one_of(st.none(), link_faults(key_ranks)))
+    if fault is not None:
+        entries.append(fault)
     budget = (
         draw(st.sampled_from([1e-6, 10e-6]))
         if hostile
         else draw(st.sampled_from([10e-3, 50e-3]))
     )
-    return Scenario(
-        name="fuzz",
-        adversaries=advs,
-        faults=faults,
-        error_budget=budget,
-    )
+    return FaultSchedule(name="fuzz", faults=entries, error_budget=budget)
 
 
 @st.composite

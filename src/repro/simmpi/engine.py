@@ -159,6 +159,13 @@ class SendRecvCmd:
             )
 
 
+#: Tag of the offset ping-pong traffic (within the comm's user-tag
+#: space).  It lives next to the leg shapes, below the sync layer, so
+#: that the fault injector can tell a sync timestamp on the wire without
+#: importing :mod:`repro.sync`, which imports this module.
+PINGPONG_TAG = 7
+
+
 class ExchangeShape(enum.Enum):
     """The ping-pong leg shapes of the paper's Appendix A, as
     :mod:`repro.sync.offset` plays them (``ping`` travels initiator →

@@ -127,15 +127,13 @@ class Simulation:
 
         ``faults`` injects a scheduled disturbance scenario (see
         :mod:`repro.faults`): clock faults wrap the affected node clocks
-        at construction; network/compute faults are applied by the
-        engine at their exact virtual times.  Deterministic per seed.
+        at construction; network/compute faults and adversaries are
+        applied by the engine at their exact virtual times.
+        Deterministic per seed.
 
         ``injector`` overrides the engine-side injector built from
-        ``faults`` — the adversarial scenario layer
-        (:mod:`repro.scenarios`) passes a subclass here that adds delay
-        attacks, byzantine payload tampering, and congestion queueing on
-        top of the plain fault hooks.  When given, it is used as-is
-        (``faults`` still wraps clocks and is validated).
+        ``faults``.  When given, it is used as-is (``faults`` still
+        wraps clocks and is validated).
 
         ``seed`` may be a plain integer or a ``numpy.random.SeedSequence``
         (e.g. a child spawned by the parallel campaign executor); engine
@@ -205,7 +203,12 @@ class Simulation:
             )
         if injector is None:
             injector = (
-                FaultInjector(faults, node_of=machine.node_of)
+                FaultInjector(
+                    faults,
+                    node_of=machine.node_of,
+                    num_nodes=machine.num_nodes,
+                    timeseries=self.timeseries,
+                )
                 if faults is not None and len(faults)
                 else None
             )

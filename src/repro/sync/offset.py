@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import SyncError
 from repro.obs.events import PhaseBegin, PhaseEnd
-from repro.simmpi.engine import ExchangeShape
+from repro.simmpi.engine import PINGPONG_TAG, ExchangeShape
 from repro.simtime.base import Clock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire size of one timestamp message (a double).
 TIMESTAMP_BYTES = 8
-#: Tag used by offset ping-pong traffic (within the comm's user-tag space).
-PINGPONG_TAG = 7
 
 
 @dataclass(frozen=True)

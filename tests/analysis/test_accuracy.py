@@ -15,8 +15,8 @@ from repro.cluster.machines import JUPITER
 from repro.cluster.netmodels import infiniband_qdr
 from repro.experiments.common import QUICK, run_sync_accuracy_campaign
 from repro.obs.timeseries import TimeSeriesBank, default_timeseries
+from repro.faults.scenarios import make_scenario
 from repro.scenarios.runner import run_scenario_cell
-from repro.scenarios.scenario import make_preset
 from repro.simtime.drift import ConstantDrift
 from repro.simtime.hardware import HardwareClock
 from repro.simtime.sources import CLOCK_GETTIME
@@ -152,7 +152,7 @@ class TestSampleClockHealth:
     def test_scenario_round_deposits_15_points_per_rank(self):
         with default_timeseries(TimeSeriesBank()) as bank:
             run_scenario_cell(
-                make_preset("delay_attack"), "hca/4/skampi_offset/4",
+                make_scenario("delay_attack"), "hca/4/skampi_offset/4",
                 num_nodes=4, ranks_per_node=1, nexchanges=4, rounds=1,
             )
         assert self.error_counts(bank) == {15}

@@ -1,4 +1,8 @@
-"""Tests for engine-level fault injection (links, NICs, stragglers)."""
+"""Tests for engine-level fault injection (links, NICs, stragglers).
+
+The adversary kinds' side of the same injector is
+``tests/scenarios/test_apply.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +10,16 @@ import pytest
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.faults.injector import FaultInjector
-from repro.faults.model import LinkFault, NicStormFault, StragglerFault
+from repro.faults.model import (
+    ChurnAdversary,
+    ClockStepFault,
+    CongestionAdversary,
+    DelayAttackAdversary,
+    LinkFault,
+    NicStormFault,
+    RegionTopologyAdversary,
+    StragglerFault,
+)
 from repro.faults.schedule import FaultSchedule
 from repro.faults.scenarios import make_scenario
 from repro.obs.events import FaultInject, RecordingSink
@@ -133,7 +146,89 @@ class TestFaultInjectorUnit:
         assert {e.kind for e in events} == {"link", "nic_storm"}
 
 
+    def test_only_machine_faults_are_announced(self):
+        """Kept from before the models were one: adversary kinds emit no
+        ``FaultInject`` record (and so no bank ``fault`` marker)."""
+        sched = FaultSchedule(name="s", faults=[
+            LinkFault(start=1.0, length=1.0, latency_factor=2.0),
+            DelayAttackAdversary(extra_delay=1e-6),
+            CongestionAdversary(),
+            ChurnAdversary(),
+        ])
+        assert [e.kind for e in FaultInjector(sched).schedule_events()] == \
+            ["link"]
+
+    def test_delay_composition_order(self):
+        """One message matched by all four delay stages at once: link
+        fault, then delay attack, then queue sojourn, then region
+        latency.  The stages do not commute (the attack's ``factor``
+        multiplies what the link fault left, the sojourn and the WAN gap
+        add to it), so the expected value pins the order."""
+        injector = FaultInjector(
+            FaultSchedule(name="s", faults=[
+                RegionTopologyAdversary(
+                    regions=("NA", "EU"), cross_latency=5e-3
+                ),
+                CongestionAdversary(
+                    level="REMOTE", service_time=10e-6, codel_target=1.0
+                ),
+                DelayAttackAdversary(
+                    links=((0, 3),), factor=2.0, extra_delay=1e-4
+                ),
+                LinkFault(start=0.0, length=5.0, latency_factor=3.0),
+            ]),
+            node_of=lambda rank: rank // 2,
+            num_nodes=2,
+        )
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+
+        def price(time):
+            return injector.perturb_delay(
+                time, Level.REMOTE, 2e-6, rng, src=0, dst=3
+            )
+
+        attacked = (2e-6 * 3.0) * 2.0 + 1e-4
+        # First message: empty queue, so no sojourn term.
+        assert price(1.0) == attacked + 5e-3
+        # Second one, 1 us later, waits 9 us for the server.
+        sojourn = (1.0 + 10e-6) - (1.0 + 1e-6)
+        assert price(1.0 + 1e-6) == (attacked + sojourn) + 5e-3
+        assert (
+            injector.delays_perturbed, injector.attack_delays_applied,
+            injector.queue_delays_applied, injector.region_delays_applied,
+        ) == (2, 2, 1, 2)
+        # Nothing here is random: the stream was not touched.
+        assert rng.bit_generator.state == state
+
+
 class TestEngineIntegration:
+    def test_schedule_without_engine_entries_is_bit_identical(self):
+        """Clock wrapping and churn act outside the engine; an injector
+        holding nothing else must not move a single event."""
+        def body(ctx, comm):
+            for _ in range(8):
+                yield from comm.bcast(
+                    ctx.rank if comm.rank == 0 else None, root=0
+                )
+                yield from ctx.elapse(1e-3)
+            return ctx.now
+
+        def run(faults):
+            sink = RecordingSink()
+            sim = make_sim(faults, network=infiniband_qdr(), sink=sink)
+            result = sim.run(body)
+            events = [e for e in sink.events if type(e) is not FaultInject]
+            return result.values, result.engine_stats, events
+
+        inert = FaultSchedule(name="inert", faults=[
+            ChurnAdversary(),
+            # A step past the end of the body: announced, never observed.
+            ClockStepFault(start=50.0, step=1e-3, node=1),
+        ])
+        assert make_sim(inert).engine.injector is not None
+        assert run(inert) == run(None)
+
     def test_straggler_stretches_elapse(self):
         faults = FaultSchedule(name="s", faults=[
             StragglerFault(start=0.0, length=100.0, rank=1, slowdown=2.0),

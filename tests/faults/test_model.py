@@ -1,13 +1,22 @@
 """Tests for fault types, schedules, and preset scenarios."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.model import (
+    FAULT_TYPES,
+    ByzantineClockAdversary,
+    ChurnAdversary,
     ClockFrequencyFault,
     ClockStepFault,
+    CongestionAdversary,
+    DelayAttackAdversary,
     LinkFault,
     NicStormFault,
+    RegionTopologyAdversary,
     StragglerFault,
     fault_from_dict,
 )
@@ -21,6 +30,92 @@ ALL_FAULTS = [
     NicStormFault(start=20.0, length=10.0, node=2, gap_factor=6.0),
     StragglerFault(start=20.0, length=15.0, node=1, slowdown=4.0),
 ]
+
+#: One case per kind of the model: an instance keyed outside a 4-rank /
+#: 2-node job, a field override its constructor must refuse, and the job
+#: shape ``validate`` must refuse it on (``None``: the kind keys nothing).
+KIND_CASES = [
+    (ClockStepFault(start=1.0, step=1e-3, node=3),
+     {"step": 0.0}, "non-zero",
+     {"num_nodes": 2}, "targets node 3"),
+    (ClockFrequencyFault(start=1.0, length=5.0, skew_delta=1e-6, node=3),
+     {"shape": "sawtooth"}, "unknown excursion shape",
+     {"num_nodes": 2}, "targets node 3"),
+    (LinkFault(start=1.0, length=5.0, latency_factor=2.0, src=5, dst=0),
+     {"outlier_prob": 1.5}, "outlier_prob",
+     {"num_ranks": 4}, "src to rank 5"),
+    (NicStormFault(start=1.0, length=5.0, node=3),
+     {"gap_factor": 1.0}, "gap_factor",
+     {"num_nodes": 2}, "targets node 3"),
+    (StragglerFault(start=1.0, length=5.0, rank=5, slowdown=2.0),
+     {"slowdown": 0.5}, "slowdown must be >= 1",
+     {"num_ranks": 4}, "targets rank 5"),
+    (ByzantineClockAdversary(ranks=(1, 5), bias=2e-4, noise=1e-5),
+     {"noise": -1.0}, "noise must be >= 0",
+     {"num_ranks": 4}, "targets rank 5"),
+    (DelayAttackAdversary(links=((1, 0), (5, 0)), extra_delay=1e-4,
+                          start=0.5, length=3.0),
+     {"factor": 0.0}, "factor must be > 0",
+     {"num_ranks": 4}, r"targets link \(5, 0\)"),
+    (CongestionAdversary(level=None, links=((5, 0),)),
+     {"service_time": 0.0}, "service_time must be > 0",
+     {"num_ranks": 4}, r"targets link \(5, 0\)"),
+    (RegionTopologyAdversary(regions=("AS", "EU", "NA"),
+                             pair_latency=(("AS|NA", 20e-3),)),
+     {"assignment": "random"}, "unknown region assignment",
+     None, None),
+    (ChurnAdversary(mode="shrink", period=2, min_nodes=4),
+     {"period": 0}, "period must be >= 1",
+     {"num_nodes": 2}, "keeps min 4 nodes"),
+]
+ALL_KINDS = [case[0] for case in KIND_CASES]
+per_kind = pytest.mark.parametrize(
+    "case", KIND_CASES, ids=lambda case: case[0].kind
+)
+
+
+class TestKinds:
+    """What all ten kinds share, checked on each."""
+
+    def test_the_table_covers_the_registry(self):
+        assert [f.kind for f in ALL_KINDS] == list(FAULT_TYPES)
+
+    @per_kind
+    def test_round_trips_through_dict_and_json(self, case):
+        fault = case[0]
+        data = fault.to_dict()
+        assert data["kind"] == fault.kind
+        assert fault_from_dict(data) == fault
+        # Real JSON, not just dict copying: tuples come back as lists.
+        assert fault_from_dict(json.loads(json.dumps(data))) == fault
+
+    @per_kind
+    def test_constructor_range_checks(self, case):
+        fault, bad, match = case[:3]
+        with pytest.raises(ConfigurationError, match=match):
+            dataclasses.replace(fault, **bad)
+        with pytest.raises(ConfigurationError, match="start must be >= 0"):
+            dataclasses.replace(fault, start=-1.0)
+        with pytest.raises(ConfigurationError, match="length must be > 0"):
+            dataclasses.replace(fault, length=0.0)
+
+    @per_kind
+    def test_validate_checks_the_job_shape(self, case):
+        fault, _, _, shape, match = case
+        assert fault.validate() is fault  # None bounds skip every check
+        if shape is None:
+            assert fault.validate(num_ranks=1, num_nodes=1) is fault
+            return
+        with pytest.raises(ConfigurationError, match=match):
+            fault.validate(**shape)
+        assert fault.validate(num_ranks=8, num_nodes=4) is fault
+
+    @per_kind
+    def test_validate_checks_the_horizon(self, case):
+        fault = case[0]
+        with pytest.raises(ConfigurationError, match="would never fire"):
+            fault.validate(horizon=fault.start)
+        assert fault.validate(horizon=fault.start + 0.5) is fault
 
 
 class TestFaultTypes:
@@ -111,11 +206,9 @@ class TestFaultSchedule:
             name="c", faults=[ClockStepFault(start=1.0, step=1e-3)]
         )
         assert len(cluster_step.clock_faults(node=7)) == 1
-        assert len(sched.link_faults()) == 1
-        assert len(sched.nic_faults()) == 1
-        assert len(sched.straggler_faults()) == 1
-        assert sched.has_engine_faults
-        assert not cluster_step.has_engine_faults
+        for kind in ("link", "nic_storm", "straggler"):
+            assert [f.kind for f in sched.of_kind(kind)] == [kind]
+        assert cluster_step.of_kind("link") == []
 
     def test_json_round_trip(self):
         sched = FaultSchedule(name="s", description="d", faults=ALL_FAULTS)
@@ -134,6 +227,38 @@ class TestFaultSchedule:
     def test_from_dict_missing_name(self):
         with pytest.raises(ConfigurationError):
             FaultSchedule.from_dict({"faults": []})
+
+    def test_from_dict_names_unknown_keys(self):
+        """A hand-written file in the old two-container layout must not
+        load without its adversaries."""
+        data = FaultSchedule(name="s", faults=ALL_FAULTS).to_dict()
+        data["adversaries"] = [ALL_KINDS[5].to_dict()]
+        with pytest.raises(ConfigurationError, match="adversaries"):
+            FaultSchedule.from_dict(data)
+
+    def test_json_is_key_sorted_and_carries_the_budget(self):
+        sched = FaultSchedule(name="s", faults=ALL_KINDS, error_budget=1e-3)
+        text = sched.to_json()
+        assert text == json.dumps(sched.to_dict(), indent=2, sort_keys=True)
+        assert FaultSchedule.from_json(text).error_budget == 1e-3
+
+    def test_same_kind_entries_keep_their_relative_order(self):
+        """Machine faults tie-break on target, adversaries on name, and
+        what is left keeps construction order (the sort is stable)."""
+        storms = [
+            NicStormFault(start=1.0, length=1.0, node=1, name="a"),
+            NicStormFault(start=1.0, length=1.0, node=0, name="b"),
+        ]
+        attacks = [
+            DelayAttackAdversary(links=((3, 0),), extra_delay=1e-6),
+            DelayAttackAdversary(links=((2, 0),), extra_delay=1e-6),
+            DelayAttackAdversary(extra_delay=1e-6, name="a"),
+        ]
+        sched = FaultSchedule(name="s", faults=storms + attacks)
+        assert sched.of_kind("nic_storm") == [storms[1], storms[0]]
+        assert sched.of_kind("delay_attack") == [
+            attacks[2], attacks[0], attacks[1],
+        ]
 
 
 class TestScenarios:

@@ -52,6 +52,24 @@ class TestRecovery:
         assert resync.tail_max() < base.tail_max() / 2
         assert resync.resync_rounds > 1
 
+    def test_whole_run_adversary_is_all_during(self):
+        """``--scenario delay_attack``: the attack has no end, so every
+        sample of both policies falls in the ``during`` phase."""
+        from repro.experiments import fault_recovery
+
+        reports = fault_recovery.run(
+            scale="quick", seed=0, scenario="delay_attack"
+        )
+        for policy in ("baseline", "resync"):
+            report = reports[policy]
+            assert report.scenario == "delay_attack"
+            phases = report.phases
+            assert phases["during"].nsamples == len(report.samples) > 0
+            assert phases["before"].nsamples == 0
+            assert phases["after"].nsamples == 0
+        assert reports["resync"].resync_rounds > 1
+        assert "delay_attack" in fault_recovery.format_result(reports)
+
     def test_report_dict_shape(self):
         report = run_recovery(
             make_scenario("ntp_step"), resync_age=8.0, **QUICK

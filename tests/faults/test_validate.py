@@ -13,7 +13,7 @@ from repro.faults.model import (
     StragglerFault,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.faults.scenarios import ntp_step
+from repro.faults.scenarios import ntp_step, rank_churn
 
 
 def schedule(*faults):
@@ -127,6 +127,16 @@ class TestValidationWiring:
             run_recovery(
                 ntp_step(at=500.0), resync_age=None, horizon=20.0,
                 num_nodes=2, ranks_per_node=1,
+            )
+
+    def test_run_recovery_rejects_churn(self):
+        """A recovery run is one mpirun; churn has nothing to act on."""
+        with pytest.raises(
+            ConfigurationError, match="churn acts between campaign rounds"
+        ):
+            run_recovery(
+                rank_churn(), resync_age=None, horizon=15.0,
+                num_nodes=4, ranks_per_node=1,
             )
 
     def test_run_recovery_accepts_valid_scenario(self):

@@ -20,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.netmodels import infiniband_qdr
+from repro.faults import (
+    ByzantineClockAdversary, FaultInjector, FaultSchedule,
+)
 from repro.obs import SpanRecorder
 from repro.obs.events import RecordingSink
-from repro.scenarios.adversaries import ByzantineClockAdversary
-from repro.scenarios.apply import AdversaryInjector
-from repro.scenarios.scenario import Scenario
 from repro.simmpi.engine import (
     ExchangeCmd,
     ExchangeShape,
@@ -162,7 +162,7 @@ def test_exchange_equals_the_written_out_loop(nodes, rpn, seed, steps, loud):
 def test_a_byzantine_rank_tampers_with_every_leg(nodes, rpn, seed, steps):
     runs = []
     for fused in (True, False):
-        injector = AdversaryInjector(Scenario(name="liar", adversaries=[
+        injector = FaultInjector(FaultSchedule(name="liar", faults=[
             ByzantineClockAdversary(ranks=(1,), bias=1e-3, noise=1e-6),
         ]))
         runs.append((

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios.adversaries import adversary_from_dict
-from repro.scenarios.scenario import Scenario
+from repro.faults.model import fault_from_dict
+from repro.faults.schedule import FaultSchedule
 from repro.scenarios.strategies import (
     CELL_LABELS,
     adversaries,
@@ -34,7 +34,7 @@ from repro.scenarios.strategies import (
     churn_adversaries,
     congestion_adversaries,
     delay_attack_adversaries,
-    link_fault_schedules,
+    link_faults,
     region_adversaries,
     scenarios,
 )
@@ -54,21 +54,21 @@ class TestAdversaryRoundTrips:
     @given(adv=any_adversary)
     @SETTINGS
     def test_dict_round_trip(self, adv):
-        assert adversary_from_dict(adv.to_dict()) == adv
+        assert fault_from_dict(adv.to_dict()) == adv
 
     @given(adv=any_adversary)
     @SETTINGS
     def test_json_round_trip(self, adv):
         """to_dict output survives real JSON, not just dict copying."""
         data = json.loads(json.dumps(adv.to_dict()))
-        assert adversary_from_dict(data) == adv
+        assert fault_from_dict(data) == adv
 
     @given(adv=any_adversary)
     @SETTINGS
     def test_round_trip_is_not_identity_blind(self, adv):
         """The reconstructed instance behaves, not just compares, the
         same: window membership agrees at the boundary instants."""
-        twin = adversary_from_dict(adv.to_dict())
+        twin = fault_from_dict(adv.to_dict())
         for t in (0.0, adv.start, adv.start + 1e-9, 1.0, 1e9):
             assert twin.active(t) == adv.active(t)
 
@@ -109,12 +109,10 @@ class TestStrategyValidity:
             nodes = adv.nodes_at(round_idx, NUM_NODES)
             assert adv.min_nodes <= nodes <= NUM_NODES
 
-    @given(faults=link_fault_schedules(NUM_RANKS))
+    @given(fault=link_faults(NUM_RANKS))
     @SETTINGS
-    def test_fault_schedules_fit_their_shape(self, faults):
-        assert faults.validate(
-            num_ranks=NUM_RANKS, horizon=1.0
-        ) is faults
+    def test_fault_schedules_fit_their_shape(self, fault):
+        assert fault.validate(num_ranks=NUM_RANKS, horizon=1.0) is fault
 
 
 class TestScenarioProperties:
@@ -124,25 +122,21 @@ class TestScenarioProperties:
         assert scenario.validate(
             num_ranks=NUM_RANKS, num_nodes=NUM_NODES
         ) is scenario
-        assert Scenario.from_json(scenario.to_json()) == scenario
+        assert FaultSchedule.from_json(scenario.to_json()) == scenario
 
     @given(scenario=scenarios(NUM_RANKS, NUM_NODES))
     @SETTINGS
     def test_churned_scenarios_valid_on_floor_shape(self, scenario):
         """Rank/link keys drawn alongside churn stay valid on the
         smallest round the churn can produce."""
-        for churn in scenario.churn:
+        for churn in scenario.of_kind("churn"):
             floor_nodes = min(
                 churn.nodes_at(i, NUM_NODES) for i in range(8)
             )
-            floor_ranks = floor_nodes * RANKS_PER_NODE
-            for adv in scenario.adversaries:
-                if adv.kind != "churn":
-                    adv.validate(
-                        num_ranks=floor_ranks, num_nodes=floor_nodes
-                    )
-            if scenario.faults is not None:
-                scenario.faults.validate(num_ranks=floor_ranks)
+            scenario.validate(
+                num_ranks=floor_nodes * RANKS_PER_NODE,
+                num_nodes=floor_nodes,
+            )
 
     @given(scenario=scenarios(NUM_RANKS, NUM_NODES), shrink=st.just(1))
     @SETTINGS
@@ -150,7 +144,7 @@ class TestScenarioProperties:
         """Any scenario keying a rank >= 1 must refuse a 1-rank job."""
         keyed = any(
             getattr(adv, "ranks", ()) or getattr(adv, "links", ())
-            for adv in scenario.adversaries
+            for adv in scenario
         )
         if not keyed:
             return
@@ -167,7 +161,7 @@ class TestCellProperties:
         assert json.loads(json.dumps(cell)) == cell
         assert cell["label"] in CELL_LABELS
         num_ranks = cell["num_nodes"] * cell["ranks_per_node"]
-        Scenario.from_dict(cell["scenario"]).validate(
+        FaultSchedule.from_dict(cell["scenario"]).validate(
             num_ranks=num_ranks, num_nodes=cell["num_nodes"]
         )
 

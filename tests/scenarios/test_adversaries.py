@@ -1,25 +1,26 @@
-"""Adversary registry: construction validation, windows, round-trips."""
+"""The adversary kinds of the fault model, case by case.
+
+Construction validation, windows, geometry and the schedule they sit in;
+the checks every one of the ten kinds shares are table-driven in
+``tests/faults/test_model.py::TestKinds``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios.adversaries import (
-    ADVERSARY_TYPES,
+from repro.faults.model import (
+    FAULT_TYPES,
     ByzantineClockAdversary,
     ChurnAdversary,
     CongestionAdversary,
     DelayAttackAdversary,
     RegionTopologyAdversary,
-    adversary_from_dict,
+    fault_from_dict,
 )
-from repro.scenarios.scenario import (
-    DEFAULT_ERROR_BUDGET,
-    PRESETS,
-    Scenario,
-    make_preset,
-)
+from repro.faults.scenarios import SCENARIOS, make_scenario
+from repro.faults.schedule import DEFAULT_ERROR_BUDGET, FaultSchedule
 
 
 class TestConstructionValidation:
@@ -98,7 +99,7 @@ class TestWindows:
 
     def test_start_beyond_horizon_rejected(self):
         adv = CongestionAdversary(start=10.0)
-        with pytest.raises(ConfigurationError, match="would never act"):
+        with pytest.raises(ConfigurationError, match="would never fire"):
             adv.validate(horizon=10.0)
         assert adv.validate(horizon=10.5) is adv
 
@@ -199,7 +200,7 @@ class TestSerialization:
     def test_round_trip(self, adv):
         data = adv.to_dict()
         assert data["kind"] == adv.kind
-        assert adversary_from_dict(data) == adv
+        assert fault_from_dict(data) == adv
 
     @pytest.mark.parametrize(
         "adv", EXAMPLES, ids=lambda a: a.kind
@@ -208,22 +209,23 @@ class TestSerialization:
         import json
 
         # to_dict must be JSON-serializable without custom encoders.
-        assert adversary_from_dict(
+        assert fault_from_dict(
             json.loads(json.dumps(adv.to_dict()))
         ) == adv
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown adversary"):
-            adversary_from_dict({"kind": "gremlin"})
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            fault_from_dict({"kind": "gremlin"})
 
     def test_bad_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="bad fields"):
-            adversary_from_dict(
+            fault_from_dict(
                 {"kind": "byzantine_clock", "bias": 1e-3, "bogus": 1}
             )
 
     def test_registry_covers_all_kinds(self):
-        assert set(ADVERSARY_TYPES) == {
+        assert set(FAULT_TYPES) == {
+            "clock_step", "clock_freq", "link", "nic_storm", "straggler",
             "byzantine_clock", "delay_attack", "congestion",
             "region_topology", "churn",
         }
@@ -232,54 +234,57 @@ class TestSerialization:
 class TestScenario:
     def test_needs_name(self):
         with pytest.raises(ConfigurationError, match="needs a name"):
-            Scenario(name="")
+            FaultSchedule(name="")
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="budget must be > 0"):
-            Scenario(name="s", error_budget=0.0)
+            FaultSchedule(name="s", error_budget=0.0)
 
     def test_adversaries_sorted_deterministically(self):
         late = DelayAttackAdversary(start=5.0, extra_delay=1e-6)
         early = CongestionAdversary(start=0.0)
-        s = Scenario(name="s", adversaries=[late, early])
-        assert s.adversaries == (early, late)
+        s = FaultSchedule(name="s", faults=[late, early])
+        assert s.faults == (early, late)
         # Construction order never matters.
-        assert Scenario(name="s", adversaries=[early, late]) == s
+        assert FaultSchedule(name="s", faults=[early, late]) == s
 
     def test_kind_filters(self):
-        s = Scenario(name="s", adversaries=[
+        s = FaultSchedule(name="s", faults=[
             ByzantineClockAdversary(bias=1e-3),
             ChurnAdversary(),
         ])
-        assert len(s.byzantine) == 1
-        assert len(s.churn) == 1
-        assert s.delay_attacks == []
+        assert len(s.of_kind("byzantine_clock")) == 1
+        assert len(s.of_kind("churn")) == 1
+        assert s.of_kind("delay_attack") == []
         assert len(s) == 2
 
     def test_validate_names_first_offender(self):
-        s = Scenario(name="s", adversaries=[
+        s = FaultSchedule(name="s", faults=[
             ByzantineClockAdversary(ranks=(9,), bias=1e-3),
         ])
         with pytest.raises(ConfigurationError, match="targets rank 9"):
             s.validate(num_ranks=4)
 
     def test_json_round_trip(self):
-        s = make_preset("region_tiers")
-        assert Scenario.from_json(s.to_json()) == s
+        s = make_scenario("region_tiers")
+        assert FaultSchedule.from_json(s.to_json()) == s
 
     def test_save_load_round_trip(self, tmp_path):
-        s = make_preset("delay_attack", extra_delay=5e-4)
+        s = make_scenario("delay_attack", extra_delay=5e-4)
         path = tmp_path / "scenario.json"
         s.save(path)
-        assert Scenario.load(path) == s
+        assert FaultSchedule.load(path) == s
 
     def test_presets_all_valid_on_reference_shape(self):
-        for name in PRESETS:
-            s = make_preset(name)
+        for name in SCENARIOS:
+            s = make_scenario(name)
             assert s.name == name
             assert s.error_budget == DEFAULT_ERROR_BUDGET
             s.validate(num_ranks=8, num_nodes=4, horizon=100.0)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown scenario"):
-            make_preset("nope")
+        with pytest.raises(ConfigurationError, match="unknown scenario") as exc:
+            make_scenario("nope")
+        # One registry: the message lists all nine names.
+        assert len(SCENARIOS) == 9
+        assert all(name in str(exc.value) for name in SCENARIOS)

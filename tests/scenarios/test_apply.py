@@ -1,9 +1,11 @@
-"""AdversaryInjector: mutant-style tests for every engine hook.
+"""FaultInjector under adversaries: mutant-style tests for every hook.
 
 Each enabled hook must measurably perturb a pinned run, and a disabled
 hook (empty scenario, inactive window, non-matching key) must leave the
 run byte-identical to the unadversarial one — that identity is what
-keeps the fig3/fig4 goldens stable while the scenario layer exists.
+keeps the fig3/fig4 goldens stable while the adversary kinds exist.
+The machine faults' side of the same injector is
+``tests/faults/test_injection.py``.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ import pytest
 
 from repro.cluster.netmodels import ideal_network
 from repro.cluster.topology import Machine
-from repro.scenarios.adversaries import (
+from repro.faults import (
     ByzantineClockAdversary,
     CongestionAdversary,
     DelayAttackAdversary,
+    FaultInjector,
+    FaultSchedule,
     RegionTopologyAdversary,
 )
-from repro.scenarios.apply import AdversaryInjector, RegionFabric
-from repro.scenarios.scenario import Scenario
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 from repro.sync.offset import PINGPONG_TAG
@@ -28,8 +30,8 @@ from tests.conftest import PERFECT_TIME
 
 
 def injector(*adversaries, **kwargs):
-    return AdversaryInjector(
-        Scenario(name="t", adversaries=list(adversaries)), **kwargs
+    return FaultInjector(
+        FaultSchedule(name="t", faults=list(adversaries)), **kwargs
     )
 
 
@@ -220,14 +222,6 @@ class TestRegionHook:
             0.0, Level.NODE, 2e-6, rng, src=0, dst=7
         ) == 2e-6
         assert inj.region_delays_applied == 0
-
-    def test_region_fabric_adapter(self):
-        adv = RegionTopologyAdversary(
-            regions=("NA", "EU"), cross_latency=5e-3
-        )
-        fabric = RegionFabric(adv, num_nodes=4)
-        assert fabric.extra_latency(0, 3) == pytest.approx(5e-3)
-        assert fabric.extra_latency(0, 1) == 0.0
 
 
 class TestEngineIdentity:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.errors import InvariantViolation
+from repro.errors import ConfigurationError, InvariantViolation
+from repro.faults.scenarios import make_scenario
 from repro.scenarios import fuzz as fuzz_mod
 from repro.scenarios.fuzz import (
     REPRO_VERSION,
@@ -17,12 +18,11 @@ from repro.scenarios.fuzz import (
     replay,
     run_cell,
 )
-from repro.scenarios.scenario import make_preset
 
 
 def preset_cell(name="delay_attack", **overrides):
     return {
-        "scenario": make_preset(name, **overrides).to_dict(),
+        "scenario": make_scenario(name, **overrides).to_dict(),
         "label": "hca/4/skampi_offset/4",
         "num_nodes": 4,
         "ranks_per_node": 1,
@@ -74,6 +74,24 @@ class TestReplay:
         path.write_text(json.dumps({"repro_version": 0, "cell": {}}))
         assert replay(str(path)) == 2
         assert "unsupported repro_version" in capsys.readouterr().err
+
+    def test_version_1_layout_refused(self, tmp_path, capsys):
+        """A repro archived before the models were one: its scenario has
+        ``adversaries`` next to a nested ``faults`` schedule.  Neither
+        the version gate nor the loader may let it replay "clean"."""
+        cell = preset_cell()
+        cell["scenario"] = {
+            "name": "delay_attack", "description": "", "error_budget": 0.05,
+            "adversaries": cell["scenario"]["faults"], "faults": None,
+        }
+        path = tmp_path / "repro_v1.json"
+        path.write_text(json.dumps(
+            {"repro_version": 1, "cell": cell, "violations": ["x"]}
+        ))
+        assert replay(str(path)) == 2
+        assert "unsupported repro_version 1" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="adversaries"):
+            run_cell(cell)
 
     def test_clean_cell_does_not_reproduce(self, tmp_path, capsys):
         # Archive a violation the cell never actually produces.

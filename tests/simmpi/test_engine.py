@@ -564,15 +564,13 @@ class TestGate:
         """A receive can price a rendezvous ack through the injector; if
         that hook keeps state between calls, its calls must come in
         virtual-time order, so the receive is gated like a send."""
-        from repro.faults import FaultSchedule
-        from repro.faults.injector import FaultInjector
-
-        class Stateful(FaultInjector):
-            stateful_delays = True
+        from repro.faults import (
+            CongestionAdversary, FaultInjector, FaultSchedule,
+        )
 
         for injector, deferrals in (
             (FaultInjector(FaultSchedule("none")), 0),
-            (Stateful(FaultSchedule("none")), 1),
+            (FaultInjector(FaultSchedule("q", [CongestionAdversary()])), 1),
         ):
             engine, _ = self._ahead("recv_named", injector=injector)
             engine.run()

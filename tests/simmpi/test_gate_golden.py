@@ -31,9 +31,8 @@ import pytest
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.faults import FaultSchedule, NicStormFault, StragglerFault
+from repro.faults.scenarios import congested_fabric
 from repro.obs.events import MsgDeliver, MsgSend, RecordingSink
-from repro.scenarios.apply import AdversaryInjector
-from repro.scenarios.scenario import Scenario, congested_fabric
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG
 from repro.simmpi.simulation import Simulation
 from repro.sync import flatten_clock
@@ -267,16 +266,10 @@ PROGRAMS = {
 # ----------------------------------------------------------------------
 def timeline(name: str) -> dict:
     main, machine, network, seed, disturbance = PROGRAMS[name]
-    if isinstance(disturbance, Scenario):
-        hooks = dict(
-            faults=disturbance.faults,
-            injector=AdversaryInjector(disturbance, machine=machine),
-        )
-    else:
-        hooks = dict(faults=disturbance)
     sink = RecordingSink()
     sim = Simulation(
-        machine=machine, network=network(), seed=seed, sink=sink, **hooks
+        machine=machine, network=network(), seed=seed, sink=sink,
+        faults=disturbance,
     )
     result = sim.run(main)
     delivered = {

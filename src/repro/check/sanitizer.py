@@ -19,12 +19,18 @@ Invariant catalog (rule names used in violations):
     :class:`~repro.obs.events.FaultInject` records are exempt (they are
     emitted up front, at their future activation times).
 ``send-order``
-    Over the whole stream, ``MsgSend`` times never decrease.  This is
-    the causality gate's contract: a send mutates state shared between
-    ranks (NIC egress/ingress tables, sequence numbers, the order of a
-    mailbox across sources), so sends must execute in simulated-time
-    order whichever rank issues them.  ``monotonic-time`` cannot see a
-    breach, because each rank's own time line stays monotone when the
+    The times of ordered ``MsgSend`` events never decrease; a hand-over
+    is exempt.  This is the causality gate's contract: a send mutates
+    state shared between ranks (NIC egress/ingress tables, sequence
+    numbers, the order of a mailbox across sources), so sends must
+    execute in simulated-time order whichever rank issues them.  A
+    hand-over is a node-local send to a rank already waiting for it,
+    which the engine runs past the gate; the stream shows one as a
+    ``MsgSend`` whose ``level`` is not ``"REMOTE"`` while the
+    destination's open ``ProcBlock`` has ``reason="recv"``, names this
+    sender and accepts its tag.  It neither breaks nor raises the running
+    maximum of the ordered sends' times.  ``monotonic-time`` cannot see
+    a breach, because each rank's own time line stays monotone when the
     gate lets a rank that is ahead send early.  The rule needs no
     exemption for a lone surviving rank (gate off): when the last other
     rank sent, the survivor was queued at or after that time, or blocked
@@ -68,6 +74,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvariantViolation
 from repro.obs import events as obs_events
+from repro.simmpi.message import ANY_TAG
 
 #: Violations kept per report (further ones are counted, not stored).
 MAX_VIOLATIONS = 200
@@ -237,7 +244,7 @@ class SanitizerSink:
         self._delivered_seqs: set[int] = set()
         #: (source, dest, tag) -> last matched seq (non-overtaking check).
         self._last_matched: dict[tuple[int, int, int], int] = {}
-        #: Time of the latest MsgSend of any rank (``send-order``).
+        #: Time of the latest ordered MsgSend of any rank (``send-order``).
         self._last_send_time = 0.0
         self.sends = 0
         self.deliveries = 0
@@ -313,19 +320,38 @@ class SanitizerSink:
     # ------------------------------------------------------------------
     # Per-event checks
     # ------------------------------------------------------------------
+    def _is_hand_over(self, event: obs_events.MsgSend) -> bool:
+        """Whether the engine may have run this send past the gate: a
+        non-``REMOTE`` send to a rank blocked on a receive that names its
+        sender and accepts its tag."""
+        if event.level == "REMOTE":
+            return False
+        dest = self._ranks.get(event.dest)
+        block = dest.blocked if dest is not None else None
+        return (
+            block is not None
+            and block.reason == "recv"
+            and block.source == event.rank
+            and block.tag in (event.tag, ANY_TAG)
+        )
+
     def _on_send(self, event: obs_events.MsgSend) -> None:
         self.sends += 1
-        if event.time < self._last_send_time:
-            self.violation(
-                "send-order",
-                f"rank {event.rank} sent seq {event.seq} at "
-                f"t={event.time:.9g}, before an earlier send at "
-                f"t={self._last_send_time:.9g} (causality gate breached)",
-                time=event.time, rank=event.rank, seq=event.seq,
-                previous=self._last_send_time,
-            )
-        else:
-            self._last_send_time = event.time
+        if not self._is_hand_over(event):
+            # A hand-over neither breaks nor raises the ordered sends'
+            # running maximum.
+            if event.time < self._last_send_time:
+                self.violation(
+                    "send-order",
+                    f"rank {event.rank} sent seq {event.seq} at "
+                    f"t={event.time:.9g}, before an earlier send at "
+                    f"t={self._last_send_time:.9g} (causality gate "
+                    f"breached)",
+                    time=event.time, rank=event.rank, seq=event.seq,
+                    previous=self._last_send_time,
+                )
+            else:
+                self._last_send_time = event.time
         if event.seq in self._outstanding or event.seq in self._delivered_seqs:
             self.violation(
                 "conservation",

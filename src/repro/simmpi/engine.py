@@ -32,14 +32,30 @@ injector: a receive that completes a rendezvous prices the ack through
 between calls (``stateful_delays``, a bottleneck queue) receives are
 ordered too.
 
+One send is not ordered: a **hand-over**, a send whose receiver is already
+blocked on a receive that names this sender and accepts its tag, on a pair
+whose level is not ``REMOTE``, under an injector without
+``stateful_delays``.  It runs at once, through the same ``_do_send`` wake,
+however far ahead of the frontier its rank is, because none of what the
+gate protects is in play: the NIC tables and the fabric hook are
+``REMOTE``-only; the delay draw, the injector's delay and payload hooks
+and an ack's pricing use only the sender's pool and RNG and the blocked
+receiver's; a named receive consumes the message at once, so it never
+sits in a mailbox where an ``ANY_SOURCE`` receive could see its position;
+and the receiver resumes at ``max(now, arrival) + o_recv`` in either host
+order.  Only its ``seq`` number, a host-order fact, differs.  This is the
+node-local half of a ping-pong (and of a binomial tree's first rounds),
+which then never touches the queue.
+
 A wake is not a queue event.  A send that finds its receiver waiting (and
 a receive that releases a rendezvous sender) puts the woken rank on a
 **ready list**; the loop runs ready ranks before it pops the next event,
 and while the list is non-empty every ordered command defers, which keeps
 the waker from overtaking the rank it just woke.  Every runnable rank is
 thus in the queue, on the ready list, or the one running, and the queue
-holds only starts and deferred ordered commands: about one event per
-message when ranks run concurrently, none for a serial ping-pong.
+holds only starts and deferred ordered commands: at most one event per
+message when ranks run concurrently, none for a serial ping-pong or a
+hand-over.
 
 An :class:`ExchangeCmd` is a program, not an action: the engine expands it
 into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs and clock reads the
@@ -656,7 +672,11 @@ class Engine:
         tables, message sequence numbers, the order of a mailbox across
         sources, injector hooks), and the gate makes them happen in
         simulated-time order.  A gated command is stashed on the process
-        and re-issued when the queue catches up.
+        and re-issued when the queue catches up.  A send that would be
+        gated runs anyway if it is a hand-over (:meth:`_hand_over_level`:
+        a node-local receiver already waiting for it, no stateful
+        injector); the level found there goes on to ``_do_send`` instead
+        of being looked up again.
 
         A ``RecvCmd`` from a named source, ``ElapseCmd`` and
         ``WaitUntilCmd`` are not gated.  The messages of one source sit
@@ -687,8 +707,9 @@ class Engine:
         horizon = self.max_true_time
         sink, _, _, injector, prof, _ = self._hooks
         # A receive that completes a rendezvous prices the ack through
-        # the injector; if that hook keeps state, receives are ordered too.
-        recv_ordered = injector is not None and injector.stateful_delays
+        # the injector; if that hook keeps state, receives are ordered too
+        # and no send is handed over.
+        stateful = injector is not None and injector.stateful_delays
         send = gen.send
         # Ordinary attribute lookups: an instance-level patch of either
         # method (the sanitizer's mutant tests) intercepts the hot path.
@@ -732,6 +753,7 @@ class Engine:
                     cmd = None
                     continue
             cls = type(cmd)
+            level = None
             if (
                 gate
                 and (
@@ -739,20 +761,25 @@ class Engine:
                     or cls is SendRecvCmd
                     or (
                         cls is RecvCmd
-                        and (recv_ordered or cmd.source == ANY_SOURCE)
+                        and (stateful or cmd.source == ANY_SOURCE)
                     )
                 )
                 and (woken or proc.now > queue.frontier)
             ):
                 # An ordered command, and a woken rank or a pending event
-                # may act before it: defer until the queue catches up.
+                # may act before it: defer until the queue catches up,
+                # unless it is a send its receiver is waiting for on this
+                # node (a hand-over; ``level`` is then the pair's level).
                 # With a single live process there is nobody left to
                 # observe shared state out of order, so the round-trip
                 # through the queue is skipped entirely.
-                proc.pending_cmd = cmd
-                self.gate_deferrals += 1
-                self._schedule(proc, proc.now)
-                return
+                if cls is not RecvCmd and not stateful:
+                    level = self._hand_over_level(proc, cmd)
+                if level is None:
+                    proc.pending_cmd = cmd
+                    self.gate_deferrals += 1
+                    self._schedule(proc, proc.now)
+                    return
             if proc.now > horizon:
                 # A process that runs inline never goes through the queue,
                 # so the event loop's horizon check would never see it.
@@ -762,10 +789,10 @@ class Engine:
             if cls is SendCmd or cls is SendRecvCmd:
                 if prof is not None:
                     start = prof.push("engine.send")
-                    do_send(proc, cmd)
+                    do_send(proc, cmd, level)
                     prof.pop(start)
                 else:
-                    do_send(proc, cmd)
+                    do_send(proc, cmd, level)
                 if cls is SendRecvCmd:
                     # Receive half: loop back with a synthesized RecvCmd
                     # so the causality gate is re-evaluated between the
@@ -895,15 +922,51 @@ class Engine:
     # ------------------------------------------------------------------
     # Point-to-point mechanics
     # ------------------------------------------------------------------
-    def _do_send(self, proc: _Proc, cmd: SendCmd | SendRecvCmd) -> None:
+    def _level(self, src: int, dest: int) -> Level:
+        """The memoised ``level_of(src, dest)``."""
+        pair = src * self._rank_stride + dest
+        level = self._level_cache.get(pair)
+        if level is None:
+            level = self._level_cache[pair] = self.level_of(src, dest)
+        return level
+
+    def _hand_over_level(
+        self, proc: _Proc, cmd: SendCmd | SendRecvCmd
+    ) -> Level | None:
+        """The pair's level if ``cmd`` is a hand-over, else None.
+
+        A hand-over (see the module docstring for why it may skip the
+        causality gate) is a send whose receiver is blocked on a receive
+        that names this sender and accepts its tag, on a pair that is not
+        ``REMOTE``; the caller has ruled out an injector with
+        ``stateful_delays``.
+        """
+        dest = cmd.dest
+        procs = self._procs
+        if not 0 <= dest < len(procs):
+            return None  # _do_send reports it once the gate lets it run
+        waiting = procs[dest].blocked
+        if (
+            type(waiting) is not RecvDescriptor
+            or waiting.source != proc.rank
+            or (waiting.tag != cmd.tag and waiting.tag != ANY_TAG)
+        ):
+            return None
+        level = self._level(proc.rank, dest)
+        return None if level is Level.REMOTE else level
+
+    def _do_send(
+        self, proc: _Proc, cmd: SendCmd | SendRecvCmd, level: Level | None
+    ) -> None:
         """Price one message and deposit it (or wake its receiver).
 
-        The only send path.  A hook that is absent costs one test on a
-        local per site.  The observers (sink, metrics, time series,
-        profiler) never draw from the delay pool or touch simulation
-        state, so attaching them leaves the run bit-identical; injector
-        and fabric act only through the delays, gaps and payloads they
-        return.
+        The only send path.  ``level`` is the pair's level when the
+        caller has already looked it up (a hand-over), None otherwise.
+        A hook that is absent costs one test on a local per site.  The
+        observers (sink, metrics, time series, profiler) never draw from
+        the delay pool or touch simulation state, so attaching them
+        leaves the run bit-identical; injector and fabric act only
+        through the delays, gaps and payloads they return.
         """
         procs = self._procs
         rank = proc.rank
@@ -917,11 +980,12 @@ class Engine:
         pool = proc.pool
         if pool is None:
             pool = self._pool_of(proc)
-        level_cache = self._level_cache
-        pair = rank * self._rank_stride + dest_rank
-        level = level_cache.get(pair)
         if level is None:
-            level = level_cache[pair] = self.level_of(rank, dest_rank)
+            level_cache = self._level_cache
+            pair = rank * self._rank_stride + dest_rank
+            level = level_cache.get(pair)
+            if level is None:
+                level = level_cache[pair] = self.level_of(rank, dest_rank)
         send_time = proc.now
         seq = self._msg_seq
         self._msg_seq = seq + 1
@@ -946,8 +1010,8 @@ class Engine:
         if synchronous:
             self.rendezvous_stalls += 1
             proc.block_time = send_time
-            # Before the hand-over below, so that a release by a receiver
-            # that is already waiting is the last write.
+            # Before the receiver's wake below, so that a release by a
+            # receiver that is already waiting is the last write.
             proc.blocked = "ssend"
         if metrics is not None:
             metrics.counter("engine.messages.sent", rank).inc()
@@ -1101,12 +1165,7 @@ class Engine:
         sender = msg.sync_sender
         if sender is not None:
             # The ack travels back; the sender resumes after its arrival.
-            pair = msg.dest * self._rank_stride + msg.source
-            level = self._level_cache.get(pair)
-            if level is None:
-                level = self._level_cache[pair] = self.level_of(
-                    msg.dest, msg.source
-                )
+            level = self._level(msg.dest, msg.source)
             pool = proc.pool
             if pool is None:
                 pool = self._pool_of(proc)

@@ -17,6 +17,8 @@ Mutants (rule each must trip):
 6. double ProcBlock on rendezvous   → ``lifecycle``
 7. global clock with slope 2 / non-monotone → ``clock-sanity``
 8. event queue that reports no frontier     → ``send-order``
+9. send handed over on a REMOTE pair        → ``send-order``
+10. send handed over to an ANY_SOURCE wait  → ``send-order``
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.obs import events as ev
 from repro.simmpi.eventq import CalendarQueue
+from repro.simmpi.message import ANY_SOURCE, RecvDescriptor
+from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 
 
@@ -91,6 +95,60 @@ def fan_in(ctx, comm):
     return None
 
 
+def late_named_sender(ctx, comm):
+    """Rank 1 sends at t=5 µs to a rank 0 already waiting for it; rank 2
+    sends to rank 3 at t=1 µs.  On a machine with one rank per node."""
+    if ctx.rank == 0:
+        yield from comm.recv(1, tag=1)
+    elif ctx.rank == 1:
+        yield from ctx.elapse(5e-6)
+        yield from comm.send(0, tag=1)
+    elif ctx.rank == 2:
+        yield from ctx.elapse(1e-6)
+        yield from comm.send(3, tag=1)
+    else:
+        yield from comm.recv(2, tag=1)
+    return None
+
+
+def any_source_race(ctx, comm):
+    """Rank 1 sends at t=5 µs and rank 2 at t=1 µs into rank 0's
+    ANY_SOURCE receives, all on one node: the earlier send must win."""
+    if ctx.rank == 0:
+        first = yield from ctx.recv(ANY_SOURCE, 1)
+        yield from ctx.recv(ANY_SOURCE, 1)
+        return first.source
+    if ctx.rank in (1, 2):
+        yield from ctx.elapse(5e-6 if ctx.rank == 1 else 1e-6)
+        yield from ctx.send(0, 1)
+    return None
+
+
+def make_hand_over_sim(main):
+    machine = (
+        Machine(4, 1, 1, 1, name="remote")
+        if main is late_named_sender else Machine(1, 1, 4, 4, name="local")
+    )
+    return Simulation(machine=machine, network=infiniband_qdr(), seed=3,
+                      check="strict")
+
+
+def loose_hand_over(remote_ok, any_source_ok):
+    """Mutants 9 and 10: ``Engine._hand_over_level`` that also hands a
+    send over on a REMOTE pair, or to a receiver blocked on ANY_SOURCE."""
+
+    def hand_over_level(self, proc, cmd):
+        waiting = self._procs[cmd.dest].blocked
+        if type(waiting) is not RecvDescriptor or waiting.source not in (
+            (proc.rank, ANY_SOURCE) if any_source_ok else (proc.rank,)
+        ):
+            return None
+        level = self._level(proc.rank, cmd.dest)
+        return None if level is Level.REMOTE and not remote_ok else level
+
+    return hand_over_level
+
+
 class BlindQueue(CalendarQueue):
     """Mutant 8: the frontier the causality gate compares against is
     always "nothing pending", so no rank is ever ahead of it."""
@@ -141,8 +199,8 @@ class TestEngineMutants:
         sim = make_sim()
         original = sim.engine._do_send
 
-        def dropping_send(self, proc, cmd):
-            original(proc, cmd)
+        def dropping_send(self, proc, cmd, level):
+            original(proc, cmd, level)
             dest = self._procs[cmd.dest]
             if dest.mailbox:
                 dest.mailbox.pop()  # the message is never seen again
@@ -211,13 +269,13 @@ class TestEngineMutants:
         sim = make_sim()
         original = sim.engine._do_send
 
-        def double_blocking_send(self, proc, cmd):
+        def double_blocking_send(self, proc, cmd, level):
             if cmd.synchronous:
                 self.sink.emit(ev.ProcBlock(
                     time=proc.now, rank=proc.rank, reason="recv",
                     source=cmd.dest, tag=cmd.tag,
                 ))
-            original(proc, cmd)
+            original(proc, cmd, level)
 
         sim.engine._do_send = types.MethodType(
             double_blocking_send, sim.engine
@@ -235,6 +293,26 @@ class TestEngineMutants:
         sim = make_fan_in_sim(blind=True)
         with pytest.raises(InvariantViolation) as info:
             run_mutated(sim, fan_in)
+        assert info.value.violation.rule == "send-order"
+
+    @pytest.mark.parametrize("main, remote_ok, any_source_ok", [
+        (late_named_sender, True, False),
+        (any_source_race, False, True),
+    ], ids=["remote_pair", "any_source_receiver"])
+    def test_loose_hand_over_caught(self, main, remote_ok, any_source_ok):
+        """Mutants 9 and 10: a send handed over where it must be ordered.
+
+        The late send runs at t=5 µs before the one issued at t=1 µs; the
+        sanitizer exempts only sends it can tell are hand-overs (not
+        REMOTE, receiver blocked on a receive naming the sender), so
+        neither of these is exempt.
+        """
+        sim = make_hand_over_sim(main)
+        sim.engine._hand_over_level = types.MethodType(
+            loose_hand_over(remote_ok, any_source_ok), sim.engine
+        )
+        with pytest.raises(InvariantViolation) as info:
+            run_mutated(sim, main)
         assert info.value.violation.rule == "send-order"
 
     def test_report_mode_flags_instead_of_raising(self):
@@ -267,6 +345,13 @@ class TestEngineMutants:
         run_mutated(sim, fan_in)
         assert sim.checker.report.ok
         assert sim.engine.gate_deferrals > 0  # the gate did the ordering
+        for body in (late_named_sender, any_source_race):
+            sim = make_hand_over_sim(body)
+            values = run_mutated(sim, body)
+            assert sim.checker.report.ok
+            assert sim.engine.gate_deferrals > 0
+            if body is any_source_race:
+                assert values[0] == 2  # the send issued at t=1 µs won
 
 
 class TestClockMutants:

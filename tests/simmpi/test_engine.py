@@ -15,15 +15,16 @@ from repro.simmpi.engine import (
     SendCmd,
     WaitUntilCmd,
 )
+from repro.simmpi.message import ANY_SOURCE
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 from repro.simtime.hardware import HardwareClock
 
 
-def make_engine(n=2, seed=0, network=None, **kw):
+def make_engine(n=2, seed=0, network=None, level_of=None, **kw):
     engine = Engine(
         network=network or ideal_network(latency=1e-6),
-        level_of=lambda a, b: Level.REMOTE,
+        level_of=level_of or (lambda a, b: Level.REMOTE),
         seed=seed,
         **kw,
     )
@@ -513,16 +514,28 @@ class TestGate:
         return sim.run(main).engine_stats
 
     def test_jk_is_serial_one_start_per_rank_one_deferral_per_client(self):
+        """JK at p = 16·4 ranks, r = 4 per node: the root (rank 0) sends
+        each client a go-signal, then answers its ping-pongs.
+
+        Every go-signal after the first finds the client just served on
+        the ready list, so it defers unless it is a hand-over.  The p − r
+        to clients on other nodes are REMOTE and defer.  The one to
+        client 2 defers too: client 1 got its go-signal at t = 0 and its
+        whole learning phase ran as hand-overs while the start events of
+        ranks 2 … p − 1 were still queued, so client 2 is not yet waiting.
+        The other r − 3 node-local go-signals and all of client 1's pings
+        are handed over.  Deferrals p − r + 1 = 61, events p + 61 = 125.
+        """
         stats = self._sync_stats("jk/4/skampi_offset/3")
-        p = stats["num_ranks"]
+        p, r = stats["num_ranks"], 4
         assert stats["messages_sent"] > 20 * p
-        assert stats["events_processed"] == 2 * p - 1
-        assert stats["gate_deferrals"] == p - 1
+        assert stats["gate_deferrals"] == p - r + 1
+        assert stats["events_processed"] == 2 * p - r + 1 == 125
 
     def test_flat_hca3_is_one_event_per_message(self):
         stats = self._sync_stats("hca3/recompute_intercept/4/skampi_offset/3")
         p = stats["num_ranks"]
-        assert stats["events_processed"] <= stats["messages_sent"] + p
+        assert stats["events_processed"] == p + stats["gate_deferrals"]
         assert stats["gate_deferrals"] <= stats["messages_sent"]
 
     #: command issued by rank 0 at t=1 while rank 1 is queued at t=0,
@@ -559,6 +572,62 @@ class TestGate:
         engine.run()
         assert engine.gate_deferrals == deferrals
         assert engine.events_processed == 2 + deferrals
+
+    #: Hand-overs: rank 0 blocks at t=0 on the receives given, then rank
+    #: 1 sends it the tags given at t=1 while rank 2 (another node) is
+    #: still queued at t=0.  Ranks 0 and 1 share a node unless
+    #: ``remote``.  name -> (receives as (source, tag), tags sent,
+    #: remote, stateful injector, deferrals expected).
+    AHEAD_LOCAL = {
+        "waiting_named_receiver": ([(1, 1)], (1,), False, False, 0),
+        "remote_pair": ([(1, 1)], (1,), True, False, 1),
+        "receiver_on_another_tag": (
+            [(1, 2), (1, 1)], (1, 2), False, False, 1,
+        ),
+        "receiver_on_any_source": ([(ANY_SOURCE, 1)], (1,), False, False, 1),
+        "stateful_injector": ([(1, 1)], (1,), False, True, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(AHEAD_LOCAL))
+    def test_a_send_is_handed_over_only_to_a_node_local_named_wait(self, name):
+        from repro.faults import (
+            CongestionAdversary, FaultInjector, FaultSchedule,
+        )
+
+        receives, tags, remote, stateful, deferrals = self.AHEAD_LOCAL[name]
+        engine = make_engine(
+            3,
+            level_of=None if remote else lambda a, b: (
+                Level.NODE if a // 2 == b // 2 else Level.REMOTE
+            ),
+            node_of=lambda rank: rank // 2,
+            injector=FaultInjector(
+                FaultSchedule("q", [CongestionAdversary()])
+            ) if stateful else None,
+        )
+
+        def receiver():
+            got = []
+            for source, tag in receives:
+                msg = yield RecvCmd(source, tag)
+                got.append(msg.tag)
+            return got
+
+        def sender():
+            yield ElapseCmd(1.0)
+            for tag in tags:
+                yield SendCmd(0, tag)
+
+        def idle():
+            return
+            yield
+
+        engine.bind(0, receiver())
+        engine.bind(1, sender())
+        engine.bind(2, idle())
+        assert engine.run()[0] == [tag for _, tag in receives]
+        assert engine.gate_deferrals == deferrals
+        assert engine.events_processed == 3 + deferrals
 
     def test_named_receive_is_ordered_under_a_stateful_injector(self):
         """A receive can price a rendezvous ack through the injector; if

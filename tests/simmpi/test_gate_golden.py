@@ -1,4 +1,4 @@
-"""The simulated time line, message by message, pinned against PR 22's engine.
+"""The simulated time line, message by message, pinned against older engines.
 
 The other goldens pin summaries (figure tables, reports, critical paths).
 This one pins the raw thing for a change to *when in host order* the
@@ -7,15 +7,27 @@ and per message ``(source, dest, tag, send_time, arrival, delivered)``
 with times as ``repr`` strings, ordered by source and per-source send
 order.  Message ``seq`` numbers are host-order facts and are not compared.
 
-``golden/gate_timelines.json`` was recorded at commit
-``5c9792f550939e883d8e369c231baa03d7d40bec`` (PR 22), where every command
-went through the causality gate and every delivery wake through the event
-queue.  An engine that gates only the order-sensitive commands and runs a
-woken rank from its ready list must reproduce the file byte for byte.
+``golden/gate_timelines.json`` holds programs recorded on two engines:
 
-Re-record (only when simulated behaviour is *meant* to change)::
+* the first 13, ``flat_hca3_skampi_16x4`` to
+  ``late_rendezvous_congested_4x2``, at commit
+  ``5c9792f550939e883d8e369c231baa03d7d40bec``, where every command went
+  through the causality gate and every delivery wake through the event
+  queue;
+* the last three, ``local_other_tag_2x4``, ``local_remote_race_2x2`` and
+  ``ssend_chain_2x4``, at commit
+  ``f7e67c56b9b3263fcc5fc2efe058a2bd8dd9c3c2``, where every send went
+  through the gate, also one to a node-local receiver already waiting
+  for it.
 
-    PYTHONPATH=src python -m tests.simmpi.test_gate_golden --record
+An engine that gates only the order-sensitive commands, runs a woken rank
+from its ready list and hands a node-local send straight to its waiting
+receiver must reproduce the file byte for byte.
+
+Re-record (only when simulated behaviour is *meant* to change), all
+programs or the named ones only::
+
+    PYTHONPATH=src python -m tests.simmpi.test_gate_golden --record [NAME ...]
 """
 
 from __future__ import annotations
@@ -198,6 +210,64 @@ def late_rendezvous(ctx, comm):
     return value
 
 
+def local_other_tag(ctx, comm):
+    """Node-local pairs whose receiver first waits on the later tag.
+
+    The sender's tag-1 message finds its receiver blocked on tag 2, so it
+    lands in the mailbox; the tag-2 message wakes the receiver, which then
+    takes tag 1 from there.  A ring through both nodes keeps remote
+    traffic pending between the rounds.
+    """
+    rank, p = ctx.rank, ctx.nprocs
+    peer = rank ^ 1
+    got = []
+    for round_ in range(4):
+        if rank % 2 == 0:
+            late = yield from ctx.recv(peer, 2)
+            early = yield from ctx.recv(peer, 1)
+            got.append((late.payload, early.payload))
+        else:
+            yield from ctx.elapse(float(ctx.rng.uniform(0.0, 4e-6)))
+            yield from ctx.send(peer, 1, round_)
+            yield from ctx.elapse(float(ctx.rng.uniform(0.0, 4e-6)))
+            yield from ctx.send(peer, 2, -round_)
+        msg = yield from ctx.sendrecv(
+            (rank + 3) % p, 3, rank, source=(rank - 3) % p, recv_tag=3
+        )
+        got.append(msg.payload)
+    return got
+
+
+def local_remote_race(ctx, comm):
+    """A node-local and a remote sender race into an ANY_SOURCE receive.
+
+    Rank 1 shares rank 0's node, rank 2 does not; rank 3 feeds rank 2
+    node-local messages on its own schedule.
+    """
+    rank = ctx.rank
+    if rank == 0:
+        order = []
+        for round_ in range(8):
+            for _ in range(2):
+                msg = yield from ctx.recv(ANY_SOURCE, 5)
+                order.append(msg.source)
+            for source in (1, 2):
+                yield from ctx.send(source, 6, round_)
+        return order
+    if rank == 3:
+        for round_ in range(8):
+            yield from ctx.elapse(float(ctx.rng.uniform(0.5e-6, 4e-6)))
+            yield from ctx.send(2, 7, round_)
+        return None
+    for round_ in range(8):
+        yield from ctx.elapse(float(ctx.rng.uniform(0.0, 10e-6)))
+        yield from ctx.send(0, 5, rank)
+        yield from ctx.recv(0, 6)
+        if rank == 2:
+            yield from ctx.recv(3, 7)
+    return ctx.now
+
+
 def _machine(nodes, ranks_per_node):
     return Machine(nodes, 1, ranks_per_node, ranks_per_node)
 
@@ -258,6 +328,15 @@ PROGRAMS = {
         late_rendezvous, _machine(4, 2), infiniband_qdr, 13,
         congested_fabric(),
     ),
+    "local_other_tag_2x4": (
+        local_other_tag, _machine(2, 4), infiniband_qdr, 14, None,
+    ),
+    "local_remote_race_2x2": (
+        local_remote_race, _machine(2, 2), infiniband_qdr, 15, None,
+    ),
+    "ssend_chain_2x4": (
+        ssend_chain, _machine(2, 4), infiniband_qdr, 16, None,
+    ),
 }
 
 
@@ -311,8 +390,17 @@ def render(obj, indent: int = 0) -> str:
     return pad + json.dumps(obj)
 
 
-def record() -> str:
-    return render({name: timeline(name) for name in PROGRAMS}) + "\n"
+def record(names: list[str]) -> str:
+    """The golden file with ``names`` (all programs if empty) re-run and
+    every other entry kept as it is."""
+    kept = json.loads(GOLDEN.read_text(encoding="utf-8")) if names else {}
+    unknown = set(names) - set(PROGRAMS)
+    if unknown:
+        raise SystemExit(f"unknown programs: {sorted(unknown)}")
+    return render({
+        name: timeline(name) if not names or name in names else kept[name]
+        for name in PROGRAMS
+    }) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -347,14 +435,22 @@ def test_programs_exercise_what_they_claim():
     # ANY_SOURCE receives saw more than one interleaving of sources.
     order = ast.literal_eval(data["fan_out_fan_in_4x2"]["ranks"][0][1])
     assert [s for s, _ in order[:7]] != sorted(s for s, _ in order[:7])
+    # The node-local sender won some races and the remote one others.
+    race = ast.literal_eval(data["local_remote_race_2x2"]["ranks"][0][1])
+    assert {tuple(race[i:i + 2]) for i in range(0, len(race), 2)} == {
+        (1, 2), (2, 1)
+    }
     # Undelivered messages would show as nulls; these programs have none.
     for name, entry in data.items():
         assert all(row[4] is not None for row in entry["messages"]), name
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python -m tests.simmpi.test_gate_golden --record")
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit(
+            "usage: python -m tests.simmpi.test_gate_golden --record [NAME ...]"
+        )
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(record(), encoding="utf-8")
+    text = record(sys.argv[2:])
+    GOLDEN.write_text(text, encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -49,12 +49,13 @@ which then never touches the queue.
 
 A wake is not a queue event.  A send that finds its receiver waiting (and
 a receive that releases a rendezvous sender) puts the woken rank on a
-**ready list**; the loop runs ready ranks before it pops the next event,
-and while the list is non-empty every ordered command defers, which keeps
-the waker from overtaking the rank it just woke.  Every runnable rank is
-thus in the queue, on the ready list, or the one running, and the queue
-holds only starts and deferred ordered commands: at most one event per
-message when ranks run concurrently, none for a serial ping-pong or a
+**ready list**, which the running activation drains (last woken first)
+before the loop pops the next event, and while the list is non-empty
+every ordered command defers, which keeps the waker from overtaking the
+rank it just woke.  Every runnable rank is thus in the queue, on the
+ready list, or the one running, and the queue holds only starts and
+deferred ordered commands: one activation per event, at most one event
+per message when ranks run concurrently, none for a serial ping-pong or a
 hand-over.
 
 An :class:`ExchangeCmd` is a program, not an action: the engine expands it
@@ -64,9 +65,9 @@ through the gate (its sends do, its receives name their source), the
 send path and the delivery path like any other command.  *Accepting* it
 touches no shared state and is not gated.
 
-There is one configuration of the kernel.  Pending events live in a
-calendar queue (:class:`repro.simmpi.eventq.CalendarQueue`) whose bucket
-width follows from the network model and the rank count, and every
+There is one configuration of the kernel.  Pending events, at most one
+per rank, live in a binary heap (:class:`repro.simmpi.eventq.HeapQueue`;
+DESIGN §14 times it against a calendar queue up to p = 4096), and every
 message goes through one send path (``_do_send``) and one delivery path
 (``_finish_delivery``).  The six optional hooks — event sink, metrics
 registry, time-series bank, fault injector, profiler, fabric pricing —
@@ -95,8 +96,8 @@ from repro.obs import events as obs_events
 from repro.obs.events import EventSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesBank
-from repro.simmpi.eventq import CalendarQueue, auto_bucket_width
-from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, RecvDescriptor
+from repro.simmpi.eventq import HeapQueue
+from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
 from repro.simmpi.network import Level, NetworkModel
 from repro.simmpi.rngpool import UniformPool
 
@@ -270,10 +271,14 @@ Command = (
 class _Exchange:
     """A rank's progress through its active :class:`ExchangeCmd`."""
 
-    __slots__ = ("cmd", "left", "send", "recv", "pinged", "before", "rounds")
+    __slots__ = ("cmd", "read", "overhead", "left", "send", "recv", "pinged",
+                 "before", "rounds")
 
     def __init__(self, cmd: ExchangeCmd) -> None:
         self.cmd = cmd
+        #: The side's clock, resolved once for all of its reads.
+        self.read = cmd.clock.read
+        self.overhead = cmd.clock.read_overhead
         #: Round trips not yet started.
         self.left = cmd.n
         peer, tag, size = cmd.peer, cmd.tag, cmd.size
@@ -319,9 +324,9 @@ class _Proc:
         self.rank = rank
         self.gen: Generator[Command, Any, Any] | None = None
         self.now = 0.0
-        #: RecvDescriptor while blocked on an unmatched receive, the string
-        #: "ssend" while waiting for a rendezvous ack, or None when runnable.
-        self.blocked: RecvDescriptor | str | None = None
+        #: The RecvCmd blocked on, the string "ssend" while waiting for a
+        #: rendezvous ack, or None when runnable.
+        self.blocked: RecvCmd | str | None = None
         self.pending_value: Any = None
         #: Command pulled from the generator but deferred by the causality
         #: gate (the process was ahead of the global event frontier).
@@ -398,8 +403,8 @@ class Engine:
         #: one process remains (no shared state left to keep causal).
         self._live = 0
         #: Ready list: ranks woken by a delivery or a rendezvous ack that
-        #: have not run yet.  The loop runs them before it pops the next
-        #: event, and while one waits here every ordered command defers.
+        #: have not run yet.  ``_run_proc`` runs them before it returns to
+        #: the queue, and while one waits here every ordered command defers.
         self._woken: list[_Proc] = []
         #: Ordered commands deferred by the causality gate (each one is a
         #: queue round-trip).
@@ -449,9 +454,9 @@ class Engine:
         #: Messages still sitting in mailboxes when the run completed
         #: (sent but never received; finalized at the end of run()).
         self.messages_unreceived = 0
-        #: Events popped off the pending-event queue.  A rank run from
-        #: the ready list is not one, so this can be below the message
-        #: count (a serial ping-pong pops nothing at all).
+        #: Events popped off the pending-event queue (one ``_run_proc``
+        #: call each).  A rank run from the ready list is not one, so this
+        #: can be below the message count (a serial ping-pong pops none).
         self.events_processed = 0
         #: Deepest pending-event queue seen during the run.
         self.max_queue_depth = 0
@@ -545,18 +550,8 @@ class Engine:
         finally:
             prof.pop(start)
 
-    def _make_queue(self) -> CalendarQueue:
-        # One message's service window: CPU overheads plus the mean
-        # coarsest-level wire time of a minimal payload.  A p-rank job
-        # keeps ~p events inside such a window, so dividing by p keeps
-        # per-bucket occupancy roughly constant at every scale.
-        network = self.network
-        service = (
-            network.o_send
-            + network.o_recv
-            + network.expected_delay(Level.REMOTE, 8)
-        )
-        return CalendarQueue(auto_bucket_width(service, len(self._procs)))
+    def _make_queue(self) -> HeapQueue:
+        return HeapQueue()
 
     def _run(self) -> list[Any]:
         sink = self.sink
@@ -602,18 +597,10 @@ class Engine:
 
         max_true_time = self.max_true_time
         pop = queue.pop
-        woken = self._woken
         events = 0
         max_depth = self.max_queue_depth
         try:
-            while True:
-                if woken:
-                    # A rank just woken runs now, not through the queue
-                    # (its next ordered command defers there).
-                    self._run_proc(woken.pop())
-                    continue
-                if not queue.size:
-                    break
+            while queue.size:
                 t, _, rank = pop()
                 events += 1
                 depth = queue.size
@@ -643,7 +630,7 @@ class Engine:
             self.events_processed += events
             self.max_queue_depth = max_depth
 
-        states = {p.rank: p.blocked for p in procs if not p.finished}
+        states = {p.rank: (p.blocked, p.block_time) for p in procs if not p.finished}
         if states:
             # An attached sanitizer (see repro.check) can name the
             # blocked-wait cycle; without one the raw states must do.
@@ -662,7 +649,8 @@ class Engine:
         self._queue.push(time, seq, proc.rank)
 
     def _run_proc(self, proc: _Proc) -> None:
-        """Step ``proc`` inline until it blocks, defers, or finishes.
+        """Step ``proc`` inline until it blocks, defers, or finishes, then
+        each woken rank (last woken first) the same way: one call per event.
 
         Causality gate: an *ordered* command — the send of a ``SendCmd``
         or ``SendRecvCmd``, a ``RecvCmd`` from ``ANY_SOURCE`` — executes
@@ -688,177 +676,182 @@ class Engine:
         rendezvous prices an ack through its delay hook.)  The horizon
         check applies to every command.
         """
-        gen = proc.gen
-        assert gen is not None
-        value = proc.pending_value
-        proc.pending_value = None
-        cmd: Command | None = proc.pending_cmd
-        proc.pending_cmd = None
-        proc.blocked = None
         # Hot-loop locals: these attributes are stable across the run and
         # each dotted lookup costs a dict probe per command otherwise.
-        # _live is constant within one _run_proc activation (it changes
-        # only when *this* process finishes, which returns immediately);
-        # the queue frontier and the ready list are not (sends wake
+        # The queue frontier and the ready list are not (sends wake
         # peers), so both are re-read each iteration.
         queue = self._queue
         woken = self._woken
-        gate = self._live > 1
+        nprocs = len(self._procs)
         horizon = self.max_true_time
         sink, _, _, injector, prof, _ = self._hooks
         # A receive that completes a rendezvous prices the ack through
         # the injector; if that hook keeps state, receives are ordered too
         # and no send is handed over.
         stateful = injector is not None and injector.stateful_delays
-        send = gen.send
         # Ordinary attribute lookups: an instance-level patch of either
         # method (the sanitizer's mutant tests) intercepts the hot path.
         do_send = self._do_send
         finish = self._finish_delivery
         while True:
-            if cmd is None:
-                exchange = proc.exchange
-                if exchange is not None:
-                    # An exchange in progress: take its next leg in place
-                    # of resuming the generator.  The leg then meets the
-                    # gate below as the command the rank would have
-                    # yielded at this point.
-                    cmd = self._exchange_leg(proc, exchange, value)
+            send = proc.gen.send
+            value = proc.pending_value
+            proc.pending_value = None
+            cmd: Command | None = proc.pending_cmd
+            proc.pending_cmd = None
+            proc.blocked = None
+            # _live changes only when a rank finishes, which ends its run.
+            gate = self._live > 1
+            while True:
+                if cmd is None:
+                    exchange = proc.exchange
+                    if exchange is not None:
+                        # An exchange in progress: take its next leg in place
+                        # of resuming the generator.  The leg then meets the
+                        # gate below as the command the rank would have
+                        # yielded at this point.
+                        cmd = self._exchange_leg(proc, exchange, value)
+                        value = None
+                        if cmd is None:
+                            proc.exchange = None
+                            value = exchange.rounds
+                if cmd is None:
+                    # "proc.advance" is the inline execution of process code
+                    # between two commands — the sync algorithms' compute
+                    # (fitting, offset math, clock reads) lands here, with
+                    # finer zones nested by those layers.
+                    if prof is not None:
+                        start = prof.push("proc.advance")
+                    try:
+                        cmd = send(value)
+                    except StopIteration as stop:
+                        proc.finished = True
+                        proc.result = stop.value
+                        self._live -= 1
+                        break
+                    finally:
+                        if prof is not None:
+                            prof.pop(start)
                     value = None
-                    if cmd is None:
-                        proc.exchange = None
-                        value = exchange.rounds
-            if cmd is None:
-                # "proc.advance" is the inline execution of process code
-                # between two commands — the sync algorithms' compute
-                # (fitting, offset math, clock reads) lands here, with
-                # finer zones nested by those layers.
-                if prof is not None:
-                    start = prof.push("proc.advance")
-                try:
-                    cmd = send(value)
-                except StopIteration as stop:
-                    proc.finished = True
-                    proc.result = stop.value
-                    self._live -= 1
-                    return
-                finally:
+                    if type(cmd) is ExchangeCmd:
+                        # Accepted without a gate check: this touches no
+                        # shared state, and the legs are gated one by one.
+                        proc.exchange = self._accept_exchange(proc, cmd)
+                        cmd = None
+                        continue
+                cls = type(cmd)
+                level = None
+                if (
+                    gate
+                    and (
+                        cls is SendCmd
+                        or cls is SendRecvCmd
+                        or (
+                            cls is RecvCmd
+                            and (stateful or cmd.source == ANY_SOURCE)
+                        )
+                    )
+                    and (woken or proc.now > queue.frontier)
+                ):
+                    # An ordered command, and a woken rank or a pending event
+                    # may act before it: defer until the queue catches up,
+                    # unless it is a send its receiver is waiting for on this
+                    # node (a hand-over; ``level`` is then the pair's level).
+                    # With a single live process there is nobody left to
+                    # observe shared state out of order, so the round-trip
+                    # through the queue is skipped entirely.
+                    if cls is not RecvCmd and not stateful:
+                        level = self._hand_over_level(proc, cmd)
+                    if level is None:
+                        proc.pending_cmd = cmd
+                        self.gate_deferrals += 1
+                        self._schedule(proc, proc.now)
+                        break
+                if proc.now > horizon:
+                    # A process that runs inline never goes through the queue,
+                    # so the event loop's horizon check would never see it.
+                    raise SimulationError(
+                        f"simulation exceeded max_true_time={horizon}"
+                    )
+                if cls is SendCmd or cls is SendRecvCmd:
+                    if prof is not None:
+                        start = prof.push("engine.send")
+                        do_send(proc, cmd, level)
+                        prof.pop(start)
+                    else:
+                        do_send(proc, cmd, level)
+                    if cls is SendRecvCmd:
+                        # Receive half: loop back with a synthesized RecvCmd
+                        # so the causality gate is re-evaluated between the
+                        # halves at exactly the point the unfused
+                        # SendCmd/RecvCmd pair would have re-entered it (the
+                        # send advanced proc.now).
+                        cmd = RecvCmd(cmd.source, cmd.recv_tag)
+                        continue
+                    if cmd.synchronous:
+                        # Sender parks until the receiver matches (rendezvous);
+                        # _do_send marked it blocked, and has already released
+                        # it again if the receiver was waiting.
+                        break
+                elif cls is RecvCmd:
+                    start = prof.push("engine.recv") if prof is not None else 0
+                    msg = self._match_mailbox(proc, cmd.source, cmd.tag)
+                    if msg is None:
+                        # Checked only here: a match comes from a valid rank.
+                        source = cmd.source
+                        if not 0 <= source < nprocs and source != ANY_SOURCE:
+                            raise MatchingError(
+                                f"receive from invalid rank {source}"
+                            )
+                        proc.blocked = cmd
+                        proc.block_time = proc.now
+                        if sink is not None:
+                            sink.emit(obs_events.ProcBlock(
+                                time=proc.now, rank=proc.rank,
+                                reason="recv", source=source, tag=cmd.tag,
+                            ))
+                        if prof is not None:
+                            prof.pop(start)
+                        break
+                    if msg.arrival > proc.now:
+                        proc.now = msg.arrival
+                    value = finish(proc, msg)
                     if prof is not None:
                         prof.pop(start)
-                value = None
-                if type(cmd) is ExchangeCmd:
-                    # Accepted without a gate check: this touches no
-                    # shared state, and the legs are gated one by one.
-                    proc.exchange = self._accept_exchange(proc, cmd)
-                    cmd = None
-                    continue
-            cls = type(cmd)
-            level = None
-            if (
-                gate
-                and (
-                    cls is SendCmd
-                    or cls is SendRecvCmd
-                    or (
-                        cls is RecvCmd
-                        and (stateful or cmd.source == ANY_SOURCE)
-                    )
-                )
-                and (woken or proc.now > queue.frontier)
-            ):
-                # An ordered command, and a woken rank or a pending event
-                # may act before it: defer until the queue catches up,
-                # unless it is a send its receiver is waiting for on this
-                # node (a hand-over; ``level`` is then the pair's level).
-                # With a single live process there is nobody left to
-                # observe shared state out of order, so the round-trip
-                # through the queue is skipped entirely.
-                if cls is not RecvCmd and not stateful:
-                    level = self._hand_over_level(proc, cmd)
-                if level is None:
-                    proc.pending_cmd = cmd
-                    self.gate_deferrals += 1
-                    self._schedule(proc, proc.now)
-                    return
-            if proc.now > horizon:
-                # A process that runs inline never goes through the queue,
-                # so the event loop's horizon check would never see it.
-                raise SimulationError(
-                    f"simulation exceeded max_true_time={horizon}"
-                )
-            if cls is SendCmd or cls is SendRecvCmd:
-                if prof is not None:
-                    start = prof.push("engine.send")
-                    do_send(proc, cmd, level)
-                    prof.pop(start)
+                elif cls is ElapseCmd:
+                    # duration >= 0 is guaranteed by ElapseCmd construction.
+                    duration = cmd.duration
+                    if injector is not None and duration > 0.0:
+                        # Straggler faults: compute runs slower in the window.
+                        duration = injector.perturb_compute(
+                            proc.now, proc.rank, duration, proc.get_rng()
+                        )
+                    proc.now += duration
+                elif cls is WaitUntilCmd:
+                    if cmd.true_time > proc.now:
+                        proc.now = cmd.true_time
                 else:
-                    do_send(proc, cmd, level)
-                if cls is SendRecvCmd:
-                    # Receive half: loop back with a synthesized RecvCmd
-                    # so the causality gate is re-evaluated between the
-                    # halves at exactly the point the unfused
-                    # SendCmd/RecvCmd pair would have re-entered it (the
-                    # send advanced proc.now).
-                    cmd = RecvCmd(cmd.source, cmd.recv_tag)
-                    continue
-                if cmd.synchronous:
-                    # Sender parks until the receiver matches (rendezvous);
-                    # _do_send marked it blocked, and has already released
-                    # it again if the receiver was waiting.
-                    return
-            elif cls is RecvCmd:
-                start = prof.push("engine.recv") if prof is not None else 0
-                msg = self._match_mailbox(proc, cmd.source, cmd.tag)
-                if msg is None:
-                    proc.blocked = RecvDescriptor(
-                        proc.rank, cmd.source, cmd.tag, proc.now
-                    )
-                    proc.block_time = proc.now
-                    if sink is not None:
-                        sink.emit(obs_events.ProcBlock(
-                            time=proc.now, rank=proc.rank, reason="recv",
-                            source=cmd.source, tag=cmd.tag,
-                        ))
-                    if prof is not None:
-                        prof.pop(start)
-                    return
-                if msg.arrival > proc.now:
-                    proc.now = msg.arrival
-                value = finish(proc, msg)
-                if prof is not None:
-                    prof.pop(start)
-            elif cls is ElapseCmd:
-                # duration >= 0 is guaranteed by ElapseCmd construction.
-                duration = cmd.duration
-                if injector is not None and duration > 0.0:
-                    # Straggler faults: compute runs slower in the window.
-                    duration = injector.perturb_compute(
-                        proc.now, proc.rank, duration, proc.get_rng()
-                    )
-                proc.now += duration
-            elif cls is WaitUntilCmd:
-                if cmd.true_time > proc.now:
-                    proc.now = cmd.true_time
-            else:
-                raise SimulationError(f"unknown command {cmd!r}")
-            cmd = None
+                    raise SimulationError(f"unknown command {cmd!r}")
+                cmd = None
+            if not woken:
+                return
+            proc = woken.pop()
 
     # ------------------------------------------------------------------
     # Clock reads and timestamped exchanges
     # ------------------------------------------------------------------
     def read_clock(self, rank: int, clock: "Clock") -> float:
-        """Read ``clock`` for ``rank`` now, charging its read overhead.
+        """Read ``clock`` for ``rank`` now, charging its read overhead
+        (:meth:`ProcessContext.read_clock`; exchange legs call :meth:`_read`)."""
+        return self._read(self._procs[rank], clock.read, clock.read_overhead)
 
-        The one clock-read body: rank programs reach it through
-        :meth:`ProcessContext.read_clock`, exchange legs directly.
-        """
-        proc = self._procs[rank]
+    def _read(self, proc: _Proc, read: Callable, overhead: float) -> float:
+        """The one clock-read body: charge ``overhead``, then ``read``."""
         prof = self.profiler
         t0 = prof.clock() if prof is not None else 0
-        overhead = clock.read_overhead
         if overhead:
             proc.now += overhead
-        value = clock.read(proc.now)
+        value = read(proc.now)
         if prof is not None:
             # The hardware-clock/drift evaluation (segment-table walks,
             # quantization) as its own zone.
@@ -891,7 +884,9 @@ class Engine:
                 # Ping received: answer it.
                 pong = exchange.send
                 if shape is not ExchangeShape.TIMED:
-                    pong.payload = self.read_clock(proc.rank, cmd.clock)
+                    pong.payload = self._read(
+                        proc, exchange.read, exchange.overhead
+                    )
                 return pong
             if not exchange.left:
                 return None
@@ -901,7 +896,7 @@ class Engine:
             # Pong received: the round is complete.
             exchange.rounds.append((
                 exchange.before, value.payload,
-                self.read_clock(proc.rank, cmd.clock),
+                self._read(proc, exchange.read, exchange.overhead),
             ))
         elif exchange.pinged:
             # Rendezvous ping acknowledged: now wait for the pong.
@@ -914,7 +909,9 @@ class Engine:
         if shape is ExchangeShape.RENDEZVOUS:
             exchange.pinged = True
         else:
-            before = exchange.before = self.read_clock(proc.rank, cmd.clock)
+            before = exchange.before = self._read(
+                proc, exchange.read, exchange.overhead
+            )
             if shape is ExchangeShape.STAMPED:
                 ping.payload = before
         return ping
@@ -947,7 +944,7 @@ class Engine:
             return None  # _do_send reports it once the gate lets it run
         waiting = procs[dest].blocked
         if (
-            type(waiting) is not RecvDescriptor
+            type(waiting) is not RecvCmd
             or waiting.source != proc.rank
             or (waiting.tag != cmd.tag and waiting.tag != ANY_TAG)
         ):
@@ -1100,9 +1097,11 @@ class Engine:
             sync_sender=proc if synchronous else None,
         )
         dest = procs[dest_rank]
-        blocked = dest.blocked
-        if type(blocked) is RecvDescriptor and msg.matches(
-            blocked.source, blocked.tag
+        waiting = dest.blocked
+        if (
+            type(waiting) is RecvCmd
+            and (waiting.source == rank or waiting.source == ANY_SOURCE)
+            and (waiting.tag == msg.tag or waiting.tag == ANY_TAG)
         ):
             # Wake the receiver: it resumes once the message arrives, from
             # the ready list (no queue event; nothing ordered can run
@@ -1130,9 +1129,14 @@ class Engine:
                                   dest_rank).observe(depth)
 
     def _match_mailbox(self, proc: _Proc, source: int, tag: int) -> Message | None:
-        for i, msg in enumerate(proc.mailbox):
-            if msg.matches(source, tag):
-                del proc.mailbox[i]
+        mailbox = proc.mailbox
+        if not mailbox:
+            return None
+        for i, msg in enumerate(mailbox):
+            if (source == msg.source or source == ANY_SOURCE) and (
+                tag == msg.tag or tag == ANY_TAG
+            ):
+                del mailbox[i]
                 return msg
         return None
 

@@ -1,4 +1,4 @@
-"""Pending-event queues: the engine's calendar buckets and a reference heap.
+"""Pending-event queues: the engine's binary heap and a reference calendar.
 
 The engine's event loop needs three operations on the pending-event set —
 ``push``, ``pop-min`` and an exact *frontier* peek (the causality gate
@@ -7,16 +7,16 @@ Events are ``(time, seq, rank)`` tuples, ``seq`` a monotonic tie-breaker, so
 ``(time, seq)`` is a total order and **any** implementation that pops in
 that order is observationally identical to any other.
 
-The engine always runs on :class:`CalendarQueue` (there is no option to
-pick another).  :class:`HeapQueue` stays as the reference the calendar
-queue is checked against: the property tests drive both in lockstep,
-``tests/simmpi/test_kernel_equivalence.py`` swaps it into whole
+The engine always runs on :class:`HeapQueue` (there is no option to pick
+another).  :class:`CalendarQueue` stays as the reference the heap is
+checked against and as a probe subject: the property tests drive both in
+lockstep, ``tests/simmpi/test_kernel_equivalence.py`` swaps it into whole
 simulations, and perfbench's probes time both side by side.
 
 * :class:`HeapQueue` — a ``heapq`` binary heap.  O(log n) per operation
   with n the pending-event count; the constant is small (C heap, tuple
-  comparisons) but grows with rank count, since a p-rank job keeps ~p
-  events pending.
+  comparisons), and the engine's queue holds only starts and gate
+  deferrals, at most one event per rank.
 * :class:`CalendarQueue` — fixed-width time buckets held in a sparse
   dict, with a small heap of *bucket indices* standing in for the usual
   overflow list.  Pops walk the current bucket (sorted once, lazily, per
@@ -67,17 +67,17 @@ _TARGET_OCCUPANCY = 8.0
 def auto_bucket_width(service_window: float, num_ranks: int) -> float:
     """Bucket width targeting ~:data:`_TARGET_OCCUPANCY` events/bucket.
 
-    ``service_window`` is the engine's estimate of one message's service
-    time (send/recv overheads plus the finest base latency); it is a
-    deterministic function of the network model, so the width never
-    depends on anything but the simulated job.
+    ``service_window`` is the caller's estimate of one message's service
+    time (send/recv overheads plus a base latency); computed from the
+    network model, it makes the width depend on nothing but the
+    simulated job.
     """
     window = service_window if service_window > 0.0 else 1e-6
     return window * _TARGET_OCCUPANCY / max(1, num_ranks)
 
 
 class HeapQueue:
-    """Binary-heap event queue (the reference, not used by the engine)."""
+    """Binary-heap event queue: the one the engine builds."""
 
     __slots__ = ("_heap", "_cancelled", "frontier", "size")
 
@@ -122,7 +122,8 @@ class HeapQueue:
 
 
 class CalendarQueue:
-    """Bucketed event queue with O(1) amortized push/pop (see module doc).
+    """Bucketed event queue, O(1) amortized push/pop: the heap's reference
+    in tests and a probe subject, not built by the engine (module doc).
 
     Invariant: whenever the queue is non-empty, ``_cur[_pos:]`` is the
     sorted, un-consumed remainder of the earliest occupied bucket and

@@ -45,13 +45,3 @@ class Message:
         if tag != ANY_TAG and tag != self.tag:
             return False
         return True
-
-
-@dataclass(slots=True)
-class RecvDescriptor:
-    """A blocked receive waiting for a matching message."""
-
-    rank: int
-    source: int
-    tag: int
-    post_time: float

@@ -34,7 +34,10 @@ class GlobalClockLM(Clock):
         self.model = model
 
     def read(self, true_time: float) -> float:
-        return self.model.apply(self.base.read(true_time))
+        # LinearDriftModel.apply written out: same operations, same order.
+        local = self.base.read(true_time)
+        model = self.model
+        return local - (model.slope * local + model.intercept)
 
     def read_many(self, true_times: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`read`: the affine adjustment maps elementwise

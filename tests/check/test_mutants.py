@@ -32,8 +32,9 @@ from repro.check import InvariantViolation, assert_clock_sane, checking
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.obs import events as ev
-from repro.simmpi.eventq import CalendarQueue
-from repro.simmpi.message import ANY_SOURCE, RecvDescriptor
+from repro.simmpi.engine import RecvCmd
+from repro.simmpi.eventq import HeapQueue
+from repro.simmpi.message import ANY_SOURCE
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 
@@ -139,7 +140,7 @@ def loose_hand_over(remote_ok, any_source_ok):
 
     def hand_over_level(self, proc, cmd):
         waiting = self._procs[cmd.dest].blocked
-        if type(waiting) is not RecvDescriptor or waiting.source not in (
+        if type(waiting) is not RecvCmd or waiting.source not in (
             (proc.rank, ANY_SOURCE) if any_source_ok else (proc.rank,)
         ):
             return None
@@ -149,7 +150,7 @@ def loose_hand_over(remote_ok, any_source_ok):
     return hand_over_level
 
 
-class BlindQueue(CalendarQueue):
+class BlindQueue(HeapQueue):
     """Mutant 8: the frontier the causality gate compares against is
     always "nothing pending", so no rank is ever ahead of it."""
 
@@ -163,8 +164,7 @@ def make_fan_in_sim(blind):
         seed=3, check="strict",
     )
     if blind:
-        make_queue = sim.engine._make_queue
-        sim.engine._make_queue = lambda: BlindQueue(make_queue().width)
+        sim.engine._make_queue = BlindQueue
     return sim
 
 

@@ -2,8 +2,8 @@
 
 Hypothesis drives randomized operation sequences — pushes with heavy
 timestamp ties, far-future outliers that land thousands of bucket widths
-ahead, interleaved pops, and lazy cancellations — through a
-:class:`CalendarQueue` and the reference :class:`HeapQueue` in lockstep,
+ahead, interleaved pops, and lazy cancellations — through the engine's
+:class:`HeapQueue` and the reference :class:`CalendarQueue` in lockstep,
 asserting identical pop streams, sizes and frontiers at every step.
 
 Sequences respect the engine's contract: a push never predates the last

@@ -13,6 +13,7 @@ from repro.simmpi.engine import (
     ExchangeShape,
     RecvCmd,
     SendCmd,
+    SendRecvCmd,
     WaitUntilCmd,
 )
 from repro.simmpi.message import ANY_SOURCE
@@ -165,6 +166,30 @@ class TestMatching:
         with pytest.raises(MatchingError):
             engine.run()
 
+    @pytest.mark.parametrize("cmd, rank", [
+        (RecvCmd(source=5, tag=1), 5),
+        (SendRecvCmd(dest=1, tag=1, source=5, recv_tag=1), 5),
+        (RecvCmd(source=-2, tag=1), -2),
+    ], ids=["recv", "sendrecv", "negative"])
+    def test_receive_from_invalid_rank(self, cmd, rank):
+        """A receive no rank can satisfy fails as a send there does,
+        not as a deadlock once the run ends."""
+        engine = make_engine()
+
+        def body():
+            yield cmd
+
+        def idle():
+            return
+            yield
+
+        engine.bind(0, body())
+        engine.bind(1, idle())
+        with pytest.raises(
+            MatchingError, match=f"receive from invalid rank {rank}$"
+        ):
+            engine.run()
+
 
 class TestSsend:
     def test_ssend_blocks_until_matched(self):
@@ -246,6 +271,7 @@ class TestLifecycle:
         engine = make_engine()
 
         def body():
+            yield ElapseCmd(0.5)
             yield RecvCmd(source=0, tag=1)
 
         def other():
@@ -255,10 +281,11 @@ class TestLifecycle:
         engine.bind(1, body())
         with pytest.raises(DeadlockError) as err:
             engine.run()
-        # Ranks and their blocked states, each listed once.
+        # Ranks, the receive each is blocked on, and since when.
         message = str(err.value)
         assert "ranks [0, 1] blocked" in message
-        assert message.count("RecvDescriptor") == 2
+        assert "0: (RecvCmd(source=1, tag=1), 0.0)" in message
+        assert "1: (RecvCmd(source=0, tag=1), 0.5)" in message
 
     def test_deadlock_message_skips_finished_ranks(self):
         engine = make_engine(3)
@@ -471,9 +498,10 @@ class TestStats:
 class TestGate:
     """What ``events_processed`` and ``gate_deferrals`` count.
 
-    ``events_processed`` is queue pops.  A rank woken by a delivery runs
-    from the ready list, not through the queue, so pops can be fewer than
-    messages.  ``gate_deferrals`` counts ordered commands (a send, an
+    ``events_processed`` is queue pops, one ``_run_proc`` activation
+    each.  A rank woken by a delivery runs from the ready list inside the
+    activation that woke it, not through the queue, so pops can be fewer
+    than messages.  ``gate_deferrals`` counts ordered commands (a send, an
     ``ANY_SOURCE`` receive) put back because another rank could still act
     before them; nothing else is gated.
     """
@@ -502,16 +530,30 @@ class TestGate:
         assert stats["gate_deferrals"] == 0
 
     @staticmethod
-    def _sync_stats(label, seed=0):
+    def _sync_run(label, seed=0):
+        """(``Engine.stats()``, ``_run_proc`` entries) of one sync at 16×4."""
         from repro.sync.registry import algorithm_from_label
 
         algorithm = algorithm_from_label(label, fitpoint_spacing=1e-3)
         sim = Simulation(Machine(16, 1, 4, 4), infiniband_qdr(), seed=seed)
+        run_proc = sim.engine._run_proc
+        entries = 0
+
+        def counting_run_proc(proc):
+            nonlocal entries
+            entries += 1
+            run_proc(proc)
+
+        sim.engine._run_proc = counting_run_proc
 
         def main(ctx, comm):
             yield from algorithm.sync_clocks(comm, ctx.hardware_clock)
 
-        return sim.run(main).engine_stats
+        return sim.run(main).engine_stats, entries
+
+    @classmethod
+    def _sync_stats(cls, label, seed=0):
+        return cls._sync_run(label, seed)[0]
 
     def test_jk_is_serial_one_start_per_rank_one_deferral_per_client(self):
         """JK at p = 16·4 ranks, r = 4 per node: the root (rank 0) sends
@@ -537,6 +579,16 @@ class TestGate:
         p = stats["num_ranks"]
         assert stats["events_processed"] == p + stats["gate_deferrals"]
         assert stats["gate_deferrals"] <= stats["messages_sent"]
+
+    @pytest.mark.parametrize("label", [
+        "hca3/recompute_intercept/4/skampi_offset/3", "jk/4/skampi_offset/3",
+    ], ids=["flat_hca3", "jk"])
+    def test_one_activation_per_queue_event(self, label):
+        """Woken ranks run inside the activation that woke them, so the
+        loop enters ``_run_proc`` once per pop and never for a wake."""
+        stats, entries = self._sync_run(label)
+        assert stats["messages_delivered"] > stats["events_processed"]
+        assert entries == stats["events_processed"]
 
     #: command issued by rank 0 at t=1 while rank 1 is queued at t=0,
     #: what rank 1 does so that rank 0 completes, deferrals expected.

@@ -2,8 +2,9 @@
 
 The contract (see ``repro.simmpi.eventq``): events are ``(time, seq,
 rank)`` with ``seq`` a monotonic tie-breaker, so ``(time, seq)`` is a
-total order and every kernel must pop in exactly that order — the queue
-kind is a pure performance knob.  These tests pin the contract directly
+total order and every kernel must pop in exactly that order — the engine
+builds the heap, and which queue it builds is a pure performance choice.
+These tests pin the contract directly
 on the queue objects; ``test_kernel_equivalence.py`` pins it end-to-end
 through whole simulations.
 """

@@ -2,11 +2,11 @@
 
 ``test_eventq.py`` pins the ``(time, seq)`` pop-order contract on the
 queue objects in isolation; these tests pin it through whole
-simulations.  The engine builds exactly one queue — the calendar queue
-at its automatic width — and has no option to pick another, so the
-alternatives are swapped in from here by overriding
-``Engine._make_queue``: the binary heap (the lockstep reference of the
-property tests) and calendar queues whose widths span nine orders of
+simulations.  The engine builds exactly one queue — the binary heap —
+and has no option to pick another, so the reference is swapped in from
+here by overriding ``Engine._make_queue``: the calendar queue (the
+heap's lockstep partner in the property tests) at the automatic width
+it had when the engine ran on it, and at widths spanning nine orders of
 magnitude.  For every workload family the repo exercises — the perf
 ring, a Fig. 3-style sync round, and a fault-recovery run — all of them
 must yield bit-identical results, engine stats, observability event
@@ -24,7 +24,8 @@ from repro.faults.scenarios import make_scenario
 from repro.obs.events import RecordingSink
 from repro.obs.metrics import MetricsRegistry
 from repro.simmpi.engine import Engine
-from repro.simmpi.eventq import CalendarQueue, HeapQueue
+from repro.simmpi.eventq import CalendarQueue, HeapQueue, auto_bucket_width
+from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync import HCA3Sync
@@ -36,9 +37,10 @@ QUIET = CLOCK_GETTIME.with_(skew_walk_sigma=1e-9)
 RING_SIZES = (8, 64, 8, 1024, 8, 65536)
 
 #: Queue configurations that must all be observationally identical.
-#: ``("calendar", None)`` is the engine as shipped.  The widths straddle
-#: the auto width from both sides: 1e-9 forces heavy bucket hopping, 1.0
-#: degenerates to one bucket (an insort list).
+#: ``("heap", None)`` is the engine as shipped, ``("calendar", None)`` the
+#: calendar at its automatic width.  The widths straddle the auto width
+#: from both sides: 1e-9 forces heavy bucket hopping, 1.0 degenerates to
+#: one bucket (an insort list).
 VARIANTS = [
     ("heap", None),
     ("calendar", None),
@@ -48,7 +50,18 @@ VARIANTS = [
 ]
 
 
-_SHIPPED_MAKE_QUEUE = Engine._make_queue
+def auto_width(engine):
+    """The calendar width from one message's service window: CPU
+    overheads plus the mean coarsest-level wire time of a minimal
+    payload.  A p-rank job keeps ~p events inside such a window, so
+    dividing by p keeps per-bucket occupancy roughly constant."""
+    network = engine.network
+    service = (
+        network.o_send
+        + network.o_recv
+        + network.expected_delay(Level.REMOTE, 8)
+    )
+    return auto_bucket_width(service, engine.num_ranks)
 
 
 @pytest.fixture
@@ -59,9 +72,7 @@ def use_queue(monkeypatch):
         def make(engine):
             if kind == "heap":
                 return HeapQueue()
-            if width is not None:
-                return CalendarQueue(width)
-            return _SHIPPED_MAKE_QUEUE(engine)
+            return CalendarQueue(width or auto_width(engine))
 
         monkeypatch.setattr(Engine, "_make_queue", make)
 
@@ -174,7 +185,7 @@ class TestRingEquivalence:
 class TestFig3Equivalence:
     def test_calendar_matches_heap(self, use_queue):
         shipped = _run_fig3()
-        use_queue("heap")
+        use_queue("calendar")
         assert shipped == _run_fig3()
 
     @pytest.mark.parametrize("width", [1e-9, 1.0])
@@ -188,7 +199,7 @@ class TestFig3Equivalence:
 class TestFaultRecoveryEquivalence:
     def test_calendar_matches_heap(self, use_queue):
         shipped = _run_fault()
-        use_queue("heap")
+        use_queue("calendar")
         assert shipped == _run_fault()
 
 

@@ -45,8 +45,8 @@ Invariant catalog (rule names used in violations):
     dropped messages.  Cross-checked against ``Engine.stats()`` (and the
     metrics registry, when one is attached) at finalize.
 ``msg-integrity``
-    A delivery's source/size must equal its send's, and it cannot
-    complete before the send happened.
+    A delivery's endpoints, tag and size must equal its send's, and it
+    cannot complete before the send happened.
 ``lifecycle``
     Block/wake legality: a blocked process cannot block again without a
     wake in between, a wake requires a preceding block, and a rank's
@@ -273,12 +273,6 @@ class SanitizerSink:
         else:
             self.report.dropped += 1
 
-    def _state(self, rank: int) -> _RankState:
-        state = self._ranks.get(rank)
-        if state is None:
-            state = self._ranks[rank] = _RankState()
-        return state
-
     # ------------------------------------------------------------------
     # EventSink protocol
     # ------------------------------------------------------------------
@@ -288,8 +282,10 @@ class SanitizerSink:
         if etype is obs_events.FaultInject:
             return  # scheduled a priori, at future activation times
         rank = event.rank
+        state = self._ranks.get(rank)
+        if state is None:
+            state = self._ranks[rank] = _RankState()
         if rank >= 0:
-            state = self._state(rank)
             if event.time < state.last_time:
                 self.violation(
                     "monotonic-time",
@@ -307,15 +303,15 @@ class SanitizerSink:
         elif etype is obs_events.MsgDeliver:
             self._on_deliver(event)
         elif etype is obs_events.ProcBlock:
-            self._on_block(event)
+            self._on_block(event, state)
         elif etype is obs_events.ProcWake:
-            self._on_wake(event)
+            self._on_wake(event, state)
         elif etype is obs_events.ResyncRound:
-            self._on_resync(event)
+            self._on_resync(event, state)
         elif etype is obs_events.CollectiveEnter:
-            self._state(rank).coll_stack.append(event)
+            state.coll_stack.append(event)
         elif etype is obs_events.CollectiveExit:
-            self._on_collective_exit(event)
+            self._on_collective_exit(event, state)
 
     # ------------------------------------------------------------------
     # Per-event checks
@@ -380,14 +376,18 @@ class SanitizerSink:
                 )
             return
         self._delivered_seqs.add(event.seq)
-        if (send.rank, send.dest, send.size) != (
-            event.source, event.rank, event.size
+        if (
+            send.rank != event.source
+            or send.dest != event.rank
+            or send.tag != event.tag
+            or send.size != event.size
         ):
             self.violation(
                 "msg-integrity",
                 f"delivery of seq {event.seq} does not match its send: "
-                f"sent {send.rank}->{send.dest} ({send.size}B), "
-                f"delivered {event.source}->{event.rank} ({event.size}B)",
+                f"sent {send.rank}->{send.dest} tag {send.tag} "
+                f"({send.size}B), delivered {event.source}->{event.rank} "
+                f"tag {event.tag} ({event.size}B)",
                 time=event.time, rank=event.rank, seq=event.seq,
             )
         if event.time < send.time:
@@ -412,8 +412,8 @@ class SanitizerSink:
         else:
             self._last_matched[channel] = event.seq
 
-    def _on_block(self, event: obs_events.ProcBlock) -> None:
-        state = self._state(event.rank)
+    def _on_block(self, event: obs_events.ProcBlock,
+                  state: _RankState) -> None:
         if state.blocked is not None:
             self.violation(
                 "lifecycle",
@@ -424,8 +424,8 @@ class SanitizerSink:
             )
         state.blocked = event
 
-    def _on_wake(self, event: obs_events.ProcWake) -> None:
-        state = self._state(event.rank)
+    def _on_wake(self, event: obs_events.ProcWake,
+                 state: _RankState) -> None:
         if state.blocked is None:
             self.violation(
                 "lifecycle",
@@ -434,8 +434,8 @@ class SanitizerSink:
             )
         state.blocked = None
 
-    def _on_resync(self, event: obs_events.ResyncRound) -> None:
-        state = self._state(event.rank)
+    def _on_resync(self, event: obs_events.ResyncRound,
+                   state: _RankState) -> None:
         expected = state.resync_round + 1
         if event.round_index != expected:
             self.violation(
@@ -447,8 +447,8 @@ class SanitizerSink:
             )
         state.resync_round = event.round_index
 
-    def _on_collective_exit(self, event: obs_events.CollectiveExit) -> None:
-        state = self._state(event.rank)
+    def _on_collective_exit(self, event: obs_events.CollectiveExit,
+                            state: _RankState) -> None:
         if not state.coll_stack:
             self.violation(
                 "collective-nesting",

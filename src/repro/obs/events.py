@@ -11,6 +11,11 @@ Zero overhead when disabled: every emission site is guarded by a single
 ``if sink is not None`` check, so with no sink installed the engine does
 no event-object construction at all.  Sinks must be passive — ``emit``
 must not touch the engine, draw randomness, or raise.
+
+Records are slotted, not frozen (a frozen ``__init__`` pays one
+``object.__setattr__`` per field), so sinks must not mutate them either.
+Field order is an API: the engine builds ``MsgSend``, ``MsgDeliver``,
+``ProcBlock``, ``ProcWake`` and ``NicQueue`` positionally.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterator, Protocol, runtime_checkable
 # ----------------------------------------------------------------------
 # Event records (all times are true simulation times, in seconds)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MsgSend:
     """A point-to-point message was injected by ``rank``."""
 
@@ -33,12 +38,12 @@ class MsgSend:
     tag: int
     size: int
     seq: int
-    #: Network level of the path ("SELF"/"LOCAL"/"REMOTE").
+    #: Name of the pair's ``Level``: SELF, SOCKET, NODE or REMOTE.
     level: str
     synchronous: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MsgDeliver:
     """A message completed delivery at the receiver (``rank``)."""
 
@@ -61,7 +66,7 @@ class MsgDeliver:
     waited: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcBlock:
     """A process blocked: ``reason`` is ``"recv"`` or ``"ssend"``."""
 
@@ -72,7 +77,7 @@ class ProcBlock:
     tag: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcWake:
     """A blocked process became runnable again.
 
@@ -89,7 +94,7 @@ class ProcWake:
     seq: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NicQueue:
     """A remote message found a busy NIC and queued behind ``backlog``."""
 
@@ -102,7 +107,7 @@ class NicQueue:
     inject_time: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FaultInject:
     """A scheduled fault perturbs the simulation from ``time`` on.
 
@@ -120,7 +125,7 @@ class FaultInject:
     duration: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ResyncRound:
     """A :class:`~repro.sync.resync.PeriodicResyncClock` re-synchronized.
 
@@ -135,7 +140,7 @@ class ResyncRound:
     age: float = -1.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CollectiveEnter:
     """A rank entered a collective operation (e.g. ``MPI_Allreduce``)."""
 
@@ -147,7 +152,7 @@ class CollectiveEnter:
     comm_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CollectiveExit:
     """A rank left a collective operation."""
 
@@ -159,7 +164,7 @@ class CollectiveExit:
     comm_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PhaseBegin:
     """A rank entered an annotated algorithm phase.
 
@@ -184,7 +189,7 @@ class PhaseBegin:
     peer: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PhaseEnd:
     """A rank left an annotated algorithm phase (matches by ``name``)."""
 

@@ -40,7 +40,7 @@ class MessageEdge:
     dst: int
     tag: int
     size: int
-    #: Network level of the path ("SELF"/"LOCAL"/"REMOTE").
+    #: Name of the pair's ``Level``: SELF, SOCKET, NODE or REMOTE.
     level: str
     send_time: float
     #: True arrival at the receiver (before the o_recv charge); -1.0

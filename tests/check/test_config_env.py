@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -120,6 +122,28 @@ class TestSimulationWiring:
         assert isinstance(sim.engine.sink, TeeSink)
         res = sim.run(self.body)
         assert len(sink.events) == res.check_report.events_checked > 0
+
+    def test_checked_run_leaves_no_cycle(self):
+        """A checked, metered run is freed by reference counting alone.
+
+        An ``emit`` that dispatched through a dict of the checker's own
+        bound methods would tie the checker into a cycle, keeping it (and
+        everything it tracked) alive until a full collection."""
+        from repro.obs import MetricsRegistry, TimeSeriesBank
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = run_spmd(self.body, check="strict",
+                           metrics=MetricsRegistry(),
+                           timeseries=TimeSeriesBank())[0]
+            checker = weakref.ref(sim.checker)
+            engine = weakref.ref(sim.engine)
+            del sim
+            assert checker() is None
+            assert engine() is None
+        finally:
+            gc.enable()
 
     def test_report_mode_appends_to_dir(self, tmp_path):
         d = str(tmp_path)

@@ -120,6 +120,12 @@ class TestMsgIntegrity:
         s.emit(deliver(seq=0, size=16))
         assert "msg-integrity" in rules_of(s.report)
 
+    def test_tag_mismatch(self):
+        s = reporting()
+        s.emit(send(seq=0, tag=1))
+        s.emit(deliver(seq=0, tag=2))
+        assert "msg-integrity" in rules_of(s.report)
+
     def test_wrong_endpoints(self):
         s = reporting()
         s.emit(send(seq=0, rank=0, dest=1))

@@ -1,5 +1,9 @@
 """Engine/communicator event emission and sink plumbing."""
 
+from dataclasses import fields
+
+import pytest
+
 from repro.cluster.netmodels import infiniband_qdr
 from repro.obs.events import (
     CollectiveEnter,
@@ -8,6 +12,7 @@ from repro.obs.events import (
     EventSink,
     MsgDeliver,
     MsgSend,
+    NicQueue,
     ProcBlock,
     ProcWake,
     RecordingSink,
@@ -15,6 +20,7 @@ from repro.obs.events import (
     get_default_sink,
     set_default_sink,
 )
+from repro.simmpi.network import Level
 from tests.conftest import run_spmd
 
 
@@ -140,3 +146,57 @@ class TestSinks:
             sim.run(body)
         assert len(explicit) > 0
         assert len(ambient) == 0
+
+
+class TestPositionalContract:
+    """The engine builds its per-message records positionally, so field
+    order is an API: these pin it, and check a real run against it."""
+
+    #: The argument order of the engine's positional calls.
+    ORDER = {
+        MsgSend: ["time", "rank", "dest", "tag", "size", "seq", "level",
+                  "synchronous"],
+        MsgDeliver: ["time", "rank", "source", "tag", "size", "seq",
+                     "latency", "arrival", "waited"],
+        ProcBlock: ["time", "rank", "reason", "source", "tag"],
+        ProcWake: ["time", "rank", "cause", "seq"],
+        NicQueue: ["time", "rank", "node", "backlog", "inject_time"],
+    }
+
+    @pytest.mark.parametrize("cls", list(ORDER), ids=lambda c: c.__name__)
+    def test_field_order(self, cls):
+        assert [f.name for f in fields(cls)] == self.ORDER[cls]
+
+    @pytest.fixture(scope="class")
+    def flat_hca3_events(self):
+        """Every record of one flat HCA3 sync at 16x4, seed 0."""
+        from repro.cluster.topology import Machine
+        from repro.simmpi.simulation import Simulation
+        from repro.sync.registry import algorithm_from_label
+
+        algorithm = algorithm_from_label(
+            "hca3/recompute_intercept/8/skampi_offset/4",
+            fitpoint_spacing=1e-3,
+        )
+        sink = RecordingSink()
+
+        def main(ctx, comm):
+            yield from algorithm.sync_clocks(comm, ctx.hardware_clock)
+
+        Simulation(Machine(16, 1, 4, 4), infiniband_qdr(), seed=0,
+                   sink=sink).run(main)
+        return sink
+
+    def test_deliveries_match_sends(self, flat_hca3_events):
+        sends = {e.seq: e for e in flat_hca3_events.of_type(MsgSend)}
+        delivers = flat_hca3_events.of_type(MsgDeliver)
+        assert delivers and len(delivers) == len(sends)
+        for d in delivers:
+            s = sends[d.seq]
+            assert (d.source, d.rank, d.tag, d.size) == (
+                s.rank, s.dest, s.tag, s.size
+            )
+
+    def test_send_levels_are_level_names(self, flat_hca3_events):
+        levels = {e.level for e in flat_hca3_events.of_type(MsgSend)}
+        assert levels and levels <= {level.name for level in Level}

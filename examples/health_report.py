@@ -19,14 +19,13 @@ attached (see ``repro.obs.timeseries``):
 Run:  python examples/health_report.py
 """
 
+from repro.context import run_context
 from repro.faults.evaluate import run_recovery
 from repro.faults.scenarios import make_scenario
 from repro.obs import (
     MetricsRegistry,
     TimeSeriesBank,
     build_report,
-    default_metrics,
-    default_timeseries,
     evaluate_health,
 )
 from repro.obs.report import write_report
@@ -36,7 +35,7 @@ metrics = MetricsRegistry()
 
 if __name__ == "__main__":
     scenario = make_scenario("ntp_step")
-    with default_timeseries(bank), default_metrics(metrics):
+    with run_context(timeseries=bank, metrics=metrics):
         for resync_age in (None, 8.0):
             outcome = run_recovery(
                 scenario,

@@ -1,7 +1,8 @@
 """Simulation sanitizer: runtime invariant checking for the engine.
 
-Attach a :class:`SanitizerSink` to any run (or enable checking
-process-wide with :func:`checking` / ``REPRO_CHECK=strict``) and every
+Attach a :class:`SanitizerSink` to any run (``Simulation(check=...)``,
+or every run of a block with ``repro.context.run_context(check=...)``)
+and every
 engine-level invariant — per-rank time monotonicity, per-channel FIFO
 matching, message conservation, block/wake lifecycle, collective
 nesting, stats consistency — is verified as the run executes; deadlocks
@@ -19,12 +20,9 @@ from repro.check.clockcheck import (
     clock_sanity_violations,
 )
 from repro.check.config import (
-    active_check_mode,
     append_report,
-    check_report_dir,
     checking,
     load_reports,
-    set_check_mode,
     write_aggregate,
 )
 from repro.check.replay import (
@@ -52,11 +50,9 @@ __all__ = [
     "SanitizerSink",
     "TeeSink",
     "Violation",
-    "active_check_mode",
     "append_report",
     "assert_clock_sane",
     "check_global_clock",
-    "check_report_dir",
     "checking",
     "clock_sanity_violations",
     "dump_events",
@@ -66,6 +62,5 @@ __all__ = [
     "load_reports",
     "replay_events",
     "replay_file",
-    "set_check_mode",
     "write_aggregate",
 ]

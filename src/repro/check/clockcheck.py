@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import math
 
-from repro.check.config import (
-    active_check_mode,
-    append_report,
-    check_report_dir,
-)
-from repro.check.sanitizer import CheckReport, SanitizerSink, Violation
+from repro.check.config import flag_violations
+from repro.check.sanitizer import SanitizerSink, Violation
+from repro.context import current_context
 
 #: |fitted slope - 1| bound: generous vs the ~1e-5 skews the simulator
 #: draws, tiny vs the unit mix-ups it exists to catch.
@@ -118,23 +115,11 @@ def check_global_clock(
     appends any violations to the configured report directory (when
     set) and returns them either way.
     """
-    mode = active_check_mode()
-    if mode is None:
+    if current_context().check is None:
         return []
-    violations = clock_sanity_violations(
-        clock, t0, t1, npoints=npoints, slope_tol=slope_tol, rank=rank
+    return flag_violations(
+        clock_sanity_violations(
+            clock, t0, t1, npoints=npoints, slope_tol=slope_tol, rank=rank
+        ),
+        label or "clock-check",
     )
-    if not violations:
-        return []
-    if mode == "strict":
-        checker = SanitizerSink(mode="strict")
-        v = violations[0]
-        checker.violation(
-            v.rule, v.message, time=v.time, rank=v.rank, **v.details
-        )
-    report = CheckReport(label=label or "clock-check")
-    report.violations.extend(violations)
-    out_dir = check_report_dir()
-    if out_dir is not None:
-        append_report(report, out_dir)
-    return violations

@@ -1,19 +1,17 @@
-"""Process-wide sanitizer activation, shared with worker processes.
+"""Sanitizer activation and run-report files.
 
-Checking is switched on per process tree through two environment
-variables (set via :func:`set_check_mode` / the :func:`checking` context
-manager, or exported by the caller):
+The sanitizer mode and report directory are fields of the run context
+(:attr:`~repro.context.RunContext.check`, ``check_dir``), installed with
+:func:`repro.context.run_context`:
 
-* ``REPRO_CHECK`` — ``strict`` (first violation raises
-  :class:`~repro.errors.InvariantViolation`) or ``report`` (violations
-  accumulate).
-* ``REPRO_CHECK_DIR`` — in report mode, the directory run reports are
-  appended to (one JSON line per sanitized run, one file per process so
-  parallel campaign workers never contend on a file).
+* ``strict`` — the first violation raises
+  :class:`~repro.errors.InvariantViolation`;
+* ``report`` — violations accumulate, and each run's report is appended
+  to ``check_dir`` (one JSON line per sanitized run, one file per
+  process so parallel campaign workers never contend on a file).
 
-Environment variables — unlike module globals — are inherited by the
-:class:`~concurrent.futures.ProcessPoolExecutor` workers the parallel
-campaign executor fans jobs out to, which is what makes
+The parallel campaign executor carries both fields to its worker
+processes with each job's isolated context, which is what makes
 ``python -m repro.experiments fig3 --jobs 8 --check`` check every
 simulated mpirun, wherever it executes.
 """
@@ -22,65 +20,38 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from typing import Iterator
 
-from repro.check.sanitizer import CheckReport
-
-MODE_ENV = "REPRO_CHECK"
-DIR_ENV = "REPRO_CHECK_DIR"
-
-_VALID_MODES = ("strict", "report")
+from repro.check.sanitizer import CheckReport, Violation
+from repro.context import current_context, run_context
+from repro.errors import InvariantViolation
 
 
-def active_check_mode() -> str | None:
-    """The process-wide sanitizer mode, or None when checking is off.
+def checking(mode: str = "strict", report_dir: str | None = None):
+    """``run_context(check=mode, check_dir=report_dir)``: kept for
+    ``perfbench/workloads.py``."""
+    return run_context(check=mode, check_dir=report_dir)
 
-    Unknown values are treated as off (a typo'd ``REPRO_CHECK`` must
-    not silently flip every simulation into strict mode).
+
+def flag_violations(
+    violations: list[Violation], label: str
+) -> list[Violation]:
+    """Outcome of a post-hoc check under the context's check mode.
+
+    Strict mode raises :class:`~repro.errors.InvariantViolation` on the
+    first violation; report mode appends them all to ``check_dir`` (when
+    set) and returns them.
     """
-    mode = os.environ.get(MODE_ENV, "").strip().lower()
-    return mode if mode in _VALID_MODES else None
-
-
-def check_report_dir() -> str | None:
-    """The report-append directory, or None when not configured."""
-    return os.environ.get(DIR_ENV) or None
-
-
-def set_check_mode(
-    mode: str | None, report_dir: str | None = None
-) -> None:
-    """Install (or with ``None`` clear) the process-wide check mode."""
-    if mode is None:
-        os.environ.pop(MODE_ENV, None)
-        os.environ.pop(DIR_ENV, None)
-        return
-    if mode not in _VALID_MODES:
-        raise ValueError(f"check mode must be strict/report, got {mode!r}")
-    os.environ[MODE_ENV] = mode
-    if report_dir is not None:
-        os.makedirs(report_dir, exist_ok=True)
-        os.environ[DIR_ENV] = report_dir
-    else:
-        os.environ.pop(DIR_ENV, None)
-
-
-@contextmanager
-def checking(
-    mode: str = "strict", report_dir: str | None = None
-) -> Iterator[None]:
-    """Enable the sanitizer for the block (restores the previous state)."""
-    previous = (os.environ.get(MODE_ENV), os.environ.get(DIR_ENV))
-    set_check_mode(mode, report_dir)
-    try:
-        yield
-    finally:
-        for env, value in zip((MODE_ENV, DIR_ENV), previous):
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
+    if not violations:
+        return violations
+    ctx = current_context()
+    if ctx.check == "strict":
+        v = violations[0]
+        raise InvariantViolation(v.format(), violation=v)
+    if ctx.check_dir is not None:
+        report = CheckReport(label=label)
+        report.violations.extend(violations)
+        append_report(report, ctx.check_dir)
+    return violations
 
 
 def append_report(report: CheckReport, report_dir: str) -> str:

@@ -45,28 +45,22 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import ExitStack
 
-from repro.check.config import checking, write_aggregate
+from repro.check.config import write_aggregate
 from repro.check.sanitizer import TeeSink
+from repro.context import run_context
 from repro.obs.causal import (
     analyze_recorder,
     format_critical_path,
     write_critical_path,
 )
-from repro.obs.events import CountingSink, default_sink
+from repro.obs.events import CountingSink
 from repro.obs.health import DEPTH_METRIC, evaluate_health
 from repro.obs.spans import SpanRecorder
-from repro.obs.metrics import MetricsRegistry, default_metrics, format_summary
+from repro.obs.metrics import MetricsRegistry, format_summary
 from repro.obs.report import build_report, write_report
-from repro.obs.timeseries import TimeSeriesBank, default_timeseries
-from repro.prof import (
-    Profiler,
-    default_profiler,
-    format_table,
-    top_zones,
-    write_profile,
-)
+from repro.obs.timeseries import TimeSeriesBank
+from repro.prof import Profiler, format_table, top_zones, write_profile
 from repro.experiments import (
     fault_recovery,
     fig2_drift,
@@ -202,14 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
              "afterwards, and write critical_path.json under DIR "
              "(byte-identical for any --jobs value)",
     )
-    parser.add_argument(
+    check = parser.add_mutually_exclusive_group()
+    check.add_argument(
         "--check",
         action="store_true",
         help="run every simulated job under the strict simulation "
              "sanitizer (repro.check): abort on the first broken engine "
              "invariant",
     )
-    parser.add_argument(
+    check.add_argument(
         "--check-report",
         metavar="DIR",
         help="like --check, but accumulate violations instead of "
@@ -355,46 +350,33 @@ def main(argv: list[str] | None = None) -> int:
                   f"{info['fault_events']} fault spans, "
                   f"{info['resync_events']} resync rounds")
 
-    sink: CountingSink | None = None
-    recorder: SpanRecorder | None = None
-    registry: MetricsRegistry | None = None
-    bank: TimeSeriesBank | None = None
-    profiler: Profiler | None = None
-    with ExitStack() as stack:
-        if args.check and args.check_report:
-            print("--check and --check-report are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        if args.check:
-            # Env-based so --jobs worker processes inherit the mode.
-            stack.enter_context(checking("strict"))
-        elif args.check_report:
-            stack.enter_context(
-                checking("report", report_dir=args.check_report)
-            )
-        if args.obs_summary:
-            sink = CountingSink()
-        if args.critical_path:
-            recorder = SpanRecorder()
-        if sink is not None and recorder is not None:
-            # Tee counts + spans off one stream.  run_jobs replays the
-            # full per-job event stream into non-counting parents, so
-            # both parts see every event under --jobs N as well.
-            stack.enter_context(default_sink(TeeSink(sink, recorder)))
-        elif recorder is not None:
-            stack.enter_context(default_sink(recorder))
-        elif sink is not None:
-            stack.enter_context(default_sink(sink))
-        if args.obs_summary or args.health_report:
-            # One registry serves both outputs when both are requested.
-            registry = MetricsRegistry()
-            stack.enter_context(default_metrics(registry))
-        if args.health_report:
-            bank = TimeSeriesBank()
-            stack.enter_context(default_timeseries(bank))
-        if args.profile:
-            profiler = Profiler()
-            stack.enter_context(default_profiler(profiler))
+    sink = CountingSink() if args.obs_summary else None
+    recorder = SpanRecorder() if args.critical_path else None
+    # One registry serves both outputs when both are requested.
+    registry = (
+        MetricsRegistry() if args.obs_summary or args.health_report
+        else None
+    )
+    bank = TimeSeriesBank() if args.health_report else None
+    profiler = Profiler() if args.profile else None
+    if sink is not None and recorder is not None:
+        # Tee counts + spans off one stream.  run_jobs replays the full
+        # per-job event stream into non-counting parents, so both parts
+        # see every event under --jobs N as well.
+        run_sink = TeeSink(sink, recorder)
+    else:
+        run_sink = recorder if recorder is not None else sink
+    with run_context(
+        sink=run_sink,
+        metrics=registry,
+        timeseries=bank,
+        profiler=profiler,
+        check=(
+            "strict" if args.check
+            else "report" if args.check_report else None
+        ),
+        check_dir=args.check_report,
+    ):
         run_targets()
     if args.obs_summary:
         _print_obs_summary(sink, registry, profiler)

@@ -23,11 +23,10 @@ from repro.analysis.accuracy import (
     sync_check_outcome,
     sync_then_check,
 )
-from repro.check import active_check_mode, check_global_clock
+from repro.check import check_global_clock
 from repro.cluster.machines import MachineSpec
-from repro.obs.timeseries import get_default_timeseries
+from repro.context import current_context
 from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
-from repro.prof import get_default_profiler
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
 from repro.sync.offset import SKaMPIOffset
@@ -216,7 +215,7 @@ def _campaign_job(
     wherever it executes.  A fresh algorithm instance per run matters:
     algorithms may carry per-engine caches.
 
-    With a process-wide telemetry bank installed, the job deposits its
+    With a telemetry bank in the run context, the job deposits its
     clock-health series (per-rank sync duration and estimated-vs-rank-0
     global-clock error over the accuracy-check window, plus whatever the
     engine/sync layers sample) under ``scope`` — the executor merges the
@@ -226,8 +225,8 @@ def _campaign_job(
     algorithm = algorithm_from_label(label, fitpoint_spacing=fitpoint_spacing)
     check_offset_alg = SKaMPIOffset(nexchanges=nexchanges)
     sample_seed = seed_int(seedseq)
-    bank = get_default_timeseries()
-    prof = get_default_profiler()
+    ctx = current_context()
+    bank, prof = ctx.timeseries, ctx.profiler
 
     main = sync_then_check(
         algorithm, check_offset_alg, wait_times,
@@ -252,7 +251,7 @@ def _campaign_job(
         )
         values = sim.run(main).values
         duration, max_offsets = sync_check_outcome(values)
-        if active_check_mode() is not None:
+        if ctx.check is not None:
             # Sanitize the synchronized clocks too: every rank's global
             # clock must stay finite, monotone, and slope-≈1 over the
             # accuracy-check window (no fault schedule runs here, so

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 
+from repro.context import run_context
 from repro.faults.evaluate import (
     RecoveryReport,
     compare_recovery,
@@ -106,15 +107,15 @@ def export_chrome_traces(
     num_nodes, ranks_per_node, horizon, resync_age = _SCALE[scale]
     schedule = make_scenario(scenario)
     sink = RecordingSink()
-    report = run_recovery(
-        schedule,
-        resync_age=resync_age,
-        horizon=horizon,
-        num_nodes=num_nodes,
-        ranks_per_node=ranks_per_node,
-        seed=seed,
-        sink=sink,
-    )
+    with run_context(sink=sink):
+        report = run_recovery(
+            schedule,
+            resync_age=resync_age,
+            horizon=horizon,
+            num_nodes=num_nodes,
+            ranks_per_node=ranks_per_node,
+            seed=seed,
+        )
     path = os.path.join(out_dir, f"fault_recovery_{scenario}.json")
     nrecords = export_chrome_trace(path, engine_events=sink.events)
     return {

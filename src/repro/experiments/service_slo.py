@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
-from repro.obs.timeseries import get_default_timeseries
+from repro.context import current_context
 from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
 from repro.service import (
     ErrorBoundResyncPolicy,
@@ -81,9 +81,8 @@ def _policy_job(
     the merged health report keeps the policies' ``service.stale_rate``
     and ``clock.error`` series apart.
     """
-    bank = get_default_timeseries()
-    ctx = bank.scoped(scope) if bank is not None else nullcontext()
-    with ctx:
+    bank = current_context().timeseries
+    with bank.scoped(scope) if bank is not None else nullcontext():
         return run_service(policy, workload, config, seed=seed)
 
 

@@ -25,12 +25,10 @@ import numpy as np
 
 from repro.cluster.netmodels import infiniband_qdr
 from repro.cluster.topology import Machine
+from repro.context import current_context
 from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultSchedule
 from repro.parallel import JobSpec, run_jobs
-from repro.obs.events import EventSink
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TimeSeriesBank, get_default_timeseries
 from repro.simmpi.network import NetworkModel
 from repro.simmpi.simulation import Simulation
 from repro.simtime.base import Clock
@@ -137,9 +135,6 @@ def run_recovery(
     network: NetworkModel | None = None,
     time_source: TimeSourceSpec | None = None,
     seed: int = 0,
-    sink: EventSink | None = None,
-    metrics: MetricsRegistry | None = None,
-    timeseries: TimeSeriesBank | None = None,
 ) -> RecoveryReport:
     """Run one policy through ``scenario`` and score its recovery.
 
@@ -148,156 +143,146 @@ def run_recovery(
     ``max_model_age`` and calls ``ensure`` every ``ensure_interval``
     seconds of simulated time until ``horizon``.
 
-    With a telemetry bank attached (explicitly or via the process-wide
-    default), everything the run samples — engine NIC backlog, resync
-    markers, and the ground-truth per-rank ``clock.error`` series scored
-    below — lands under a ``"resync"``/``"baseline"`` scope so the two
-    policies of :func:`compare_recovery` stay separable.
+    The run attaches the hooks of the run context.  With a telemetry
+    bank attached, everything the run samples — engine NIC backlog,
+    resync markers, and the ground-truth per-rank ``clock.error`` series
+    scored below — lands under a ``"resync"``/``"baseline"`` scope so the
+    two policies of :func:`compare_recovery` stay separable.
     """
-    bank = (
-        timeseries if timeseries is not None else get_default_timeseries()
-    )
+    bank = current_context().timeseries
     scope = "resync" if resync_age is not None else "baseline"
     with bank.scoped(scope) if bank is not None else nullcontext():
-        return _run_recovery_scoped(
-            scenario, resync_age, algorithm_factory, horizon,
-            sample_interval, ensure_interval, num_nodes, ranks_per_node,
-            network, time_source, seed, sink, metrics, bank,
+        machine = Machine(
+            num_nodes=num_nodes,
+            sockets_per_node=1,
+            cores_per_socket=ranks_per_node,
+            ranks_per_node=ranks_per_node,
+            name="faultbox",
         )
-
-
-def _run_recovery_scoped(
-    scenario, resync_age, algorithm_factory, horizon, sample_interval,
-    ensure_interval, num_nodes, ranks_per_node, network, time_source,
-    seed, sink, metrics, bank,
-) -> RecoveryReport:
-    machine = Machine(
-        num_nodes=num_nodes,
-        sockets_per_node=1,
-        cores_per_socket=ranks_per_node,
-        ranks_per_node=ranks_per_node,
-        name="faultbox",
-    )
-    if scenario.of_kind("churn"):
-        raise ConfigurationError(
-            f"scenario {scenario.name!r} holds a churn entry, but churn "
-            f"acts between campaign rounds and a recovery run is a "
-            f"single run (see repro.scenarios.runner)"
-        )
-    # Fail fast on scenarios that cannot act on this job — validated
-    # here against the *evaluation* horizon (the Simulation re-validates
-    # against its much larger hard time limit).
-    scenario.validate(
-        num_ranks=machine.num_ranks,
-        num_nodes=num_nodes,
-        horizon=horizon,
-    )
-    sim = Simulation(
-        machine=machine,
-        network=network or infiniband_qdr(),
-        time_source=time_source or FAULTY_TIME,
-        seed=seed,
-        faults=scenario,
-        sink=sink,
-        metrics=metrics,
-        timeseries=bank,
-    )
-    #: rank → [(true time acquired, global clock)], newest last.
-    records: dict[int, list[tuple[float, Clock]]] = {}
-    resyncs: dict[int, PeriodicResyncClock] = {}
-    shared_algorithm = algorithm_factory()  # baseline: one SPMD instance
-
-    def main(ctx, comm):
-        recs = records.setdefault(ctx.rank, [])
-        if resync_age is None:
-            clock = yield from shared_algorithm.sync_clocks(
-                comm, ctx.hardware_clock
+        if scenario.of_kind("churn"):
+            raise ConfigurationError(
+                f"scenario {scenario.name!r} holds a churn entry, but churn "
+                f"acts between campaign rounds and a recovery run is a "
+                f"single run (see repro.scenarios.runner)"
             )
-            recs.append((ctx.now, clock))
-            yield from ctx.wait_until_true(horizon)
-            return 0
-        resync = resyncs.setdefault(
-            ctx.rank,
-            PeriodicResyncClock(
-                algorithm_factory(), max_model_age=resync_age
-            ),
+        # Fail fast on scenarios that cannot act on this job — validated
+        # here against the *evaluation* horizon (the Simulation
+        # re-validates against its much larger hard time limit).
+        scenario.validate(
+            num_ranks=machine.num_ranks,
+            num_nodes=num_nodes,
+            horizon=horizon,
         )
-        # ensure() is collective, so every rank must make the same
-        # number of calls.  A rank-local `ctx.now >= horizon` exit test
-        # deadlocks under faults: a straggler's true time is dilated, so
-        # it crosses the horizon in fewer iterations than its peers and
-        # leaves them blocked inside the next round's bcast.  The trip
-        # count is therefore fixed up front (identical to the time-based
-        # exit whenever per-round overhead is small vs the interval).
-        nsteps = int(np.ceil(horizon / ensure_interval))
-        for step in range(nsteps + 1):
-            clock = yield from resync.ensure(comm, ctx)
-            if not recs or recs[-1][1] is not clock:
+        sim = Simulation(
+            machine=machine,
+            network=network or infiniband_qdr(),
+            time_source=time_source or FAULTY_TIME,
+            seed=seed,
+            faults=scenario,
+        )
+        #: rank → [(true time acquired, global clock)], newest last.
+        records: dict[int, list[tuple[float, Clock]]] = {}
+        resyncs: dict[int, PeriodicResyncClock] = {}
+        shared_algorithm = algorithm_factory()  # baseline: one SPMD instance
+
+        def main(ctx, comm):
+            recs = records.setdefault(ctx.rank, [])
+            if resync_age is None:
+                clock = yield from shared_algorithm.sync_clocks(
+                    comm, ctx.hardware_clock
+                )
                 recs.append((ctx.now, clock))
-            if step < nsteps:
-                yield from ctx.elapse(ensure_interval)
-        return resync.resync_count
+                yield from ctx.wait_until_true(horizon)
+                return 0
+            resync = resyncs.setdefault(
+                ctx.rank,
+                PeriodicResyncClock(
+                    algorithm_factory(), max_model_age=resync_age
+                ),
+            )
+            # ensure() is collective, so every rank must make the same
+            # number of calls.  A rank-local `ctx.now >= horizon` exit
+            # test deadlocks under faults: a straggler's true time is
+            # dilated, so it crosses the horizon in fewer iterations
+            # than its peers and leaves them blocked inside the next
+            # round's bcast.  The trip count is therefore fixed up front
+            # (identical to the time-based exit whenever per-round
+            # overhead is small vs the interval).
+            nsteps = int(np.ceil(horizon / ensure_interval))
+            for step in range(nsteps + 1):
+                clock = yield from resync.ensure(comm, ctx)
+                if not recs or recs[-1][1] is not clock:
+                    recs.append((ctx.now, clock))
+                if step < nsteps:
+                    yield from ctx.elapse(ensure_interval)
+            return resync.resync_count
 
-    result = sim.run(main)
-    label = (
-        resyncs[0].label() if resync_age is not None
-        else shared_algorithm.label()
-    )
-    report = RecoveryReport(
-        scenario=scenario.name,
-        algorithm=label,
-        resync_age=resync_age,
-        seed=seed,
-        horizon=horizon,
-        sample_interval=sample_interval,
-        resync_rounds=max(result.values) if resync_age is not None else 1,
-        engine_stats=result.engine_stats,
-    )
+        result = sim.run(main)
+        label = (
+            resyncs[0].label() if resync_age is not None
+            else shared_algorithm.label()
+        )
+        report = RecoveryReport(
+            scenario=scenario.name,
+            algorithm=label,
+            resync_age=resync_age,
+            seed=seed,
+            horizon=horizon,
+            sample_interval=sample_interval,
+            resync_rounds=max(result.values) if resync_age is not None else 1,
+            engine_stats=result.engine_stats,
+        )
 
-    # ------------------------------------------------------------------
-    # Ground-truth scoring on a regular true-time grid.
-    # ------------------------------------------------------------------
-    ranks = sorted(records)
-    t_ready = max(recs[0][0] for recs in records.values())
-    first = int(np.ceil(t_ready / sample_interval)) + 1
-    window = scenario.window()
-    errors: dict[str, list[float]] = {"before": [], "during": [], "after": []}
-    grid = [
-        i * sample_interval
-        for i in range(first, int(horizon / sample_interval) + 1)
-    ]
-    ts = np.asarray(grid, dtype=np.float64)
-    # Per rank, each acquired clock covers a contiguous slice of the
-    # grid (records are in acquisition order), so the whole trajectory
-    # resolves in one read_many per (rank, clock) epoch instead of a
-    # rank x grid scalar loop.  read_many is pinned bit-identical to
-    # per-element read, and the emission order below is unchanged.
-    readings = np.empty((len(ranks), len(grid)), dtype=np.float64)
-    for row, rank in enumerate(ranks):
-        recs = records[rank]
-        acquired = np.asarray([a for a, _ in recs], dtype=np.float64)
-        active = np.searchsorted(acquired, ts, side="right") - 1
-        assert len(grid) == 0 or int(active.min()) >= 0
-        for k, (_, clock) in enumerate(recs):
-            mask = active == k
-            if mask.any():
-                readings[row, mask] = clock.read_many(ts[mask])
-    for i, t in enumerate(grid):
-        col = readings[:, i]
-        err = float(col.max()) - float(col.min())
-        report.samples.append((t, err))
-        errors[_phase_of(t, window)].append(err)
-        if bank is not None:
-            # Per-rank error against rank 0's global clock (rank 0 vs
-            # itself is identically 0, so it is skipped) plus the
-            # job-level spread — the series the health detectors scan.
-            ref = float(col[0])
-            for rank, reading in zip(ranks[1:], col[1:]):
-                bank.sample("clock.error", t, float(reading) - ref, rank=rank)
-            bank.sample("clock.error.spread", t, err)
-    report.phases = {
-        name: PhaseStats.from_errors(vals) for name, vals in errors.items()
-    }
+        # --------------------------------------------------------------
+        # Ground-truth scoring on a regular true-time grid.
+        # --------------------------------------------------------------
+        ranks = sorted(records)
+        t_ready = max(recs[0][0] for recs in records.values())
+        first = int(np.ceil(t_ready / sample_interval)) + 1
+        window = scenario.window()
+        errors: dict[str, list[float]] = {
+            "before": [], "during": [], "after": [],
+        }
+        grid = [
+            i * sample_interval
+            for i in range(first, int(horizon / sample_interval) + 1)
+        ]
+        ts = np.asarray(grid, dtype=np.float64)
+        # Per rank, each acquired clock covers a contiguous slice of the
+        # grid (records are in acquisition order), so the whole
+        # trajectory resolves in one read_many per (rank, clock) epoch
+        # instead of a rank x grid scalar loop.  read_many is pinned
+        # bit-identical to per-element read, and the emission order below
+        # is unchanged.
+        readings = np.empty((len(ranks), len(grid)), dtype=np.float64)
+        for row, rank in enumerate(ranks):
+            recs = records[rank]
+            acquired = np.asarray([a for a, _ in recs], dtype=np.float64)
+            active = np.searchsorted(acquired, ts, side="right") - 1
+            assert len(grid) == 0 or int(active.min()) >= 0
+            for k, (_, clock) in enumerate(recs):
+                mask = active == k
+                if mask.any():
+                    readings[row, mask] = clock.read_many(ts[mask])
+        for i, t in enumerate(grid):
+            col = readings[:, i]
+            err = float(col.max()) - float(col.min())
+            report.samples.append((t, err))
+            errors[_phase_of(t, window)].append(err)
+            if bank is not None:
+                # Per-rank error against rank 0's global clock (rank 0 vs
+                # itself is identically 0, so it is skipped) plus the
+                # job-level spread — the series the health detectors scan.
+                ref = float(col[0])
+                for rank, reading in zip(ranks[1:], col[1:]):
+                    bank.sample(
+                        "clock.error", t, float(reading) - ref, rank=rank
+                    )
+                bank.sample("clock.error.spread", t, err)
+        report.phases = {
+            name: PhaseStats.from_errors(vals)
+            for name, vals in errors.items()
+        }
     return report
 
 
@@ -312,15 +297,7 @@ def compare_recovery(
     The two policy runs are independent simulations; ``jobs>1`` executes
     them on separate worker processes (results are identical to serial —
     each run's randomness is fully determined by its own arguments).
-    Explicit ``sink``/``metrics``/``timeseries`` keyword arguments force
-    the serial path: they are parent-process objects that workers cannot
-    mutate.
     """
-    if any(
-        kwargs.get(key) is not None
-        for key in ("sink", "metrics", "timeseries")
-    ):
-        jobs = 1
     specs = [
         JobSpec(run_recovery, args=(scenario,),
                 kwargs={"resync_age": None, **kwargs}, label="baseline"),

@@ -6,6 +6,10 @@ changes scheduling — a seeded simulation produces bit-identical results
 with and without observability enabled (tested in
 ``tests/simmpi/test_obs_determinism.py``).
 
+Hooks attach to one simulation through its keywords
+(``Simulation(sink=..., metrics=..., timeseries=...)``) or to every
+simulation in a block through :func:`repro.context.run_context`.
+
 Entry points:
 
 * :mod:`repro.obs.events` — the :class:`EventSink` protocol, typed event
@@ -40,32 +44,20 @@ from repro.obs.events import (
     ProcBlock,
     ProcWake,
     RecordingSink,
-    default_sink,
-    get_default_sink,
-    set_default_sink,
 )
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_metrics,
     format_summary,
-    get_default_metrics,
-    set_default_metrics,
 )
 from repro.obs.sync_stats import (
     FitpointSample,
     SyncRoundRecord,
     SyncStatsCollector,
 )
-from repro.obs.timeseries import (
-    TimeSeries,
-    TimeSeriesBank,
-    default_timeseries,
-    get_default_timeseries,
-    set_default_timeseries,
-)
+from repro.obs.timeseries import TimeSeries, TimeSeriesBank
 from repro.obs.health import (
     HealthFinding,
     HealthThresholds,
@@ -104,17 +96,8 @@ __all__ = [
     "TimeSeries",
     "TimeSeriesBank",
     "build_report",
-    "default_metrics",
-    "default_sink",
-    "default_timeseries",
     "evaluate_health",
     "format_summary",
-    "get_default_metrics",
-    "get_default_sink",
-    "get_default_timeseries",
     "render_html",
-    "set_default_metrics",
-    "set_default_sink",
-    "set_default_timeseries",
     "write_report",
 ]

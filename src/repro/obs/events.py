@@ -20,9 +20,8 @@ Field order is an API: the engine builds ``MsgSend``, ``MsgDeliver``,
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 
 # ----------------------------------------------------------------------
@@ -260,31 +259,3 @@ class CountingSink:
 
     def clear(self) -> None:
         self.counts.clear()
-
-
-# ----------------------------------------------------------------------
-# Process-wide default sink (used by Simulation when none is passed)
-# ----------------------------------------------------------------------
-_DEFAULT_SINK: EventSink | None = None
-
-
-def set_default_sink(sink: EventSink | None) -> None:
-    """Install (or clear, with ``None``) the process-wide default sink."""
-    global _DEFAULT_SINK
-    _DEFAULT_SINK = sink
-
-
-def get_default_sink() -> EventSink | None:
-    """The currently installed default sink, if any."""
-    return _DEFAULT_SINK
-
-
-@contextlib.contextmanager
-def default_sink(sink: EventSink) -> Iterator[EventSink]:
-    """Temporarily install ``sink`` as the default (restores on exit)."""
-    previous = get_default_sink()
-    set_default_sink(sink)
-    try:
-        yield sink
-    finally:
-        set_default_sink(previous)

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -368,31 +367,3 @@ def format_summary(registry: MetricsRegistry,
                 f"p99={h['p99']:.3g} max={h['max']:.3g}"
             )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Process-wide default registry (used by Simulation when none is passed)
-# ----------------------------------------------------------------------
-_DEFAULT_METRICS: MetricsRegistry | None = None
-
-
-def set_default_metrics(registry: MetricsRegistry | None) -> None:
-    """Install (or clear, with ``None``) the default metrics registry."""
-    global _DEFAULT_METRICS
-    _DEFAULT_METRICS = registry
-
-
-def get_default_metrics() -> MetricsRegistry | None:
-    """The currently installed default registry, if any."""
-    return _DEFAULT_METRICS
-
-
-@contextmanager
-def default_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Temporarily install ``registry`` as the default (restores on exit)."""
-    previous = get_default_metrics()
-    set_default_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_default_metrics(previous)

@@ -300,31 +300,3 @@ class TimeSeriesBank:
                 for (name, rank), marks in self.markers()
             ],
         }
-
-
-# ----------------------------------------------------------------------
-# Process-wide default bank (used by Simulation when none is passed)
-# ----------------------------------------------------------------------
-_DEFAULT_TIMESERIES: TimeSeriesBank | None = None
-
-
-def set_default_timeseries(bank: TimeSeriesBank | None) -> None:
-    """Install (or clear, with ``None``) the default telemetry bank."""
-    global _DEFAULT_TIMESERIES
-    _DEFAULT_TIMESERIES = bank
-
-
-def get_default_timeseries() -> TimeSeriesBank | None:
-    """The currently installed default telemetry bank, if any."""
-    return _DEFAULT_TIMESERIES
-
-
-@contextmanager
-def default_timeseries(bank: TimeSeriesBank) -> Iterator[TimeSeriesBank]:
-    """Temporarily install ``bank`` as the default (restores on exit)."""
-    previous = get_default_timeseries()
-    set_default_timeseries(bank)
-    try:
-        yield bank
-    finally:
-        set_default_timeseries(previous)

@@ -11,19 +11,19 @@ the results bit-identical to serial execution:
 * **Ordering** — results are collected in submission order
   (``ProcessPoolExecutor.map``), so downstream aggregation sees the same
   sequence the serial loop would have produced.
-* **Observability** — worker processes cannot emit into the parent's
-  process-wide sink/metrics/timeseries defaults, so each worker runs its
-  job under fresh obs objects, ships them back with the result, and the
-  parent merges them in submission order (counts into counting sinks,
-  replayed events otherwise, ``merge_from`` for metrics registries and
-  time-series banks).  When any obs target is installed, the **serial
-  path routes through the same per-job-isolate + merge sequence**: some
-  aggregates (reservoir histograms, decimating time-series) are not
-  invariant under re-batching, so running both paths through identical
-  merge sequences is what makes ``--jobs 1`` and ``--jobs N`` outputs
-  byte-identical — the contract ``tests/obs/test_report.py`` pins.
+* **Run context** — worker processes cannot emit into the parent's hooks,
+  so each job runs under :meth:`~repro.context.RunContext.isolated` (fresh
+  hooks of the same kinds, the sanitizer mode carried along), ships it
+  back with the result, and the parent folds it in with
+  :meth:`~repro.context.RunContext.merge_from` in submission order.  When
+  any observability hook is installed, the **serial path routes through
+  the same per-job isolate + merge sequence**: some aggregates (reservoir
+  histograms, decimating time-series) are not invariant under
+  re-batching, so running both paths through identical merge sequences
+  is what makes ``--jobs 1`` and ``--jobs N`` outputs byte-identical —
+  the contract ``tests/obs/test_report.py`` pins.
 
-With no obs installed, ``jobs=1`` runs everything in-process with no
+With no hook installed, ``jobs=1`` runs everything in-process with no
 isolation, no pickling and no sink indirection — the exact serial code
 path.
 """
@@ -32,32 +32,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.obs.events import (
-    CountingSink,
-    EventSink,
-    RecordingSink,
-    default_sink,
-    get_default_sink,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    default_metrics,
-    get_default_metrics,
-)
-from repro.obs.timeseries import (
-    TimeSeriesBank,
-    default_timeseries,
-    get_default_timeseries,
-)
-from repro.prof.core import (
-    Profiler,
-    default_profiler,
-    get_default_profiler,
-)
+from repro.context import RunContext, current_context, run_context
 
 
 @dataclass(frozen=True)
@@ -90,130 +68,40 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _execute_job(
-    spec: JobSpec,
-    sink_mode: str | None,
-    want_metrics: bool,
-    want_bank: bool,
-    want_profiler: bool = False,
-):
-    """Run one job under fresh obs defaults (both worker- and serial-side).
-
-    Returns ``(result, payload, registry, bank, profiler)``; ``payload``
-    depends on ``sink_mode``: ``None`` (no sink), ``"count"`` (dict of
-    event counts) or ``"record"`` (event list, for recording sinks).
-    """
-    sink: EventSink | None = None
-    registry = MetricsRegistry() if want_metrics else None
-    bank = TimeSeriesBank() if want_bank else None
-    profiler = Profiler() if want_profiler else None
-    with ExitStack() as stack:
-        if sink_mode is not None:
-            sink = (
-                CountingSink() if sink_mode == "count" else RecordingSink()
-            )
-            stack.enter_context(default_sink(sink))
-        if registry is not None:
-            stack.enter_context(default_metrics(registry))
-        if bank is not None:
-            stack.enter_context(default_timeseries(bank))
-        if profiler is not None:
-            stack.enter_context(default_profiler(profiler))
-        result = spec.fn(*spec.args, **spec.kwargs)
-    payload = None
-    if sink_mode is not None:
-        payload = sink.counts if sink_mode == "count" else sink.events
-    return result, payload, registry, bank, profiler
+def _execute_job(spec: JobSpec, ctx: RunContext) -> tuple[Any, RunContext]:
+    """Run one job under its isolated context (worker- and serial-side)."""
+    with run_context(**vars(ctx)):
+        return spec.fn(*spec.args, **spec.kwargs), ctx
 
 
-def _merge_obs(
-    parent_sink: EventSink | None,
-    parent_metrics: MetricsRegistry | None,
-    parent_bank: TimeSeriesBank | None,
-    sink_mode: str | None,
-    payload,
-    registry: MetricsRegistry | None,
-    bank: TimeSeriesBank | None,
-    parent_profiler: Profiler | None = None,
-    profiler: Profiler | None = None,
-) -> None:
-    if parent_sink is not None and payload:
-        if sink_mode == "count":
-            # CountingSink: fold the per-job counts directly.
-            counts = parent_sink.counts
-            for name, n in payload.items():
-                counts[name] = counts.get(name, 0) + n
-        elif sink_mode == "record":
-            # Span recorders segment their history per engine run; a
-            # replayed job is a fresh seq namespace, so break first.
-            brk = getattr(parent_sink, "run_break", None)
-            if brk is not None:
-                brk()
-            for event in payload:
-                parent_sink.emit(event)
-    if parent_metrics is not None and registry is not None:
-        parent_metrics.merge_from(registry)
-    if parent_bank is not None and bank is not None:
-        parent_bank.merge_from(bank)
-    if parent_profiler is not None and profiler is not None:
-        parent_profiler.merge_from(profiler)
-
-
-def run_jobs(
-    specs: Sequence[JobSpec],
-    jobs: int | None = 1,
-    sink: EventSink | None = None,
-    metrics: MetricsRegistry | None = None,
-    timeseries: TimeSeriesBank | None = None,
-) -> list[Any]:
+def run_jobs(specs: Sequence[JobSpec], jobs: int | None = 1) -> list[Any]:
     """Run every job; returns their results in submission order.
 
     ``jobs=1`` executes in-process (the serial reference path);
     ``jobs>1`` fans out over a :class:`ProcessPoolExecutor`.  Both paths
     return bit-identical results for deterministic job functions because
     all randomness is fixed by the job specs themselves — and identical
-    merged observability, because both paths run each job under fresh
-    obs objects and fold them in submission order.
-
-    ``sink``/``metrics``/``timeseries`` default to the process-wide
-    observability defaults; the process-wide default profiler (when one
-    is installed) is likewise isolated per job and merged back in
+    merged observability, because both paths run each job under an
+    isolated copy of the current run context and fold it back in
     submission order.  The executor publishes
     ``parallel.jobs.completed`` and ``parallel.workers`` through the
-    registry either way.
+    context's metrics registry either way.
     """
     specs = list(specs)
-    sink = sink if sink is not None else get_default_sink()
-    metrics = metrics if metrics is not None else get_default_metrics()
-    timeseries = (
-        timeseries if timeseries is not None else get_default_timeseries()
-    )
+    ctx = current_context()
+    metrics = ctx.metrics
     njobs = min(resolve_jobs(jobs), len(specs)) if specs else 1
-
-    profiler = get_default_profiler()
-
-    sink_mode = None
-    if sink is not None:
-        sink_mode = "count" if isinstance(sink, CountingSink) else "record"
-    want_metrics = metrics is not None
-    want_bank = timeseries is not None
-    want_prof = profiler is not None
-    observed = (
-        sink_mode is not None or want_metrics or want_bank or want_prof
+    observed = any(
+        hook is not None
+        for hook in (ctx.sink, metrics, ctx.timeseries, ctx.profiler)
     )
 
     results = []
     if njobs <= 1:
         for spec in specs:
             if observed:
-                result, payload, registry, bank, job_prof = _execute_job(
-                    spec, sink_mode, want_metrics, want_bank, want_prof
-                )
-                _merge_obs(
-                    sink, metrics, timeseries,
-                    sink_mode, payload, registry, bank,
-                    profiler, job_prof,
-                )
+                result, job = _execute_job(spec, ctx.isolated())
+                ctx.merge_from(job)
                 results.append(result)
             else:
                 results.append(spec.fn(*spec.args, **spec.kwargs))
@@ -223,19 +111,13 @@ def run_jobs(
             metrics.gauge("parallel.workers").set(1)
         return results
 
-    n = len(specs)
     with ProcessPoolExecutor(max_workers=njobs) as pool:
         outcomes = list(pool.map(
-            _execute_job, specs,
-            [sink_mode] * n, [want_metrics] * n, [want_bank] * n,
-            [want_prof] * n,
+            _execute_job, specs, [ctx.isolated() for _ in specs]
         ))
-    for result, payload, registry, bank, job_prof in outcomes:
+    for result, job in outcomes:
         results.append(result)
-        _merge_obs(
-            sink, metrics, timeseries, sink_mode, payload, registry, bank,
-            profiler, job_prof,
-        )
+        ctx.merge_from(job)
         if metrics is not None:
             metrics.counter("parallel.jobs.completed").inc()
     if metrics is not None:

@@ -12,9 +12,7 @@ from repro.prof.core import (
     Profiler,
     Zone,
     default_profiler,
-    get_default_profiler,
     profiled,
-    set_default_profiler,
 )
 from repro.prof.export import (
     flatten,
@@ -32,10 +30,8 @@ __all__ = [
     "default_profiler",
     "flatten",
     "format_table",
-    "get_default_profiler",
     "profile_dict",
     "profiled",
-    "set_default_profiler",
     "speedscope_document",
     "top_zones",
     "total_effective_ns",

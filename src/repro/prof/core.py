@@ -29,11 +29,12 @@ Two invariants the instrumentation sites must respect:
   instrumentation site reduces to one pointer comparison, the same
   zero-overhead contract the obs sinks follow.
 
-Like the obs layer, a process-wide default profiler can be installed
-(:func:`set_default_profiler` / the :func:`default_profiler` context
-manager); the parallel campaign executor runs each job under a fresh
-profiler and merges it back (:meth:`Profiler.merge_from`), so ``--jobs N``
-attribution covers every simulated mpirun wherever it executed.
+Like the obs hooks, a profiler is attached per simulation
+(``Simulation(profiler=...)``) or for a block through the run context
+(:func:`repro.context.run_context`); the parallel campaign executor runs
+each job under a fresh profiler and merges it back
+(:meth:`Profiler.merge_from`), so ``--jobs N`` attribution covers every
+simulated mpirun wherever it executed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
+
+from repro.context import current_context, run_context
 
 
 class Zone:
@@ -206,17 +209,17 @@ class Profiler:
 
 
 def profiled(name: str) -> Callable:
-    """Decorator: run the function inside a zone of the default profiler.
+    """Decorator: run the function inside a zone of the context's profiler.
 
-    Resolves the default profiler *per call*, so decorated functions are
-    free (one None check) while profiling is off and need no re-wiring
-    when a profiler is installed mid-process.  Do not use on generator
+    Resolves the profiler *per call*, so decorated functions are free
+    (one None check) while profiling is off and need no re-wiring when a
+    profiler is installed mid-process.  Do not use on generator
     functions — the zone would span their yields.
     """
 
     def deco(fn: Callable) -> Callable:
         def wrapper(*args, **kwargs):
-            prof = _default_profiler
+            prof = current_context().profiler
             if prof is None:
                 return fn(*args, **kwargs)
             start = prof.push(name)
@@ -233,30 +236,6 @@ def profiled(name: str) -> Callable:
     return deco
 
 
-# ----------------------------------------------------------------------
-# Process-wide default (mirrors repro.obs's sink/metrics/timeseries)
-# ----------------------------------------------------------------------
-_default_profiler: Profiler | None = None
-
-
-def set_default_profiler(profiler: Profiler | None) -> Profiler | None:
-    """Install (or with None clear) the process-wide profiler default."""
-    global _default_profiler
-    previous = _default_profiler
-    _default_profiler = profiler
-    return previous
-
-
-def get_default_profiler() -> Profiler | None:
-    """The process-wide profiler, or None when profiling is off."""
-    return _default_profiler
-
-
-@contextmanager
-def default_profiler(profiler: Profiler | None) -> Iterator[Profiler | None]:
-    """Scoped install of the default profiler (restores the previous one)."""
-    previous = set_default_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_default_profiler(previous)
+def default_profiler(profiler: Profiler | None):
+    """``run_context(profiler=profiler)``: kept for ``perfbench/child.py``."""
+    return run_context(profiler=profiler)

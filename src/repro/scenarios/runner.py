@@ -33,8 +33,8 @@ from repro.analysis.accuracy import (
     sync_then_check,
 )
 from repro.cluster.machines import MACHINES
+from repro.context import current_context
 from repro.faults.schedule import FaultSchedule
-from repro.obs.timeseries import get_default_timeseries
 from repro.parallel import seed_int
 from repro.simmpi.simulation import Simulation
 from repro.sync.offset import SKaMPIOffset
@@ -150,7 +150,7 @@ def _run_one(
     check_offset_alg = SKaMPIOffset(nexchanges=nexchanges)
     seedseq = np.random.SeedSequence(run_seed)
     sample_seed = seed_int(seedseq)
-    bank = get_default_timeseries()
+    bank = current_context().timeseries
 
     main = sync_then_check(
         algorithm, check_offset_alg, wait_times, sample_seed=sample_seed

@@ -23,7 +23,7 @@ The run is a pure function of ``(policy, config, workload, seed)`` — no
 wall-clock value feeds any reported quantity except the ``wall_s``
 throughput figure, which never enters ``report.json``.
 
-Observability lands on the process-wide defaults (so the parallel
+Observability lands on the run context's hooks (so the parallel
 executor's isolate-and-merge contract applies unchanged): latency and
 clock-error histograms plus service counters in the metrics registry
 (fed only when one is attached; no reported number reads them back),
@@ -34,8 +34,9 @@ bank — the series the ``stale_read`` health detector scans.
 Under an active sanitizer mode (``--check``), each epoch additionally
 validates the serving path: batch answers must be bit-identical to the
 scalar model arithmetic, and served global time must be monotone per
-rank.  Violations raise
-:class:`~repro.errors.InvariantViolation` immediately.
+rank.  In strict mode a violation raises
+:class:`~repro.errors.InvariantViolation` immediately; in report mode it
+is appended to the context's report directory and serving carries on.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ import numpy as np
 
 from contextlib import nullcontext
 
-from repro.check.config import active_check_mode
-from repro.errors import ConfigurationError, InvariantViolation
-from repro.obs.metrics import get_default_metrics
-from repro.obs.timeseries import get_default_timeseries
-from repro.prof.core import get_default_profiler
+from repro.check.config import flag_violations
+from repro.check.sanitizer import Violation
+from repro.context import current_context
+from repro.errors import ConfigurationError
 from repro.service.core import ClockService
 from repro.service.slo import ResyncPolicy
 from repro.service.workload import (
@@ -229,8 +229,10 @@ def _check_epoch(
     readings: np.ndarray,
     values: np.ndarray,
     nsample: int = 8,
-) -> None:
-    """Sanitizer pass: batch answers == scalar model arithmetic."""
+) -> list[Violation]:
+    """Sanitizer pass: batch answers == scalar model arithmetic, and
+    served global time is monotone per rank."""
+    found: list[Violation] = []
     epoch = service.epoch()
     for i in range(min(nsample, values.size)):
         op = int(ops[i])
@@ -244,18 +246,24 @@ def _check_epoch(
         else:
             continue  # compare checked via its components above
         if expect != values[i]:
-            raise InvariantViolation(
-                f"service batch answer diverged from scalar model: "
-                f"op={op} rank={ranks[i]} expected {expect!r} "
-                f"got {values[i]!r}"
-            )
+            found.append(Violation(
+                rule="service-batch",
+                message=(
+                    f"service batch answer diverged from scalar model: "
+                    f"op={op} expected {expect!r} got {values[i]!r}"
+                ),
+                rank=int(ranks[i]),
+            ))
     now_mask = ops == OP_NOW
     for rank in np.unique(ranks[now_mask]):
         served = values[now_mask & (ranks == rank)]
         if served.size >= 2 and np.any(np.diff(served) < 0.0):
-            raise InvariantViolation(
-                f"served global time is not monotone on rank {rank}"
-            )
+            found.append(Violation(
+                rule="service-monotone",
+                message="served global time is not monotone",
+                rank=int(rank),
+            ))
+    return found
 
 
 def run_service(
@@ -276,11 +284,8 @@ def run_service(
     t_start = config.fit_window
     times = stream.times + t_start
     t_end = t_start + workload.duration
-    check_mode = active_check_mode()
-
-    metrics = get_default_metrics()
-    bank = get_default_timeseries()
-    profiler = get_default_profiler()
+    ctx = current_context()
+    metrics, bank, profiler = ctx.metrics, ctx.timeseries, ctx.profiler
 
     def zone(name: str):
         return profiler.zone(name) if profiler is not None else nullcontext()
@@ -362,10 +367,13 @@ def run_service(
                     times[q],
                 )
 
-            if check_mode is not None:
-                _check_epoch(
-                    service, ops[seg], ranks[seg], ranks2[seg],
-                    readings[seg], values[seg],
+            if ctx.check is not None:
+                flag_violations(
+                    _check_epoch(
+                        service, ops[seg], ranks[seg], ranks2[seg],
+                        readings[seg], values[seg],
+                    ),
+                    label=f"service[{policy.label()}]",
                 )
 
             err_abs[seg] = np.abs(values[seg] - truth[seg])

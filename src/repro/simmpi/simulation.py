@@ -31,20 +31,17 @@ from typing import Any, Callable, Generator
 
 import numpy as np
 
-from repro.check.config import (
-    active_check_mode,
-    append_report,
-    check_report_dir,
-)
+from repro.check.config import append_report
 from repro.check.sanitizer import CheckReport, SanitizerSink, TeeSink
 from repro.cluster.topology import Machine
+from repro.context import current_context
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, apply_clock_faults
 from repro.faults.schedule import FaultSchedule
-from repro.obs.events import EventSink, get_default_sink
-from repro.obs.metrics import MetricsRegistry, get_default_metrics
-from repro.obs.timeseries import TimeSeriesBank, get_default_timeseries
-from repro.prof.core import Profiler, get_default_profiler
+from repro.obs.events import EventSink
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import TimeSeriesBank
+from repro.prof.core import Profiler
 from repro.simmpi.comm import Communicator
 from repro.simmpi.engine import Engine
 from repro.simmpi.network import NetworkModel
@@ -120,10 +117,11 @@ class Simulation:
         :class:`~repro.cluster.fabric.TorusFabric` for Titan's Gemini).
 
         ``sink``/``metrics``/``timeseries`` attach observability (see
-        :mod:`repro.obs`); when omitted, the process-wide defaults
-        installed via ``repro.obs.set_default_sink`` /
-        ``set_default_metrics`` / ``set_default_timeseries`` apply.
-        Observation is passive — results are bit-identical either way.
+        :mod:`repro.obs`).  Each of these hooks, ``check`` and
+        ``profiler`` below, when omitted, is taken from the run context
+        installed with :func:`repro.context.run_context`; an explicit
+        keyword wins.  Observation is passive — results are
+        bit-identical either way.
 
         ``faults`` injects a scheduled disturbance scenario (see
         :mod:`repro.faults`): clock faults wrap the affected node clocks
@@ -143,20 +141,17 @@ class Simulation:
         :mod:`repro.check`): ``"strict"`` raises
         :class:`~repro.errors.InvariantViolation` at the first broken
         engine invariant, ``"report"`` accumulates them into
-        ``SimulationResult.check_report``.  When omitted, the
-        process-wide mode (``REPRO_CHECK`` / ``repro.check.checking``)
-        applies; checking is passive — results are bit-identical with
-        it on or off.
+        ``SimulationResult.check_report`` and, when the context names a
+        ``check_dir``, appends it there.  Checking is passive — results
+        are bit-identical with it on or off.
 
         ``profiler`` attaches the wall-time self-profiler (see
-        :mod:`repro.prof`); when omitted, the process-wide default
-        installed via ``repro.prof.set_default_profiler`` applies.
-        Profiling only reads the host clock, so profiled runs are
-        bit-identical to unprofiled ones.
+        :mod:`repro.prof`).  Profiling only reads the host clock, so
+        profiled runs are bit-identical to unprofiled ones.
 
-        The engine itself has no settings: one calendar event queue
-        sized from ``network`` and the rank count, one pooled scalar
-        delay draw per variate, one send path whatever is attached
+        The engine itself has no settings: one binary-heap event queue,
+        one pooled scalar delay draw per variate, one send path whatever
+        is attached
         (see :mod:`repro.simmpi.engine`).  Every keyword above describes
         the simulated job or attaches a hook; none tunes the simulator.
         """
@@ -179,18 +174,14 @@ class Simulation:
         )
         engine_seed, clock_seed = seedseq.spawn(2)
         self.fabric = fabric
-        self.sink = sink if sink is not None else get_default_sink()
-        self.metrics = (
-            metrics if metrics is not None else get_default_metrics()
-        )
+        ctx = current_context()
+        self.sink = sink if sink is not None else ctx.sink
+        self.metrics = metrics if metrics is not None else ctx.metrics
         self.timeseries = (
-            timeseries
-            if timeseries is not None
-            else get_default_timeseries()
+            timeseries if timeseries is not None else ctx.timeseries
         )
-        self.profiler = (
-            profiler if profiler is not None else get_default_profiler()
-        )
+        self.profiler = profiler if profiler is not None else ctx.profiler
+        self._check_dir = ctx.check_dir
         self.faults = faults
         if faults is not None:
             # Reject schedules that cannot act on this job: faults
@@ -213,7 +204,7 @@ class Simulation:
                 else None
             )
         self.checker: SanitizerSink | None = None
-        mode = check if check is not None else active_check_mode()
+        mode = check if check is not None else ctx.check
         if mode:
             self.checker = SanitizerSink(
                 mode=mode,
@@ -334,10 +325,8 @@ class Simulation:
             report = self.checker.finalize(
                 self.engine, spans=self._span_recorder()
             )
-            if self.checker.mode == "report":
-                out_dir = check_report_dir()
-                if out_dir is not None:
-                    append_report(report, out_dir)
+            if self.checker.mode == "report" and self._check_dir is not None:
+                append_report(report, self._check_dir)
             if prof is not None:
                 prof.pop(start)
         return SimulationResult(

@@ -13,8 +13,9 @@ from repro.analysis.accuracy import (
 )
 from repro.cluster.machines import JUPITER
 from repro.cluster.netmodels import infiniband_qdr
+from repro.context import run_context
 from repro.experiments.common import QUICK, run_sync_accuracy_campaign
-from repro.obs.timeseries import TimeSeriesBank, default_timeseries
+from repro.obs.timeseries import TimeSeriesBank
 from repro.faults.scenarios import make_scenario
 from repro.scenarios.runner import run_scenario_cell
 from repro.simtime.drift import ConstantDrift
@@ -143,19 +144,19 @@ class TestSampleClockHealth:
     def test_fig3_job_deposits_25_points_per_rank(self):
         tiny = replace(QUICK, num_nodes=2, ranks_per_node=2, nfitpoints=4,
                        nexchanges=4, nmpiruns=1)
-        with default_timeseries(TimeSeriesBank()) as bank:
+        with run_context(timeseries=TimeSeriesBank()) as ctx:
             run_sync_accuracy_campaign(
                 JUPITER, ["hca/4/skampi_offset/4"], scale=tiny, seed=0
             )
-        assert self.error_counts(bank) == {25}
+        assert self.error_counts(ctx.timeseries) == {25}
 
     def test_scenario_round_deposits_15_points_per_rank(self):
-        with default_timeseries(TimeSeriesBank()) as bank:
+        with run_context(timeseries=TimeSeriesBank()) as ctx:
             run_scenario_cell(
                 make_scenario("delay_attack"), "hca/4/skampi_offset/4",
                 num_nodes=4, ranks_per_node=1, nexchanges=4, rounds=1,
             )
-        assert self.error_counts(bank) == {15}
+        assert self.error_counts(ctx.timeseries) == {15}
 
 
 class TestGroundTruth:

@@ -1,4 +1,5 @@
-"""Env-based check activation, report files, and the Simulation wiring."""
+"""Check activation through the run context, report files, and the
+Simulation wiring."""
 
 from __future__ import annotations
 
@@ -13,60 +14,41 @@ from repro.check import (
     CheckReport,
     SanitizerSink,
     TeeSink,
-    active_check_mode,
     append_report,
-    check_report_dir,
     checking,
     load_reports,
-    set_check_mode,
     write_aggregate,
 )
-from repro.check.config import DIR_ENV, MODE_ENV
+from repro.context import current_context, run_context
 from repro.obs.events import RecordingSink
 from tests.conftest import run_spmd
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(MODE_ENV, raising=False)
-    monkeypatch.delenv(DIR_ENV, raising=False)
-
-
 class TestActivation:
     def test_off_by_default(self):
-        assert active_check_mode() is None
-        assert check_report_dir() is None
+        assert current_context().check is None
+        assert current_context().check_dir is None
 
-    def test_env_variable_activates(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "strict")
-        assert active_check_mode() == "strict"
+    def test_run_context_creates_report_dir(self, tmp_path):
+        d = str(tmp_path / "r")
+        with run_context(check="report", check_dir=d):
+            assert current_context().check == "report"
+            assert current_context().check_dir == d
+            assert os.path.isdir(d)
+        assert current_context().check is None
+        assert current_context().check_dir is None
 
-    def test_typo_is_off_not_strict(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "strictt")
-        assert active_check_mode() is None
-
-    def test_case_and_whitespace_tolerant(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, " Report ")
-        assert active_check_mode() == "report"
-
-    def test_set_check_mode_round_trip(self, tmp_path):
-        set_check_mode("report", report_dir=str(tmp_path / "r"))
-        assert active_check_mode() == "report"
-        assert check_report_dir() == str(tmp_path / "r")
-        assert os.path.isdir(str(tmp_path / "r"))
-        set_check_mode(None)
-        assert active_check_mode() is None
-        assert check_report_dir() is None
-
-    def test_set_check_mode_rejects_unknown(self):
+    def test_run_context_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            set_check_mode("loose")
+            with run_context(check="loose"):
+                pass
+        assert current_context().check is None
 
-    def test_checking_restores_previous(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "report")
-        with checking("strict"):
-            assert active_check_mode() == "strict"
-        assert active_check_mode() == "report"
+    def test_checking_restores_previous(self):
+        with run_context(check="report"):
+            with checking("strict"):
+                assert current_context().check == "strict"
+            assert current_context().check == "report"
 
 
 class TestReportFiles:
@@ -96,16 +78,20 @@ class TestSimulationWiring:
         return total
 
     def test_env_attaches_checker(self):
-        with checking("strict"):
+        with run_context(check="strict"):
             sim, res = run_spmd(self.body)
         assert isinstance(sim.checker, SanitizerSink)
         assert res.check_report is not None
         assert res.check_report.ok and res.check_report.runs == 1
 
     def test_explicit_param_overrides_env(self):
-        sim, res = run_spmd(self.body)  # env off, no explicit param
+        sim, res = run_spmd(self.body)  # context off, no explicit param
         assert sim.checker is None
         assert res.check_report is None
+        with run_context(check="strict"):
+            sim, res = run_spmd(self.body, check="report")
+        assert sim.checker.mode == "report"
+        assert res.check_report.ok
 
     def test_checker_tees_with_user_sink(self):
         """A user sink still records everything when checking is on."""
@@ -147,7 +133,7 @@ class TestSimulationWiring:
 
     def test_report_mode_appends_to_dir(self, tmp_path):
         d = str(tmp_path)
-        with checking("report", report_dir=d):
+        with run_context(check="report", check_dir=d):
             run_spmd(self.body)
             run_spmd(self.body, seed=1)
         merged = load_reports(d)
@@ -156,7 +142,7 @@ class TestSimulationWiring:
     def test_results_identical_with_checking(self):
         """Checking is passive: values and stats are bit-identical."""
         _, plain = run_spmd(self.body, seed=7)
-        with checking("strict"):
+        with run_context(check="strict"):
             _, checked = run_spmd(self.body, seed=7)
         assert plain.values == checked.values
         assert plain.engine_stats == checked.engine_stats

@@ -383,11 +383,9 @@ class TestClockMutants:
 
 class TestCheckingContextIsolation:
     def test_env_restored_after_block(self):
-        import os
+        from repro.context import current_context
 
-        from repro.check.config import MODE_ENV
-
-        before = os.environ.get(MODE_ENV)
+        before = current_context()
         with checking("strict"):
-            assert os.environ[MODE_ENV] == "strict"
-        assert os.environ.get(MODE_ENV) == before
+            assert current_context().check == "strict"
+        assert current_context() is before

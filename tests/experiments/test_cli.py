@@ -10,7 +10,7 @@ from repro.experiments.__main__ import (
     main,
     parse_args,
 )
-from repro.prof import get_default_profiler
+from repro.context import current_context
 
 
 class TestParser:
@@ -60,6 +60,16 @@ class TestTargetFlags:
         for target in [*readers, "all"]:
             args = parse_args([target, *flag])
             assert args.target == target
+
+    def test_check_and_check_report_are_exclusive(self, tmp_path, capsys):
+        report_dir = tmp_path / "cr"
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--check", "--check-report", str(report_dir)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--check-report" in err and "not allowed" in err
+        # Rejected in parse_args, before any target ran.
+        assert not report_dir.exists()
 
     def test_unset_flags_take_the_target_defaults(self):
         args = parse_args(["all"])
@@ -145,8 +155,8 @@ class TestProfileFlag:
         with open(out_dir / "profile.speedscope.json") as fh:
             ss = json.load(fh)
         assert ss["profiles"][0]["events"]
-        # The default profiler is uninstalled after the run.
-        assert get_default_profiler() is None
+        # The profiler is uninstalled after the run.
+        assert current_context().profiler is None
 
     def test_obs_summary_lists_slowest_zones(self, tmp_path, capsys):
         assert main([

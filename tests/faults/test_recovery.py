@@ -2,6 +2,7 @@
 
 import json
 
+from repro.context import run_context
 from repro.faults.evaluate import compare_recovery, run_recovery
 from repro.faults.scenarios import make_scenario
 from repro.obs.chrome_trace import engine_events_to_chrome
@@ -14,10 +15,10 @@ class TestDeterminism:
     def test_same_scenario_and_seed_reproduce_bit_identically(self):
         scenario = make_scenario("ntp_step")
         sinks = [RecordingSink(), RecordingSink()]
-        reports = [
-            run_recovery(scenario, resync_age=8.0, sink=sink, **QUICK)
-            for sink in sinks
-        ]
+        reports = []
+        for sink in sinks:
+            with run_context(sink=sink):
+                reports.append(run_recovery(scenario, resync_age=8.0, **QUICK))
         assert reports[0].samples == reports[1].samples
         assert reports[0].resync_rounds == reports[1].resync_rounds
         assert reports[0].engine_stats == reports[1].engine_stats
@@ -84,7 +85,8 @@ class TestTraceExport:
     def test_fault_spans_present_in_chrome_records(self):
         scenario = make_scenario("congestion_burst")
         sink = RecordingSink()
-        run_recovery(scenario, resync_age=8.0, sink=sink, **QUICK)
+        with run_context(sink=sink):
+            run_recovery(scenario, resync_age=8.0, **QUICK)
         records = engine_events_to_chrome(sink.events)
         spans = [r for r in records if r.get("cat") == "fault"]
         assert len(spans) == 2

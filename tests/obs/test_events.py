@@ -16,10 +16,8 @@ from repro.obs.events import (
     ProcBlock,
     ProcWake,
     RecordingSink,
-    default_sink,
-    get_default_sink,
-    set_default_sink,
 )
+from repro.context import current_context, run_context
 from repro.simmpi.network import Level
 from tests.conftest import run_spmd
 
@@ -35,7 +33,7 @@ def ring_body(ctx, comm):
 class TestEngineEmission:
     def test_send_deliver_pairing(self):
         sink = RecordingSink()
-        with default_sink(sink):
+        with run_context(sink=sink):
             _, res = run_spmd(ring_body)
         sends = sink.of_type(MsgSend)
         delivers = sink.of_type(MsgDeliver)
@@ -56,7 +54,7 @@ class TestEngineEmission:
             else:
                 yield from comm.recv(0, 1)
 
-        with default_sink(sink):
+        with run_context(sink=sink):
             run_spmd(body, num_nodes=1, ranks_per_node=2)
         blocks = [e for e in sink.of_type(ProcBlock) if e.rank == 1]
         assert blocks and blocks[0].reason == "recv"
@@ -70,7 +68,7 @@ class TestEngineEmission:
             total = yield from comm.allreduce(1)
             return total
 
-        with default_sink(sink):
+        with run_context(sink=sink):
             _, res = run_spmd(body)
         enters = sink.of_type(CollectiveEnter)
         exits = sink.of_type(CollectiveExit)
@@ -85,7 +83,7 @@ class TestEngineEmission:
 
     def test_emission_order_is_time_sorted_per_rank(self):
         sink = RecordingSink()
-        with default_sink(sink):
+        with run_context(sink=sink):
             run_spmd(ring_body, network=infiniband_qdr())
         by_rank = {}
         for e in sink.events:
@@ -97,7 +95,7 @@ class TestEngineEmission:
 class TestSinks:
     def test_counting_sink(self):
         sink = CountingSink()
-        with default_sink(sink):
+        with run_context(sink=sink):
             run_spmd(ring_body)
         assert sink.counts["MsgSend"] == 4
         assert sink.counts["MsgDeliver"] == 4
@@ -110,21 +108,12 @@ class TestSinks:
         assert isinstance(CountingSink(), EventSink)
 
     def test_default_sink_restored(self):
-        assert get_default_sink() is None
+        assert current_context().sink is None
         sink = RecordingSink()
-        with default_sink(sink) as s:
-            assert s is sink
-            assert get_default_sink() is sink
-        assert get_default_sink() is None
-
-    def test_set_default_sink_explicit(self):
-        sink = CountingSink()
-        set_default_sink(sink)
-        try:
-            assert get_default_sink() is sink
-        finally:
-            set_default_sink(None)
-        assert get_default_sink() is None
+        with run_context(sink=sink) as ctx:
+            assert ctx.sink is sink
+            assert current_context() is ctx
+        assert current_context().sink is None
 
     def test_explicit_sink_wins_over_default(self):
         explicit = RecordingSink()
@@ -140,7 +129,7 @@ class TestSinks:
         machine = Machine(num_nodes=2, sockets_per_node=1,
                           cores_per_socket=1, ranks_per_node=1,
                           name="t")
-        with default_sink(ambient):
+        with run_context(sink=ambient):
             sim = Simulation(machine=machine, network=ideal_network(),
                              sink=explicit)
             sim.run(body)

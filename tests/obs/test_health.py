@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 
+from repro.context import run_context
 from repro.faults.evaluate import run_recovery
 from repro.faults.scenarios import make_scenario
 from repro.obs.health import (
@@ -48,12 +49,10 @@ _RUN_KWARGS = dict(
 
 def _bank_ntp_step(resync_age: float | None) -> TimeSeriesBank:
     bank = TimeSeriesBank()
-    run_recovery(
-        make_scenario("ntp_step"),
-        resync_age=resync_age,
-        timeseries=bank,
-        **_RUN_KWARGS,
-    )
+    with run_context(timeseries=bank):
+        run_recovery(
+            make_scenario("ntp_step"), resync_age=resync_age, **_RUN_KWARGS
+        )
     return bank
 
 
@@ -61,12 +60,12 @@ def _bank_thermal() -> TimeSeriesBank:
     # Amplified skew ramp so the accumulated error slope clears the
     # drift threshold well within the 40 s horizon.
     bank = TimeSeriesBank()
-    run_recovery(
-        make_scenario("thermal_cycle", skew_delta=4e-5),
-        resync_age=None,
-        timeseries=bank,
-        **_RUN_KWARGS,
-    )
+    with run_context(timeseries=bank):
+        run_recovery(
+            make_scenario("thermal_cycle", skew_delta=4e-5),
+            resync_age=None,
+            **_RUN_KWARGS,
+        )
     return bank
 
 

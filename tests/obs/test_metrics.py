@@ -10,10 +10,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_metrics,
     format_summary,
-    get_default_metrics,
 )
+from repro.context import current_context, run_context
 from tests.conftest import run_spmd
 
 
@@ -263,14 +262,14 @@ class TestEngineIntegration:
             yield from comm.send(right, 3, None, 256)
             yield from comm.recv(left, 3)
 
-        with default_metrics(reg):
+        with run_context(metrics=reg):
             run_spmd(body)
         assert reg.merged_counter("engine.bytes.sent") == 4 * 256
         assert reg.merged_counter("engine.bytes.delivered") == 4 * 256
         assert reg.ranks_of("engine.bytes.sent") == [0, 1, 2, 3]
 
     def test_default_registry_restored(self):
-        assert get_default_metrics() is None
-        with default_metrics(MetricsRegistry()):
-            assert get_default_metrics() is not None
-        assert get_default_metrics() is None
+        assert current_context().metrics is None
+        with run_context(metrics=MetricsRegistry()):
+            assert current_context().metrics is not None
+        assert current_context().metrics is None

@@ -8,7 +8,8 @@ from dataclasses import replace
 from repro.cluster.machines import JUPITER
 from repro.experiments.common import QUICK, run_sync_accuracy_campaign
 from repro.obs.health import evaluate_health
-from repro.obs.metrics import MetricsRegistry, default_metrics
+from repro.context import run_context
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     VOLATILE_FIELDS,
     build_report,
@@ -16,7 +17,7 @@ from repro.obs.report import (
     sparkline_svg,
     write_report,
 )
-from repro.obs.timeseries import TimeSeriesBank, default_timeseries
+from repro.obs.timeseries import TimeSeriesBank
 
 TINY = replace(QUICK, num_nodes=4, ranks_per_node=2, nfitpoints=8,
                nexchanges=6, nmpiruns=2)
@@ -28,7 +29,7 @@ LABELS = ["hca3/recompute_intercept/8/skampi_offset/6",
 def _campaign_report(jobs: int) -> dict:
     bank = TimeSeriesBank()
     registry = MetricsRegistry()
-    with default_timeseries(bank), default_metrics(registry):
+    with run_context(timeseries=bank, metrics=registry):
         run_sync_accuracy_campaign(
             JUPITER, LABELS, scale=TINY, seed=3, jobs=jobs
         )

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.context import run_context
 from repro.experiments import fig3_flat_algorithms, fig4_hier_jupiter
 from repro.experiments.common import summary_json
 from repro.obs.causal import analyze_recorder
-from repro.obs.events import default_sink
 from repro.obs.spans import SpanRecorder
 
 GOLDEN_DIR = Path(__file__).parent.parent / "experiments" / "golden"
@@ -37,7 +37,7 @@ TARGETS = {
 def _traced(name: str, jobs: int) -> tuple[str, str]:
     """(campaign summary json, analyses json) of a traced quick run."""
     recorder = SpanRecorder()
-    with default_sink(recorder):
+    with run_context(sink=recorder):
         result = TARGETS[name].run(scale="quick", seed=0, jobs=jobs)
     analyses = analyze_recorder(recorder)
     return (

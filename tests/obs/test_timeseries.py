@@ -8,10 +8,9 @@ from repro.obs.timeseries import (
     SCOPE_SEP,
     TimeSeries,
     TimeSeriesBank,
-    default_timeseries,
-    get_default_timeseries,
     split_scope,
 )
+from repro.context import current_context, run_context
 
 
 def _samples(n: int) -> list[tuple[float, float]]:
@@ -152,7 +151,7 @@ class TestBank:
 
 class TestDefaultBank:
     def test_default_installed_and_restored(self):
-        assert get_default_timeseries() is None
-        with default_timeseries(TimeSeriesBank()) as bank:
-            assert get_default_timeseries() is bank
-        assert get_default_timeseries() is None
+        assert current_context().timeseries is None
+        with run_context(timeseries=TimeSeriesBank()) as ctx:
+            assert current_context().timeseries is ctx.timeseries
+        assert current_context().timeseries is None

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.check import load_reports
+from repro.cluster.machines import JUPITER
+from repro.context import current_context, run_context
+from repro.experiments.common import QUICK, run_sync_accuracy_campaign
 from repro.obs.events import CountingSink
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
@@ -24,6 +30,10 @@ def _draw(seedseq: np.random.SeedSequence, n: int) -> list[float]:
 
 def _fail() -> None:
     raise RuntimeError("worker job failed")
+
+
+def _check_mode() -> str | None:
+    return current_context().check
 
 
 class TestResolveJobs:
@@ -78,13 +88,15 @@ class TestRunJobs:
     def test_observability_merged(self):
         sink = CountingSink()
         metrics = MetricsRegistry()
-        run_jobs(self._specs(), jobs=2, sink=sink, metrics=metrics)
+        with run_context(sink=sink, metrics=metrics):
+            run_jobs(self._specs(), jobs=2)
         assert metrics.counter("parallel.jobs.completed").value == 6
         assert metrics.gauge("parallel.workers").value == 2
 
     def test_serial_publishes_metrics_too(self):
         metrics = MetricsRegistry()
-        run_jobs(self._specs(), jobs=1, metrics=metrics)
+        with run_context(metrics=metrics):
+            run_jobs(self._specs(), jobs=1)
         assert metrics.counter("parallel.jobs.completed").value == 6
         assert metrics.gauge("parallel.workers").value == 1
 
@@ -94,3 +106,33 @@ class TestRunJobs:
 
     def test_empty_specs(self):
         assert run_jobs([], jobs=4) == []
+
+    def test_check_mode_reaches_workers(self):
+        specs = [JobSpec(fn=_check_mode) for _ in range(2)]
+        with run_context(check="strict"):
+            assert run_jobs(specs, jobs=2) == ["strict", "strict"]
+        assert run_jobs(specs, jobs=2) == [None, None]
+
+
+class TestWorkerChecking:
+    """Every simulated job of a campaign is checked, wherever it runs."""
+
+    TINY = replace(QUICK, num_nodes=2, ranks_per_node=2, nfitpoints=4,
+                   nexchanges=4, nmpiruns=2)
+    LABELS = ["hca/4/skampi_offset/4", "jk/4/skampi_offset/2"]
+
+    def _report(self, tmp_path, jobs: int):
+        d = str(tmp_path / f"jobs{jobs}")
+        with run_context(check="report", check_dir=d):
+            run_sync_accuracy_campaign(
+                JUPITER, self.LABELS, scale=self.TINY, seed=0, jobs=jobs
+            )
+        return load_reports(d)
+
+    def test_report_mode_checks_every_job(self, tmp_path):
+        serial = self._report(tmp_path, jobs=1)
+        parallel = self._report(tmp_path, jobs=2)
+        njobs = len(self.LABELS) * self.TINY.nmpiruns
+        assert serial.runs == parallel.runs == njobs
+        assert serial.events_checked == parallel.events_checked > 0
+        assert serial.ok and parallel.ok

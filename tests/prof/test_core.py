@@ -8,14 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.prof.core import (
-    Profiler,
-    Zone,
-    default_profiler,
-    get_default_profiler,
-    profiled,
-    set_default_profiler,
-)
+from repro.context import current_context, run_context
+from repro.prof.core import Profiler, Zone, profiled
 
 
 class FakeClock:
@@ -146,22 +140,14 @@ class TestWalkAndSerialize:
 
 class TestDefaultProfiler:
     def test_default_is_none(self):
-        assert get_default_profiler() is None
+        assert current_context().profiler is None
 
     def test_context_installs_and_restores(self):
         prof = Profiler()
-        with default_profiler(prof) as installed:
-            assert installed is prof
-            assert get_default_profiler() is prof
-        assert get_default_profiler() is None
-
-    def test_set_returns_previous(self):
-        prof = Profiler()
-        assert set_default_profiler(prof) is None
-        try:
-            assert set_default_profiler(None) is prof
-        finally:
-            set_default_profiler(None)
+        with run_context(profiler=prof) as installed:
+            assert installed.profiler is prof
+            assert current_context().profiler is prof
+        assert current_context().profiler is None
 
     def test_profiled_decorator_noop_without_default(self):
         calls = []
@@ -180,7 +166,7 @@ class TestDefaultProfiler:
             return 42
 
         prof = Profiler(clock=FakeClock())
-        with default_profiler(prof):
+        with run_context(profiler=prof):
             assert fn() == 42
         assert prof.find("deco.zone").count == 1
         assert prof.find("deco.zone").total_ns == 10

@@ -7,17 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.check.config import checking
-from repro.errors import ConfigurationError
+from repro.check.config import checking, load_reports
+from repro.context import current_context, run_context
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.obs.health import evaluate_health
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    default_metrics,
-    get_default_metrics,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.report import build_report
-from repro.obs.timeseries import TimeSeriesBank, default_timeseries
+from repro.obs.timeseries import TimeSeriesBank
 from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
 from repro.service import (
     ErrorBoundResyncPolicy,
@@ -29,6 +25,7 @@ from repro.service import (
 )
 from repro.experiments.service_slo import _policy_job
 from repro.service.driver import _reads
+from repro.service.epoch import ModelEpoch
 from repro.service.workload import generate
 
 QUICK = ServiceConfig(num_ranks=4)
@@ -116,6 +113,34 @@ class TestRunService:
         assert res.queries > 0
 
     @staticmethod
+    def _skew_batch_answers(monkeypatch):
+        """Make every batch answer diverge from the scalar model."""
+        global_of = ModelEpoch.global_of
+        monkeypatch.setattr(
+            ModelEpoch, "global_of",
+            lambda self, ranks, readings: global_of(self, ranks, readings)
+            + 1e-9,
+        )
+
+    def test_check_mode_strict_raises_on_a_broken_batch(self, monkeypatch):
+        self._skew_batch_answers(monkeypatch)
+        with checking("strict"):
+            with pytest.raises(InvariantViolation, match="service-batch"):
+                run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
+
+    def test_check_mode_report_records_and_carries_on(
+        self, monkeypatch, tmp_path
+    ):
+        self._skew_batch_answers(monkeypatch)
+        d = str(tmp_path)
+        with checking("report", report_dir=d):
+            res = run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
+        assert res.queries > 0
+        report = load_reports(d)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"service-batch"}
+
+    @staticmethod
     def _latencies(seed: int) -> np.ndarray:
         """The latency array ``run_service(..., SHORT, QUICK, seed)`` scores."""
         _cluster_seed, workload_seed = np.random.SeedSequence(seed).spawn(2)
@@ -129,7 +154,7 @@ class TestRunService:
     def test_emits_metrics_and_timeseries(self):
         registry = MetricsRegistry()
         bank = TimeSeriesBank()
-        with default_metrics(registry), default_timeseries(bank):
+        with run_context(metrics=registry, timeseries=bank):
             res = run_service(
                 PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5
             )
@@ -165,7 +190,7 @@ class TestRunService:
         assert len(marks) == res.syncs - 1
 
     def test_no_registry_means_no_histogram(self, monkeypatch):
-        assert get_default_metrics() is None
+        assert current_context().metrics is None
         built = []
         init = Histogram.__init__
 
@@ -177,7 +202,7 @@ class TestRunService:
         bare = run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
         assert built == []
         # Attaching a registry changes no reported number.
-        with default_metrics(MetricsRegistry()):
+        with run_context(metrics=MetricsRegistry()):
             observed = run_service(
                 PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5
             )
@@ -224,7 +249,7 @@ class TestJobsMergeIdentity:
             )
             for (policy, scope), child in zip(entries, seeds)
         ]
-        with default_metrics(registry), default_timeseries(bank):
+        with run_context(metrics=registry, timeseries=bank):
             results = run_jobs(specs, jobs=jobs)
         report = build_report(
             bank=bank,

@@ -83,13 +83,14 @@ class TestPeriodicResync:
         assert err_resynced < err_original
 
     def test_resync_rounds_are_observable(self):
-        from repro.obs.events import RecordingSink, ResyncRound, default_sink
-        from repro.obs.metrics import MetricsRegistry, default_metrics
+        from repro.context import run_context
+        from repro.obs.events import RecordingSink, ResyncRound
+        from repro.obs.metrics import MetricsRegistry
 
         state = {}
         sink = RecordingSink()
         registry = MetricsRegistry()
-        with default_sink(sink), default_metrics(registry):
+        with run_context(sink=sink, metrics=registry):
             _, res = run_spmd(resync_main(5.0, [6.0, 6.0, 0.0], state),
                               network=infiniband_qdr(),
                               time_source=TWITCHY, seed=3)

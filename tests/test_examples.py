@@ -34,11 +34,12 @@ class TestExamples:
         assert "sync duration" in result.stdout
         assert "max |offset|" in result.stdout
 
-    def test_trace_amg(self):
-        result = run_example("trace_amg.py")
+    def test_trace_amg(self, tmp_path):
+        result = run_example("trace_amg.py", cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         assert "events INVISIBLE" in result.stdout
         assert "events visible" in result.stdout
+        assert (tmp_path / "amg_trace_global_clock.json").exists()
 
     def test_hierarchical_sync(self):
         result = run_example("hierarchical_sync.py")

@@ -11,7 +11,8 @@ from repro.obs.chrome_trace import (
     export_chrome_trace,
     trace_events_to_chrome,
 )
-from repro.obs.events import RecordingSink, default_sink
+from repro.context import run_context
+from repro.obs.events import RecordingSink
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync.hierarchical import h2hca
 from repro.trace.tracer import TraceEvent, Tracer
@@ -37,7 +38,7 @@ def traced_run(seed=2):
         events = yield from tracer.gather_events(comm)
         return events, clk
 
-    with default_sink(sink):
+    with run_context(sink=sink):
         sim, res = run_spmd(main, num_nodes=2, ranks_per_node=2,
                             network=infiniband_qdr(), time_source=QUIET,
                             seed=seed)

@@ -8,11 +8,7 @@ visible between the paired configurations of Figs. 4-6.
 
 from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import JUPITER
-from repro.experiments.common import (
-    MACHINE_TIME_SOURCES,
-    resolve_scale,
-    run_sync_accuracy_campaign,
-)
+from repro.experiments.common import resolve_scale, run_sync_accuracy_campaign
 
 from conftest import emit
 
@@ -25,7 +21,7 @@ def run_ablation(scale):
     labels = [f"hca3/{n}/skampi_offset/{e}" for n in budgets]
     return run_sync_accuracy_campaign(
         spec=JUPITER, labels=labels, scale=sc, wait_times=(0.0, 10.0),
-        seed=0, time_source=MACHINE_TIME_SOURCES["jupiter"],
+        seed=0,
     )
 
 

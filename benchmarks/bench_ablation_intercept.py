@@ -6,12 +6,9 @@ on the *instantaneous* offset right after synchronization: the anchored
 intercept absorbs accumulated fit error at measurement time.
 """
 
-import numpy as np
-
 from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import JUPITER
-from repro.experiments.common import MACHINE_TIME_SOURCES, resolve_scale
-from repro.experiments.common import run_sync_accuracy_campaign
+from repro.experiments.common import resolve_scale, run_sync_accuracy_campaign
 
 from conftest import emit
 
@@ -25,7 +22,7 @@ def run_ablation(scale):
     ]
     return run_sync_accuracy_campaign(
         spec=JUPITER, labels=labels, scale=sc, wait_times=(0.0, 10.0),
-        seed=0, time_source=MACHINE_TIME_SOURCES["jupiter"],
+        seed=0,
     )
 
 

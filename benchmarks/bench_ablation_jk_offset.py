@@ -8,11 +8,7 @@ to jitter tails that corrupt an averaged RTT estimate.
 
 from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import JUPITER
-from repro.experiments.common import (
-    MACHINE_TIME_SOURCES,
-    resolve_scale,
-    run_sync_accuracy_campaign,
-)
+from repro.experiments.common import resolve_scale, run_sync_accuracy_campaign
 
 from conftest import emit
 
@@ -27,7 +23,7 @@ def run_ablation(scale):
     ]
     return run_sync_accuracy_campaign(
         spec=JUPITER, labels=labels, scale=sc, wait_times=(0.0, 10.0),
-        seed=0, time_source=MACHINE_TIME_SOURCES["jupiter"],
+        seed=0,
     )
 
 

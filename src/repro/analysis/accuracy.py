@@ -11,21 +11,36 @@ affordable; ``sample_fraction`` reproduces that.
 
 :func:`ground_truth_accuracy` is the simulation-level oracle: it evaluates
 the returned clock objects at a common true time, with no measurement
-noise.  Experiments report the *measured* value (faithful to the paper);
-tests use the oracle to validate the measurement machinery itself.
+noise.  The figures report the *measured* value (faithful to the paper);
+scenario cells score both, since a byzantine rank can poison the
+measurement but not the oracle.
+
+:func:`run_sync_cell` is the one accuracy mpirun behind the Figs. 3–6
+campaigns and the scenario cells: synchronize, check, score into a
+:class:`SyncRun`, sanity-check the clocks and sample their health.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
 
+from repro.check.clockcheck import check_global_clock
+from repro.context import current_context
+from repro.parallel.seeds import seed_int
+from repro.simmpi.simulation import Simulation
 from repro.simtime.base import Clock
 from repro.simtime.drift import DriftModel
-from repro.sync.offset import OffsetAlgorithm
+from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
+from repro.sync.offset import OffsetAlgorithm, SKaMPIOffset
+from repro.sync.registry import algorithm_from_label
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.machines import MachineSpec
+    from repro.faults.schedule import FaultSchedule
     from repro.simmpi.comm import Communicator
 
 #: Go-signal tag for sequencing the per-client measurements.
@@ -95,28 +110,88 @@ def max_abs_offset(per_client: dict[int, float]) -> float:
     return max(abs(v) for v in per_client.values())
 
 
-def sync_then_check(
-    algorithm,
-    offset_alg: OffsetAlgorithm,
-    wait_times: Sequence[float],
-    sample_fraction: float = 1.0,
-    sample_seed: int = 0,
-) -> Callable:
-    """Rank program of one accuracy mpirun: synchronize, then check.
+@dataclass
+class SyncRun:
+    """One simulated mpirun of a sync algorithm, scored.
 
-    Every rank returns ``(duration, offsets, global_clock)``: its own
-    synchronization duration, the :func:`check_clock_accuracy` result
-    (rank 0 only, ``None`` elsewhere) and its global clock object.
-    :func:`sync_check_outcome` and :func:`sample_clock_health` read the
-    per-rank list of these tuples.
+    One scatter point of Figs. 3–6, or one round of a scenario cell.
     """
 
-    def main(ctx, comm):
-        t0 = ctx.now
+    label: str
+    num_nodes: int
+    num_ranks: int
+    #: Synchronization duration, max across ranks (seconds).
+    duration: float
+    #: wait_time -> measured max |offset| across checked clients (seconds).
+    max_offsets: dict[float, float] = field(default_factory=dict)
+    #: Oracle max |global_i - global_0| at the end of the check window.
+    ground_truth_error: float = 0.0
+
+    def worst_offset(self) -> float:
+        return max(self.max_offsets.values()) if self.max_offsets else 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "num_nodes": self.num_nodes,
+            "num_ranks": self.num_ranks,
+            "duration": self.duration,
+            "max_offsets": {
+                f"{wait:g}": offset
+                for wait, offset in sorted(self.max_offsets.items())
+            },
+            "ground_truth_error": self.ground_truth_error,
+        }
+
+
+def run_sync_cell(
+    spec: "MachineSpec",
+    label: str,
+    *,
+    num_nodes: int,
+    ranks_per_node: int,
+    nexchanges: int,
+    fitpoint_spacing: float,
+    wait_times: Sequence[float],
+    seedseq: np.random.SeedSequence,
+    scope: str,
+    npoints: int,
+    time_source: TimeSourceSpec = CLOCK_GETTIME,
+    faults: "FaultSchedule | None" = None,
+    sample_fraction: float = 1.0,
+) -> SyncRun:
+    """One accuracy mpirun: synchronize, run Algorithm 6, score.
+
+    Everything (machine, algorithm, offset measurer) is rebuilt from
+    picklable arguments, so the cell behaves identically in-process or
+    in a :mod:`repro.parallel` worker; a fresh algorithm per run matters
+    because algorithms may carry per-engine caches.  ``faults`` makes
+    the run adversarial (scenario cells).
+
+    The run attaches the hooks of the run context.  Under a check mode,
+    an unfaulted run's global clocks must stay finite, monotone and
+    slope-≈1 over the check window (fault schedules may step clocks
+    backwards on purpose).  With a telemetry bank, the cell deposits
+    its clock-health series under ``scope``: ``sync.duration`` once per
+    rank and ``clock.error`` (each rank's global clock against rank
+    0's) on a true-time grid of ``npoints`` spanning the check window.
+    Every engine and sync zone of the run nests under the profiler
+    zone ``job:<label>`` (the run index is not part of the name, so
+    runs of one label aggregate into one subtree).
+    """
+    machine = spec.machine(num_nodes, ranks_per_node)
+    algorithm = algorithm_from_label(label, fitpoint_spacing=fitpoint_spacing)
+    offset_alg = SKaMPIOffset(nexchanges=nexchanges)
+    sample_seed = seed_int(seedseq)
+    ctx = current_context()
+    bank, prof = ctx.timeseries, ctx.profiler
+
+    def main(rank_ctx, comm):
+        t0 = rank_ctx.now
         global_clock = yield from algorithm.sync_clocks(
-            comm, ctx.hardware_clock
+            comm, rank_ctx.hardware_clock
         )
-        duration = ctx.now - t0
+        duration = rank_ctx.now - t0
         offsets = yield from check_clock_accuracy(
             comm,
             global_clock,
@@ -127,40 +202,62 @@ def sync_then_check(
         )
         return (duration, offsets, global_clock)
 
-    return main
+    with (
+        bank.scoped(scope) if bank is not None else nullcontext(),
+        prof.zone(f"job:{label}") if prof is not None else nullcontext(),
+    ):
+        sim = Simulation(
+            machine=machine,
+            network=spec.network(),
+            time_source=time_source,
+            seed=seedseq,
+            fabric=spec.fabric(machine.num_nodes),
+            faults=faults,
+        )
+        durations, offsets, clocks = zip(*sim.run(main).values)
+        duration = max(durations)
+        span = max(wait_times, default=0.0)
+        run = SyncRun(
+            label=label,
+            num_nodes=machine.num_nodes,
+            num_ranks=machine.num_ranks,
+            duration=duration,
+            max_offsets={
+                wait: max_abs_offset(per_client)
+                for wait, per_client in offsets[0].items()
+            },
+            ground_truth_error=ground_truth_accuracy(
+                clocks, duration + span
+            ),
+        )
+        if ctx.check is not None and faults is None:
+            for rank, clock in enumerate(clocks):
+                check_global_clock(
+                    clock, duration, duration + max(span, 1.0),
+                    rank=rank, label=scope,
+                )
+        if bank is not None:
+            _sample_clock_health(
+                bank, durations, clocks, duration, span, npoints
+            )
+    return run
 
 
-def sync_check_outcome(values: Sequence[tuple]) -> tuple[float, dict]:
-    """One scatter point from the per-rank :func:`sync_then_check` values.
-
-    Returns the synchronization duration (max across ranks) and
-    ``{wait_time: max |offset|}`` as measured by rank 0.
-    """
-    duration = max(v[0] for v in values)
-    max_offsets = {
-        wait: max_abs_offset(per_client)
-        for wait, per_client in values[0][1].items()
-    }
-    return duration, max_offsets
-
-
-def sample_clock_health(
-    bank, values: Sequence[tuple], duration: float,
-    wait_times: Sequence[float], npoints: int,
+def _sample_clock_health(
+    bank, durations: Sequence[float], clocks: Sequence[Clock],
+    duration: float, span: float, npoints: int,
 ) -> None:
     """Deposit one mpirun's clock-health series into a telemetry bank.
 
     ``sync.duration`` is sampled once per rank.  ``clock.error`` is each
-    rank's estimated global clock read against rank 0's (the sync
-    reference) on a regular true-time grid of ``npoints`` spanning the
-    accuracy-check window — rank 0 against itself is identically zero
-    and is skipped.  Purely post-hoc: the simulation is finished, so the
-    reads cannot perturb it.
+    rank's global clock read against rank 0's (the sync reference) on a
+    regular true-time grid of ``npoints`` over ``[duration, duration +
+    span]`` (one second when ``span`` is zero); rank 0 against itself
+    is identically zero and is skipped.  Purely post-hoc: the
+    simulation is finished, so the reads cannot perturb it.
     """
-    for rank, value in enumerate(values):
-        bank.sample("sync.duration", value[0], value[0], rank=rank)
-    clocks = [value[2] for value in values]
-    span = max(wait_times) if wait_times else 0.0
+    for rank, d in enumerate(durations):
+        bank.sample("sync.duration", d, d, rank=rank)
     horizon = duration + (span if span > 0.0 else 1.0)
     # One read_many per clock resolves the whole grid (array pass per
     # model layer); read_many is pinned bit-identical to per-element read.

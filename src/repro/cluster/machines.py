@@ -21,7 +21,6 @@ from repro.cluster.fabric import FlatFabric, TorusFabric
 from repro.cluster.netmodels import cray_gemini, infiniband_qdr, omnipath
 from repro.cluster.topology import Machine
 from repro.simmpi.network import NetworkModel
-from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
 
 
 def flat_fabric(num_nodes: int) -> FlatFabric:
@@ -41,8 +40,11 @@ def torus_fabric(num_nodes: int) -> TorusFabric:
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """A machine preset: topology factory + network + default time source.
+    """A machine preset: topology factory, network and fabric.
 
+    The clocks are not part of the preset: a simulation takes its time
+    source separately, and the per-machine drift presets the Figs. 3–6
+    campaigns use are ``repro.experiments.common.MACHINE_TIME_SOURCES``.
     Presets are picklable (factories are module-level functions), which
     lets :mod:`repro.parallel` submit campaign jobs referencing a spec to
     worker processes directly.
@@ -53,7 +55,6 @@ class MachineSpec:
     sockets_per_node: int
     cores_per_socket: int
     network_factory: Callable[[], NetworkModel]
-    time_source: TimeSourceSpec = field(default=CLOCK_GETTIME)
     #: Builds the interconnect fabric for a given node count (torus for
     #: Titan's Gemini; flat single-switch fabrics elsewhere).
     fabric_factory: Callable[[int], object] = field(default=flat_fabric)

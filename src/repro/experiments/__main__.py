@@ -76,7 +76,7 @@ from repro.experiments import (
     service_slo,
     table1_machines,
 )
-from repro.faults.scenarios import SCENARIOS
+from repro.faults.scenarios import SCENARIOS, make_scenario
 
 
 def _run_table1(args: argparse.Namespace) -> str:
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv``; an option the target would not read is an error."""
+    """Parse ``argv``; an option the target would not read is an error,
+    and so is a churn preset for the single-run ``fault_recovery``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag, readers in TARGET_FLAGS.items():
@@ -240,6 +241,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                 f"--{flag.replace('_', '-')} is read only by "
                 f"{', '.join(readers)} (and all), not by {args.target}"
             )
+    if args.scenario and make_scenario(args.scenario).of_kind("churn"):
+        parser.error(
+            f"--scenario {args.scenario} holds a churn entry: churn acts "
+            f"between the rounds of a scenario cell (see the "
+            f"scenario_degradation target), not inside one recovery run"
+        )
     if args.scenario is None:
         args.scenario = fault_recovery.DEFAULT_SCENARIO
     if args.slo is None:

@@ -4,33 +4,26 @@ The accuracy campaign (used by Figs. 3–6) mirrors the paper's methodology:
 for each algorithm configuration, run ``nmpiruns`` independent simulated
 jobs (fresh clocks and network jitter per run — a new ``mpirun``); in each
 job, synchronize clocks, then run CHECK_CLOCK_ACCURACY (Algorithm 6) at
-each waiting time.  One scatter point of Figs. 3–6 is one job: x = the
-synchronization duration (max across ranks, including communicator
-creation for hierarchical schemes), y = the measured maximum clock offset.
+each waiting time (:func:`repro.analysis.accuracy.run_sync_cell`, the
+cell the scenario harness runs too).  One scatter point of Figs. 3–6 is
+one job: x = the synchronization duration (max across ranks, including
+communicator creation for hierarchical schemes), y = the measured
+maximum clock offset.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.accuracy import (
-    sample_clock_health,
-    sync_check_outcome,
-    sync_then_check,
-)
-from repro.check import check_global_clock
+from repro.analysis.accuracy import SyncRun, run_sync_cell
+from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import MachineSpec
-from repro.context import current_context
-from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
-from repro.simmpi.simulation import Simulation
+from repro.parallel import JobSpec, job_seeds, run_jobs
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
-from repro.sync.offset import SKaMPIOffset
-from repro.sync.registry import algorithm_from_label
 
 
 @dataclass(frozen=True)
@@ -100,16 +93,6 @@ MACHINE_TIME_SOURCES: dict[str, TimeSourceSpec] = {
 
 
 @dataclass
-class SyncRun:
-    """One scatter point: one algorithm config in one simulated mpirun."""
-
-    label: str
-    duration: float
-    #: wait_time -> measured max |offset| across checked clients (seconds).
-    max_offsets: dict[float, float] = field(default_factory=dict)
-
-
-@dataclass
 class SyncCampaignResult:
     """All runs of a Figs. 3–6-style accuracy campaign."""
 
@@ -140,7 +123,6 @@ def run_sync_accuracy_campaign(
     wait_times: Sequence[float] = (0.0, 10.0),
     sample_fraction: float = 1.0,
     seed: int = 0,
-    time_source: TimeSourceSpec | None = None,
     jobs: int | None = 1,
 ) -> SyncCampaignResult:
     """Figs. 3–6 engine: accuracy-vs-duration for several algorithm labels.
@@ -158,7 +140,7 @@ def run_sync_accuracy_campaign(
     order either way.
     """
     sc = resolve_scale(scale)
-    ts = time_source or MACHINE_TIME_SOURCES.get(spec.name, CLOCK_GETTIME)
+    ts = MACHINE_TIME_SOURCES.get(spec.name, CLOCK_GETTIME)
     machine = spec.machine(sc.num_nodes, sc.ranks_per_node)
     result = SyncCampaignResult(
         machine=spec.name,
@@ -175,98 +157,24 @@ def run_sync_accuracy_campaign(
             spacing *= sc.jk_spacing_factor
         for run_idx in range(sc.nmpiruns):
             specs.append(JobSpec(
-                fn=_campaign_job,
+                fn=run_sync_cell,
+                args=(spec, label),
                 kwargs=dict(
-                    machine_spec=spec,
-                    label=label,
-                    fitpoint_spacing=spacing,
-                    nexchanges=sc.nexchanges,
-                    wait_times=tuple(wait_times),
-                    sample_fraction=sample_fraction,
-                    time_source=ts,
                     num_nodes=sc.num_nodes,
                     ranks_per_node=sc.ranks_per_node,
+                    nexchanges=sc.nexchanges,
+                    fitpoint_spacing=spacing,
+                    wait_times=tuple(wait_times),
                     seedseq=seeds[label_idx * sc.nmpiruns + run_idx],
                     scope=f"{label}#{run_idx}",
+                    npoints=25,
+                    time_source=ts,
+                    sample_fraction=sample_fraction,
                 ),
                 label=f"{label}#{run_idx}",
             ))
     result.runs = run_jobs(specs, jobs=jobs)
     return result
-
-
-def _campaign_job(
-    machine_spec: MachineSpec,
-    label: str,
-    fitpoint_spacing: float,
-    nexchanges: int,
-    wait_times: tuple[float, ...],
-    sample_fraction: float,
-    time_source: TimeSourceSpec,
-    num_nodes: int,
-    ranks_per_node: int,
-    seedseq: np.random.SeedSequence,
-    scope: str = "",
-) -> SyncRun:
-    """One campaign scatter point; runs in-process or in a worker.
-
-    Everything (machine, algorithm, offset measurer) is reconstructed
-    from primitive, picklable arguments so the job behaves identically
-    wherever it executes.  A fresh algorithm instance per run matters:
-    algorithms may carry per-engine caches.
-
-    With a telemetry bank in the run context, the job deposits its
-    clock-health series (per-rank sync duration and estimated-vs-rank-0
-    global-clock error over the accuracy-check window, plus whatever the
-    engine/sync layers sample) under ``scope`` — the executor merges the
-    per-job banks back into the campaign-level bank.
-    """
-    machine = machine_spec.machine(num_nodes, ranks_per_node)
-    algorithm = algorithm_from_label(label, fitpoint_spacing=fitpoint_spacing)
-    check_offset_alg = SKaMPIOffset(nexchanges=nexchanges)
-    sample_seed = seed_int(seedseq)
-    ctx = current_context()
-    bank, prof = ctx.timeseries, ctx.profiler
-
-    main = sync_then_check(
-        algorithm, check_offset_alg, wait_times,
-        sample_fraction=sample_fraction, sample_seed=sample_seed,
-    )
-
-    with (
-        bank.scoped(scope) if bank is not None else nullcontext(),
-        # Per-algorithm attribution: every engine/sync zone of this
-        # mpirun nests under the algorithm label, so merged campaign
-        # profiles break wall time down per algorithm family.  Runs of
-        # one label aggregate into one subtree (the run index is not
-        # part of the zone name on purpose).
-        prof.zone(f"job:{label}") if prof is not None else nullcontext(),
-    ):
-        sim = Simulation(
-            machine=machine,
-            network=machine_spec.network(),
-            time_source=time_source,
-            seed=seedseq,
-            fabric=machine_spec.fabric(machine.num_nodes),
-        )
-        values = sim.run(main).values
-        duration, max_offsets = sync_check_outcome(values)
-        if ctx.check is not None:
-            # Sanitize the synchronized clocks too: every rank's global
-            # clock must stay finite, monotone, and slope-≈1 over the
-            # accuracy-check window (no fault schedule runs here, so
-            # monotonicity is a hard requirement).
-            span = max(wait_times) if wait_times else 1.0
-            for rank, value in enumerate(values):
-                check_global_clock(
-                    value[2], duration, duration + max(span, 1.0),
-                    rank=rank, label=scope,
-                )
-        if bank is not None:
-            sample_clock_health(
-                bank, values, duration, wait_times, npoints=25
-            )
-    return SyncRun(label=label, duration=duration, max_offsets=max_offsets)
 
 
 def campaign_summary(result: SyncCampaignResult) -> dict:
@@ -283,15 +191,8 @@ def campaign_summary(result: SyncCampaignResult) -> dict:
         "nprocs": result.nprocs,
         "wait_times": list(result.wait_times),
         "runs": [
-            {
-                "label": run.label,
-                "duration": run.duration,
-                "max_offsets": {
-                    f"{wait:g}": offset
-                    for wait, offset in sorted(run.max_offsets.items())
-                },
-            }
-            for run in result.runs
+            {key: run[key] for key in ("label", "duration", "max_offsets")}
+            for run in map(SyncRun.to_dict, result.runs)
         ],
     }
 
@@ -301,3 +202,23 @@ def summary_json(result: SyncCampaignResult) -> str:
     return json.dumps(
         campaign_summary(result), indent=2, sort_keys=True
     ) + "\n"
+
+
+def format_campaign(
+    result: SyncCampaignResult, title: str, first_column: str
+) -> str:
+    """Figs. 3–6 table: mean duration and mean max offset at 0 s and 10 s
+    per configuration, in submission order."""
+    table = Table(
+        title=title,
+        columns=[first_column, "mean duration [s]",
+                 "max offset @0s [us]", "max offset @10s [us]"],
+    )
+    for label in result.by_label():
+        table.add_row(
+            label,
+            f"{result.mean_duration(label):.3f}",
+            f"{result.mean_offset(label, 0.0) * 1e6:.3f}",
+            f"{result.mean_offset(label, 10.0) * 1e6:.3f}",
+        )
+    return format_table(table)

@@ -16,11 +16,11 @@ Expected shapes (paper, 32×16 processes on Jupiter):
 
 from __future__ import annotations
 
-from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import JUPITER
 from repro.experiments.common import (
     Scale,
     SyncCampaignResult,
+    format_campaign,
     resolve_scale,
     run_sync_accuracy_campaign,
 )
@@ -54,19 +54,9 @@ def run(
 
 
 def format_result(result: SyncCampaignResult) -> str:
-    table = Table(
-        title=(
-            f"Fig. 3: max clock offset vs sync duration "
-            f"(Jupiter, {result.nprocs} processes)"
-        ),
-        columns=["algorithm", "mean duration [s]",
-                 "max offset @0s [us]", "max offset @10s [us]"],
+    return format_campaign(
+        result,
+        f"Fig. 3: max clock offset vs sync duration "
+        f"(Jupiter, {result.nprocs} processes)",
+        "algorithm",
     )
-    for label in result.by_label():
-        table.add_row(
-            label,
-            f"{result.mean_duration(label):.3f}",
-            f"{result.mean_offset(label, 0.0) * 1e6:.3f}",
-            f"{result.mean_offset(label, 10.0) * 1e6:.3f}",
-        )
-    return format_table(table)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import MachineSpec
 from repro.experiments.common import (
     Scale,
     SyncCampaignResult,
+    format_campaign,
     resolve_scale,
     run_sync_accuracy_campaign,
 )
@@ -31,14 +31,9 @@ def run_hier_campaign(
     scale: str | Scale,
     seed: int = 0,
     sample_fraction: float = 1.0,
-    nmpiruns: int | None = None,
     jobs: int | None = 1,
 ) -> SyncCampaignResult:
     sc = resolve_scale(scale)
-    if nmpiruns is not None:
-        from dataclasses import replace
-
-        sc = replace(sc, nmpiruns=nmpiruns)
     return run_sync_accuracy_campaign(
         spec=spec,
         labels=hier_labels_for(sc),
@@ -51,19 +46,9 @@ def run_hier_campaign(
 
 
 def format_hier_result(result: SyncCampaignResult, figure: str) -> str:
-    table = Table(
-        title=(
-            f"{figure}: hierarchical (H2HCA) vs flat HCA3 "
-            f"({result.machine}, {result.nprocs} processes)"
-        ),
-        columns=["configuration", "mean duration [s]",
-                 "max offset @0s [us]", "max offset @10s [us]"],
+    return format_campaign(
+        result,
+        f"{figure}: hierarchical (H2HCA) vs flat HCA3 "
+        f"({result.machine}, {result.nprocs} processes)",
+        "configuration",
     )
-    for label in result.by_label():
-        table.add_row(
-            label,
-            f"{result.mean_duration(label):.3f}",
-            f"{result.mean_offset(label, 0.0) * 1e6:.3f}",
-            f"{result.mean_offset(label, 10.0) * 1e6:.3f}",
-        )
-    return format_table(table)

@@ -79,32 +79,6 @@ class ScenarioDegradationResult:
         raise KeyError(f"no cell ({scenario!r}, {label!r})")
 
 
-def _cell_job(
-    scenario: dict,
-    label: str,
-    num_nodes: int,
-    ranks_per_node: int,
-    nexchanges: int,
-    rounds: int,
-    seed: int,
-) -> CellResult:
-    """One degradation cell; runs in-process or in a pool worker.
-
-    The scenario travels as its dict form (primitive and picklable);
-    the runner reconstructs it, so the job behaves identically wherever
-    it executes.
-    """
-    return run_scenario_cell(
-        scenario,
-        label,
-        num_nodes=num_nodes,
-        ranks_per_node=ranks_per_node,
-        nexchanges=nexchanges,
-        rounds=rounds,
-        seed=seed,
-    )
-
-
 def run(
     scale: str = "quick",
     seed: int = 0,
@@ -131,10 +105,10 @@ def run(
         scenario = make_scenario(preset)
         for label_idx, label in enumerate(labels):
             specs.append(JobSpec(
-                fn=_cell_job,
+                fn=run_scenario_cell,
+                # The scenario travels as its (picklable) dict form.
+                args=(scenario.to_dict(), label),
                 kwargs=dict(
-                    scenario=scenario.to_dict(),
-                    label=label,
                     num_nodes=num_nodes,
                     ranks_per_node=ranks_per_node,
                     nexchanges=nexchanges,

@@ -18,6 +18,6 @@ sync algorithms:
 See DESIGN.md §8.
 """
 
-from repro.scenarios.runner import CellResult, RoundResult, run_scenario_cell
+from repro.scenarios.runner import CellResult, run_scenario_cell
 
-__all__ = ["CellResult", "RoundResult", "run_scenario_cell"]
+__all__ = ["CellResult", "run_scenario_cell"]

@@ -31,6 +31,7 @@ import json
 import os
 import sys
 
+from repro.context import run_context
 from repro.errors import InvariantViolation
 from repro.scenarios.runner import CellResult, run_scenario_cell
 
@@ -40,23 +41,25 @@ from repro.scenarios.runner import CellResult, run_scenario_cell
 REPRO_VERSION = 2
 
 
-def run_cell(cell: dict, check: str | None = "strict") -> CellResult:
-    """Run one fuzzer cell dict under the sanitizer; score violations.
+def run_cell(cell: dict) -> CellResult:
+    """Run one fuzzer cell dict under the strict sanitizer; score it.
 
-    A strict-mode :class:`~repro.errors.InvariantViolation` is folded
-    into the result's violation list (the fuzzer wants one uniform
-    "this cell is bad" signal, and the message is deterministic).
+    The cell runs strict whatever check mode the caller's run context
+    holds.  A strict-mode :class:`~repro.errors.InvariantViolation` is
+    folded into the result's violation list (the fuzzer wants one
+    uniform "this cell is bad" signal, and the message is
+    deterministic).
     """
     try:
-        return run_scenario_cell(
-            cell["scenario"],
-            cell["label"],
-            num_nodes=cell["num_nodes"],
-            ranks_per_node=cell["ranks_per_node"],
-            rounds=cell["rounds"],
-            seed=cell["seed"],
-            check=check,
-        )
+        with run_context(check="strict"):
+            return run_scenario_cell(
+                cell["scenario"],
+                cell["label"],
+                num_nodes=cell["num_nodes"],
+                ranks_per_node=cell["ranks_per_node"],
+                rounds=cell["rounds"],
+                seed=cell["seed"],
+            )
     except InvariantViolation as exc:
         result = CellResult(
             scenario=cell["scenario"]["name"],
@@ -99,7 +102,6 @@ def fuzz(
     seed: int,
     out_dir: str,
     hostile: bool = False,
-    check: str | None = "strict",
 ) -> int:
     """Draw up to ``budget`` cells; archive the shrunk first failure.
 
@@ -130,7 +132,7 @@ def fuzz(
     @given(cells(hostile=hostile))
     def probe(cell):
         examples["count"] += 1
-        result = run_cell(cell, check=check)
+        result = run_cell(cell)
         if result.violations:
             last_failure["cell"] = cell
             last_failure["violations"] = list(result.violations)
@@ -156,18 +158,27 @@ def fuzz(
     return 0
 
 
-def replay(path: str, check: str | None = "strict") -> int:
-    """Re-run an archived repro; exit 1 when the violation reproduces."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("repro_version") != REPRO_VERSION:
+def replay(path: str) -> int:
+    """Re-run an archived repro; exit 1 when the violation reproduces.
+
+    A file that cannot be read or parsed exits 2, like a repro of
+    another layout version: 1 is reserved for "reproduced".
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read repro file {path!r}: {exc}", file=sys.stderr)
+        return 2
+    version = data.get("repro_version") if isinstance(data, dict) else None
+    if version != REPRO_VERSION:
         print(
-            f"unsupported repro_version {data.get('repro_version')!r} "
+            f"unsupported repro_version {version!r} "
             f"(expected {REPRO_VERSION})",
             file=sys.stderr,
         )
         return 2
-    result = run_cell(data["cell"], check=check)
+    result = run_cell(data["cell"])
     expected = data.get("violations", [])
     print(f"archived violations: {expected}")
     print(f"replayed violations: {result.violations}")
@@ -204,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
              "violations are guaranteed findable (CI smoke mode)",
     )
     parser.add_argument(
-        "--no-check", action="store_true",
-        help="run without the strict simulation sanitizer",
-    )
-    parser.add_argument(
         "--replay", metavar="FILE",
         help="re-run an archived repro file instead of fuzzing; exits 1 "
              "when the violation reproduces",
@@ -217,13 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    check = None if args.no_check else "strict"
     if args.replay:
-        return replay(args.replay, check=check)
-    return fuzz(
-        args.budget, args.seed, args.out,
-        hostile=args.hostile, check=check,
-    )
+        return replay(args.replay)
+    return fuzz(args.budget, args.seed, args.out, hostile=args.hostile)
 
 
 if __name__ == "__main__":

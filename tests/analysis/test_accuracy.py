@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.accuracy import (
+    _sample_clock_health,
     check_clock_accuracy,
     ground_truth_accuracy,
     max_abs_offset,
-    sample_clock_health,
 )
 from repro.cluster.machines import JUPITER
 from repro.cluster.netmodels import infiniband_qdr
@@ -100,10 +100,10 @@ class TestSampleClockHealth:
 
     def sampled(self, wait_times, npoints):
         bank = TimeSeriesBank()
-        values = [
-            (d, None, clk) for d, clk in zip(self.DURATIONS, self.CLOCKS)
-        ]
-        sample_clock_health(bank, values, 0.5, wait_times, npoints)
+        _sample_clock_health(
+            bank, self.DURATIONS, self.CLOCKS, 0.5,
+            max(wait_times, default=0.0), npoints,
+        )
         return bank
 
     def test_duration_once_per_rank(self):

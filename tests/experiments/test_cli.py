@@ -71,6 +71,20 @@ class TestTargetFlags:
         # Rejected in parse_args, before any target ran.
         assert not report_dir.exists()
 
+    @pytest.mark.parametrize("target", ["fault_recovery", "all"])
+    def test_churn_preset_rejected_before_any_target_runs(
+        self, target, capsys
+    ):
+        """Churn reshapes the machine between cell rounds; a recovery
+        run is one mpirun, so the preset is a usage error up front."""
+        with pytest.raises(SystemExit) as exc:
+            main([target, "--scenario", "rank_churn"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "churn" in captured.err
+        assert "scenario_degradation" in captured.err
+
     def test_unset_flags_take_the_target_defaults(self):
         args = parse_args(["all"])
         assert args.scenario == "ntp_step"

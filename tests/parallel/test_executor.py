@@ -10,6 +10,7 @@ import pytest
 from repro.check import load_reports
 from repro.cluster.machines import JUPITER
 from repro.context import current_context, run_context
+from repro.experiments import scenario_degradation
 from repro.experiments.common import QUICK, run_sync_accuracy_campaign
 from repro.obs.events import CountingSink
 from repro.obs.metrics import MetricsRegistry
@@ -136,3 +137,17 @@ class TestWorkerChecking:
         assert serial.runs == parallel.runs == njobs
         assert serial.events_checked == parallel.events_checked > 0
         assert serial.ok and parallel.ok
+
+    def _scenario_report(self, tmp_path, jobs: int):
+        d = str(tmp_path / f"scenario-jobs{jobs}")
+        with run_context(check="report", check_dir=d):
+            scenario_degradation.run("quick", jobs=jobs)
+        return load_reports(d)
+
+    def test_scenario_cells_are_checked_through_the_context(self, tmp_path):
+        """The scenario harness takes its check mode only from the run
+        context: 5 presets x 2 labels x 2 rounds x 2 twins = 40 runs."""
+        serial = self._scenario_report(tmp_path, jobs=1)
+        parallel = self._scenario_report(tmp_path, jobs=2)
+        assert serial.runs == parallel.runs == 40
+        assert serial.events_checked == parallel.events_checked == 79_345

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.context import current_context, run_context
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.faults.scenarios import make_scenario
 from repro.scenarios import fuzz as fuzz_mod
@@ -37,6 +38,21 @@ class TestRunCell:
         assert result.scenario == "delay_attack"
         assert result.violations == []
         assert result.degradation > 1.0
+
+    def test_runs_strict_whatever_the_callers_context(self, monkeypatch):
+        """The fuzzer's contract is the strict sanitizer: an outer
+        report-mode context must not leak into the cell."""
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(current_context().check)
+            raise InvariantViolation("stop")
+
+        monkeypatch.setattr(fuzz_mod, "run_scenario_cell", record)
+        with run_context(check="report"):
+            run_cell(preset_cell())
+            assert current_context().check == "report"
+        assert seen == ["strict"]
 
     def test_invariant_violation_folds_into_result(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -93,6 +109,25 @@ class TestReplay:
         with pytest.raises(ConfigurationError, match="adversaries"):
             run_cell(cell)
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read repro file"),
+        ("{not json", "cannot read repro file"),
+        ("[1, 2]", "unsupported repro_version None"),
+    ])
+    def test_unreadable_file_exits_2(
+        self, tmp_path, capsys, content, message
+    ):
+        """Exit 1 means "violation reproduced"; a missing or garbled
+        file must not read as one in scripts."""
+        path = tmp_path / "repro_x.json"
+        if content is not None:
+            path.write_text(content)
+        assert replay(str(path)) == 2
+        assert main(["--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(message) == 2
+
     def test_clean_cell_does_not_reproduce(self, tmp_path, capsys):
         # Archive a violation the cell never actually produces.
         path = archive(str(tmp_path), preset_cell(), ["error_budget:fake"])
@@ -133,7 +168,7 @@ class TestFuzzEndToEnd:
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--seed", "--out",
-                                  "--hostile", "--no-check", "--replay"])
+                                  "--hostile", "--replay"])
 def test_parser_knows_flag(flag):
     from repro.scenarios.fuzz import build_parser
 

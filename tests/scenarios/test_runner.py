@@ -9,7 +9,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults.scenarios import make_scenario
 from repro.faults.schedule import FaultSchedule
-from repro.scenarios.runner import CellResult, RoundResult, run_scenario_cell
+from repro.analysis.accuracy import SyncRun
+from repro.scenarios.runner import CellResult, run_scenario_cell
 
 QUICK = dict(num_nodes=4, ranks_per_node=1, nexchanges=4, rounds=1)
 LABEL = "hca/4/skampi_offset/4"
@@ -132,8 +133,8 @@ class TestScoring:
         cell = CellResult(
             scenario="s", label=LABEL, seed=0, error_budget=1.0
         )
-        cell.adversarial.append(RoundResult(
-            num_nodes=2, num_ranks=2, duration=float("nan"),
+        cell.adversarial.append(SyncRun(
+            label=LABEL, num_nodes=2, num_ranks=2, duration=float("nan"),
         ))
         from repro.scenarios.runner import _score
 

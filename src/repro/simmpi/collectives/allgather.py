@@ -1,9 +1,10 @@
 """``MPI_Allgather`` algorithm variants: ring, Bruck, neighbor exchange.
 
-Communicator splitting exchanges its (color, key) pairs over the Bruck
-variant, the logarithmic short-message path real MPI libraries take, so
-that variant determines the communicator-creation overhead the paper
-includes in the hierarchical schemes' measured durations.  Every variant
+Communicator splitting plays the Bruck variant's rounds
+(:func:`bruck_sized_rounds`: sizes, no blocks), the logarithmic
+short-message path real MPI libraries take, so that variant determines
+the communicator-creation overhead the paper includes in the
+hierarchical schemes' measured durations.  Every variant
 moves exactly ``p * (p - 1) * size`` bytes in total.
 """
 
@@ -38,29 +39,57 @@ def _ring(
     return out
 
 
+def _bruck_schedule(rank: int, nprocs: int):
+    """Yield ``(dest, source, count)`` for each of ``rank``'s Bruck rounds.
+
+    ceil(log2 p) rounds at doubling distance ``dist``: send to
+    ``rank - dist``, receive from ``rank + dist``, ``count`` blocks each
+    way, ``min(dist, p - dist)`` (the last round of a non-power-of-two
+    group needs only the remainder).
+    """
+    dist = 1
+    while dist < nprocs:
+        yield (
+            (rank - dist) % nprocs, (rank + dist) % nprocs,
+            min(dist, nprocs - dist),
+        )
+        dist <<= 1
+
+
 def _bruck(
     comm: "Communicator", value: Any, size: int, tag: int
 ) -> Generator[Any, Any, list[Any]]:
     """ceil(log2 p) rounds with doubling block counts.
 
-    ``blocks[i]`` belongs to rank ``(rank + i) % p``: a round at distance
-    ``dist`` ships the first ``min(dist, p - dist)`` blocks (the last
-    round of a non-power-of-two group needs only the remainder) and
-    appends the same number from the peer; one rotation at the end puts
-    the list in rank order.
+    ``blocks[i]`` belongs to rank ``(rank + i) % p``: each round ships
+    the first ``count`` blocks and appends the same number from the
+    peer; one rotation at the end puts the list in rank order.
     """
     rank, nprocs = comm.rank, comm.size
     blocks = [value]
-    dist = 1
-    while dist < nprocs:
-        count = min(dist, nprocs - dist)
+    for dest, source, count in _bruck_schedule(rank, nprocs):
         msg = yield from comm.sendrecv_raw(
-            (rank - dist) % nprocs, tag, blocks[:count], size * count,
-            source=(rank + dist) % nprocs,
+            dest, tag, blocks[:count], size * count, source=source
         )
         blocks += msg.payload
-        dist <<= 1
     return blocks[nprocs - rank:] + blocks[:nprocs - rank]
+
+
+def bruck_sized_rounds(
+    comm: "Communicator", size: int, tag: int
+) -> Generator[Any, Any, None]:
+    """Bruck's rounds with sizes and no blocks.
+
+    The same messages as :func:`_bruck` (peers, tag, ``size * count``
+    bytes, order) with ``payload=None``, so the simulated cost is the
+    Bruck allgather's while no member holds the gathered list.
+    ``Communicator.split`` exchanges its table through the engine and
+    plays only this wire cost.
+    """
+    for dest, source, count in _bruck_schedule(comm.rank, comm.size):
+        yield from comm.sendrecv_raw(
+            dest, tag, None, size * count, source=source
+        )
 
 
 def _neighbor_exchange(

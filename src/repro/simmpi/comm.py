@@ -12,15 +12,19 @@ communicator creation is collective and SPMD programs create communicators
 in the same order on every process, the ids agree across the group (the
 same argument MPI implementations use for context ids).
 
-``split``/``split_type`` are implemented as real collectives (an allgather
-of (color, key) pairs over the Bruck algorithm, ⌈log₂ p⌉ steps — the
-short-message path MPICH and Open MPI take) so that communicator creation
-has a realistic, payload-dependent cost — the paper deliberately includes
-this cost when measuring the hierarchical schemes (Section IV-E).
+``split``/``split_type`` are implemented as real collectives (the
+messages of an allgather of (color, key) pairs over the Bruck algorithm,
+⌈log₂ p⌉ steps — the short-message path MPICH and Open MPI take) so that
+communicator creation has a realistic, payload-dependent cost — the paper
+deliberately includes this cost when measuring the hierarchical schemes
+(Section IV-E).  The pairs themselves go through one engine-wide table
+per call rather than in the messages, so host memory stays O(p) per
+split where p members each holding p gathered pairs would be O(p²).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Generator, Hashable, Sequence
 
 from repro.errors import CommunicatorError
@@ -50,10 +54,16 @@ def split_groups(
     global rank.  Returns ``(groups, positions)``: ``groups[color]`` is
     that colour's global ranks ordered by ``(key, parent rank)`` and
     ``positions[r]`` is parent rank ``r``'s index in its group (``None``
-    for a ``None`` colour).
+    for a ``None`` colour).  A ``None`` slot (a member that never
+    wrote its pair) raises :class:`CommunicatorError`.
     """
     keyed: dict[Hashable, list[tuple[int, int]]] = {}
-    for rank, (color, key) in enumerate(infos):
+    for rank, info in enumerate(infos):
+        if info is None:
+            raise CommunicatorError(
+                f"split: parent rank {rank}'s (color, key) was never written"
+            )
+        color, key = info
         if color is not None:
             keyed.setdefault(color, []).append((key, rank))
     groups: dict[Hashable, tuple[int, ...]] = {}
@@ -398,33 +408,61 @@ class Communicator:
     ) -> Generator[Any, Any, "Communicator | None"]:
         """Collective split by ``color``; ``None`` color → no new comm.
 
-        Implemented as a real allgather of (color, key) pairs so the cost of
-        communicator creation appears in measured synchronization durations.
-        Every member gathers the same pairs, so the grouping is computed by
-        the first member to get there and shared through the engine: O(p)
-        host work per split instead of O(p) per member.
+        On the wire this is the Bruck allgather of 16-byte ``(color,
+        key)`` pairs, so the cost of communicator creation appears in
+        measured synchronization durations.  The pairs themselves travel
+        through the engine instead: each member writes its own into the
+        call's ``Engine.split_memo`` table before it sends, and the
+        messages carry sizes only.  By Bruck's dissemination property no
+        member finishes before every member has sent, so the table is
+        full when the first member to finish groups it, once, for all:
+        O(p) host memory and work per split, not O(p) per member.
+
+        A colour must be hashable and a key an integer; a bad one raises
+        :class:`CommunicatorError` on the rank that passed it, before any
+        message is sent.
         """
-        my_key = self.rank if key is None else key
+        try:
+            hash(color)
+        except TypeError:
+            raise CommunicatorError(
+                f"rank {self.rank}: split colour {color!r} is not hashable"
+            ) from None
+        if key is None:
+            key = self.rank
+        else:
+            try:
+                key = operator.index(key)
+            except TypeError:
+                raise CommunicatorError(
+                    f"rank {self.rank}: split key {key!r} is not an integer"
+                ) from None
+        from repro.simmpi.collectives.allgather import bruck_sized_rounds
+
         # (first member, comm id) names this communicator within the
         # simulation — no process holds two communicators with one id —
         # and the sequence number names this call on it.
         memo_key = (self._ranks[0], self.comm_id, self._coll_seq)
-        infos = yield from self.allgather(
-            (color, my_key), size=16, algorithm="bruck"
-        )
-        new_id = self._alloc_comm_id()
         memo = self.ctx.engine.split_memo
         entry = memo.get(memo_key)
         if entry is None:
-            entry = memo[memo_key] = [
-                split_groups(infos, self._ranks), self.size
-            ]
-        entry[1] -= 1
-        if not entry[1]:
+            # [pairs by parent rank, grouping, members still to finish]
+            entry = memo[memo_key] = [[None] * self.size, None, self.size]
+        entry[0][self.rank] = (color, key)
+        self._obs_enter("MPI_Allgather")
+        yield from bruck_sized_rounds(self, 16, self.next_collective_tag())
+        self._obs_exit("MPI_Allgather")
+        new_id = self._alloc_comm_id()
+        grouping = entry[1]
+        if grouping is None:
+            grouping = entry[1] = split_groups(entry[0], self._ranks)
+            entry[0] = None
+        entry[2] -= 1
+        if not entry[2]:
             del memo[memo_key]
         if color is None:
             return None
-        groups, positions = entry[0]
+        groups, positions = grouping
         return Communicator(
             self.ctx, groups[color], new_id, comm_rank=positions[self.rank]
         )

@@ -414,9 +414,10 @@ class Engine:
         #: Ordered commands deferred by the causality gate (each one is a
         #: queue round-trip).
         self.gate_deferrals = 0
-        #: ``Communicator.split`` grouping tables, shared by the members of
-        #: one split call; an entry lives from the first member's use to
-        #: the last member's (see :meth:`Communicator.split`).
+        #: ``Communicator.split`` tables: the members' ``(color, key)``
+        #: pairs, then their grouping, shared by the members of one split
+        #: call; an entry lives from the first member's entry to the last
+        #: member's exit (see :meth:`Communicator.split`).
         self.split_memo: dict[tuple[int, int, int], list] = {}
         #: ``rank -> node`` resolved once at run() (hot-path cache).
         self._node_cache: list[int] = []

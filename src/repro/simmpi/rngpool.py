@@ -27,6 +27,13 @@ to ~2× its consumption instead of a fixed 1024-variate block.  By the
 array-fill property above, the ramp schedule — like the cap — cannot
 change results.
 
+Refills are stored packed, as ``array('d')``: a warm pool holds up to
+:data:`DEFAULT_CHUNK` variates, which as boxed floats in a list (40 bytes
+each with the list slot) are most of the heap of a many-rank run; packed
+they cost 8 bytes each.  Indexing the array returns a Python ``float``
+with the same bits, so no stream, repr or fingerprint depends on the
+storage.
+
 All *derived* variates (exponential jitter, outlier triggers) are
 computed from these uniforms by explicit inverse-CDF transforms in
 :mod:`repro.simmpi.network` rather than by numpy's ziggurat samplers.
@@ -37,6 +44,8 @@ pool chunking invisible to results.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -53,9 +62,9 @@ class UniformPool:
 
     ``next()`` returns the same float sequence as repeated scalar
     ``rng.random()`` calls on a generator with the same seed, for *any*
-    chunk cap and ramp schedule.  The buffer is a plain Python list so the
-    hot path pays one list index instead of a numpy scalar extraction per
-    draw.
+    chunk cap and ramp schedule.  The buffer is packed doubles
+    (``array('d')``); indexing it yields a Python ``float``, never an
+    ``np.float64``, whose repr would differ.
     """
 
     __slots__ = ("rng", "chunk", "_buf", "_idx", "_next_len")
@@ -67,7 +76,7 @@ class UniformPool:
             raise ValueError("chunk must be >= 1")
         self.rng = rng
         self.chunk = int(chunk)
-        self._buf: list[float] = []
+        self._buf = array("d")
         self._idx = 0
         self._next_len = min(RAMP_START, self.chunk)
 
@@ -79,7 +88,7 @@ class UniformPool:
             n = self._next_len
             if n < self.chunk:
                 self._next_len = min(n << 1, self.chunk)
-            buf = self._buf = self.rng.random(n).tolist()
+            buf = self._buf = array("d", self.rng.random(n).tobytes())
             idx = 0
         self._idx = idx + 1
         return buf[idx]

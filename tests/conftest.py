@@ -37,6 +37,17 @@ PERFECT_TIME = TimeSourceSpec(
 )
 
 
+def small_machine(num_nodes: int, ranks_per_node: int) -> Machine:
+    """The two-socket test machine :func:`run_spmd` runs on."""
+    return Machine(
+        num_nodes=num_nodes,
+        sockets_per_node=2,
+        cores_per_socket=max(1, (ranks_per_node + 1) // 2),
+        ranks_per_node=ranks_per_node,
+        name="testbox",
+    )
+
+
 def run_spmd(
     body,
     num_nodes: int = 2,
@@ -51,15 +62,8 @@ def run_spmd(
 
     ``sim_kwargs`` go to :class:`Simulation` (``sink=``, ``check=``, ...).
     """
-    machine = Machine(
-        num_nodes=num_nodes,
-        sockets_per_node=2,
-        cores_per_socket=max(1, (ranks_per_node + 1) // 2),
-        ranks_per_node=ranks_per_node,
-        name="testbox",
-    )
     sim = Simulation(
-        machine=machine,
+        machine=small_machine(num_nodes, ranks_per_node),
         network=network or ideal_network(),
         time_source=time_source,
         seed=seed,

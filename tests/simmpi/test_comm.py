@@ -1,14 +1,20 @@
 """Unit tests for communicators: translation, tags, split."""
 
+import re
+import tracemalloc
+import types
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.netmodels import infiniband_qdr
+from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.errors import CommunicatorError
 from repro.simmpi.comm import MAX_USER_TAG, Communicator, split_groups
+from repro.simmpi.simulation import Simulation
 from repro.sync.registry import algorithm_from_label
-from tests.conftest import run_spmd
+from tests.conftest import run_spmd, small_machine
 
 
 class TestRankTranslation:
@@ -255,6 +261,83 @@ class TestSplitGroups:
         assert res.engine_stats["messages_unreceived"] == 0
 
 
+def _wire(p, collective):
+    """Every message of ``collective(comm)`` on p ranks, in send order:
+    ``(source, dest, tag, size)`` and the payload, read off ``_do_send``."""
+    sim = Simulation(machine=small_machine(*SPLIT_SHAPES[p]),
+                     network=ideal_network(), seed=0)
+    original = sim.engine._do_send
+    sent = []
+
+    def recording_send(self, proc, cmd, level):
+        sent.append(((proc.rank, cmd.dest, cmd.tag, cmd.size), cmd.payload))
+        original(proc, cmd, level)
+
+    sim.engine._do_send = types.MethodType(recording_send, sim.engine)
+
+    def main(ctx, comm):
+        yield from collective(comm)
+
+    sim.run(main)
+    return sent
+
+
+@pytest.mark.parametrize("p", sorted(SPLIT_SHAPES))
+def test_split_moves_sizes_not_blocks(p):
+    """The split's messages are the Bruck allgather's, block-free."""
+    split = _wire(p, lambda comm: comm.split(comm.rank % 3))
+    gather = _wire(p, lambda comm: comm.allgather(
+        (comm.rank % 3, comm.rank), size=16, algorithm="bruck"
+    ))
+    assert all(payload is None for _, payload in split)
+    assert [wire for wire, _ in split] == [wire for wire, _ in gather]
+    assert len(split) == p * _log2_ceil(p)
+
+
+class TestSplitArguments:
+    """A bad colour or key fails on the rank that passed it, before any
+    message, as a CommunicatorError naming that rank."""
+
+    @pytest.mark.parametrize("color, key, match", [
+        ([0], None, "colour \\[0\\] is not hashable"),
+        (0, "a", "key 'a' is not an integer"),
+        (0, 1.0, "key 1.0 is not an integer"),
+    ], ids=["unhashable-colour", "str-key", "float-key"])
+    def test_rejected_on_entry(self, color, key, match):
+        def main(ctx, comm):
+            yield from ()
+            try:
+                next(comm.split(color, key))
+            except CommunicatorError as exc:
+                return str(exc)
+            return "no"
+
+        _, res = run_spmd(main)
+        for rank, text in enumerate(res.values):
+            assert text.startswith(f"rank {rank}: ")
+            assert re.search(match, text)
+
+    def test_one_bad_rank_is_the_one_that_raises(self):
+        def main(ctx, comm):
+            color = [0] if comm.rank == 2 else 0
+            yield from comm.split(color)
+
+        with pytest.raises(CommunicatorError, match="^rank 2: "):
+            run_spmd(main, num_nodes=2, ranks_per_node=2)
+
+    def test_integer_like_key_is_accepted(self):
+        def main(ctx, comm):
+            sub = yield from comm.split(0, key=np.int64(-comm.rank))
+            return sub.rank
+
+        _, res = run_spmd(main)
+        assert res.values == [3, 2, 1, 0]
+
+    def test_unset_slot_is_refused(self):
+        with pytest.raises(CommunicatorError, match="parent rank 1"):
+            split_groups([(0, 0), None, (0, 2)], [0, 1, 2])
+
+
 class TestSplitCost:
     def test_split_memo_is_emptied(self):
         def main(ctx, comm):
@@ -281,6 +364,26 @@ class TestSplitCost:
             main, num_nodes=64, ranks_per_node=4, network=infiniband_qdr()
         )
         assert res.engine_stats["messages_sent"] < 6 * p * _log2_ceil(p)
+
+    def test_split_host_memory_is_linear(self):
+        """tracemalloc peak per rank of a node split plus a leader split
+        at 128x4 (p=512).  Members that each held the p gathered pairs
+        read 9.3 KiB/rank; the shared table with block-free messages and
+        packed delay pools reads 3.7 KiB/rank."""
+        sim = Simulation(machine=small_machine(128, 4),
+                         network=ideal_network(), seed=0)
+
+        def main(ctx, comm):
+            node = yield from comm.split_type("shared")
+            yield from comm.split(0 if node.rank == 0 else None)
+
+        tracemalloc.start()
+        try:
+            sim.run(main)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 512 < 6 * 1024
 
 
 colors = st.one_of(

@@ -135,24 +135,30 @@ class TestDelay:
     def test_pooled_delay_matches_scalar(self):
         # delay() and delay_from_pool() must consume uniforms in the same
         # order: identical seeds -> bit-identical delay sequences, for any
-        # pool chunk size.
-        from repro.simmpi.rngpool import UniformPool
+        # pool chunk size.  1,500 delays draw ~3,400 uniforms, past the
+        # ramp (960) and into capped refills at DEFAULT_CHUNK.
+        from repro.simmpi.rngpool import DEFAULT_CHUNK, UniformPool
 
         model = self._model(
             jitter_scale=1e-6, outlier_prob=0.3, outlier_scale=40e-6
         )
-        for chunk in (1, 7, 256):
+        for chunk in (1, 7, 256, DEFAULT_CHUNK):
             scalar_rng = np.random.default_rng(123)
             pool = UniformPool(np.random.default_rng(123), chunk=chunk)
             scalar = [
                 model.delay(Level.REMOTE, 64, scalar_rng)
-                for _ in range(500)
+                for _ in range(1500)
             ]
             pooled = [
                 model.delay_from_pool(Level.REMOTE, 64, pool)
-                for _ in range(500)
+                for _ in range(1500)
             ]
             assert scalar == pooled
+            # Raw draws are Python floats (an np.float64 would change
+            # reprs, and with them fingerprints), bit for bit the scalar's.
+            draws = [pool.next() for _ in range(DEFAULT_CHUNK)]
+            assert all(type(x) is float for x in draws)
+            assert draws == [scalar_rng.random() for _ in draws]
 
     def test_base_delay_cached(self):
         model = self._model()

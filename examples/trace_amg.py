@@ -49,7 +49,7 @@ def run_once(use_global_clock):
 
 
 if __name__ == "__main__":
-    from repro.trace.export import to_chrome_trace
+    from repro.obs.chrome_trace import export_chrome_trace
 
     for label, use_global in (("local clock_gettime", False),
                               ("H2HCA global clock", True)):
@@ -71,6 +71,5 @@ if __name__ == "__main__":
         if use_global:
             # Viewable in any Perfetto/chrome://tracing-style viewer.
             path = "amg_trace_global_clock.json"
-            with open(path, "w") as fh:
-                fh.write(to_chrome_trace(events))
+            export_chrome_trace(path, trace_events=events)
             print(f"(full trace written to {path})")

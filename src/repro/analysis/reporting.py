@@ -1,8 +1,8 @@
 """Result containers and plain-text table/series formatting.
 
-The benchmark harness prints the same rows/series the paper's tables and
+The experiment targets print the same rows/series the paper's tables and
 figures report; these helpers keep the format consistent across the
-``benchmarks/`` targets and the ``examples/`` scripts.
+``python -m repro.experiments`` targets and the ``examples/`` scripts.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from repro.bench.suites import (
     reprompi_report,
 )
 from repro.bench.runner import LatencyMeasurement, run_latency_benchmark
-from repro.bench.stopping import AdaptiveBarrierScheme
 
 __all__ = [
     "estimate_latency",
@@ -40,5 +39,4 @@ __all__ = [
     "reprompi_report",
     "LatencyMeasurement",
     "run_latency_benchmark",
-    "AdaptiveBarrierScheme",
 ]

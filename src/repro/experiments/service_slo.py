@@ -162,13 +162,3 @@ def format_result(results: list[ServicePolicyResult]) -> str:
             f"({total_queries / total_wall:,.0f} queries/s)"
         )
     return "\n".join(lines)
-
-
-def service_queries_per_sec(
-    results: list[ServicePolicyResult],
-) -> float:
-    """Aggregate serving throughput (host wall time) for benchmarking."""
-    total_wall = sum(r.wall_s for r in results)
-    if total_wall <= 0.0:
-        return 0.0
-    return sum(r.queries for r in results) / total_wall

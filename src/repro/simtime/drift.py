@@ -21,9 +21,6 @@ from typing import Hashable
 
 import numpy as np
 
-#: Typical magnitude of commodity-oscillator skew (dimensionless, 50 ppm).
-TYPICAL_SKEW_PPM = 50e-6
-
 
 class DriftModel(abc.ABC):
     """Produces the oscillator skew for segment ``i`` of a hardware clock."""

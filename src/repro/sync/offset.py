@@ -236,9 +236,3 @@ class MeanRTTOffset(OffsetAlgorithm):
             prof.tick("sync.offset.rounds")
         self._phase_end(comm)
         return offset
-
-
-OFFSET_ALGORITHMS = {
-    SKaMPIOffset.name: SKaMPIOffset,
-    MeanRTTOffset.name: MeanRTTOffset,
-}

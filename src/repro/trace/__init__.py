@@ -9,8 +9,6 @@ incomparable, while a global clock (H2HCA) makes event structure visible.
 from repro.trace.tracer import TraceEvent, Tracer
 from repro.trace.gantt import GanttBar, gantt_bars, visibility_ratio
 from repro.trace.amg import amg_iteration_loop, AMG_DEFAULTS
-from repro.trace.export import to_ascii_gantt, to_chrome_trace
-from repro.trace.postmortem import PostMortemCorrector, record_sync_point
 
 __all__ = [
     "TraceEvent",
@@ -20,8 +18,4 @@ __all__ = [
     "visibility_ratio",
     "amg_iteration_loop",
     "AMG_DEFAULTS",
-    "to_ascii_gantt",
-    "to_chrome_trace",
-    "PostMortemCorrector",
-    "record_sync_point",
 ]

@@ -7,7 +7,7 @@ simulator-scale, not testbed values.  EXPERIMENTS.md records both.
 
 from dataclasses import replace
 
-import numpy as np
+import pytest
 
 from repro.experiments import (
     fig2_drift,
@@ -26,6 +26,12 @@ from repro.experiments.common import QUICK
 
 TINY = replace(QUICK, num_nodes=6, ranks_per_node=2, nmpiruns=2,
                nfitpoints=10)
+
+
+@pytest.fixture(scope="module")
+def fig4_tiny():
+    """Fig. 4 at TINY, shared by its own test and Fig. 6's comparison."""
+    return fig4_hier_jupiter.run(TINY, seed=3)
 
 
 class TestTable1:
@@ -66,8 +72,8 @@ class TestFig3:
 
 
 class TestFig4and5:
-    def test_hierarchical_faster_than_flat(self):
-        res = fig4_hier_jupiter.run(TINY, seed=3)
+    def test_hierarchical_faster_than_flat(self, fig4_tiny):
+        res = fig4_tiny
         by = res.by_label()
         flat = [l for l in by if not l.startswith("Top")]
         hier = [l for l in by if l.startswith("Top")]
@@ -75,20 +81,32 @@ class TestFig4and5:
         # Compare matched fit-point budgets: hierarchical is faster.
         for f, h in zip(sorted(flat), sorted(hier)):
             assert res.mean_duration(h) < res.mean_duration(f)
+            # ... without losing accuracy right after the sync.
+            assert res.mean_offset(h, 0.0) < 5e-6
 
     def test_hydra_variant_runs(self):
         res = fig5_hier_hydra.run(TINY, seed=4)
         assert res.machine == "hydra"
         assert res.nprocs == TINY.nprocs * 2  # doubled ranks per node
+        # Very accurate right after the sync (OmniPath's low latency),
+        # visibly degraded after 10 s (fast-changing drift).
+        for label in res.by_label():
+            assert res.mean_offset(label, 0.0) < 3e-6
+            assert res.mean_offset(label, 10.0) > res.mean_offset(label, 0.0)
         assert "Fig. 5" in fig5_hier_hydra.format_result(res)
 
 
 class TestFig6:
-    def test_titan_scale_and_sampling(self):
+    def test_titan_scale_and_sampling(self, fig4_tiny):
         tiny6 = replace(TINY, num_nodes=4, nmpiruns=1)
         res = fig6_hier_titan.run(tiny6, seed=5)
         assert res.machine == "titan"
         assert res.nprocs == 4 * 4 * TINY.ranks_per_node
+        # The large machine shows larger offsets than Jupiter's runs at
+        # the same waiting time (compare Fig. 4).
+        titan = sorted(res.by_label())[0]
+        jupiter = sorted(fig4_tiny.by_label())[0]
+        assert res.mean_offset(titan, 10.0) > fig4_tiny.mean_offset(jupiter, 10.0)
         assert "Fig. 6" in fig6_hier_titan.format_result(res)
 
 
@@ -119,6 +137,7 @@ class TestFig8:
         means = {a: res.mean(a) for a in fig8_imbalance.ALGORITHMS}
         assert min(means, key=means.get) == "tree"
         assert max(means, key=means.get) == "double_ring"
+        assert means["double_ring"] > 2 * means["tree"]
         assert "Fig. 8" in fig8_imbalance.format_result(res)
 
 

@@ -1,10 +1,10 @@
-"""Tests for trace export (Chrome trace JSON + ASCII Gantt)."""
+"""Tests for exporting tracer spans as Chrome trace-event JSON."""
 
 import json
 
 import pytest
 
-from repro.trace.export import to_ascii_gantt, to_chrome_trace
+from repro.obs.chrome_trace import chrome_trace_json, trace_events_to_chrome
 from repro.trace.tracer import TraceEvent
 
 
@@ -19,6 +19,10 @@ def make_events():
         TraceEvent("MPI_Allreduce", rank=1, iteration=1, start=10.1,
                    end=10.10003),
     ]
+
+
+def to_chrome_trace(events):
+    return chrome_trace_json(trace_events_to_chrome(events))
 
 
 class TestChromeTrace:
@@ -46,30 +50,3 @@ class TestChromeTrace:
         e0 = next(r for r in records
                   if r["tid"] == 0 and r["args"]["iteration"] == 0)
         assert e0["dur"] == pytest.approx(30.0, rel=1e-6)
-
-
-class TestAsciiGantt:
-    def test_renders_one_row_per_rank(self):
-        out = to_ascii_gantt(make_events(), "MPI_Allreduce", 0)
-        lines = out.splitlines()
-        assert len(lines) == 3  # header + 2 ranks
-        assert "rank    0" in lines[1]
-        assert "#" in lines[1]
-
-    def test_selects_iteration(self):
-        out = to_ascii_gantt(make_events(), "MPI_Allreduce", 1)
-        assert "iteration 1" in out
-
-    def test_unknown_event_raises(self):
-        with pytest.raises(ValueError):
-            to_ascii_gantt(make_events(), "MPI_Bcast", 0)
-
-    def test_bars_reflect_offsets(self):
-        events = [
-            TraceEvent("x", rank=0, iteration=0, start=0.0, end=1.0),
-            TraceEvent("x", rank=1, iteration=0, start=9.0, end=10.0),
-        ]
-        out = to_ascii_gantt(events, "x", 0, width=40)
-        row0, row1 = out.splitlines()[1:]
-        # rank 0's bar starts at the left edge, rank 1's near the right.
-        assert row0.index("#") < row1.index("#")

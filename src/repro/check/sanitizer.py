@@ -79,6 +79,9 @@ from repro.simmpi.message import ANY_TAG
 #: Violations kept per report (further ones are counted, not stored).
 MAX_VIOLATIONS = 200
 
+#: Metrics counters cross-checked against the sends and deliveries seen.
+_METRIC_COUNTERS = ("engine.messages.sent", "engine.messages.delivered")
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -232,10 +235,18 @@ class SanitizerSink:
     the simulation at the exact faulty event.
     """
 
-    def __init__(self, mode: str = "strict", label: str = "") -> None:
+    def __init__(
+        self, mode: str = "strict", label: str = "", metrics=None
+    ) -> None:
         if mode not in ("strict", "report"):
             raise ValueError(f"mode must be strict/report, got {mode!r}")
         self.mode = mode
+        #: The registry's message counters before this run: a registry
+        #: metering several runs (a scenario cell's rounds) holds theirs.
+        self._metrics_base = [
+            0 if metrics is None else metrics.merged_counter(name)
+            for name in _METRIC_COUNTERS
+        ]
         self.report = CheckReport(label=label)
         self._ranks: dict[int, _RankState] = {}
         #: seq -> MsgSend of not-yet-delivered messages.
@@ -619,11 +630,11 @@ class SanitizerSink:
                 )
 
     def _check_metrics_consistency(self, metrics) -> None:
-        for counter_name, observed in (
-            ("engine.messages.sent", self.sends),
-            ("engine.messages.delivered", self.deliveries),
+        for counter_name, base, observed in zip(
+            _METRIC_COUNTERS, self._metrics_base,
+            (self.sends, self.deliveries),
         ):
-            total = metrics.merged_counter(counter_name)
+            total = metrics.merged_counter(counter_name) - base
             if total != observed:
                 self.violation(
                     "stats-consistency",

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.events import CountingSink, EventSink, RecordingSink
+from repro.obs.events import EventSink, RecordingSink
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -52,19 +52,12 @@ class RunContext:
     def isolated(self) -> RunContext:
         """Fresh, empty, picklable hooks of the same kinds, for one job.
 
-        A :class:`CountingSink` parent gets a counting sink, any other
-        sink a :class:`RecordingSink` whose events are replayed on
-        merge.  ``check`` and ``check_dir`` are carried over.
+        A sink becomes a :class:`RecordingSink` whose events are replayed
+        on merge.  ``check`` and ``check_dir`` are carried over.
         """
-        sink = self.sink
-        if sink is not None:
-            sink = (
-                CountingSink() if isinstance(sink, CountingSink)
-                else RecordingSink()
-            )
         return replace(
             self,
-            sink=sink,
+            sink=None if self.sink is None else RecordingSink(),
             metrics=_fresh(self.metrics),
             timeseries=_fresh(self.timeseries),
             profiler=_fresh(self.profiler),
@@ -79,11 +72,7 @@ class RunContext:
         ``--jobs N`` merge to identical results.
         """
         sink = self.sink
-        if sink is not None and isinstance(job.sink, CountingSink):
-            counts = sink.counts
-            for name, n in job.sink.counts.items():
-                counts[name] = counts.get(name, 0) + n
-        elif sink is not None and job.sink is not None and job.sink.events:
+        if sink is not None and job.sink is not None and job.sink.events:
             # Span recorders segment their history per engine run; a
             # replayed job is a fresh seq namespace, so break first.
             brk = getattr(sink, "run_break", None)

@@ -5,62 +5,23 @@ or ``all``.  Example::
 
     python -m repro.experiments fig8 --scale quick --seed 1
 
-Observability options (see :mod:`repro.obs`):
-
-* ``--obs-summary`` installs a process-wide event sink + metrics registry
-  for the run and prints event counts and metric aggregates afterwards.
-* ``--health-report DIR`` installs a clock-health telemetry bank, runs
-  the anomaly detectors over the sampled series afterwards, and writes a
-  self-contained ``report.html`` + machine-readable ``report.json``.
-* ``--profile DIR`` self-profiles the simulator (see :mod:`repro.prof`)
-  and writes ``profile.json`` + a speedscope flamegraph under DIR; the
-  profiled simulation's outputs are bit-identical to an unprofiled run.
-* ``--critical-path DIR`` attaches a causal span recorder (see
-  :mod:`repro.obs.spans`), extracts each traced run's critical path and
-  sync-round depth afterwards (:mod:`repro.obs.causal`), writes
-  ``critical_path.json`` under DIR and prints the top-N path table.
-  Combined with ``--health-report`` the measured depth ratios feed the
-  ``depth_anomaly`` detector and a report section.
-* ``--chrome-trace-dir DIR`` (with the ``fig10`` target) additionally
-  exports the traced AMG run as Chrome trace-event JSON, once through the
-  raw local clocks and once through the H2HCA global clocks — open both
-  in https://ui.perfetto.dev for the paper's skewed-vs-corrected diff.
-
-An option only some targets read (``--scenario``, ``--slo``,
-``--chrome-trace-dir``) is a usage error on any other target; ``all``
-accepts all of them.
-
-Correctness checking (see :mod:`repro.check` and DESIGN.md §11):
-
-* ``--check`` runs every simulated job under the strict sanitizer —
-  the first broken engine invariant aborts the run with a typed
-  :class:`~repro.errors.InvariantViolation`.
-* ``--check-report DIR`` runs in report mode instead: violations
-  accumulate per job, and an aggregated ``check_report.json`` is
-  written under DIR afterwards (exit status 1 if anything was flagged).
+``--check`` runs every simulated job under the strict sanitizer
+(:mod:`repro.check`, DESIGN.md §11).  ``--record DIR`` leaves one
+self-describing record of the run, and ``--profile`` / ``--trace`` add
+instruments to it (:mod:`repro.experiments.record`).  An option only
+some targets read (``--scenario``, ``--slo``) is a usage error on any
+other target; ``all`` accepts both.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 import time
 
-from repro.check.config import write_aggregate
-from repro.check.sanitizer import TeeSink
 from repro.context import run_context
-from repro.obs.causal import (
-    analyze_recorder,
-    format_critical_path,
-    write_critical_path,
-)
-from repro.obs.events import CountingSink
-from repro.obs.health import DEPTH_METRIC, evaluate_health
-from repro.obs.spans import SpanRecorder
-from repro.obs.metrics import MetricsRegistry, format_summary
-from repro.obs.report import build_report, write_report
-from repro.obs.timeseries import TimeSeriesBank
-from repro.prof import Profiler, format_table, top_zones, write_profile
 from repro.experiments import (
     fault_recovery,
     fig2_drift,
@@ -76,6 +37,7 @@ from repro.experiments import (
     service_slo,
     table1_machines,
 )
+from repro.experiments.record import Record
 from repro.faults.scenarios import SCENARIOS, make_scenario
 
 
@@ -134,8 +96,30 @@ TARGETS = {
 TARGET_FLAGS = {
     "scenario": ("fault_recovery",),
     "slo": ("service_slo",),
-    "chrome_trace_dir": ("fig10", "fault_recovery"),
 }
+
+
+def _number(kind, ok, rule: str):
+    """Argument type: a ``kind`` value for which ``ok`` holds."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is not None and ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
+
+
+#: ``--seed`` / ``--jobs``.
+_COUNT = _number(int, lambda v: v >= 0, "an integer >= 0")
+#: ``--slo`` (NaN and inf would pass a bare ``> 0`` test).
+_SECONDS = _number(
+    float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,65 +135,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", default="quick",
                         choices=["quick", "default"],
                         help="experiment size (see EXPERIMENTS.md)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_COUNT, default=0)
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_COUNT, default=1, metavar="N",
         help="run independent simulations of campaign-based targets "
              "(fig3-fig6, fault_recovery, scenario_degradation, "
              "service_slo) on N worker processes; 0 means one per CPU.  "
-             "Results are identical to --jobs 1.",
+             "Results and records are identical to --jobs 1.",
     )
     parser.add_argument(
-        "--obs-summary",
+        "--check",
         action="store_true",
-        help="attach an event sink + metrics registry to every simulated "
-             "job and print aggregate counts afterwards",
+        help="strict simulation sanitizer (repro.check) on every job; "
+             "with --record, report mode into DIR/check_report.json "
+             "(exit 1 if anything was flagged)",
     )
     parser.add_argument(
-        "--health-report",
+        "--record",
         metavar="DIR",
-        help="attach a clock-health telemetry bank to every simulated "
-             "job, run the anomaly detectors afterwards, and write "
-             "report.html + report.json under DIR (byte-identical for "
-             "any --jobs value, modulo the generated_at timestamp)",
-    )
-    parser.add_argument(
-        "--chrome-trace-dir",
-        metavar="DIR",
-        help="with the fig10 target: also export the traced AMG run as "
-             "Chrome trace JSON (raw local clocks + H2HCA global clocks); "
-             "with fault_recovery: export the faulted run with fault spans",
+        help="attach metrics and a clock-health telemetry bank to every "
+             "simulated job and write manifest.json, report.json and "
+             "report.html under DIR, which must be new or empty",
     )
     parser.add_argument(
         "--profile",
-        metavar="DIR",
-        help="self-profile the simulator (repro.prof wall-time zones) and "
-             "write profile.json + profile.speedscope.json under DIR; "
-             "per-job profiles are merged under --jobs N.  Profiling only "
-             "reads the host clock, so simulated results stay identical.",
+        action="store_true",
+        help="with --record: self-profile the simulator into "
+             "profile.json + profile.speedscope.json",
     )
     parser.add_argument(
-        "--critical-path",
-        metavar="DIR",
-        help="attach a causal span recorder to every simulated job, "
-             "extract per-run critical paths and sync-round depth "
-             "afterwards, and write critical_path.json under DIR "
-             "(byte-identical for any --jobs value)",
-    )
-    check = parser.add_mutually_exclusive_group()
-    check.add_argument(
-        "--check",
+        "--trace",
         action="store_true",
-        help="run every simulated job under the strict simulation "
-             "sanitizer (repro.check): abort on the first broken engine "
-             "invariant",
-    )
-    check.add_argument(
-        "--check-report",
-        metavar="DIR",
-        help="like --check, but accumulate violations instead of "
-             "aborting and write an aggregated check_report.json under "
-             "DIR; exits 1 if any violation was recorded",
+        help="with --record: trace causal spans into critical_path.json "
+             "(and Perfetto files for fig10 and fault_recovery)",
     )
     parser.add_argument(
         "--scenario",
@@ -219,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--slo",
-        type=float,
+        type=_SECONDS,
         metavar="SECONDS",
         help="clock-error SLO for the service_slo target "
              f"(default {service_slo.DEFAULT_SLO:g}s)",
@@ -229,16 +187,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse ``argv``; an option the target would not read is an error,
-    and so is a churn preset for the single-run ``fault_recovery``."""
+    and so are a churn preset for the single-run ``fault_recovery``, an
+    instrument switch without ``--record`` and a used record directory."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for switch in ("profile", "trace"):
+        if getattr(args, switch) and args.record is None:
+            parser.error(f"--{switch} writes into a record: add --record DIR")
+    if args.record is not None and os.path.exists(args.record) and (
+        not os.path.isdir(args.record) or os.listdir(args.record)
+    ):
+        parser.error(
+            f"--record {args.record} exists and is not an empty "
+            f"directory: a record is written once, into a new directory"
+        )
     for flag, readers in TARGET_FLAGS.items():
         if (
             getattr(args, flag) is not None
             and args.target not in (*readers, "all")
         ):
             parser.error(
-                f"--{flag.replace('_', '-')} is read only by "
+                f"--{flag} is read only by "
                 f"{', '.join(readers)} (and all), not by {args.target}"
             )
     if args.scenario and make_scenario(args.scenario).of_kind("churn"):
@@ -254,191 +223,21 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
-def _print_obs_summary(
-    sink: CountingSink,
-    registry: MetricsRegistry,
-    profiler: Profiler | None = None,
-) -> None:
-    print("=== observability summary ===")
-    total = sum(sink.counts.values())
-    print(f"engine events: {total}")
-    for name in sorted(sink.counts):
-        print(f"  {name}: {sink.counts[name]}")
-    metrics_text = format_summary(registry)
-    if metrics_text:
-        print("metrics:")
-        for line in metrics_text.splitlines():
-            print(f"  {line}")
-    if profiler is not None and profiler.total_ns() > 0:
-        print("slowest zones (self time):")
-        for row in top_zones(profiler, top=5):
-            print(
-                f"  {row['path']}: {row['self_ns'] / 1e6:.2f}ms self "
-                f"({row['count']}x)"
-            )
-
-
-def _write_health_report(
-    out_dir: str,
-    targets: list[str],
-    args: argparse.Namespace,
-    bank: TimeSeriesBank,
-    registry: MetricsRegistry,
-    critical_path: list[dict] | None = None,
-) -> None:
-    verdict = evaluate_health(bank)
-    report = build_report(
-        bank=bank,
-        metrics=registry,
-        verdict=verdict,
-        critical_path=critical_path,
-        meta={
-            "targets": targets,
-            "scale": args.scale,
-            "seed": args.seed,
-            "scenario": (
-                args.scenario if "fault_recovery" in targets else None
-            ),
-            "slo": args.slo if "service_slo" in targets else None,
-        },
-    )
-    json_path, html_path = write_report(report, out_dir)
-    print("=== clock-health report ===")
-    print(
-        f"status: {verdict.status} ({len(verdict.findings)} findings, "
-        f"{verdict.series_scanned} error series scanned)"
-    )
-    for name, summary in verdict.detectors.items():
-        print(
-            f"  {name}: {summary['findings']} findings "
-            f"(worst {summary['worst']})"
-        )
-    print(f"report.json: {json_path}")
-    print(f"report.html: {html_path}")
-
-
-def _export_chrome_traces(out_dir: str, scale: str, seed: int) -> None:
-    info = fig10_tracing.export_chrome_traces(
-        out_dir, scale=scale, seed=seed
-    )
-    print("=== chrome trace export (load in https://ui.perfetto.dev) ===")
-    for key in ("raw_local_clock", "global_clock"):
-        print(f"{key}: {info[key]} ({info['records'][key]} records)")
-    eng = info["engine"]
-    print(f"engine: {eng['messages_delivered']} messages, "
-          f"{eng['bytes_delivered']:.0f} bytes delivered")
-    for level, stats in sorted(info["sync"].items()):
-        print(f"sync[{level}]: rounds={stats['rounds']:.0f} "
-              f"mean_rtt={stats['mean_rtt']:.3g}s "
-              f"max_abs_residual={stats['max_abs_residual']:.3g}s")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
-
-    def run_targets() -> None:
+    record = Record(args, targets) if args.record is not None else None
+    wall_s: dict[str, float] = {}
+    with (
+        record.context() if record is not None
+        else run_context(check="strict" if args.check else None)
+    ):
         for name in targets:
             t0 = time.time()
             print(TARGETS[name](args))
-            print(f"[{name}: {time.time() - t0:.1f}s]\n")
-        if args.chrome_trace_dir and "fig10" in targets:
-            _export_chrome_traces(
-                args.chrome_trace_dir, args.scale, args.seed
-            )
-        if args.chrome_trace_dir and "fault_recovery" in targets:
-            info = fault_recovery.export_chrome_traces(
-                args.chrome_trace_dir, scale=args.scale, seed=args.seed,
-                scenario=args.scenario,
-            )
-            print("=== fault-recovery chrome trace "
-                  "(load in https://ui.perfetto.dev) ===")
-            print(f"{info['path']}: {info['records']} records, "
-                  f"{info['fault_events']} fault spans, "
-                  f"{info['resync_events']} resync rounds")
-
-    sink = CountingSink() if args.obs_summary else None
-    recorder = SpanRecorder() if args.critical_path else None
-    # One registry serves both outputs when both are requested.
-    registry = (
-        MetricsRegistry() if args.obs_summary or args.health_report
-        else None
-    )
-    bank = TimeSeriesBank() if args.health_report else None
-    profiler = Profiler() if args.profile else None
-    if sink is not None and recorder is not None:
-        # Tee counts + spans off one stream.  run_jobs replays the full
-        # per-job event stream into non-counting parents, so both parts
-        # see every event under --jobs N as well.
-        run_sink = TeeSink(sink, recorder)
-    else:
-        run_sink = recorder if recorder is not None else sink
-    with run_context(
-        sink=run_sink,
-        metrics=registry,
-        timeseries=bank,
-        profiler=profiler,
-        check=(
-            "strict" if args.check
-            else "report" if args.check_report else None
-        ),
-        check_dir=args.check_report,
-    ):
-        run_targets()
-    if args.obs_summary:
-        _print_obs_summary(sink, registry, profiler)
-    if args.profile:
-        json_path, speedscope_path = write_profile(
-            profiler, args.profile,
-            meta={
-                "targets": targets,
-                "scale": args.scale,
-                "seed": args.seed,
-                "jobs": args.jobs,
-            },
-        )
-        print("=== simulator self-profile ===")
-        print(format_table(profiler))
-        print(f"profile.json: {json_path}")
-        print(f"speedscope: {speedscope_path} "
-              "(open in https://www.speedscope.app)")
-    analyses: list[dict] | None = None
-    if args.critical_path:
-        analyses = analyze_recorder(recorder)
-        cp_path = write_critical_path(
-            args.critical_path, analyses,
-            meta={"targets": targets, "scale": args.scale,
-                  "seed": args.seed},
-        )
-        print("=== sync-round critical path ===")
-        print(format_critical_path(analyses))
-        print(f"critical_path.json: {cp_path}")
-        if bank is not None:
-            # Feed the measured depth ratios to the depth_anomaly
-            # detector before the health verdict is computed below.
-            for entry in analyses:
-                bank.sample(
-                    DEPTH_METRIC,
-                    entry["duration_s"],
-                    entry["depth"]["ratio"],
-                )
-    if args.health_report:
-        _write_health_report(
-            args.health_report, targets, args, bank, registry,
-            critical_path=analyses,
-        )
-    if args.check_report:
-        path, merged = write_aggregate(args.check_report)
-        print("=== sanitizer report ===")
-        print(f"runs checked: {merged.runs}, "
-              f"events: {merged.events_checked}, "
-              f"violations: {len(merged.violations)}"
-              + (f" (+{merged.dropped} dropped)" if merged.dropped else ""))
-        print(f"check_report.json: {path}")
-        if not merged.ok:
-            print(merged.format_text())
-            return 1
-    return 0
+            wall_s[name] = time.time() - t0
+            print(f"[{name}: {wall_s[name]:.1f}s]\n")
+    return record.finish(wall_s) if record is not None else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ Run::
     python -m repro.experiments fault_recovery --scale quick \
         --scenario ntp_step
 
-With ``--chrome-trace-dir DIR`` the run is also exported as Chrome trace
+With ``--record DIR --trace`` the run is also exported as Chrome trace
 JSON whose ``fault`` track shows the injection windows as spans.
 """
 
@@ -108,7 +108,7 @@ def export_chrome_traces(
     schedule = make_scenario(scenario)
     sink = RecordingSink()
     with run_context(sink=sink):
-        report = run_recovery(
+        run_recovery(
             schedule,
             resync_age=resync_age,
             horizon=horizon,
@@ -123,5 +123,4 @@ def export_chrome_traces(
         "records": nrecords,
         "fault_events": len(sink.of_type(FaultInject)),
         "resync_events": len(sink.of_type(ResyncRound)),
-        "report": report,
     }

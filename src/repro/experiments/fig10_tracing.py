@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.analysis.reporting import Table, format_table
 from repro.cluster.machines import JUPITER
 from repro.experiments.common import Scale, resolve_scale
@@ -43,6 +45,8 @@ SETUPS = (
 #: "the 10th iteration" of the paper (0-based index 9).
 ITERATION = 9
 
+SOURCES = {"clock_gettime": CLOCK_GETTIME, "gettimeofday": GETTIMEOFDAY}
+
 
 @dataclass
 class Fig10Result:
@@ -59,55 +63,60 @@ class Fig10Result:
         return start_spread(self.charts[(source, kind)])
 
 
-def run(scale: str | Scale = "quick", seed: int = 0) -> Fig10Result:
-    sc = resolve_scale(scale)
+def _traced_amg(
+    sc: Scale, source_name: str, kind: str, seed: int, sink=None
+):
+    """One seeded traced AMG run on one ``(source, kind)`` setup.
+
+    ``kind="global"`` syncs with H2HCA first and traces through the
+    synced clocks.  Each rank returns ``(trace events gathered on rank
+    0, its clock)``; returns the simulation result and the sync instance.
+    """
     # Paper: 27 nodes × 8 ranks; scaled to the campaign node budget.
     machine = JUPITER.machine(max(4, sc.num_nodes // 2), sc.ranks_per_node)
-    result = Fig10Result(nprocs=machine.num_ranks)
-    sources = {
-        "clock_gettime": CLOCK_GETTIME,
-        "gettimeofday": GETTIMEOFDAY,
-    }
     amg = AMGConfig(niterations=max(12, ITERATION + 2))
+    sync_alg = h2hca(nfitpoints=sc.nfitpoints,
+                     fitpoint_spacing=sc.fitpoint_spacing)
+
+    def main(ctx, comm):
+        if kind == "global":
+            clock = yield from sync_alg.sync_clocks(
+                comm, ctx.hardware_clock
+            )
+        else:
+            clock = ctx.hardware_clock
+        tracer = Tracer(clock, comm.rank)
+        yield from amg_iteration_loop(comm, tracer, amg)
+        events = yield from tracer.gather_events(comm)
+        return events, clock
+
+    sim = Simulation(
+        machine=machine,
+        network=JUPITER.network(),
+        time_source=SOURCES[source_name],
+        seed=seed,
+        sink=sink,
+    )
+    return sim.run(main), sync_alg
+
+
+def run(scale: str | Scale = "quick", seed: int = 0) -> Fig10Result:
+    sc = resolve_scale(scale)
+    charts = {}
     for source_name, kind in SETUPS:
-        sync_alg = h2hca(nfitpoints=sc.nfitpoints,
-                         fitpoint_spacing=sc.fitpoint_spacing)
-
-        def main(ctx, comm):
-            if kind == "global":
-                clock = yield from sync_alg.sync_clocks(
-                    comm, ctx.hardware_clock
-                )
-            else:
-                clock = ctx.hardware_clock
-            tracer = Tracer(clock, comm.rank)
-            yield from amg_iteration_loop(comm, tracer, amg)
-            events = yield from tracer.gather_events(comm)
-            return events
-
-        sim = Simulation(
-            machine=machine,
-            network=JUPITER.network(),
-            time_source=sources[source_name],
-            seed=seed,
+        sim_result, _ = _traced_amg(sc, source_name, kind, seed)
+        charts[(source_name, kind)] = gantt_bars(
+            sim_result.values[0][0], "MPI_Allreduce", ITERATION
         )
-        events = sim.run(main).values[0]
-        result.charts[(source_name, kind)] = gantt_bars(
-            events, "MPI_Allreduce", ITERATION
-        )
-    return result
+    return Fig10Result(nprocs=len(sim_result.values), charts=charts)
 
 
 def export_chrome_traces(
-    out_dir: str,
-    scale: str | Scale = "quick",
-    seed: int = 0,
-    source_name: str = "clock_gettime",
-    include_messages: bool = False,
+    out_dir: str, scale: str | Scale = "quick", seed: int = 0
 ) -> dict:
     """One seeded H2HCA tracing run, exported as two Chrome trace files.
 
-    Runs the Fig. 10 pipeline once (sync + traced AMG loop) with an engine
+    Runs the ``("clock_gettime", "global")`` setup once with an engine
     :class:`RecordingSink` attached, then writes
 
     * ``fig10_raw_local_clock.json`` — every span re-read through its
@@ -120,59 +129,29 @@ def export_chrome_traces(
     diff.  Returns a dict with the file paths, the engine counter snapshot
     and the sync algorithm's per-level round summary.
     """
-    sc = resolve_scale(scale)
-    machine = JUPITER.machine(max(4, sc.num_nodes // 2), sc.ranks_per_node)
-    sources = {
-        "clock_gettime": CLOCK_GETTIME,
-        "gettimeofday": GETTIMEOFDAY,
-    }
-    amg = AMGConfig(niterations=max(12, ITERATION + 2))
-    sync_alg = h2hca(nfitpoints=sc.nfitpoints,
-                     fitpoint_spacing=sc.fitpoint_spacing)
     sink = RecordingSink()
-
-    def main(ctx, comm):
-        clock = yield from sync_alg.sync_clocks(comm, ctx.hardware_clock)
-        tracer = Tracer(clock, comm.rank)
-        yield from amg_iteration_loop(comm, tracer, amg)
-        events = yield from tracer.gather_events(comm)
-        return events, clock
-
-    sim = Simulation(
-        machine=machine,
-        network=JUPITER.network(),
-        time_source=sources[source_name],
-        seed=seed,
-        sink=sink,
+    result, sync_alg = _traced_amg(
+        resolve_scale(scale), "clock_gettime", "global", seed, sink=sink
     )
-    result = sim.run(main)
-    trace_events = result.values[0][0]
-    global_clocks = [clk for (_ev, clk) in result.values]
-
     os.makedirs(out_dir, exist_ok=True)
-    raw_path = os.path.join(out_dir, "fig10_raw_local_clock.json")
-    global_path = os.path.join(out_dir, "fig10_global_clock.json")
-    nraw = export_chrome_trace(
-        raw_path,
-        trace_events=trace_events,
-        engine_events=sink.events,
-        clock_of=lambda r: result.clocks[r],
-        include_messages=include_messages,
-    )
-    nglobal = export_chrome_trace(
-        global_path,
-        trace_events=trace_events,
-        engine_events=sink.events,
-        clock_of=lambda r: global_clocks[r],
-        include_messages=include_messages,
-    )
-    return {
-        "raw_local_clock": raw_path,
-        "global_clock": global_path,
-        "records": {"raw_local_clock": nraw, "global_clock": nglobal},
+    info = {
+        "records": {},
         "engine": result.engine_stats,
         "sync": sync_alg.sync_stats_summary(),
     }
+    for key, clocks in (
+        ("raw_local_clock", result.clocks),
+        ("global_clock", [clk for (_ev, clk) in result.values]),
+    ):
+        path = info[key] = os.path.join(out_dir, f"fig10_{key}.json")
+        info["records"][key] = export_chrome_trace(
+            path,
+            trace_events=result.values[0][0],
+            engine_events=sink.events,
+            clock_of=clocks.__getitem__,
+            include_messages=False,
+        )
+    return info
 
 
 def format_result(result: Fig10Result) -> str:
@@ -184,8 +163,6 @@ def format_result(result: Fig10Result) -> str:
         columns=["time source", "clock", "start spread [us]",
                  "median duration [us]", "visible?"],
     )
-    import numpy as np
-
     for source, kind in SETUPS:
         bars = result.charts[(source, kind)]
         dur = float(np.median([b.duration for b in bars])) * 1e6

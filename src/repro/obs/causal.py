@@ -425,14 +425,13 @@ def analyze_recorder(recorder: SpanRecorder, **kwargs) -> list[dict]:
 # Artifacts
 # ----------------------------------------------------------------------
 def write_critical_path(out_dir: str, analyses: list[dict],
-                        meta: dict | None = None) -> str:
-    """Write ``critical_path.json`` (sorted keys, no wall-clock times)."""
+                        event_counts: dict | None = None) -> str:
+    """Write ``critical_path.json`` (sorted keys, no wall-clock times),
+    with the stream's per-type ``event_counts`` when given."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "critical_path_version": 1,
-        "meta": meta or {},
-        "runs": analyses,
-    }
+    payload = {"critical_path_version": 1, "runs": analyses}
+    if event_counts is not None:
+        payload["event_counts"] = event_counts
     path = os.path.join(out_dir, "critical_path.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -479,16 +478,3 @@ def format_critical_path(analyses: list[dict], top: int = 10) -> str:
                 f"{row['path_msg_s']:>12.9f} {row['segments']:>5}"
             )
     return "\n".join(lines)
-
-
-__all__ = [
-    "FLAT_ALGORITHMS",
-    "LEARN_PHASE",
-    "PathSegment",
-    "analyze_recorder",
-    "analyze_run",
-    "critical_path",
-    "expected_depth",
-    "format_critical_path",
-    "write_critical_path",
-]

@@ -60,7 +60,7 @@ ERROR_METRIC = "clock.error"
 #: Metric (unscoped) name of the service stale-read-rate series.
 STALE_METRIC = "service.stale_rate"
 #: Metric (unscoped) name of the critical-path depth-ratio series
-#: (measured level depth / expected bound, deposited by --critical-path).
+#: (measured level depth / expected bound, deposited by ``--trace``).
 DEPTH_METRIC = "sync.critical.depth_ratio"
 #: Metric (unscoped) name of the queueing-sojourn series (sampled by
 #: congestion adversaries, see repro.faults.injector).

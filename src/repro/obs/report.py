@@ -50,11 +50,10 @@ def build_report(
 ) -> dict:
     """Assemble the machine-readable report dict.
 
-    ``meta`` should describe the run (targets, scale, seed, scenario) —
-    never the execution configuration (``jobs``), which must not leak
-    into the report.  ``critical_path`` takes the per-run analyses from
-    :func:`repro.obs.causal.analyze_recorder` (already rounded and
-    deterministic) when the campaign was traced.
+    ``meta`` describes the run for the HTML header (the CLI passes its
+    record manifest's ``run`` section), never ``jobs``.  ``critical_path``
+    takes the per-run analyses of :func:`repro.obs.causal.analyze_recorder`
+    when the campaign was traced.
     """
     report: dict = {
         "report_version": REPORT_VERSION,

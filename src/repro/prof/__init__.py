@@ -3,9 +3,9 @@
 See :mod:`repro.prof.core` for the zone API and the passivity contract
 (profiled runs are bit-identical to unprofiled ones), and
 :mod:`repro.prof.export` for the speedscope / table / ``profile.json``
-output formats.  ``python -m repro.experiments <target> --profile DIR``
-is the main entry point; the traced pass of ``perfbench/run.py`` reads
-the same zones for its per-layer metrics.
+output formats.  ``python -m repro.experiments <target> --record DIR
+--profile`` is the main entry point; the traced pass of
+``perfbench/run.py`` reads the same zones for its per-layer metrics.
 """
 
 from repro.prof.core import (

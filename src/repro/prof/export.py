@@ -13,7 +13,8 @@ Three views of one :class:`~repro.prof.core.Profiler` tree:
   quick-look view the CLI prints.
 * :func:`profile_dict` / :func:`write_profile` — the machine-readable
   ``profile.json`` artifact (flat zone list with counts, total and self
-  nanoseconds) plus the speedscope file, as written by ``--profile DIR``.
+  nanoseconds) plus the speedscope file, as ``--record DIR --profile``
+  writes them.
 """
 
 from __future__ import annotations
@@ -74,9 +75,7 @@ def total_effective_ns(profiler: Profiler) -> int:
     )
 
 
-def profile_dict(
-    profiler: Profiler, meta: dict[str, Any] | None = None
-) -> dict[str, Any]:
+def profile_dict(profiler: Profiler) -> dict[str, Any]:
     """The machine-readable ``profile.json`` document.
 
     ``self_ns`` over all rows sums *exactly* to ``total_ns`` of the
@@ -88,7 +87,6 @@ def profile_dict(
         "version": 1,
         "unit": "nanoseconds",
         "total_ns": total_effective_ns(profiler),
-        "meta": meta or {},
         "zones": flatten(profiler),
     }
 
@@ -172,20 +170,15 @@ def top_zones(profiler: Profiler, top: int = 5) -> list[dict[str, Any]]:
     return rows[:top]
 
 
-def write_profile(
-    profiler: Profiler,
-    out_dir: str,
-    meta: dict[str, Any] | None = None,
-    name: str = "repro simulator profile",
-) -> tuple[str, str]:
+def write_profile(profiler: Profiler, out_dir: str) -> tuple[str, str]:
     """Write ``profile.json`` + ``profile.speedscope.json`` under a dir."""
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, PROFILE_JSON)
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(profile_dict(profiler, meta), fh, indent=2, sort_keys=True)
+        json.dump(profile_dict(profiler), fh, indent=2, sort_keys=True)
         fh.write("\n")
     speedscope_path = os.path.join(out_dir, SPEEDSCOPE_JSON)
     with open(speedscope_path, "w", encoding="utf-8") as fh:
-        json.dump(speedscope_document(profiler, name), fh, sort_keys=True)
+        json.dump(speedscope_document(profiler), fh, sort_keys=True)
         fh.write("\n")
     return json_path, speedscope_path

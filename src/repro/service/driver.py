@@ -99,17 +99,19 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.num_ranks < 2:
             raise ConfigurationError("num_ranks must be >= 2")
-        if self.slo <= 0.0:
-            raise ConfigurationError("slo must be > 0")
-        if self.fit_window <= 0.0 or self.fit_points < 2:
+        # Chained comparisons: NaN fails every one, inf the upper bound.
+        if not 0.0 < self.slo < math.inf:
+            raise ConfigurationError("slo must be finite and > 0")
+        if not 0.0 < self.fit_window < math.inf or self.fit_points < 2:
             raise ConfigurationError(
-                "fit_window must be > 0 and fit_points >= 2"
+                "fit_window must be finite and > 0, fit_points >= 2"
             )
-        if self.noise < 0.0:
-            raise ConfigurationError("noise must be >= 0")
-        if self.sample_interval <= 0.0 or self.min_resync_interval <= 0.0:
+        if not 0.0 <= self.noise < math.inf:
+            raise ConfigurationError("noise must be finite and >= 0")
+        if not (0.0 < self.sample_interval < math.inf
+                and 0.0 < self.min_resync_interval < math.inf):
             raise ConfigurationError(
-                "sample_interval/min_resync_interval must be > 0"
+                "sample_interval/min_resync_interval must be finite and > 0"
             )
 
 

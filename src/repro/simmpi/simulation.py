@@ -209,6 +209,7 @@ class Simulation:
             self.checker = SanitizerSink(
                 mode=mode,
                 label=f"{machine.name}[{machine.num_ranks} ranks]",
+                metrics=self.metrics,
             )
             engine_sink = (
                 TeeSink(self.checker, self.sink)

@@ -93,6 +93,19 @@ class TestSimulationWiring:
         assert sim.checker.mode == "report"
         assert res.check_report.ok
 
+    def test_shared_registry_counts_each_run_once(self):
+        """A registry metering several runs (the rounds of a scenario
+        cell) holds the earlier runs' counters; the metrics cross-check
+        compares only this run's increment with its event stream."""
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        with run_context(metrics=registry):
+            reports = [run_spmd(self.body, check="strict")[1].check_report
+                       for _ in range(2)]
+        assert all(r.ok for r in reports)
+        assert registry.merged_counter("engine.messages.sent") > 0
+
     def test_checker_tees_with_user_sink(self):
         """A user sink still records everything when checking is on."""
         from repro.cluster.netmodels import ideal_network

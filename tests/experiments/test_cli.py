@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -10,7 +12,33 @@ from repro.experiments.__main__ import (
     main,
     parse_args,
 )
+from repro.experiments.record import run_description
 from repro.context import current_context
+
+
+def _record(tmp_path, name, *argv):
+    """Run ``main([*argv, "--record", DIR])``; return DIR, stdout, status."""
+    out_dir = tmp_path / name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = main([*argv, "--record", str(out_dir)])
+    return out_dir, stdout.getvalue(), status
+
+
+def _json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """``fig3 --check --record DIR --trace`` at --jobs 1 and --jobs 2."""
+    tmp = tmp_path_factory.mktemp("traced")
+    return {
+        jobs: _record(tmp, f"j{jobs}", "fig3", "--check", "--trace",
+                      "--jobs", str(jobs))
+        for jobs in (1, 2)
+    }
 
 
 class TestParser:
@@ -40,7 +68,6 @@ class TestTargetFlags:
     FLAGS = [
         (["--scenario", "thermal_cycle"], ["fault_recovery"]),
         (["--slo", "1e-4"], ["service_slo"]),
-        (["--chrome-trace-dir", "d"], ["fig10", "fault_recovery"]),
     ]
 
     @pytest.mark.parametrize("flag, readers", FLAGS)
@@ -61,16 +88,6 @@ class TestTargetFlags:
             args = parse_args([target, *flag])
             assert args.target == target
 
-    def test_check_and_check_report_are_exclusive(self, tmp_path, capsys):
-        report_dir = tmp_path / "cr"
-        with pytest.raises(SystemExit) as exc:
-            main(["table1", "--check", "--check-report", str(report_dir)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--check-report" in err and "not allowed" in err
-        # Rejected in parse_args, before any target ran.
-        assert not report_dir.exists()
-
     @pytest.mark.parametrize("target", ["fault_recovery", "all"])
     def test_churn_preset_rejected_before_any_target_runs(
         self, target, capsys
@@ -89,7 +106,46 @@ class TestTargetFlags:
         args = parse_args(["all"])
         assert args.scenario == "ntp_step"
         assert args.slo == 25e-6
-        assert args.chrome_trace_dir is None
+        assert args.record is None
+
+
+class TestUsageErrors:
+    """Bad input is a usage error (exit 2) that names its flag, raised
+    at argument parsing, before any target runs."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig3", "--seed", "-1"], "--seed"),
+        (["fig3", "--seed", "x"], "--seed"),
+        (["fig3", "--jobs", "-2"], "--jobs"),
+        (["service_slo", "--slo", "-1"], "--slo"),
+        (["service_slo", "--slo", "0"], "--slo"),
+        (["service_slo", "--slo", "nan"], "--slo"),
+        (["service_slo", "--slo", "inf"], "--slo"),
+        (["fig3", "--profile"], "--profile"),
+        (["fig3", "--trace"], "--trace"),
+    ])
+    def test_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--obs-summary"],
+        ["--health-report", "d"],
+        ["--profile", "d"],
+        ["--critical-path", "d"],
+        ["--check-report", "d"],
+        ["--chrome-trace-dir", "d"],
+    ])
+    def test_removed_artifact_flags_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig10", *argv, "--record", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "r").exists()
 
 
 class TestMain:
@@ -105,49 +161,125 @@ class TestMain:
         assert "Fig. 2" in out
 
 
+class TestRecord:
+    def test_manifest_describes_the_run(self, tmp_path):
+        out_dir, out, status = _record(tmp_path, "r", "table1")
+        assert status == 0
+        manifest = _json(out_dir / "manifest.json")
+        assert manifest["run"] == {
+            "targets": ["table1"], "scale": "quick", "seed": 0,
+            "check": False, "profile": False, "trace": False,
+        }
+        assert manifest["jobs"] == 1
+        assert set(manifest["versions"]) == {"python", "numpy", "repro"}
+        assert manifest["git"] is None or isinstance(manifest["git"], str)
+        assert set(manifest["wall_s"]) == {"table1"}
+        assert manifest["artifacts"] == ["report.html", "report.json"]
+        # The report is headed by the same description.
+        assert _json(out_dir / "report.json")["meta"] == manifest["run"]
+        assert "=== clock-health report ===" in out
+        assert f"manifest.json: {out_dir / 'manifest.json'}" in out
+
+    def test_target_options_described_only_when_read(self):
+        assert "scenario" not in run_description(
+            parse_args(["fig3"]), ["fig3"]
+        )
+        run = run_description(parse_args(["all"]), sorted(TARGETS))
+        assert run["scenario"] == "ntp_step"
+        assert run["slo"] == 25e-6
+
+    def test_reused_record_dir_exits_2_and_leaves_it_untouched(
+        self, tmp_path, capsys
+    ):
+        """A second --check run into the same DIR would aggregate the
+        first run's per-process reports into its own verdict."""
+        out_dir, _, status = _record(tmp_path, "r", "fig3", "--check")
+        assert status == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert _json(out_dir / "check_report.json")["runs"] == 12
+        with pytest.raises(SystemExit) as exc:
+            _record(tmp_path, "r", "fig3", "--check")
+        assert exc.value.code == 2
+        assert "--record" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_record_path_that_is_a_file_exits_2(self, tmp_path):
+        (tmp_path / "f").write_text("x")
+        with pytest.raises(SystemExit) as exc:
+            _record(tmp_path, "f", "table1")
+        assert exc.value.code == 2
+
+    def test_trace_exports_the_fig10_perfetto_pair(self, tmp_path):
+        out_dir, out, _ = _record(tmp_path, "t", "fig10", "--trace")
+        names = ["fig10_global_clock.json", "fig10_raw_local_clock.json"]
+        for name in names:
+            records = _json(out_dir / name)
+            assert records and all("ph" in r for r in records)
+        assert set(names) <= set(_json(out_dir / "manifest.json")["artifacts"])
+        assert "=== chrome trace export" in out
+        plain_dir, plain, _ = _record(tmp_path, "p", "fig10")
+        assert not (plain_dir / names[0]).exists()
+        assert "chrome trace" not in plain
+
+
+class TestRecordIsJobsIndependent:
+    def test_artifacts_byte_identical_across_jobs(self, traced):
+        (one, _, s1), (two, _, s2) = traced[1], traced[2]
+        assert s1 == s2 == 0
+        for name in ("critical_path.json", "check_report.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+        reports = [_json(d / "report.json") for d in (one, two)]
+        for report in reports:
+            report.pop("generated_at")
+        assert reports[0] == reports[1]
+        assert _json(one / "check_report.json")["runs"] == 12
+
+    def test_manifests_differ_only_in_jobs_and_wall_seconds(self, traced):
+        one, two = (_json(traced[j][0] / "manifest.json") for j in (1, 2))
+        assert (one["jobs"], two["jobs"]) == (1, 2)
+        for manifest in (one, two):
+            del manifest["jobs"], manifest["wall_s"]
+        assert one == two
+
+
 class TestCriticalPathFlag:
-    def test_writes_artifact_and_prints_table(self, tmp_path, capsys):
-        cp_dir = tmp_path / "cp"
-        report_dir = tmp_path / "health"
-        assert main([
-            "fig3", "--critical-path", str(cp_dir),
-            "--health-report", str(report_dir),
-        ]) == 0
-        out = capsys.readouterr().out
+    def test_writes_artifact_and_prints_table(self, traced):
+        out_dir, out, _ = traced[1]
         assert "=== sync-round critical path ===" in out
         assert "depth" in out
 
-        with open(cp_dir / "critical_path.json") as fh:
-            doc = json.load(fh)
+        doc = _json(out_dir / "critical_path.json")
         assert doc["critical_path_version"] == 1
-        assert doc["meta"]["targets"] == ["fig3"]
+        assert "meta" not in doc
+        manifest = _json(out_dir / "manifest.json")
+        assert manifest["run"]["targets"] == ["fig3"]
+        assert manifest["run"]["trace"] is True
         assert doc["runs"]
         for entry in doc["runs"]:
             assert entry["open_edges"] == 0
             assert entry["depth"]["level_depth"] >= 1
+        counts = doc["event_counts"]
+        assert counts["MsgSend"] == counts["MsgDeliver"] > 0
+        assert sum(counts.values()) == _json(
+            out_dir / "check_report.json"
+        )["events_checked"]
 
         # The measured depth ratios feed the health report: a depth
         # series and a rendered critical-path section must both land.
-        with open(report_dir / "report.json") as fh:
-            report = json.load(fh)
+        report = _json(out_dir / "report.json")
         series_names = {s["name"] for s in report["timeseries"]["series"]}
         assert "sync.critical.depth_ratio" in series_names
         assert report["critical_path"]
-        html = (report_dir / "report.html").read_text()
+        html = (out_dir / "report.html").read_text()
         assert "Sync-round critical path" in html
 
-    def test_traced_summary_matches_untraced(self, tmp_path, capsys):
-        # --obs-summary composes with --critical-path via a tee; the
-        # message counters must be identical to an untraced run.
-        assert main(["fig3", "--obs-summary"]) == 0
-        untraced = capsys.readouterr().out
-        assert main([
-            "fig3", "--obs-summary", "--critical-path", str(tmp_path),
-        ]) == 0
-        traced = capsys.readouterr().out
-        section = "=== observability summary ==="
-        tail = traced.split(section)[1].split("=== sync-round")[0]
-        assert untraced.split(section)[1].startswith(tail.rstrip())
+    def test_traced_summary_matches_untraced(self, traced, tmp_path):
+        # --trace tees a counting sink and a span recorder onto the
+        # stream; the metrics must be identical to an untraced run.
+        out_dir, _, _ = _record(tmp_path, "u", "fig3", "--check")
+        untraced = _json(out_dir / "manifest.json")["metrics"]
+        assert untraced
+        assert untraced == _json(traced[1][0] / "manifest.json")["metrics"]
 
     def test_no_tracing_flag_leaves_output_clean(self, capsys):
         assert main(["fig3"]) == 0
@@ -155,30 +287,30 @@ class TestCriticalPathFlag:
 
 
 class TestProfileFlag:
-    def test_profile_writes_artifacts(self, tmp_path, capsys):
-        out_dir = tmp_path / "prof"
-        assert main(["fig3", "--profile", str(out_dir)]) == 0
-        out = capsys.readouterr().out
+    def test_profile_writes_artifacts(self, tmp_path):
+        out_dir, out, _ = _record(tmp_path, "p", "fig3", "--profile")
         assert "=== simulator self-profile ===" in out
-        with open(out_dir / "profile.json") as fh:
-            doc = json.load(fh)
+        doc = _json(out_dir / "profile.json")
         assert doc["format"] == "repro-profile"
-        assert doc["meta"]["targets"] == ["fig3"]
+        assert "meta" not in doc
         assert doc["total_ns"] > 0
         assert sum(z["self_ns"] for z in doc["zones"]) == doc["total_ns"]
-        with open(out_dir / "profile.speedscope.json") as fh:
-            ss = json.load(fh)
+        ss = _json(out_dir / "profile.speedscope.json")
         assert ss["profiles"][0]["events"]
+        manifest = _json(out_dir / "manifest.json")
+        assert manifest["run"]["targets"] == ["fig3"]
+        assert manifest["run"]["profile"] is True
+        assert {"profile.json", "profile.speedscope.json"} <= set(
+            manifest["artifacts"]
+        )
         # The profiler is uninstalled after the run.
         assert current_context().profiler is None
 
-    def test_obs_summary_lists_slowest_zones(self, tmp_path, capsys):
-        assert main([
-            "fig3", "--profile", str(tmp_path / "p"), "--obs-summary",
-        ]) == 0
-        out = capsys.readouterr().out
+    def test_obs_summary_lists_slowest_zones(self, tmp_path):
+        _, out, _ = _record(tmp_path, "p", "fig3", "--profile", "--trace")
         assert "slowest zones (self time):" in out
 
-    def test_obs_summary_without_profile_omits_zones(self, capsys):
-        assert main(["table1", "--obs-summary"]) == 0
-        assert "slowest zones" not in capsys.readouterr().out
+    def test_obs_summary_without_profile_omits_zones(self, tmp_path):
+        _, out, _ = _record(tmp_path, "t", "table1", "--trace")
+        assert "=== observability summary ===" in out
+        assert "slowest zones" not in out

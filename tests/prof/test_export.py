@@ -49,10 +49,6 @@ class TestProfileDict:
         assert rows["sim.run/engine.run/net.delay"]["count"] == 5
         assert rows["sim.run"]["depth"] == 0
 
-    def test_meta_embedded(self, prof):
-        doc = profile_dict(prof, meta={"seed": 7})
-        assert doc["meta"] == {"seed": 7}
-
 
 def _validate_speedscope(doc: dict) -> None:
     """Structural checks from the published speedscope file format."""
@@ -118,14 +114,13 @@ class TestTables:
 
 class TestWriteProfile:
     def test_writes_both_artifacts(self, prof, tmp_path):
-        json_path, ss_path = write_profile(
-            prof, str(tmp_path / "out"), meta={"targets": ["fig3"]}
-        )
+        json_path, ss_path = write_profile(prof, str(tmp_path / "out"))
         assert json_path.endswith(PROFILE_JSON)
         assert ss_path.endswith(SPEEDSCOPE_JSON)
         with open(json_path) as fh:
             doc = json.load(fh)
-        assert doc["meta"] == {"targets": ["fig3"]}
+        # The run is described once, by the record's manifest.
+        assert doc == profile_dict(prof) and "meta" not in doc
         assert sum(z["self_ns"] for z in doc["zones"]) == doc["total_ns"]
         with open(ss_path) as fh:
             _validate_speedscope(json.load(fh))

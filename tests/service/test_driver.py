@@ -67,6 +67,16 @@ class TestSimulatedCluster:
         with pytest.raises(ConfigurationError):
             ServiceConfig(fit_points=1)
 
+    @pytest.mark.parametrize("field", [
+        "slo", "fit_window", "noise", "sample_interval",
+        "min_resync_interval",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        # NaN passes every "<= 0" check, so finiteness is its own rule.
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig(**{field: value})
+
 
 class TestRunService:
     def test_deterministic_across_runs(self):

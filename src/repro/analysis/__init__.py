@@ -3,7 +3,7 @@
 from repro.analysis.accuracy import check_clock_accuracy, ground_truth_accuracy
 from repro.analysis.imbalance import measure_barrier_imbalance
 from repro.analysis.drift import record_drift, drift_linearity
-from repro.analysis.reporting import Series, Table, format_table
+from repro.analysis.reporting import Table, format_table
 
 __all__ = [
     "check_clock_accuracy",
@@ -11,7 +11,6 @@ __all__ = [
     "measure_barrier_imbalance",
     "record_drift",
     "drift_linearity",
-    "Series",
     "Table",
     "format_table",
 ]

@@ -9,33 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-
-@dataclass
-class Series:
-    """One named line of a figure: x values and y values with units."""
-
-    name: str
-    x: list[float] = field(default_factory=list)
-    y: list[float] = field(default_factory=list)
-    x_label: str = "x"
-    y_label: str = "y"
-
-    def add(self, x: float, y: float) -> None:
-        self.x.append(float(x))
-        self.y.append(float(y))
-
-    def summary(self) -> str:
-        ys = np.asarray(self.y, dtype=float)
-        finite = ys[np.isfinite(ys)]
-        if finite.size == 0:
-            return f"{self.name}: (no data)"
-        return (
-            f"{self.name}: n={finite.size} mean={finite.mean():.4g} "
-            f"min={finite.min():.4g} max={finite.max():.4g}"
-        )
-
 
 @dataclass
 class Table:
@@ -66,13 +39,3 @@ def format_table(table: Table) -> str:
     for row in table.rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def us(seconds: float) -> float:
-    """Seconds → microseconds (the paper's unit for everything small)."""
-    return seconds * 1e6
-
-
-def fmt_us(seconds: float, digits: int = 2) -> str:
-    """Format a duration in microseconds."""
-    return f"{seconds * 1e6:.{digits}f}"

@@ -19,9 +19,7 @@ from repro.bench.schemes import (
 )
 from repro.bench.suites import (
     SuiteReport,
-    osu_report,
-    imb_report,
-    skampi_report,
+    barrier_report,
     reprompi_report,
 )
 from repro.bench.runner import LatencyMeasurement, run_latency_benchmark
@@ -33,9 +31,7 @@ __all__ = [
     "RoundTimeScheme",
     "SchemeResult",
     "SuiteReport",
-    "osu_report",
-    "imb_report",
-    "skampi_report",
+    "barrier_report",
     "reprompi_report",
     "LatencyMeasurement",
     "run_latency_benchmark",

@@ -12,15 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.bench.suites import (
-    SuiteReport,
-    imb_report,
-    osu_report,
-    reprompi_report,
-)
+from repro.bench.suites import SuiteReport, barrier_report, reprompi_report
 from repro.cluster.topology import Machine
-from repro.obs.events import EventSink
-from repro.obs.metrics import MetricsRegistry
 from repro.simmpi.network import NetworkModel
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
@@ -29,21 +22,20 @@ from repro.sync.base import ClockSyncAlgorithm
 
 @dataclass
 class LatencyMeasurement:
-    """One measured cell: suite × operation × message size."""
+    """One measured cell: suite × message size of MPI_Allreduce."""
 
     suite: str
-    operation: str
     msize: int
     report: SuiteReport
 
 
-def make_allreduce_op(
-    msize: int, algorithm: str = "recursive_doubling"
-) -> Callable:
+def make_allreduce_op(msize: int) -> Callable:
     """An MPI_Allreduce operation closure for the measurement schemes."""
 
     def op(comm):
-        yield from comm.allreduce(1.0, size=msize, algorithm=algorithm)
+        yield from comm.allreduce(
+            1.0, size=msize, algorithm="recursive_doubling"
+        )
 
     return op
 
@@ -54,16 +46,12 @@ def run_latency_benchmark(
     suites: list[str],
     msizes: list[int],
     sync_algorithm: ClockSyncAlgorithm | None = None,
-    operation_factory: Callable[[int], Callable] = make_allreduce_op,
-    operation_name: str = "MPI_Allreduce",
     barrier_algorithm: str = "tree",
     nreps: int = 100,
     max_time_slice: float = 0.5,
     time_source: TimeSourceSpec = CLOCK_GETTIME,
     seed: int = 0,
     fabric=None,
-    sink: EventSink | None = None,
-    metrics: MetricsRegistry | None = None,
     stats_out: dict | None = None,
 ) -> list[LatencyMeasurement]:
     """Run the full pipeline; returns one measurement per suite × msize.
@@ -73,11 +61,11 @@ def run_latency_benchmark(
     sequence — mirroring how a real benchmarking campaign reuses one
     ``mpirun``.
 
-    ``sink``/``metrics`` attach observability to the simulated job (see
-    :mod:`repro.obs`).  When ``stats_out`` is given, it is filled with a
-    run summary: the engine's counter snapshot under ``"engine"`` and, if
-    the sync algorithm tracks rounds, its per-level RTT/residual summary
-    under ``"sync"``.
+    Observability hooks come from the run context (see
+    :func:`repro.context.run_context`).  When ``stats_out`` is given, it
+    is filled with a run summary: the engine's counter snapshot under
+    ``"engine"`` and, if the sync algorithm tracks rounds, its per-level
+    RTT/residual summary under ``"sync"``.
     """
     needs_clock = any(s.startswith("reprompi") for s in suites)
 
@@ -90,16 +78,11 @@ def run_latency_benchmark(
         provider = (lambda _comm: global_clock) if global_clock else None
         out = []
         for msize in msizes:
-            op = operation_factory(msize)
+            op = make_allreduce_op(msize)
             for suite in suites:
-                if suite == "osu":
-                    rep = yield from osu_report(
-                        comm, op, nreps=nreps,
-                        barrier_algorithm=barrier_algorithm,
-                    )
-                elif suite == "imb":
-                    rep = yield from imb_report(
-                        comm, op, nreps=nreps,
+                if suite in ("osu", "imb"):
+                    rep = yield from barrier_report(
+                        comm, op, suite.upper(), nreps=nreps,
                         barrier_algorithm=barrier_algorithm,
                     )
                 elif suite == "reprompi":
@@ -132,22 +115,13 @@ def run_latency_benchmark(
         time_source=time_source,
         seed=seed,
         fabric=fabric,
-        sink=sink,
-        metrics=metrics,
     )
     result = sim.run(main)
     if stats_out is not None:
         stats_out["engine"] = result.engine_stats
         if sync_algorithm is not None:
             stats_out["sync"] = sync_algorithm.sync_stats_summary()
-    measurements = []
-    for suite, msize, rep in result.values[0]:
-        measurements.append(
-            LatencyMeasurement(
-                suite=suite,
-                operation=operation_name,
-                msize=msize,
-                report=rep,
-            )
-        )
-    return measurements
+    return [
+        LatencyMeasurement(suite=suite, msize=msize, report=rep)
+        for suite, msize, rep in result.values[0]
+    ]

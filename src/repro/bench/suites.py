@@ -3,14 +3,18 @@
 The paper's Fig. 7 caption spells out the data-processing difference:
 "the mean with Intel MPI Benchmarks and OSU Micro-Benchmarks and the
 median with ReproMPI".  The suites also differ in the synchronization
-scheme (barrier for OSU/IMB; window or Round-Time for ReproMPI) and in the
-cross-rank aggregation:
+scheme (barrier for OSU/IMB; Round-Time or barrier for ReproMPI) and in
+the cross-rank aggregation:
 
-* OSU reports the average across ranks of each rank's mean latency.
-* IMB reports t_min / t_avg / t_max across ranks of per-rank means.
-* ReproMPI, with a global clock, reconstructs per-repetition *collective*
-  durations (max across ranks of the common-start-to-exit time) and
-  reports their median.
+* OSU and IMB (:func:`barrier_report`) report the average across ranks
+  of each rank's mean latency, with IMB's t_min / t_max across ranks.
+* ReproMPI (:func:`reprompi_report`), with a global clock, reconstructs
+  per-repetition *collective* durations (max across ranks of the
+  common-start-to-exit time) and reports their median.
+
+These are the suites Figs. 7 and 9 run.  The window scheme
+(:class:`~repro.bench.schemes.WindowScheme`) has no suite report here:
+no figure uses SKaMPI's min-of-windows statistic.
 """
 
 from __future__ import annotations
@@ -21,12 +25,7 @@ from typing import TYPE_CHECKING, Generator
 import numpy as np
 
 from repro.bench.estimate import Operation
-from repro.bench.schemes import (
-    BarrierScheme,
-    RoundTimeScheme,
-    SchemeResult,
-    WindowScheme,
-)
+from repro.bench.schemes import BarrierScheme, RoundTimeScheme, SchemeResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.comm import Communicator
@@ -53,13 +52,15 @@ def _gather_summary(
     return gathered
 
 
-def osu_report(
+def barrier_report(
     comm: "Communicator",
     operation: Operation,
+    suite: str,
     nreps: int = 100,
     barrier_algorithm: str = "tree",
 ) -> Generator:
-    """OSU Micro-Benchmarks: barrier scheme, avg-across-ranks of means."""
+    """OSU Micro-Benchmarks or Intel MPI Benchmarks (``suite`` names
+    which): barrier scheme, mean across ranks of per-rank means."""
     scheme = BarrierScheme(barrier_algorithm=barrier_algorithm, nreps=nreps)
     local = yield from scheme.run(comm, operation)
     gathered = yield from _gather_summary(comm, local)
@@ -67,85 +68,12 @@ def osu_report(
         return None
     means = np.array([g[0] for g in gathered])
     return SuiteReport(
-        suite="OSU",
+        suite=suite,
         latency=float(means.mean()),
         t_min=float(means.min()),
         t_max=float(means.max()),
         nvalid=int(min(g[1] for g in gathered)),
         invalid=int(sum(g[2] for g in gathered)),
-    )
-
-
-def imb_report(
-    comm: "Communicator",
-    operation: Operation,
-    nreps: int = 100,
-    barrier_algorithm: str = "tree",
-) -> Generator:
-    """Intel MPI Benchmarks: barrier scheme, reports t_avg (and min/max)."""
-    scheme = BarrierScheme(barrier_algorithm=barrier_algorithm, nreps=nreps)
-    local = yield from scheme.run(comm, operation)
-    gathered = yield from _gather_summary(comm, local)
-    if comm.rank != 0:
-        return None
-    means = np.array([g[0] for g in gathered])
-    return SuiteReport(
-        suite="IMB",
-        latency=float(means.mean()),
-        t_min=float(means.min()),
-        t_max=float(means.max()),
-        nvalid=int(min(g[1] for g in gathered)),
-        invalid=int(sum(g[2] for g in gathered)),
-    )
-
-
-def skampi_report(
-    comm: "Communicator",
-    operation: Operation,
-    global_clock_provider,
-    window: float | None = None,
-    nreps: int = 100,
-    window_factor: float = 4.0,
-) -> Generator:
-    """SKaMPI/NBCBench-style window scheme: fixed windows, min latency.
-
-    SKaMPI reports the *minimum* observed time across repetitions (its
-    documentation argues the minimum is the reproducible statistic).
-    Repetitions whose window was missed are invalid on the rank that
-    missed it; the root intersects validity across ranks before reducing,
-    which is why one outlier costs several windows (Section II).
-    """
-    scheme = WindowScheme(
-        global_clock_provider,
-        window=window,
-        nreps=nreps,
-        window_factor=window_factor,
-    )
-    local = yield from scheme.run(comm, operation)
-    packed = (local.durations, local.nvalid, local.invalid)
-    gathered = yield from comm.gather(
-        packed, root=0, size=8 * max(1, local.nvalid)
-    )
-    if comm.rank != 0:
-        return None
-    nvalid = min(g[1] for g in gathered)
-    if nvalid == 0:
-        return SuiteReport(
-            suite="SKaMPI",
-            latency=float("nan"),
-            t_min=float("nan"),
-            t_max=float("nan"),
-            nvalid=0,
-            invalid=sum(g[2] for g in gathered),
-        )
-    per_rep = np.array([g[0][:nvalid] for g in gathered]).max(axis=0)
-    return SuiteReport(
-        suite="SKaMPI",
-        latency=float(per_rep.min()),
-        t_min=float(per_rep.min()),
-        t_max=float(per_rep.max()),
-        nvalid=nvalid,
-        invalid=sum(g[2] for g in gathered),
     )
 
 

@@ -7,7 +7,9 @@ engine-level invariant — per-rank time monotonicity, per-channel FIFO
 matching, message conservation, block/wake lifecycle, collective
 nesting, stats consistency — is verified as the run executes; deadlocks
 are diagnosed with the blocked-wait cycle instead of an opaque stall.
-``python -m repro.check`` re-checks recorded event streams post-hoc.
+The check runs live only: a CLI run takes it with ``--check`` (strict)
+or ``--check --record DIR`` (report), which also lets it cross-check
+the engine's counters and the span layer against the stream.
 
 See DESIGN.md §11 for the invariant catalog and the mutant suite that
 keeps the checker honest.
@@ -24,14 +26,6 @@ from repro.check.config import (
     checking,
     load_reports,
     write_aggregate,
-)
-from repro.check.replay import (
-    dump_events,
-    event_from_dict,
-    event_to_dict,
-    load_events,
-    replay_events,
-    replay_file,
 )
 from repro.check.sanitizer import (
     MAX_VIOLATIONS,
@@ -55,12 +49,6 @@ __all__ = [
     "check_global_clock",
     "checking",
     "clock_sanity_violations",
-    "dump_events",
-    "event_from_dict",
-    "event_to_dict",
-    "load_events",
     "load_reports",
-    "replay_events",
-    "replay_file",
     "write_aggregate",
 ]

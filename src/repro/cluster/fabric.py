@@ -16,14 +16,6 @@ forwards it to the engine.
 from __future__ import annotations
 
 import math
-from typing import Protocol
-
-
-class Fabric(Protocol):
-    """Anything that prices a node pair in extra one-way latency."""
-
-    def extra_latency(self, node_a: int, node_b: int) -> float:
-        ...
 
 
 class FlatFabric:
@@ -96,7 +88,3 @@ class TorusFabric:
                 self.per_hop_latency * self.hops(node_a, node_b)
             )
         return latency
-
-    def diameter(self) -> int:
-        """Maximum hop count between any two nodes."""
-        return sum(extent // 2 for extent in self.dims)

@@ -110,17 +110,6 @@ class Machine:
     def node_of(self, rank: int) -> int:
         return self.placement(rank).node
 
-    def ranks_on_node(self, node: int) -> list[int]:
-        """All ranks placed on a node, in rank order."""
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} out of range")
-        start = node * self.ranks_per_node
-        return list(range(start, start + self.ranks_per_node))
-
-    def node_leaders(self) -> list[int]:
-        """The first rank of each node (roots of the inter-node level)."""
-        return [n * self.ranks_per_node for n in range(self.num_nodes)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Machine({self.name!r}, nodes={self.num_nodes}, "

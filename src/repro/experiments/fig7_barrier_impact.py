@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.reporting import Table, format_table
-from repro.bench.runner import make_allreduce_op, run_latency_benchmark
+from repro.bench.runner import run_latency_benchmark
 from repro.cluster.machines import JUPITER
 from repro.experiments.common import (
     MACHINE_TIME_SOURCES,
@@ -58,7 +58,6 @@ def run(scale: str | Scale = "quick", seed: int = 0) -> Fig7Result:
             suites=list(SUITES),
             msizes=list(MSIZES),
             sync_algorithm=sync_alg,
-            operation_factory=make_allreduce_op,
             barrier_algorithm=barrier,
             nreps=nreps,
             time_source=MACHINE_TIME_SOURCES["jupiter"],

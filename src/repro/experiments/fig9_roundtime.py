@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.reporting import Table, format_table
-from repro.bench.runner import make_allreduce_op, run_latency_benchmark
+from repro.bench.runner import run_latency_benchmark
 from repro.cluster.machines import TITAN
 from repro.experiments.common import (
     MACHINE_TIME_SOURCES,
@@ -65,7 +65,6 @@ def run(
             suites=["osu", "reprompi"],
             msizes=list(msizes),
             sync_algorithm=sync_alg,
-            operation_factory=make_allreduce_op,
             # OSU inherits the MPI library's default barrier; cray-mpich's
             # flat (linear) barrier is the worst case the paper observes.
             barrier_algorithm="linear",

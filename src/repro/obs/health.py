@@ -166,9 +166,6 @@ class HealthVerdict:
             worst = max(worst, SEVERITIES.index(finding.severity))
         return SEVERITIES[worst] if worst > 0 else "ok"
 
-    def by_severity(self, severity: str) -> list[HealthFinding]:
-        return [f for f in self.findings if f.severity == severity]
-
     def to_dict(self) -> dict:
         return {
             "status": self.status,

@@ -17,21 +17,20 @@ Every response carries the error bound of the paper's accuracy analysis
 evaluated at the response's model age, and a ``stale`` flag set when that
 bound exceeds the service's SLO.
 
-Two cache layers make the service cheap under load:
+The **epoch cache** makes the service cheap under load: it compiles the
+provider's models into a :class:`~repro.service.epoch.ModelEpoch` once
+per sync generation, and every query until the next resync reuses the
+compiled arrays (an *epoch hit*).  A resync bumps the generation, which
+invalidates the compiled epoch, so no answer is ever computed against a
+superseded model (the property test tier pins this).
 
-* the **epoch cache** compiles the provider's models into a
-  :class:`~repro.service.epoch.ModelEpoch` once per sync generation;
-  every query until the next resync reuses the compiled arrays (an
-  *epoch hit*).  A resync bumps the generation, which invalidates the
-  compiled epoch and the answer memo below.
-* the **answer memo** caches scalar query results by exact argument
-  tuple within the current generation — repeated hot-key queries are
-  dictionary lookups, and the memo can never leak an answer across a
-  resync boundary (the property test tier pins both halves).
-
-Batch entry points (``now_batch`` et al.) evaluate whole query bursts
-through one vectorized model evaluation; their answers are bit-identical
-to the scalar path element by element.
+:func:`~repro.service.driver.run_service` serves through the batch entry
+points (``now_batch`` et al.), which evaluate whole query bursts through
+one vectorized model evaluation.  The scalar methods compute one answer
+against the current epoch with the per-rank model arithmetic, and the
+batch answers equal theirs element by element: the tests pin this, and
+``run_service``'s sanitizer pass recomputes sampled batch answers the
+same way.
 """
 
 from __future__ import annotations
@@ -88,8 +87,6 @@ class ServiceStats:
     epoch_hits: int = 0
     #: Epoch compilations (one per sync generation actually queried).
     epoch_misses: int = 0
-    #: Scalar answers served straight from the answer memo.
-    memo_hits: int = 0
     by_op: dict = field(default_factory=dict)
 
     def cache_hit_ratio(self) -> float:
@@ -115,7 +112,6 @@ class ClockService:
         self.slo = float(slo)
         self.stats = ServiceStats()
         self._epoch: ModelEpoch | None = None
-        self._memo: dict[tuple, ServiceResponse] = {}
 
     # ------------------------------------------------------------------
     # Epoch cache
@@ -123,9 +119,9 @@ class ClockService:
     def _current_epoch(self) -> tuple[ModelEpoch, bool]:
         """Compiled epoch of the provider's current generation + hit flag.
 
-        Compiles (and drops the stale epoch + answer memo) when the
-        provider has resynced since the last query; otherwise the cached
-        compile is reused.
+        Compiles (and drops the stale epoch) when the provider has
+        resynced since the last query; otherwise the cached compile is
+        reused.
         """
         generation = self.provider.generation
         if self._epoch is None or self._epoch.generation != generation:
@@ -137,7 +133,6 @@ class ClockService:
                 base_error=self.provider.base_error,
                 ref_rank=self.provider.ref_rank,
             )
-            self._memo.clear()
             self.stats.epoch_misses += 1
             return self._epoch, True
         return self._epoch, False
@@ -157,19 +152,22 @@ class ClockService:
         self.stats.epoch_hits += nqueries - 1 if compiled else nqueries
 
     # ------------------------------------------------------------------
-    # Scalar API (memoized per epoch)
+    # Scalar API (one answer against the current epoch)
     # ------------------------------------------------------------------
-    def _memoized(self, key: tuple, compute) -> ServiceResponse:
+    def _answer(
+        self, op: str, value: float, bound: float, epoch: ModelEpoch
+    ) -> ServiceResponse:
+        stale = bound > self.slo
+        self.stats.count(op, 1, int(stale))
+        return ServiceResponse(
+            value=value, error_bound=bound, stale=stale,
+            generation=epoch.generation,
+        )
+
+    def _scalar_epoch(self) -> ModelEpoch:
         epoch, compiled = self._current_epoch()
         self._count_epoch(compiled, 1)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            response = cached
-        else:
-            response = self._memo[key] = compute(epoch)
-        self.stats.count(key[0], 1, int(response.stale))
-        return response
+        return epoch
 
     def _bound(self, epoch: ModelEpoch, rank: int, at: float) -> float:
         ages = np.array([at - epoch.synced_at])
@@ -181,36 +179,23 @@ class ClockService:
         ``at`` is the service time of the request (true seconds), which
         sets the model age — and therefore the bound — of the response.
         """
-
-        def compute(epoch: ModelEpoch) -> ServiceResponse:
-            value = epoch.model_for(rank).apply(reading)
-            bound = self._bound(epoch, rank, at)
-            return ServiceResponse(
-                value=value, error_bound=bound,
-                stale=bound > self.slo, generation=epoch.generation,
-            )
-
-        return self._memoized(("now", rank, reading, at), compute)
+        epoch = self._scalar_epoch()
+        return self._answer(
+            "now", epoch.model_for(rank).apply(reading),
+            self._bound(epoch, rank, at), epoch,
+        )
 
     def translate(
         self, t: float, src_rank: int, dst_rank: int, at: float
     ) -> ServiceResponse:
         """A src-local timestamp re-expressed in dst's clock domain."""
-
-        def compute(epoch: ModelEpoch) -> ServiceResponse:
-            reference = epoch.model_for(src_rank).apply(t)
-            value = epoch.model_for(dst_rank).apply_inverse(reference)
-            bound = (
-                self._bound(epoch, src_rank, at)
-                + self._bound(epoch, dst_rank, at)
-            )
-            return ServiceResponse(
-                value=value, error_bound=bound,
-                stale=bound > self.slo, generation=epoch.generation,
-            )
-
-        return self._memoized(
-            ("translate", t, src_rank, dst_rank, at), compute
+        epoch = self._scalar_epoch()
+        reference = epoch.model_for(src_rank).apply(t)
+        return self._answer(
+            "translate", epoch.model_for(dst_rank).apply_inverse(reference),
+            self._bound(epoch, src_rank, at)
+            + self._bound(epoch, dst_rank, at),
+            epoch,
         )
 
     def compare(
@@ -225,24 +210,15 @@ class ClockService:
         independently, ``abs(value) > error_bound`` means the ordering is
         definite even in the worst case.
         """
-
-        def compute(epoch: ModelEpoch) -> ServiceResponse:
-            rank_a, t_a = a
-            rank_b, t_b = b
-            value = (
-                epoch.model_for(rank_a).apply(t_a)
-                - epoch.model_for(rank_b).apply(t_b)
-            )
-            bound = (
-                self._bound(epoch, rank_a, at)
-                + self._bound(epoch, rank_b, at)
-            )
-            return ServiceResponse(
-                value=value, error_bound=bound,
-                stale=bound > self.slo, generation=epoch.generation,
-            )
-
-        return self._memoized(("compare", a, b, at), compute)
+        epoch = self._scalar_epoch()
+        (rank_a, t_a), (rank_b, t_b) = a, b
+        return self._answer(
+            "compare",
+            epoch.model_for(rank_a).apply(t_a)
+            - epoch.model_for(rank_b).apply(t_b),
+            self._bound(epoch, rank_a, at) + self._bound(epoch, rank_b, at),
+            epoch,
+        )
 
     # ------------------------------------------------------------------
     # Batch API (one vectorized model evaluation per burst)

@@ -32,9 +32,9 @@ and per-interval ``service.stale_rate`` / ``clock.error`` /
 bank — the series the ``stale_read`` health detector scans.
 
 Under an active sanitizer mode (``--check``), each epoch additionally
-validates the serving path: batch answers must be bit-identical to the
-scalar model arithmetic, and served global time must be monotone per
-rank.  In strict mode a violation raises
+validates the serving path: the first 8 answers of each query shape
+(``now``, ``translate``, ``compare``) must be bit-identical to the scalar
+model arithmetic, and served global time must be monotone per rank.  In strict mode a violation raises
 :class:`~repro.errors.InvariantViolation` immediately; in report mode it
 is appended to the context's report directory and serving carries on.
 """
@@ -223,39 +223,46 @@ def _reads(
     return out
 
 
+#: Answers of each query shape per epoch that the sanitizer pass
+#: recomputes with the scalar model arithmetic.
+CHECKED_PER_SHAPE = 8
+
+
 def _check_epoch(
     service: ClockService,
     ops: np.ndarray,
     ranks: np.ndarray,
     ranks2: np.ndarray,
     readings: np.ndarray,
+    readings_b: np.ndarray,
     values: np.ndarray,
-    nsample: int = 8,
 ) -> list[Violation]:
-    """Sanitizer pass: batch answers == scalar model arithmetic, and
-    served global time is monotone per rank."""
+    """Sanitizer pass: the first answers of each query shape equal the
+    scalar model arithmetic, and served global time is monotone per
+    rank."""
     found: list[Violation] = []
-    epoch = service.epoch()
-    for i in range(min(nsample, values.size)):
-        op = int(ops[i])
-        if op == OP_NOW:
-            expect = epoch.model_for(int(ranks[i])).apply(
-                float(readings[i])
-            )
-        elif op == OP_TRANSLATE:
-            ref = epoch.model_for(int(ranks[i])).apply(float(readings[i]))
-            expect = epoch.model_for(int(ranks2[i])).apply_inverse(ref)
-        else:
-            continue  # compare checked via its components above
-        if expect != values[i]:
-            found.append(Violation(
-                rule="service-batch",
-                message=(
-                    f"service batch answer diverged from scalar model: "
-                    f"op={op} expected {expect!r} got {values[i]!r}"
-                ),
-                rank=int(ranks[i]),
-            ))
+    model_for = service.epoch().model_for
+    for op in (OP_NOW, OP_TRANSLATE, OP_COMPARE):
+        for i in np.flatnonzero(ops == op)[:CHECKED_PER_SHAPE]:
+            global_a = model_for(int(ranks[i])).apply(float(readings[i]))
+            if op == OP_NOW:
+                expect = global_a
+            elif op == OP_TRANSLATE:
+                expect = model_for(int(ranks2[i])).apply_inverse(global_a)
+            else:
+                expect = global_a - model_for(int(ranks2[i])).apply(
+                    float(readings_b[i])
+                )
+            if expect != values[i]:
+                found.append(Violation(
+                    rule="service-batch",
+                    message=(
+                        f"service batch answer diverged from scalar "
+                        f"model: op={op} expected {expect!r} got "
+                        f"{values[i]!r}"
+                    ),
+                    rank=int(ranks[i]),
+                ))
     now_mask = ops == OP_NOW
     for rank in np.unique(ranks[now_mask]):
         served = values[now_mask & (ranks == rank)]
@@ -373,7 +380,7 @@ def run_service(
                 flag_violations(
                     _check_epoch(
                         service, ops[seg], ranks[seg], ranks2[seg],
-                        readings[seg], values[seg],
+                        readings[seg], readings_b[seg], values[seg],
                     ),
                     label=f"service[{policy.label()}]",
                 )

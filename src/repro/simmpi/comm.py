@@ -125,15 +125,6 @@ class Communicator:
             )
         return self._ranks[comm_rank]
 
-    def comm_rank_of(self, global_rank: int) -> int:
-        """Translate a global rank back to this communicator (or raise)."""
-        try:
-            return self._ranks.index(global_rank)
-        except ValueError:
-            raise CommunicatorError(
-                f"global rank {global_rank} not in communicator"
-            ) from None
-
     @property
     def group(self) -> tuple[int, ...]:
         """The ordered tuple of member global ranks."""
@@ -237,11 +228,6 @@ class Communicator:
                  size: int = 8):
         """Send with a pre-qualified tag (collective-internal use)."""
         yield from self.ctx.send(self.global_rank(dest), tag, payload, size)
-
-    def ssend_raw(self, dest: int, tag: int, payload: Any = None,
-                  size: int = 8):
-        """Synchronous send with a pre-qualified tag."""
-        yield from self.ctx.ssend(self.global_rank(dest), tag, payload, size)
 
     def recv_raw(
         self, source: int | None, tag: int

@@ -470,31 +470,17 @@ class Engine:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def add_process(self) -> int:
-        """Reserve a rank and its RNG seed; returns the new global rank.
+    def add_processes(self, count: int) -> range:
+        """Reserve ``count`` ranks and their RNG seeds; returns their range.
 
         Each process gets two independent streams spawned from its own
         child seed: ``rng`` (algorithm-visible randomness — poll slack,
         fault perturbations) and a pooled stream dedicated to message-
         delay draws.  Keeping them separate means pool prefetching can
         never shift draws seen by algorithm-level consumers.  Both are
-        materialized lazily on first draw.
-        """
-        if self._started:
-            raise SimulationError("cannot add processes after run() started")
-        rank = len(self._procs)
-        child = self._seedseq.spawn(1)[0]
-        self._procs.append(_Proc(rank, child))
-        self._rank_stride = rank + 1
-        return rank
-
-    def add_processes(self, count: int) -> range:
-        """Batch-reserve ``count`` ranks; returns their rank range.
-
-        Equivalent to ``count`` calls to :meth:`add_process` —
-        ``SeedSequence.spawn(k)`` hands out the same children as k
-        successive ``spawn(1)`` calls — but one spawn call instead of k,
-        which matters at thousands of ranks.
+        materialized lazily on first draw.  ``SeedSequence.spawn(k)``
+        hands out the same children as k successive ``spawn(1)`` calls,
+        so a rank's streams do not depend on how the ranks were batched.
         """
         if self._started:
             raise SimulationError("cannot add processes after run() started")

@@ -34,6 +34,9 @@ from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
 from repro.simtime.base import Clock
 from repro.simtime.hardware import HardwareClock
 
+#: Busy-wait loop period: a deadline wait lands up to this much late.
+POLL_INTERVAL = 0.1e-6
+
 
 class ProcessContext:
     """Handle through which a process body interacts with the simulation."""
@@ -46,7 +49,6 @@ class ProcessContext:
         node: int = 0,
         socket: int = 0,
         core: int = 0,
-        poll_interval: float = 0.1e-6,
     ) -> None:
         self.engine = engine
         self.rank = rank
@@ -54,8 +56,6 @@ class ProcessContext:
         self.node = node
         self.socket = socket
         self.core = core
-        #: Busy-wait loop period: a deadline wait lands up to this much late.
-        self.poll_interval = float(poll_interval)
         #: Next communicator id this process hands out (0 is the world).
         self._comm_id_counter = 1
 
@@ -157,7 +157,7 @@ class ProcessContext:
         """Busy-wait until ``clock`` shows at least ``reading``.
 
         The wait is resolved analytically by inverting the clock stack, then
-        a uniform draw in ``[0, poll_interval)`` models the polling loop's
+        a uniform draw in ``[0, POLL_INTERVAL)`` models the polling loop's
         discretization (a real busy-wait exits up to one loop period late).
         If the clock already shows a later value, returns immediately.
         """
@@ -168,10 +168,10 @@ class ProcessContext:
             except ClockError:
                 # Non-invertible model: fall back to stepped polling.
                 deadline = self.now
-                step = max(self.poll_interval, 1e-7)
+                step = max(POLL_INTERVAL, 1e-7)
                 while clock.read(deadline) < reading:
                     deadline += step
-            slack = float(self.rng.uniform(0.0, self.poll_interval))
+            slack = float(self.rng.uniform(0.0, POLL_INTERVAL))
             yield WaitUntilCmd(max(deadline + slack, self.now))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

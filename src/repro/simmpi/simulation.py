@@ -93,7 +93,6 @@ class Simulation:
         time_source: TimeSourceSpec = CLOCK_GETTIME,
         seed: int | np.random.SeedSequence = 0,
         clocks_per: str = "node",
-        poll_interval: float = 0.1e-6,
         max_true_time: float = 1e7,
         fabric=None,
         sink: EventSink | None = None,
@@ -164,7 +163,6 @@ class Simulation:
         self.time_source = time_source
         self.seed = seed
         self.clocks_per = clocks_per
-        self.poll_interval = poll_interval
         self.max_true_time = max_true_time
 
         seedseq = (
@@ -262,7 +260,6 @@ class Simulation:
                     node=pl.node,
                     socket=pl.socket,
                     core=pl.core,
-                    poll_interval=poll_interval,
                 )
             )
 

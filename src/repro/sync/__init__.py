@@ -46,7 +46,7 @@ from repro.sync.hca3 import HCA3Sync
 from repro.sync.clockprop import ClockPropagationSync
 from repro.sync.hierarchical import HierarchicalSync, h2hca, h3hca
 from repro.sync.resync import PeriodicResyncClock
-from repro.sync.registry import algorithm_from_label, label_of
+from repro.sync.registry import algorithm_from_label
 
 __all__ = [
     "LinearDriftModel",
@@ -70,5 +70,4 @@ __all__ = [
     "h3hca",
     "PeriodicResyncClock",
     "algorithm_from_label",
-    "label_of",
 ]

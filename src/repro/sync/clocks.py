@@ -57,11 +57,6 @@ class GlobalClockLM(Clock):
     def read_overhead(self) -> float:
         return self.base.read_overhead
 
-    @property
-    def is_identity(self) -> bool:
-        """True for the dummy clock (model == ZERO)."""
-        return self.model == LinearDriftModel.ZERO
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GlobalClockLM({self.base!r}, {self.model!r})"
 

@@ -28,7 +28,6 @@ from repro.sync.base import ClockSyncAlgorithm
 from repro.sync.clockprop import ClockPropagationSync
 from repro.sync.clocks import dummy_global_clock
 from repro.sync.hca3 import HCA3Sync
-from repro.sync.offset import OffsetAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.comm import Communicator
@@ -146,46 +145,32 @@ class HierarchicalSync(ClockSyncAlgorithm):
 
 
 def h2hca(
-    nfitpoints: int = 30,
-    offset_alg: OffsetAlgorithm | None = None,
-    inter_node: ClockSyncAlgorithm | None = None,
-    intra_node: ClockSyncAlgorithm | None = None,
-    fitpoint_spacing: float = 0.0,
+    nfitpoints: int = 30, fitpoint_spacing: float = 0.0
 ) -> HierarchicalSync:
     """The paper's H2HCA: HCA3 between nodes + ClockPropSync inside a node.
 
-    ``inter_node``/``intra_node`` override the defaults when a different
-    combination is wanted (the scheme accepts any algorithm per level).
+    Any other combination is a :class:`HierarchicalSync` built directly
+    or from a label (:func:`~repro.sync.registry.algorithm_from_label`).
     """
-    top = inter_node or HCA3Sync(
-        offset_alg=offset_alg,
-        nfitpoints=nfitpoints,
-        fitpoint_spacing=fitpoint_spacing,
-    )
     return HierarchicalSync(
-        inter_node=top, intra_node=intra_node or ClockPropagationSync()
+        inter_node=HCA3Sync(
+            nfitpoints=nfitpoints, fitpoint_spacing=fitpoint_spacing
+        ),
+        intra_node=ClockPropagationSync(),
     )
 
 
 def h3hca(
-    nfitpoints: int = 30,
-    offset_alg: OffsetAlgorithm | None = None,
-    inter_socket: ClockSyncAlgorithm | None = None,
-    fitpoint_spacing: float = 0.0,
+    nfitpoints: int = 30, fitpoint_spacing: float = 0.0
 ) -> HierarchicalSync:
     """H3HCA: adds a socket-leader level for per-socket time sources."""
-    top = HCA3Sync(
-        offset_alg=offset_alg,
-        nfitpoints=nfitpoints,
-        fitpoint_spacing=fitpoint_spacing,
-    )
-    mid = inter_socket or HCA3Sync(
-        offset_alg=offset_alg,
-        nfitpoints=max(2, nfitpoints // 2),
-        fitpoint_spacing=fitpoint_spacing,
-    )
     return HierarchicalSync(
-        inter_node=top,
+        inter_node=HCA3Sync(
+            nfitpoints=nfitpoints, fitpoint_spacing=fitpoint_spacing
+        ),
         intra_node=ClockPropagationSync(),
-        inter_socket=mid,
+        inter_socket=HCA3Sync(
+            nfitpoints=max(2, nfitpoints // 2),
+            fitpoint_spacing=fitpoint_spacing,
+        ),
     )

@@ -9,7 +9,8 @@ The paper identifies configurations with strings like::
     Top/hca3/500/SKaMPI-Offset/100/Bottom/ClockPropagation
 
 :func:`algorithm_from_label` turns such a string into a configured
-algorithm instance; :func:`label_of` is the inverse (canonical form).
+algorithm instance; ``algorithm.label()`` is the inverse (canonical
+form).
 Matching is case-insensitive; spaces and dashes normalize to underscores.
 """
 
@@ -142,7 +143,3 @@ def algorithm_from_label(
         )
     return _parse_flat(tokens, fitpoint_spacing)
 
-
-def label_of(algorithm: ClockSyncAlgorithm) -> str:
-    """Canonical label of an algorithm instance (round-trips with parse)."""
-    return algorithm.label()

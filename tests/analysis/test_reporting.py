@@ -3,25 +3,7 @@
 
 import pytest
 
-from repro.analysis.reporting import Series, Table, fmt_us, format_table, us
-
-
-class TestSeries:
-    def test_add_and_summary(self):
-        s = Series(name="lat", x_label="msize", y_label="us")
-        s.add(4, 10.0)
-        s.add(8, 12.0)
-        assert "lat" in s.summary()
-        assert "n=2" in s.summary()
-
-    def test_summary_ignores_nan(self):
-        s = Series(name="x")
-        s.add(1, float("nan"))
-        s.add(2, 5.0)
-        assert "n=1" in s.summary()
-
-    def test_empty_summary(self):
-        assert "(no data)" in Series(name="e").summary()
+from repro.analysis.reporting import Table, format_table
 
 
 class TestTable:
@@ -40,11 +22,3 @@ class TestTable:
         assert "name" in lines[1] and "value" in lines[1]
         assert len(lines) == 5
 
-
-class TestUnits:
-    def test_us(self):
-        assert us(1.5e-6) == pytest.approx(1.5)
-
-    def test_fmt_us(self):
-        assert fmt_us(2.5e-6) == "2.50"
-        assert fmt_us(2.5e-6, digits=0) == "2"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.estimate import estimate_latency
-from repro.bench.suites import imb_report, osu_report, reprompi_report
+from repro.bench.suites import barrier_report, reprompi_report
 from repro.cluster.netmodels import infiniband_qdr
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync.hierarchical import h2hca
@@ -29,11 +29,11 @@ class TestEstimate:
 
 
 class TestBarrierSuites:
-    @pytest.mark.parametrize("report_fn,name", [(osu_report, "OSU"),
-                                                (imb_report, "IMB")])
-    def test_root_gets_report(self, report_fn, name):
+    @pytest.mark.parametrize("name", ["OSU", "IMB"])
+    def test_root_gets_report(self, name):
         def main(ctx, comm):
-            rep = yield from report_fn(comm, allreduce_op, nreps=20)
+            rep = yield from barrier_report(comm, allreduce_op, name,
+                                            nreps=20)
             return rep
 
         _, res = run_spmd(main, network=infiniband_qdr(),
@@ -127,54 +127,3 @@ class TestRunner:
                 time_source=QUIET,
             )
 
-
-class TestSKaMPI:
-    def test_window_suite_reports_minimum(self):
-        from repro.bench.suites import skampi_report
-        from repro.sync.hierarchical import h2hca
-
-        def main(ctx, comm):
-            alg = main.algs.setdefault(
-                ctx.rank, h2hca(nfitpoints=10, fitpoint_spacing=1e-3)
-            )
-            g_clk = yield from alg.sync_clocks(comm, ctx.hardware_clock)
-            rep = yield from skampi_report(
-                comm, allreduce_op, lambda c: g_clk,
-                window=200e-6, nreps=20,
-            )
-            return rep
-
-        main.algs = {}
-        _, res = run_spmd(main, network=infiniband_qdr(),
-                          time_source=QUIET)
-        rep = res.values[0]
-        assert rep.suite == "SKaMPI"
-        assert rep.latency == rep.t_min
-        assert rep.nvalid > 0
-        assert all(v is None for v in res.values[1:])
-
-    def test_all_windows_missed_yields_nan(self):
-        import math
-
-        from repro.bench.suites import skampi_report
-        from repro.sync.hierarchical import h2hca
-
-        def main(ctx, comm):
-            alg = main.algs.setdefault(
-                ctx.rank, h2hca(nfitpoints=10, fitpoint_spacing=1e-3)
-            )
-            g_clk = yield from alg.sync_clocks(comm, ctx.hardware_clock)
-            # Sub-latency windows: every repetition is late on every rank.
-            rep = yield from skampi_report(
-                comm, allreduce_op, lambda c: g_clk,
-                window=1e-9, nreps=10,
-            )
-            return rep
-
-        main.algs = {}
-        _, res = run_spmd(main, network=infiniband_qdr(),
-                          time_source=QUIET, seed=5)
-        rep = res.values[0]
-        assert rep.nvalid == 0
-        assert math.isnan(rep.latency)
-        assert rep.invalid > 0

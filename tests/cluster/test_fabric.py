@@ -57,7 +57,9 @@ class TestTorusGeometry:
                 t.extra_latency(a, b)
 
     def test_diameter(self):
-        assert TorusFabric((4, 4, 4)).diameter() == 6
+        """The farthest node is half of every extent away."""
+        t = TorusFabric((4, 4, 4))
+        assert max(t.hops(0, b) for b in range(t.num_nodes)) == 6
 
     def test_cube_for_covers_nodes(self):
         t = TorusFabric.cube_for(100)

@@ -60,16 +60,6 @@ class TestLevels:
 
 
 class TestNodeQueries:
-    def test_ranks_on_node(self):
-        m = Machine(num_nodes=3, sockets_per_node=1, cores_per_socket=4)
-        assert m.ranks_on_node(1) == [4, 5, 6, 7]
-        with pytest.raises(ValueError):
-            m.ranks_on_node(3)
-
-    def test_node_leaders(self):
-        m = Machine(num_nodes=3, sockets_per_node=1, cores_per_socket=4)
-        assert m.node_leaders() == [0, 4, 8]
-
     def test_node_of(self):
         m = Machine(num_nodes=2, sockets_per_node=1, cores_per_socket=2)
         assert [m.node_of(r) for r in range(4)] == [0, 0, 1, 1]

@@ -1,12 +1,13 @@
 """Property tests for the clock service's caching contract.
 
-The service's two cache layers promise exactness, not approximation:
+The service's epoch cache promises exactness, not approximation:
 
-* within one sync generation, a memoized (cached) ``translate`` answer
-  is **bit-identical** to the uncached scalar model arithmetic and to
-  the vectorized batch path;
-* a resync bumps the generation and must drop both caches — no answer
-  computed against the old models may ever be served afterwards.
+* within one sync generation, a ``translate`` answer served from the
+  compiled epoch is **bit-identical** to the answer of the query that
+  compiled it, to the raw scalar model arithmetic and to the vectorized
+  batch path;
+* a resync bumps the generation and must drop the compiled epoch — no
+  answer computed against the old models may ever be served afterwards.
 
 The serving path's two batch shortcuts promise the same exactness:
 staleness bounds grouped by drift family equal the per-rank loop they
@@ -72,7 +73,9 @@ class TestCachedTranslate:
 
         uncached = service.translate(t, 1, 2, at)
         cached = service.translate(t, 1, 2, at)
-        assert cached is uncached  # second call served from the memo
+        # The first call compiled the epoch, the second is an epoch hit.
+        assert service.stats.epoch_misses == service.stats.epoch_hits == 1
+        assert cached == uncached
 
         # Both equal the raw model arithmetic, bit for bit.
         expected = ms[1].apply_inverse(ms[0].apply(t))
@@ -90,7 +93,7 @@ class TestCachedTranslate:
         t=readings, age=ages, r1=rates, r2=rates,
     )
     @settings(max_examples=100, deadline=None)
-    def test_memo_never_serves_across_a_resync(
+    def test_no_answer_is_served_across_a_resync(
         self, sets, t, age, r1, r2
     ):
         provider = Provider(list(sets), (0.0, r1, r2))
@@ -103,7 +106,7 @@ class TestCachedTranslate:
 
         assert before.generation == 0
         assert after.generation == 1
-        assert service.stats.memo_hits == 0
+        assert service.stats.epoch_misses == 2
         # The post-resync answer comes from the NEW models, exactly.
         new = sets[1]
         assert after.value == new[1].apply_inverse(new[0].apply(t))

@@ -93,30 +93,6 @@ class TestScalarQueries:
             ClockService(provider, slo=0.0)
 
 
-class TestMemo:
-    def test_repeat_query_is_a_memo_hit_with_identical_answer(self, service):
-        first = service.now(1, reading=42.0, at=6.0)
-        hits = service.stats.memo_hits
-        second = service.now(1, reading=42.0, at=6.0)
-        assert service.stats.memo_hits == hits + 1
-        assert second is first
-
-    def test_distinct_args_do_not_collide(self, service):
-        a = service.now(1, reading=42.0, at=6.0)
-        b = service.now(1, reading=42.0, at=7.0)
-        assert service.stats.memo_hits == 0
-        assert b.error_bound > a.error_bound
-
-    def test_memo_never_serves_across_resync(self, service, provider):
-        before = service.now(1, reading=42.0, at=6.0)
-        provider.resync(synced_at=8.0)
-        after = service.now(1, reading=42.0, at=6.0)
-        assert service.stats.memo_hits == 0
-        assert after.generation == 1
-        assert after.value == provider.models()[1].apply(42.0)
-        assert after.value != before.value
-
-
 class TestEpochCache:
     def test_one_miss_per_generation(self, service, provider):
         for _ in range(5):
@@ -125,6 +101,14 @@ class TestEpochCache:
         provider.resync(synced_at=8.0)
         service.now(1, reading=1.0, at=9.0)
         assert service.stats.epoch_misses == 2
+
+    def test_no_answer_is_served_across_a_resync(self, service, provider):
+        before = service.now(1, reading=42.0, at=6.0)
+        provider.resync(synced_at=8.0)
+        after = service.now(1, reading=42.0, at=6.0)
+        assert after.generation == 1
+        assert after.value == provider.models()[1].apply(42.0)
+        assert after.value != before.value
 
     def test_epoch_call_counts_the_compile_not_a_query(self, service):
         service.epoch()

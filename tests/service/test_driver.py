@@ -16,6 +16,7 @@ from repro.obs.report import build_report
 from repro.obs.timeseries import TimeSeriesBank
 from repro.parallel import JobSpec, job_seeds, run_jobs, seed_int
 from repro.service import (
+    ClockService,
     ErrorBoundResyncPolicy,
     PeriodicResyncPolicy,
     ServiceConfig,
@@ -137,6 +138,22 @@ class TestRunService:
         with checking("strict"):
             with pytest.raises(InvariantViolation, match="service-batch"):
                 run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
+
+    def test_check_mode_strict_raises_on_a_broken_compare(self, monkeypatch):
+        """Compare answers are checked too, not only now and translate."""
+        compare_batch = ClockService.compare_batch
+
+        def skewed(self, *args):
+            values, bounds, stale = compare_batch(self, *args)
+            return values + 1e-9, bounds, stale
+
+        monkeypatch.setattr(ClockService, "compare_batch", skewed)
+        compares_only = dataclasses.replace(SHORT, ops_mix=(0, 0, 1))
+        with checking("strict"):
+            with pytest.raises(InvariantViolation, match="service-batch"):
+                run_service(
+                    PeriodicResyncPolicy(4.0), compares_only, QUICK, seed=5
+                )
 
     def test_check_mode_report_records_and_carries_on(
         self, monkeypatch, tmp_path

@@ -38,14 +38,6 @@ class TestRankTranslation:
         _, res = run_spmd(main)
         assert all(v == "raised" for v in res.values)
 
-    def test_comm_rank_of(self):
-        def main(ctx, comm):
-            yield from ()
-            return comm.comm_rank_of(comm.global_rank(1))
-
-        _, res = run_spmd(main)
-        assert all(v == 1 for v in res.values)
-
     def test_nonmember_construction_rejected(self):
         def main(ctx, comm):
             yield from ()

@@ -29,8 +29,7 @@ def make_engine(n=2, seed=0, network=None, level_of=None, **kw):
         seed=seed,
         **kw,
     )
-    for _ in range(n):
-        engine.add_process()
+    engine.add_processes(n)
     return engine
 
 
@@ -382,7 +381,7 @@ class TestLifecycle:
         engine.bind(0, body())
         engine.run()
         with pytest.raises(SimulationError):
-            engine.add_process()
+            engine.add_processes(1)
 
 
 class TestStats:

@@ -26,7 +26,7 @@ class TestGlobalClockLM:
     def test_dummy_is_identity(self):
         base = hw()
         clk = dummy_global_clock(base)
-        assert clk.is_identity
+        assert clk.model == LinearDriftModel.ZERO
         for t in (0.0, 5.0, 50.0):
             assert clk.read(t) == base.read(t)
 

@@ -9,7 +9,7 @@ from repro.sync.hca3 import HCA3Sync
 from repro.sync.hierarchical import HierarchicalSync
 from repro.sync.jk import JKSync
 from repro.sync.offset import MeanRTTOffset, SKaMPIOffset
-from repro.sync.registry import algorithm_from_label, label_of
+from repro.sync.registry import algorithm_from_label
 
 
 class TestFlatLabels:
@@ -51,7 +51,7 @@ class TestFlatLabels:
 
     def test_roundtrip(self):
         label = "hca3/recompute_intercept/1000/skampi_offset/100"
-        assert label_of(algorithm_from_label(label)) == label
+        assert algorithm_from_label(label).label() == label
 
 
 class TestHierarchicalLabels:

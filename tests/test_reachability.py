@@ -7,6 +7,13 @@ with ``ast``.  ``from pkg import Name`` resolves through
 ``pkg/__init__.py`` to the submodule that defines ``Name``.  A subpackage
 ``__init__`` only re-exports, so its own imports reach nothing: a module
 that only its package's ``__init__`` (or a test) imports is dead code.
+
+Inside every ``src/repro`` module, every function, class and method (dunder
+methods aside) must be named somewhere in ``src/``, ``tests/``,
+``examples/`` or ``perfbench/`` outside its own definition: as a name,
+an attribute, an imported name or an identifier-shaped string.  The
+match is by bare identifier, so this catches only code that nothing
+mentions at all.
 """
 
 import ast
@@ -98,3 +105,49 @@ def test_every_src_module_is_reached_from_an_entry_point():
     dead = sorted(name for name in MODULES
                   if not _is_package(name) and name not in seen)
     assert not dead, f"no entry point reaches these modules: {dead}"
+
+
+def _defined_names(tree: ast.AST) -> list:
+    """``(name, first_line, last_line)`` of every function, class and
+    method in ``tree``, dunder methods excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.name, node.lineno, node.end_lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, kinds)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _referenced_names(tree: ast.AST) -> list:
+    """``(name, line)`` of every name, attribute, imported name and
+    identifier-shaped string constant in ``tree``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend((part, node.lineno) for alias in node.names
+                       for part in alias.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_every_src_name_is_referenced_outside_its_definition():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "tests", "examples", "perfbench")
+             for path in sorted(ROOT.joinpath(folder).rglob("*.py"))}
+    uses: dict = {}
+    for path, tree in trees.items():
+        for name, line in _referenced_names(tree):
+            uses.setdefault(name, []).append((path, line))
+    orphans = sorted(
+        f"{_module_name(path)}.{name} (l.{first})"
+        for path in MODULES.values()
+        for name, first, last in _defined_names(trees[path])
+        if all(where == path and first <= line <= last
+               for where, line in uses.get(name, ()))
+    )
+    assert not orphans, f"nothing outside their definition reads: {orphans}"

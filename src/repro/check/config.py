@@ -33,22 +33,31 @@ def checking(mode: str = "strict", report_dir: str | None = None):
 
 
 def flag_violations(
-    violations: list[Violation], label: str
+    violations: list[Violation], label: str, *, runs: int = 0,
+    events_checked: int = 0,
 ) -> list[Violation]:
     """Outcome of a post-hoc check under the context's check mode.
 
     Strict mode raises :class:`~repro.errors.InvariantViolation` on the
     first violation; report mode appends them all to ``check_dir`` (when
-    set) and returns them.
+    set) and returns them.  A check that counts itself as a run
+    (``runs``, with the ``events_checked`` it examined) is appended in
+    report mode even when clean, so a report tells "checked and clean"
+    from "never checked"; a check inside a sanitized simulation leaves
+    the counting to the simulation's own report.
     """
-    if not violations:
-        return violations
     ctx = current_context()
-    if ctx.check == "strict":
+    if violations and ctx.check == "strict":
         v = violations[0]
         raise InvariantViolation(v.format(), violation=v)
-    if ctx.check_dir is not None:
-        report = CheckReport(label=label)
+    if (
+        (violations or runs)
+        and ctx.check == "report"
+        and ctx.check_dir is not None
+    ):
+        report = CheckReport(
+            label=label, runs=runs, events_checked=events_checked
+        )
         report.violations.extend(violations)
         append_report(report, ctx.check_dir)
     return violations

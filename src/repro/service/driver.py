@@ -35,8 +35,10 @@ Under an active sanitizer mode (``--check``), each epoch additionally
 validates the serving path: the first 8 answers of each query shape
 (``now``, ``translate``, ``compare``) must be bit-identical to the scalar
 model arithmetic, and served global time must be monotone per rank.  In strict mode a violation raises
-:class:`~repro.errors.InvariantViolation` immediately; in report mode it
-is appended to the context's report directory and serving carries on.
+:class:`~repro.errors.InvariantViolation` immediately; in report mode
+serving carries on, and the run appends one report to the context's
+report directory, clean or not: one run, the answers recomputed as its
+``events_checked``, and the violations found.
 """
 
 from __future__ import annotations
@@ -236,14 +238,17 @@ def _check_epoch(
     readings: np.ndarray,
     readings_b: np.ndarray,
     values: np.ndarray,
-) -> list[Violation]:
+) -> tuple[list[Violation], int]:
     """Sanitizer pass: the first answers of each query shape equal the
     scalar model arithmetic, and served global time is monotone per
-    rank."""
+    rank.  Returns the violations and the number of answers
+    recomputed."""
     found: list[Violation] = []
+    checked = 0
     model_for = service.epoch().model_for
     for op in (OP_NOW, OP_TRANSLATE, OP_COMPARE):
         for i in np.flatnonzero(ops == op)[:CHECKED_PER_SHAPE]:
+            checked += 1
             global_a = model_for(int(ranks[i])).apply(float(readings[i]))
             if op == OP_NOW:
                 expect = global_a
@@ -272,7 +277,7 @@ def _check_epoch(
                 message="served global time is not monotone",
                 rank=int(rank),
             ))
-    return found
+    return found, checked
 
 
 def run_service(
@@ -345,6 +350,11 @@ def run_service(
         lo, hi = np.searchsorted(queries, (seg.start, seg.stop))
         return queries[lo:hi]
 
+    # The sanitizer pass: one report per run, counting the answers it
+    # recomputed; strict mode raises at the first epoch with a violation.
+    check_label = f"service[{policy.label()}]"
+    found: list[Violation] = []
+    checked = 0
     start = 0
     syncs = 1
     while start < times.size:
@@ -377,13 +387,14 @@ def run_service(
                 )
 
             if ctx.check is not None:
-                flag_violations(
-                    _check_epoch(
-                        service, ops[seg], ranks[seg], ranks2[seg],
-                        readings[seg], readings_b[seg], values[seg],
-                    ),
-                    label=f"service[{policy.label()}]",
+                epoch_found, epoch_checked = _check_epoch(
+                    service, ops[seg], ranks[seg], ranks2[seg],
+                    readings[seg], readings_b[seg], values[seg],
                 )
+                found += epoch_found
+                checked += epoch_checked
+                if ctx.check == "strict":
+                    flag_violations(found, check_label)
 
             err_abs[seg] = np.abs(values[seg] - truth[seg])
             if profiler is not None:
@@ -403,6 +414,10 @@ def run_service(
         if bank is not None:
             bank.mark("resync", t_next, f"gen{cluster.generation}")
 
+    if ctx.check is not None:
+        flag_violations(
+            found, check_label, runs=1, events_checked=checked
+        )
     if metrics is not None:
         metrics.histogram("service.latency").observe_many(latencies)
         metrics.histogram("service.clock_error").observe_many(err_abs)

@@ -184,13 +184,9 @@ class Communicator:
         """
         src = dest if source is None else source
         rtag = send_tag if recv_tag is None else recv_tag
-        msg = yield SendRecvCmd(
-            dest=self.global_rank(dest),
-            tag=self._user_tag(send_tag),
-            payload=payload,
-            size=size,
-            source=self.global_rank(src),
-            recv_tag=self._user_tag(rtag),
+        msg = yield SendRecvCmd(  # positional: see ProcessContext.send
+            self.global_rank(dest), self._user_tag(send_tag), payload, size,
+            self.global_rank(src), self._user_tag(rtag),
         )
         return msg
 
@@ -210,14 +206,9 @@ class Communicator:
         reads ``clock`` between the legs.  The initiator gets the
         per-round ``(before, stamp, after)`` readings, the responder None.
         """
-        rounds = yield ExchangeCmd(
-            peer=self.global_rank(peer),
-            tag=self._user_tag(tag),
-            n=n,
-            clock=clock,
-            shape=shape,
-            initiator=initiator,
-            size=size,
+        rounds = yield ExchangeCmd(  # positional: see ProcessContext.send
+            self.global_rank(peer), self._user_tag(tag), n, clock, shape,
+            initiator, size,
         )
         return rounds
 
@@ -251,13 +242,9 @@ class Communicator:
         resume and two frame chains cheaper per exchange.
         """
         gdest = self.global_rank(dest)
-        msg = yield SendRecvCmd(
-            dest=gdest,
-            tag=tag,
-            payload=payload,
-            size=size,
-            source=gdest if source is None else self.global_rank(source),
-            recv_tag=tag,
+        msg = yield SendRecvCmd(  # positional: see ProcessContext.send
+            gdest, tag, payload, size,
+            gdest if source is None else self.global_rank(source), tag,
         )
         return msg
 

@@ -60,20 +60,36 @@ hand-over.
 
 An :class:`ExchangeCmd` is a program, not an action: the engine expands it
 into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs and clock reads the
-rank would have issued one generator resume at a time, and each leg goes
-through the gate (its sends do, its receives name their source), the
-send path and the delivery path like any other command.  *Accepting* it
-touches no shared state and is not gated.
+rank would have issued one generator resume at a time, and by default each
+leg goes through the gate (its sends do, its receives name their source),
+the send path and the delivery path like any other command.  *Accepting*
+it touches no shared state and is not gated.  When an initiator's ping
+has passed the gate (or is a hand-over) and finds its responder already
+blocked in the matching exchange (same pair, tag, ``STAMPED`` or ``TIMED``
+shape and rounds left, no stray message from the responder on that tag in
+the initiator's mailbox, no ``stateful_delays`` injector), the **exchange
+loop** (``_play_exchange``) plays their round trips in one call.  Only
+the two ranks act there and nothing is scheduled, so the frontier and the
+ready list stay those of the gate that let the ping through, and each
+leg's gate test is one comparison: a leg defers only on a ``REMOTE`` pair,
+when the ready list is non-empty or its sender is past the frontier.
+Each message is priced by the one pricing body (``_price``, which
+``_do_send`` calls too, NIC tables in global send order), every hook
+fires per message and read as on the leg path, and the loop stops where
+the gate would defer a leg or the last pong is delivered, leaving the
+state the leg path would have at that point.  ``RENDEZVOUS`` legs, and
+legs whose peer is not waiting yet, take the leg path.
 
 There is one configuration of the kernel.  Pending events, at most one
 per rank, live in a binary heap (:class:`repro.simmpi.eventq.HeapQueue`;
 DESIGN §14 times it against a calendar queue up to p = 4096), and every
-message goes through one send path (``_do_send``) and one delivery path
-(``_finish_delivery``).  The six optional hooks — event sink, metrics
+message outside the exchange loop goes through one send path
+(``_do_send``) and one delivery path (``_finish_delivery``); all of them
+are priced by ``_price``.  The six optional hooks — event sink, metrics
 registry, time-series bank, fault injector, profiler, fabric pricing —
-are read into locals at the top of those two methods and each hook site
-is one ``is not None`` test on a local, so a run with no hook attached
-pays a dozen pointer comparisons per message and nothing else.
+are read into locals at the top of those methods and each hook site is
+one ``is not None`` test on a local, so a run with no hook attached pays
+a dozen pointer comparisons per message and nothing else.
 
 Determinism: queue ties are broken by a monotonic sequence number, and all
 randomness flows from per-process `numpy` generators spawned from a single
@@ -87,7 +103,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import log1p
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
@@ -99,7 +115,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesBank
 from repro.simmpi.eventq import HeapQueue
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
-from repro.simmpi.network import Level, NetworkModel
+from repro.simmpi.network import Level, NetworkModel, draw_delay
 from repro.simmpi.rngpool import UniformPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,6 +126,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``MsgSend.level`` indexed by :class:`Level`: a tuple read, where
 #: ``level.name`` is an enum descriptor call per send.
 _LEVEL_NAMES = tuple(level.name for level in Level)
+#: Enum members the hot paths compare against, as globals: reading one
+#: off its class goes through the enum metaclass's attribute hook, about
+#: ten times the cost of a global read.
+_REMOTE = Level.REMOTE
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +226,11 @@ class ExchangeShape(enum.Enum):
     RENDEZVOUS = "rendezvous"
 
 
+_STAMPED = ExchangeShape.STAMPED  # as globals: see _REMOTE
+_TIMED = ExchangeShape.TIMED
+_RENDEZVOUS = ExchangeShape.RENDEZVOUS
+
+
 @dataclass(slots=True)
 class ExchangeCmd:
     """One side of ``n`` timestamped round trips with global rank ``peer``.
@@ -287,7 +312,7 @@ class _Exchange:
         #: Round trips not yet started.
         self.left = cmd.n
         peer, tag, size = cmd.peer, cmd.tag, cmd.size
-        rendezvous = cmd.shape is ExchangeShape.RENDEZVOUS
+        rendezvous = cmd.shape is _RENDEZVOUS
         # The leg commands, built once and re-issued every round (a
         # stamped leg gets its payload set just before it is issued).
         self.send: SendCmd | SendRecvCmd = (
@@ -656,7 +681,10 @@ class Engine:
         gated runs anyway if it is a hand-over (:meth:`_hand_over_level`:
         a node-local receiver already waiting for it, no stateful
         injector); the level found there goes on to ``_do_send`` instead
-        of being looked up again.
+        of being looked up again.  An exchange's ping that is let through
+        and finds its responder waiting hands over to the exchange loop
+        (:meth:`_play_exchange`), which carries on until a leg would
+        defer or the exchange ends.
 
         A ``RecvCmd`` from a named source, ``ElapseCmd`` and
         ``WaitUntilCmd`` are not gated.  The messages of one source sit
@@ -772,6 +800,26 @@ class Engine:
                         f"simulation exceeded max_true_time={horizon}"
                     )
                 if cls is SendCmd or cls is SendRecvCmd:
+                    exchange = proc.exchange
+                    if (
+                        cls is SendRecvCmd
+                        and exchange is not None
+                        and not stateful
+                        and cmd is exchange.send
+                    ):
+                        res = self._waiting_responder(proc, exchange)
+                        if res is not None:
+                            # The responder waits in its own exchange: the
+                            # loop plays the round trips from this ping on.
+                            if prof is not None:
+                                start = prof.push("engine.exchange")
+                                cmd = self._play_exchange(proc, res)
+                                prof.pop(start)
+                            else:
+                                cmd = self._play_exchange(proc, res)
+                            if cmd is None:
+                                break
+                            continue
                     if prof is not None:
                         start = prof.push("engine.send")
                         do_send(proc, cmd, level)
@@ -880,7 +928,7 @@ class Engine:
             if value is not None:
                 # Ping received: answer it.
                 pong = exchange.send
-                if shape is not ExchangeShape.TIMED:
+                if shape is not _TIMED:
                     pong.payload = self._read(
                         proc, exchange.read, exchange.overhead
                     )
@@ -903,15 +951,214 @@ class Engine:
             return None
         exchange.left -= 1
         ping = exchange.send
-        if shape is ExchangeShape.RENDEZVOUS:
+        if shape is _RENDEZVOUS:
             exchange.pinged = True
         else:
             before = exchange.before = self._read(
                 proc, exchange.read, exchange.overhead
             )
-            if shape is ExchangeShape.STAMPED:
+            if shape is _STAMPED:
                 ping.payload = before
         return ping
+
+    def _waiting_responder(
+        self, proc: _Proc, exchange: _Exchange
+    ) -> _Proc | None:
+        """The responder of ``proc``'s exchange if the exchange loop may
+        take over from the ping about to be sent, else None.
+
+        It may when the responder is blocked on its own exchange's
+        receive leg for this pair and tag, both sides have the same shape
+        (``STAMPED`` or ``TIMED``: the ping is a ``SendRecvCmd``) and the
+        same number of rounds left, and no message from the responder on
+        that tag waits in ``proc``'s mailbox (the pong would not be what
+        the receive leg matches).  The caller has ruled out an injector
+        with ``stateful_delays``.
+        """
+        cmd = exchange.cmd
+        res = self._procs[cmd.peer]
+        rex = res.exchange
+        if (
+            rex is None
+            or res.blocked is not rex.recv
+            or rex.cmd.initiator
+            or rex.cmd.peer != proc.rank
+            or rex.cmd.tag != cmd.tag
+            or rex.cmd.shape is not cmd.shape
+            or rex.left != exchange.left
+        ):
+            return None
+        peer, tag = res.rank, cmd.tag
+        for msg in proc.mailbox:
+            if msg.source == peer and msg.tag == tag:
+                return None
+        return res
+
+    def _play_exchange(
+        self, ini: _Proc, res: _Proc
+    ) -> SendRecvCmd | None:
+        """Play ``ini``'s round trips with ``res`` (see
+        :meth:`_waiting_responder`) from the ping that just passed the
+        gate, until the exchange ends or the gate would defer a leg.
+
+        Each round takes the leg path's steps in its order: price the
+        ping and wake the responder, the initiator's horizon check and
+        block, the responder's stamp read, the pong's gate, price the
+        pong and wake the initiator, the responder's next receive leg,
+        the initiator's reads and the next ping's gate.  No third rank
+        runs and nothing is scheduled meanwhile, so the queue frontier
+        and the ready list are those of the gate that let the first ping
+        through, and a gate test is one comparison: a leg to a waiting
+        receiver defers only on a ``REMOTE`` pair (else it is a
+        hand-over).  The state left behind is the leg path's at the same
+        point: returns the next ping when it would defer (exit A, for
+        ``_run_proc`` to defer), or None with the initiator blocked and
+        the responder on the ready list, its pong pending (exit B), or
+        both on the ready list, the responder on top, once the last pong
+        is delivered (exit C).
+        """
+        ex, rex = ini.exchange, res.exchange
+        irank, rrank, tag = ini.rank, res.rank, ex.cmd.tag
+        sink = self._hooks[0]
+        horizon = self.max_true_time
+        busy = bool(self._woken)
+        frontier = self._queue.frontier
+        stamped = ex.cmd.shape is _STAMPED
+        ping, pong = ex.send, rex.send
+        up = self._route(ini, res, ex.cmd)
+        up_gated = up[2] is _REMOTE
+        # The pong's constants wait until a pong passes its gate: on a
+        # busy REMOTE pair the first one often defers.
+        down = None
+        down_gated = self._level(rrank, irank) is _REMOTE
+        leg = self._leg
+        read = self._read
+        iread, iover = ex.read, ex.overhead
+        rread, rover = rex.read, rex.overhead
+        while True:
+            leg(ini, res, up, ping.payload)
+            if ini.now > horizon:
+                raise SimulationError(
+                    f"simulation exceeded max_true_time={horizon}"
+                )
+            ini.blocked = ex.recv
+            ini.block_time = ini.now
+            if sink is not None:
+                sink.emit(ProcBlock(ini.now, irank, "recv", rrank, tag))
+            if stamped:
+                pong.payload = read(res, rread, rover)
+            if down_gated and (busy or res.now > frontier):
+                res.pending_cmd = pong
+                self._woken.append(res)
+                return None  # (B)
+            if res.now > horizon:
+                raise SimulationError(
+                    f"simulation exceeded max_true_time={horizon}"
+                )
+            if down is None:
+                down = self._route(res, ini, rex.cmd)
+            payload, arrival, seq, send_time = leg(
+                res, ini, down, pong.payload
+            )
+            if not rex.left:
+                ini.pending_value = Message(
+                    rrank, irank, tag, payload, rex.cmd.size, send_time,
+                    arrival, seq,
+                )
+                self._woken.append(ini)
+                self._woken.append(res)
+                return None  # (C)
+            rex.left -= 1
+            if res.now > horizon:
+                raise SimulationError(
+                    f"simulation exceeded max_true_time={horizon}"
+                )
+            res.blocked = rex.recv
+            res.block_time = res.now
+            if sink is not None:
+                sink.emit(ProcBlock(res.now, rrank, "recv", irank, tag))
+            ex.rounds.append((ex.before, payload, read(ini, iread, iover)))
+            # Both sides count down in step, so rounds remain.
+            ex.left -= 1
+            before = ex.before = read(ini, iread, iover)
+            if stamped:
+                ping.payload = before
+            if up_gated and (busy or ini.now > frontier):
+                return ping  # (A)
+            if ini.now > horizon:
+                raise SimulationError(
+                    f"simulation exceeded max_true_time={horizon}"
+                )
+
+    def _route(self, src: _Proc, dst: _Proc, cmd: ExchangeCmd) -> tuple:
+        """One direction's constants for the exchange loop: ``(tag, size,
+        level, link, fabric latency, delay pool)``."""
+        level = self._level(src.rank, dst.rank)
+        fabric = self._hooks[5]
+        fab = 0.0
+        if fabric is not None and level == _REMOTE:
+            nodes = self._node_cache
+            fab = fabric(nodes[src.rank], nodes[dst.rank])
+        pool = src.pool
+        if pool is None:
+            pool = self._pool_of(src)
+        size = cmd.size
+        return cmd.tag, size, level, self.network.link(level, size), fab, pool
+
+    def _leg(
+        self, src: _Proc, dst: _Proc, route: tuple, payload: Any
+    ) -> tuple[Any, float, int, float]:
+        """One exchange-loop message to a ``dst`` blocked waiting for it:
+        ``_do_send``'s accounting and records, :meth:`_price`, then the
+        wake and ``_finish_delivery``'s accounting and records, without
+        a :class:`Message`.  Returns the wire payload, arrival time,
+        sequence number and send time."""
+        tag, size, level, link, fab, pool = route
+        sink, metrics, _, _, prof, _ = self._hooks
+        start = prof.push("engine.send") if prof is not None else 0
+        rank, dest_rank = src.rank, dst.rank
+        send_time = src.now
+        seq = self._msg_seq
+        self._msg_seq = seq + 1
+        self.messages_sent += 1
+        self.bytes_sent += size
+        if sink is not None:
+            t0 = prof.clock() if prof is not None else 0
+            sink.emit(MsgSend(
+                send_time, rank, dest_rank, tag, size, seq,
+                _LEVEL_NAMES[level], False,
+            ))
+            if prof is not None:
+                prof.add("obs.sink", prof.clock() - t0)
+        if metrics is not None:
+            metrics.counter("engine.messages.sent", rank).inc()
+            metrics.counter("engine.bytes.sent", rank).inc(size)
+        arrival, payload = self._price(
+            src, dest_rank, tag, payload, send_time, pool, level, link, fab
+        )
+        dst.blocked = None
+        matched_at = dst.now
+        if arrival > matched_at:
+            matched_at = arrival
+        if sink is not None:
+            sink.emit(ProcWake(matched_at, dest_rank, "deliver", seq))
+        now = dst.now = matched_at + self.network.o_recv
+        self.messages_delivered += 1
+        self.bytes_delivered += size
+        if sink is not None:
+            t0 = prof.clock() if prof is not None else 0
+            sink.emit(MsgDeliver(
+                now, dest_rank, rank, tag, size, seq, now - send_time,
+                arrival, matched_at == arrival,
+            ))
+            if prof is not None:
+                prof.add("obs.sink", prof.clock() - t0)
+        if metrics is not None:
+            metrics.counter("engine.messages.delivered", dest_rank).inc()
+            metrics.counter("engine.bytes.delivered", dest_rank).inc(size)
+        if prof is not None:
+            prof.pop(start)
+        return payload, arrival, seq, send_time
 
     # ------------------------------------------------------------------
     # Point-to-point mechanics
@@ -947,20 +1194,21 @@ class Engine:
         ):
             return None
         level = self._level(proc.rank, dest)
-        return None if level is Level.REMOTE else level
+        return None if level is _REMOTE else level
 
     def _do_send(
         self, proc: _Proc, cmd: SendCmd | SendRecvCmd, level: Level | None
     ) -> None:
         """Price one message and deposit it (or wake its receiver).
 
-        The only send path.  ``level`` is the pair's level when the
-        caller has already looked it up (a hand-over), None otherwise.
-        A hook that is absent costs one test on a local per site.  The
-        observers (sink, metrics, time series, profiler) never draw from
-        the delay pool or touch simulation state, so attaching them
-        leaves the run bit-identical; injector and fabric act only
-        through the delays, gaps and payloads they return.
+        The send path of every command but the exchange loop's legs.
+        ``level`` is the pair's level when the caller has already looked
+        it up (a hand-over), None otherwise.  A hook that is absent costs
+        one test on a local per site.  The observers (sink, metrics, time
+        series, profiler) never draw from the delay pool or touch
+        simulation state, so attaching them leaves the run bit-identical;
+        injector and fabric act only through the delays, gaps and
+        payloads :meth:`_price` gets from them.
         """
         procs = self._procs
         rank = proc.rank
@@ -969,8 +1217,7 @@ class Engine:
             raise MatchingError(f"send to invalid rank {dest_rank}")
         size = cmd.size
         synchronous = cmd.synchronous
-        sink, metrics, bank, injector, prof, fabric = self._hooks
-        network = self.network
+        sink, metrics, _, _, prof, fabric = self._hooks
         pool = proc.pool
         if pool is None:
             pool = self._pool_of(proc)
@@ -1010,9 +1257,69 @@ class Engine:
             metrics.counter("engine.bytes.sent", rank).inc(size)
             if synchronous:
                 metrics.counter("engine.rendezvous.stalls", rank).inc()
+        fab = 0.0
+        if fabric is not None and level == _REMOTE:
+            nodes = self._node_cache
+            fab = fabric(nodes[rank], nodes[dest_rank])
+        arrival, payload = self._price(
+            proc, dest_rank, cmd.tag, cmd.payload, send_time, pool, level,
+            self.network.link(level, size), fab,
+        )
+        # Positional: keyword arguments triple the construction cost.
+        msg = Message(
+            rank, dest_rank, cmd.tag, payload, size, send_time, arrival, seq,
+            proc if synchronous else None,
+        )
+        dest = procs[dest_rank]
+        waiting = dest.blocked
+        if (
+            type(waiting) is RecvCmd
+            and (waiting.source == rank or waiting.source == ANY_SOURCE)
+            and (waiting.tag == msg.tag or waiting.tag == ANY_TAG)
+        ):
+            # Wake the receiver: it resumes once the message arrives, from
+            # the ready list (no queue event; nothing ordered can run
+            # before it does).
+            dest.blocked = None
+            resume_at = dest.now
+            if arrival > resume_at:
+                resume_at = arrival
+            dest.now = resume_at
+            if sink is not None:
+                sink.emit(ProcWake(resume_at, dest_rank, "deliver", seq))
+            dest.pending_value = self._finish_delivery(dest, msg)
+            self._woken.append(dest)
+        else:
+            mailbox = dest.mailbox
+            mailbox.append(msg)
+            depth = len(mailbox)
+            if depth > self.max_mailbox_depth:
+                self.max_mailbox_depth = depth
+            if metrics is not None:
+                metrics.histogram("engine.mailbox.depth",
+                                  dest_rank).observe(depth)
+
+    def _price(
+        self, proc: _Proc, dest_rank: int, tag: int, payload: Any,
+        send_time: float, pool: UniformPool, level: Level,
+        link: tuple[float, float, float, float], fab: float,
+    ) -> tuple[float, Any]:
+        """The one pricing body, behind ``_do_send`` and the exchange loop.
+
+        Charges ``o_send`` to ``proc``, draws the delay on ``link``
+        (:meth:`NetworkModel.link`) from ``pool``, applies the injector's
+        delay hook, the fabric latency ``fab`` (0.0 unless the pair is
+        ``REMOTE``), the NIC egress and ingress tables with congestion
+        jitter (``REMOTE`` only; the tables price messages in global send
+        order) and the injector's payload hook.  Returns the arrival time
+        and the payload as it goes on the wire.
+        """
+        sink, metrics, bank, injector, prof, _ = self._hooks
+        network = self.network
+        rank = proc.rank
         now = proc.now = send_time + network.o_send
         t0 = prof.clock() if prof is not None else 0
-        delay = network.delay_from_pool(level, size, pool)
+        delay = draw_delay(link, pool)
         if injector is not None:
             # Link faults: windowed degradation of the delay draw (a
             # directed fault keys on this message's (src, dst) pair).
@@ -1020,14 +1327,13 @@ class Engine:
                 send_time, level, delay, proc.get_rng(),
                 src=rank, dst=dest_rank,
             )
-        remote = level == Level.REMOTE
-        nodes = self._node_cache
-        if fabric is not None and remote:
-            delay += fabric(nodes[rank], nodes[dest_rank])
+        if fab:
+            delay += fab
         arrival = now + delay
         gap = network.nic_gap
-        if remote and gap > 0.0:
+        if level == _REMOTE and gap > 0.0:
             # Egress: messages leaving a node serialize at its NIC.
+            nodes = self._node_cache
             src_node = nodes[rank]
             egress_gap = gap
             if injector is not None:
@@ -1067,55 +1373,15 @@ class Engine:
             # Delay draw + fault perturbation + NIC serialization model:
             # the per-message network pricing.
             prof.add("net.delay", prof.clock() - t0)
-        payload = cmd.payload
         if injector is not None and injector.perturbs_payloads:
             # Byzantine adversaries: the sender's wire payload may lie
             # (timestamp tampering at the sync-message boundary).  Only
             # adversarial injectors set the flag, so plain fault
             # schedules never pay for (or draw RNG in) this hook.
             payload = injector.perturb_payload(
-                send_time, rank, dest_rank, cmd.tag, payload,
-                proc.get_rng(),
+                send_time, rank, dest_rank, tag, payload, proc.get_rng(),
             )
-        msg = Message(
-            source=rank,
-            dest=dest_rank,
-            tag=cmd.tag,
-            payload=payload,
-            size=size,
-            send_time=send_time,
-            arrival=arrival,
-            seq=seq,
-            sync_sender=proc if synchronous else None,
-        )
-        dest = procs[dest_rank]
-        waiting = dest.blocked
-        if (
-            type(waiting) is RecvCmd
-            and (waiting.source == rank or waiting.source == ANY_SOURCE)
-            and (waiting.tag == msg.tag or waiting.tag == ANY_TAG)
-        ):
-            # Wake the receiver: it resumes once the message arrives, from
-            # the ready list (no queue event; nothing ordered can run
-            # before it does).
-            dest.blocked = None
-            resume_at = dest.now
-            if arrival > resume_at:
-                resume_at = arrival
-            dest.now = resume_at
-            if sink is not None:
-                sink.emit(ProcWake(resume_at, dest_rank, "deliver", seq))
-            dest.pending_value = self._finish_delivery(dest, msg)
-            self._woken.append(dest)
-        else:
-            mailbox = dest.mailbox
-            mailbox.append(msg)
-            depth = len(mailbox)
-            if depth > self.max_mailbox_depth:
-                self.max_mailbox_depth = depth
-            if metrics is not None:
-                metrics.histogram("engine.mailbox.depth",
-                                  dest_rank).observe(depth)
+        return arrival, payload
 
     def _match_mailbox(self, proc: _Proc, source: int, tag: int) -> Message | None:
         mailbox = proc.mailbox
@@ -1187,10 +1453,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
-    def blocked_ranks(self) -> Iterable[int]:
-        """Ranks currently blocked (valid only mid-run; for debugging)."""
-        return [p.rank for p in self._procs if p.blocked is not None]
-
     def stats(self) -> dict[str, int]:
         """Snapshot of the engine's built-in counters.
 

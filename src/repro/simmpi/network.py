@@ -191,24 +191,33 @@ class NetworkModel:
             d += outlier_scale * -log1p(-rng.random())
         return d
 
+    def link(
+        self, level: Level, size: int
+    ) -> tuple[float, float, float, float]:
+        """``(base, jitter_scale, outlier_prob, outlier_scale)`` of a
+        ``size``-byte message at ``level``: the constants of one
+        :func:`draw_delay`, which a sender may resolve once per peer.
+        ``base`` is :meth:`base_delay`'s sum, uncached (a multiply-add
+        costs less than the cache probe)."""
+        lat, inv_bw, jitter, outlier_prob, outlier_scale = self._fast[level]
+        return lat + size * inv_bw, jitter, outlier_prob, outlier_scale
+
     def delay_from_pool(
         self, level: Level, size: int, pool: UniformPool
     ) -> float:
         """Pooled hot-path twin of :meth:`delay` (same variate order)."""
-        _, _, jitter, outlier_prob, outlier_scale = self._fast[level]
-        d = self.base_delay(level, size)
-        if jitter > 0.0:
-            d += jitter * -log1p(-pool.next())
-        if outlier_prob > 0.0 and pool.next() < outlier_prob:
-            d += outlier_scale * -log1p(-pool.next())
-        return d
+        return draw_delay(self.link(level, size), pool)
 
-    def expected_delay(self, level: Level, size: int) -> float:
-        """Mean wire time (used by latency estimators, not the engine)."""
-        p = self._resolved[level]
-        return (
-            p.latency
-            + size / p.bandwidth
-            + p.jitter_scale
-            + p.outlier_prob * p.outlier_scale
-        )
+
+def draw_delay(
+    link: tuple[float, float, float, float], pool: UniformPool
+) -> float:
+    """The wire time of one message on ``link`` (:meth:`NetworkModel.link`),
+    its variates taken from ``pool``: the one pooled delay body, drawing
+    in the order of the scalar reference :meth:`NetworkModel.delay`."""
+    d, jitter, outlier_prob, outlier_scale = link
+    if jitter > 0.0:
+        d += jitter * -log1p(-pool.next())
+    if outlier_prob > 0.0 and pool.next() < outlier_prob:
+        d += outlier_scale * -log1p(-pool.next())
+    return d

@@ -100,7 +100,9 @@ class ProcessContext:
         size: int = 8,
     ) -> Generator:
         """Eager (buffered) send to global rank ``dest``."""
-        yield SendCmd(dest=dest, tag=tag, payload=payload, size=size)
+        # Commands are built positionally on the hot paths: keyword
+        # arguments double a slotted dataclass's construction cost.
+        yield SendCmd(dest, tag, payload, size)
 
     def ssend(
         self,
@@ -110,15 +112,13 @@ class ProcessContext:
         size: int = 8,
     ) -> Generator:
         """Synchronous (rendezvous) send: returns once the receiver matched."""
-        yield SendCmd(
-            dest=dest, tag=tag, payload=payload, size=size, synchronous=True
-        )
+        yield SendCmd(dest, tag, payload, size, True)
 
     def recv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Generator[Any, Any, Message]:
         """Blocking receive; returns the matched :class:`Message`."""
-        msg = yield RecvCmd(source=source, tag=tag)
+        msg = yield RecvCmd(source, tag)
         return msg
 
     def sendrecv(
@@ -138,8 +138,7 @@ class ProcessContext:
         cheaper per exchange.
         """
         msg = yield SendRecvCmd(
-            dest=dest, tag=send_tag, payload=payload, size=size,
-            source=source, recv_tag=recv_tag,
+            dest, send_tag, payload, size, source, recv_tag
         )
         return msg
 

@@ -73,6 +73,24 @@ def run_spmd(
     return sim, sim.run(body)
 
 
+def blocked_ranks(engine) -> list[int]:
+    """Ranks currently blocked on a receive or a rendezvous ack (valid
+    mid-run, e.g. from an event sink)."""
+    return [p.rank for p in engine._procs if p.blocked is not None]
+
+
+def expected_delay(network, level, size: int) -> float:
+    """Mean wire time of a ``size``-byte message at ``level``: base delay
+    plus the means of the exponential jitter and outlier terms."""
+    p = network.params_for(level)
+    return (
+        p.latency
+        + size / p.bandwidth
+        + p.jitter_scale
+        + p.outlier_prob * p.outlier_scale
+    )
+
+
 @pytest.fixture
 def jitter_network():
     """A realistic network (jitter, outliers) for statistical tests."""

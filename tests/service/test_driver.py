@@ -167,6 +167,17 @@ class TestRunService:
         assert not report.ok
         assert {v.rule for v in report.violations} == {"service-batch"}
 
+    def test_check_mode_report_counts_a_clean_run(self, tmp_path):
+        """A clean checked run still leaves its report: one run and the
+        answers the sanitizer pass recomputed."""
+        d = str(tmp_path)
+        with checking("report", report_dir=d):
+            run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
+        report = load_reports(d)
+        assert report.ok
+        assert report.runs == 1
+        assert report.events_checked > 0
+
     @staticmethod
     def _latencies(seed: int) -> np.ndarray:
         """The latency array ``run_service(..., SHORT, QUICK, seed)`` scores."""

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.errors import DeadlockError, MatchingError, SimulationError
-from repro.obs.events import ProcBlock, ProcWake
+from repro.obs.events import MsgSend, ProcBlock, ProcWake, RecordingSink
 from repro.simmpi.engine import (
     ElapseCmd,
     Engine,
@@ -20,6 +20,7 @@ from repro.simmpi.message import ANY_SOURCE
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 from repro.simtime.hardware import HardwareClock
+from tests.conftest import blocked_ranks
 
 
 def make_engine(n=2, seed=0, network=None, level_of=None, **kw):
@@ -231,7 +232,7 @@ class TestSsend:
 
         With the receiver already waiting, the send itself releases the
         sender; marking it ``"ssend"`` after the hand-over left a runnable
-        rank in ``blocked_ranks()`` (and in a ``DeadlockError``'s states)
+        rank in ``blocked_ranks(engine)`` (and in a ``DeadlockError``'s states)
         until its queue event popped.
         """
         released = set()
@@ -243,7 +244,7 @@ class TestSsend:
                     released.add(event.rank)
                 elif type(event) is ProcBlock:
                     released.discard(event.rank)
-                stale.extend(released.intersection(engine.blocked_ranks()))
+                stale.extend(released.intersection(blocked_ranks(engine)))
 
         engine = make_engine(network=infiniband_qdr(), sink=Watch())
 
@@ -830,6 +831,99 @@ class TestExchange:
             engine.run()
         assert engine.messages_sent == 0
         assert engine.proc_now(0) == 0.0  # not even a clock read
+
+
+class TestExchangeLoop:
+    """The exchange loop (``Engine._play_exchange``) against the
+    written-out ping-pong loop, one fixed program per exit.
+
+    Rank 1 answers rank 2's SKaMPI ping-pongs; the three ranks sit on
+    three nodes, so every leg is ``REMOTE`` and meets the gate.  Rank 0,
+    if given a time ``t``, computes until ``t`` and then sends: its send
+    waits in the queue at ``t``, and the first exchange leg issued past
+    ``t`` defers.  The loop must leave exactly the state the leg path
+    would, so both runs agree on ``Engine.stats()``, final times, the
+    readings handed back and the event stream.
+    """
+
+    N = 3
+
+    def _run(self, third_at, fused, exits=None):
+        from repro.sync.offset import PINGPONG_TAG, TIMESTAMP_BYTES
+        from tests.properties.test_property_exchange import _written_out
+
+        n, shape = self.N, ExchangeShape.STAMPED
+
+        def main(ctx, comm):
+            if ctx.rank == 0:
+                if third_at is not None:
+                    yield from ctx.elapse(third_at)
+                    yield from ctx.send(1, 99)
+                return ctx.now, None
+            initiator = ctx.rank == 2
+            peer = 1 if initiator else 2
+            clock = ctx.hardware_clock
+            if fused:
+                rounds = yield ExchangeCmd(
+                    peer, PINGPONG_TAG, n, clock, shape, initiator,
+                    TIMESTAMP_BYTES,
+                )
+            else:
+                rounds = yield from _written_out(
+                    ctx, peer, n, clock, shape, initiator
+                )
+            return ctx.now, rounds
+
+        sink = RecordingSink()
+        sim = Simulation(
+            Machine(3, 1, 1, 1), infiniband_qdr(), seed=4, sink=sink,
+            check="strict",
+        )
+        if exits is not None:
+            play = sim.engine._play_exchange
+
+            def spy(ini, res):
+                out = play(ini, res)
+                exits.append(
+                    "A" if out is not None
+                    else "B" if ini.blocked is not None else "C"
+                )
+                return out
+
+            sim.engine._play_exchange = spy
+        result = sim.run(main)
+        return result.engine_stats, result.values, sink.events
+
+    def _send_times(self):
+        """MsgSend times of the lone exchange: ping, pong, ping, ..."""
+        _, _, events = self._run(None, fused=True)
+        return [e.time for e in events if type(e) is MsgSend]
+
+    def _check(self, third_at, expected):
+        exits = []
+        fused = self._run(third_at, True, exits)
+        written_out = self._run(third_at, False)
+        assert fused == written_out
+        assert exits == expected
+        return fused
+
+    def test_exit_c_the_last_pong_is_delivered(self):
+        stats, values, _ = self._check(None, ["C"])
+        assert stats["gate_deferrals"] == 0
+        assert len(values[2][1]) == self.N
+
+    def test_exit_a_the_next_ping_defers(self):
+        ping1, pong1, ping2 = self._send_times()[:3]
+        stats, _, _ = self._check((pong1 + ping2) / 2, ["A", "C"])
+        # The deferred ping, and rank 0's send (issued ahead of the
+        # exchange's start events).
+        assert stats["gate_deferrals"] == 2
+
+    def test_exit_b_the_pong_defers(self):
+        times = self._send_times()
+        ping2, pong2 = times[2], times[3]
+        stats, _, _ = self._check((ping2 + pong2) / 2, ["B", "C"])
+        assert stats["gate_deferrals"] == 2
 
 
 class TestRemovedOptions:

@@ -28,6 +28,7 @@ from repro.simmpi.eventq import CalendarQueue, HeapQueue, auto_bucket_width
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME
+from tests.conftest import expected_delay
 from repro.sync import HCA3Sync
 
 QUIET = CLOCK_GETTIME.with_(skew_walk_sigma=1e-9)
@@ -59,7 +60,7 @@ def auto_width(engine):
     service = (
         network.o_send
         + network.o_recv
-        + network.expected_delay(Level.REMOTE, 8)
+        + expected_delay(network, Level.REMOTE, 8)
     )
     return auto_bucket_width(service, engine.num_ranks)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simmpi.network import Level, LinkParams, NetworkModel
+from tests.conftest import expected_delay
 
 
 class TestLinkParams:
@@ -172,5 +173,5 @@ class TestDelay:
         rng = np.random.default_rng(2)
         delays = [model.delay(Level.REMOTE, 64, rng) for _ in range(20000)]
         assert np.mean(delays) == pytest.approx(
-            model.expected_delay(Level.REMOTE, 64), rel=0.05
+            expected_delay(model, Level.REMOTE, 64), rel=0.05
         )

@@ -33,7 +33,6 @@ from repro.context import current_context
 from repro.parallel.seeds import seed_int
 from repro.simmpi.simulation import Simulation
 from repro.simtime.base import Clock
-from repro.simtime.drift import DriftModel
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
 from repro.sync.offset import OffsetAlgorithm, SKaMPIOffset
 from repro.sync.registry import algorithm_from_label
@@ -283,38 +282,3 @@ def ground_truth_accuracy(
         for i, c in enumerate(clocks)
         if i != ref_rank
     )
-
-
-def error_bound(
-    model,
-    age: float,
-    drift: DriftModel | float,
-    base_error: float = 0.0,
-) -> float:
-    """Worst-case global-clock error ``age`` seconds after a sync.
-
-    This is the paper's accuracy analysis turned into a contract: a
-    linear model fitted at sync time starts with ``base_error`` (the
-    fit's residual/measurement error) and degrades as the oscillator's
-    skew wanders away from the fitted slope.  ``drift`` is either the
-    client's :class:`~repro.simtime.drift.DriftModel` (its
-    ``error_growth`` supplies a per-family bound on the integrated skew
-    deviation) or a plain float rate in s/s (worst case
-    ``|rate| * age``).  ``model`` is the fitted
-    :class:`~repro.sync.linear_model.LinearDriftModel`; correcting local
-    time by a slope rescales accumulated local error by at most
-    ``1 + |slope|``.
-
-    The bound is what the service layer reports as per-response
-    staleness and what error-bound-driven resync policies compare
-    against their SLO.  A negative ``age`` (clock not yet synced) is
-    treated as unboundedly stale.
-    """
-    if age < 0.0:
-        return float("inf")
-    if isinstance(drift, DriftModel):
-        growth = drift.error_growth(age)
-    else:
-        growth = abs(float(drift)) * age
-    slope = getattr(model, "slope", 0.0) if model is not None else 0.0
-    return base_error + (1.0 + abs(slope)) * growth

@@ -4,14 +4,12 @@ A :class:`FaultSchedule` is the unit a :class:`~repro.simmpi.simulation.Simulati
 the recovery harness and the degradation cells consume: a named,
 deterministic list of faults and adversaries sorted by start time, plus
 the error budget a cell run under it is judged against.  Schedules
-round-trip through plain dicts and JSON (``to_dict``/``from_dict``,
-``save``/``load``), so scenarios — and the fuzzer's repro files — can
-live in files next to experiment configs.
+round-trip through plain JSON-ready dicts (``to_dict``/``from_dict``),
+which is how the fuzzer's repro files carry them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -149,19 +147,3 @@ class FaultSchedule:
             raise ConfigurationError(
                 f"fault schedule dict is missing {exc}"
             ) from None
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "FaultSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())

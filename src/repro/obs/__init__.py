@@ -60,7 +60,6 @@ from repro.obs.sync_stats import (
 from repro.obs.timeseries import TimeSeries, TimeSeriesBank
 from repro.obs.health import (
     HealthFinding,
-    HealthThresholds,
     HealthVerdict,
     evaluate_health,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "FitpointSample",
     "Gauge",
     "HealthFinding",
-    "HealthThresholds",
     "HealthVerdict",
     "Histogram",
     "MessageEdge",

@@ -70,52 +70,49 @@ RESYNC_MARKER = "resync"
 FAULT_MARKER = "fault"
 
 
-@dataclass(frozen=True)
-class HealthThresholds:
-    """Tunable limits for the four detectors (seconds unless noted)."""
-
-    #: |d(error)/dt| between resyncs above this is a drift excursion.
-    drift_slope: float = 5e-6
-    #: Minimum segment span (s) before a slope estimate is trusted.
-    drift_window: float = 3.0
-    #: Minimum points per segment for a slope estimate.
-    drift_min_points: int = 4
-    #: |error| above this is out of tolerance.
-    desync_tolerance: float = 100e-6
-    #: Seconds out of tolerance before a breach finding fires.
-    desync_grace: float = 2.0
-    #: Allowed seconds from a fault trigger to error re-entering
-    #: tolerance before recovery counts as slow.
-    resync_latency: float = 10.0
-    #: Consecutive identical samples before a series counts as stuck.
-    stuck_min_points: int = 8
-    #: Minimum span (s) of the identical run.
-    stuck_span: float = 2.0
-    #: Stale-read rate (fraction of responses whose error bound exceeds
-    #: the SLO) above this is out of tolerance.
-    stale_rate_tolerance: float = 0.01
-    #: Seconds the rate must stay out of tolerance before a finding.
-    stale_window: float = 2.0
-    #: Rate at which a stale-read finding escalates to critical.
-    stale_rate_critical: float = 0.25
-    #: Measured/expected critical-path depth ratio above this is a
-    #: depth anomaly (1.0 = exactly the structural bound).
-    depth_ratio: float = 1.0
-    #: Ratio at which a depth anomaly escalates to critical.
-    depth_ratio_critical: float = 2.0
-    #: A rank whose mean |error| exceeds this multiple of its scope's
-    #: population median (and desync_tolerance) is a byzantine suspect.
-    byzantine_factor: float = 8.0
-    #: Multiple at which a byzantine suspect escalates to critical.
-    byzantine_factor_critical: float = 32.0
-    #: Minimum error series in a scope before outlier detection runs.
-    byzantine_min_series: int = 3
-    #: Queueing sojourn (s) above this counts as a standing queue.
-    queue_delay_tolerance: float = 50e-6
-    #: Seconds the sojourn must stay above tolerance before a
-    #: congestion finding fires (sync rounds are sub-second, so the
-    #: window is much shorter than the wall-clock-scale thresholds).
-    queue_window: float = 10e-3
+#: Detector limits (seconds unless noted).
+#: |d(error)/dt| between resyncs above this is a drift excursion.
+DRIFT_SLOPE = 5e-6
+#: Minimum segment span (s) before a slope estimate is trusted.
+DRIFT_WINDOW = 3.0
+#: Minimum points per segment for a slope estimate.
+DRIFT_MIN_POINTS = 4
+#: |error| above this is out of tolerance.
+DESYNC_TOLERANCE = 100e-6
+#: Seconds out of tolerance before a breach finding fires.
+DESYNC_GRACE = 2.0
+#: Allowed seconds from a fault trigger to error re-entering tolerance
+#: before recovery counts as slow.
+RESYNC_LATENCY = 10.0
+#: Consecutive identical samples before a series counts as stuck.
+STUCK_MIN_POINTS = 8
+#: Minimum span (s) of the identical run.
+STUCK_SPAN = 2.0
+#: Stale-read rate (fraction of responses whose error bound exceeds the
+#: SLO) above this is out of tolerance.
+STALE_RATE_TOLERANCE = 0.01
+#: Seconds the rate must stay out of tolerance before a finding.
+STALE_WINDOW = 2.0
+#: Rate at which a stale-read finding escalates to critical.
+STALE_RATE_CRITICAL = 0.25
+#: Measured/expected critical-path depth ratio above this is a depth
+#: anomaly (1.0 = exactly the structural bound).
+DEPTH_RATIO = 1.0
+#: Ratio at which a depth anomaly escalates to critical.
+DEPTH_RATIO_CRITICAL = 2.0
+#: A rank whose mean |error| exceeds this multiple of its scope's
+#: population median (and DESYNC_TOLERANCE) is a byzantine suspect.
+BYZANTINE_FACTOR = 8.0
+#: Multiple at which a byzantine suspect escalates to critical.
+BYZANTINE_FACTOR_CRITICAL = 32.0
+#: Minimum error series in a scope before outlier detection runs.
+BYZANTINE_MIN_SERIES = 3
+#: Queueing sojourn (s) above this counts as a standing queue.
+QUEUE_DELAY_TOLERANCE = 50e-6
+#: Seconds the sojourn must stay above tolerance before a congestion
+#: finding fires (sync rounds are sub-second, so the window is much
+#: shorter than the wall-clock-scale limits).
+QUEUE_WINDOW = 10e-3
 
 
 @dataclass(frozen=True)
@@ -161,10 +158,7 @@ class HealthVerdict:
     @property
     def status(self) -> str:
         """Worst non-info severity across findings, or ``"ok"``."""
-        worst = -1
-        for finding in self.findings:
-            worst = max(worst, SEVERITIES.index(finding.severity))
-        return SEVERITIES[worst] if worst > 0 else "ok"
+        return _worst_status(self.findings)
 
     def to_dict(self) -> dict:
         return {
@@ -173,6 +167,12 @@ class HealthVerdict:
             "detectors": self.detectors,
             "findings": [f.to_dict() for f in self.findings],
         }
+
+
+def _worst_status(findings) -> str:
+    """The worst non-info severity among ``findings``, or ``"ok"``."""
+    worst = max((SEVERITIES.index(f.severity) for f in findings), default=0)
+    return SEVERITIES[worst] if worst > 0 else "ok"
 
 
 def _round(x: float) -> float:
@@ -219,11 +219,8 @@ def _slope(points: list[tuple[float, float]]) -> float:
 # ----------------------------------------------------------------------
 # Detectors
 # ----------------------------------------------------------------------
-def detect_drift_excursions(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_drift_excursions(bank: TimeSeriesBank) -> list[HealthFinding]:
     """Error slope above threshold between consecutive resync markers."""
-    th = th or HealthThresholds()
     findings = []
     for series in _error_series(bank):
         boundaries = _marker_times(
@@ -238,15 +235,15 @@ def detect_drift_excursions(
         for lo, hi in zip(edges, edges[1:]):
             segment = [p for p in points if lo <= p[0] <= hi]
             if (
-                len(segment) < th.drift_min_points
-                or segment[-1][0] - segment[0][0] < th.drift_window
+                len(segment) < DRIFT_MIN_POINTS
+                or segment[-1][0] - segment[0][0] < DRIFT_WINDOW
             ):
                 continue
             slope = _slope(segment)
-            if abs(slope) <= th.drift_slope:
+            if abs(slope) <= DRIFT_SLOPE:
                 continue
             severity = (
-                "critical" if abs(slope) > 10 * th.drift_slope
+                "critical" if abs(slope) > 10 * DRIFT_SLOPE
                 else "warning"
             )
             findings.append(HealthFinding(
@@ -257,30 +254,27 @@ def detect_drift_excursions(
                 start=segment[0][0],
                 end=segment[-1][0],
                 value=slope,
-                threshold=th.drift_slope,
+                threshold=DRIFT_SLOPE,
                 message=(
                     f"error slope {slope:.3g} s/s exceeds "
-                    f"{th.drift_slope:.3g} between resyncs"
+                    f"{DRIFT_SLOPE:.3g} between resyncs"
                 ),
             ))
     return findings
 
 
-def detect_desync_breaches(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_desync_breaches(bank: TimeSeriesBank) -> list[HealthFinding]:
     """|error| above tolerance for longer than the grace window."""
-    th = th or HealthThresholds()
     findings = []
     for series in _error_series(bank):
         run: list[tuple[float, float]] = []
         for point in series.points + [(float("inf"), 0.0)]:
-            if abs(point[1]) > th.desync_tolerance:
+            if abs(point[1]) > DESYNC_TOLERANCE:
                 run.append(point)
                 continue
             if run:
                 span = run[-1][0] - run[0][0]
-                if span >= th.desync_grace:
+                if span >= DESYNC_GRACE:
                     peak = max(abs(v) for _, v in run)
                     findings.append(HealthFinding(
                         detector="desync_breach",
@@ -290,27 +284,24 @@ def detect_desync_breaches(
                         start=run[0][0],
                         end=run[-1][0],
                         value=peak,
-                        threshold=th.desync_tolerance,
+                        threshold=DESYNC_TOLERANCE,
                         message=(
                             f"|error| peaked at {peak:.3g}s, above "
-                            f"{th.desync_tolerance:.3g}s tolerance for "
-                            f"{span:.3g}s (grace {th.desync_grace:g}s)"
+                            f"{DESYNC_TOLERANCE:.3g}s tolerance for "
+                            f"{span:.3g}s (grace {DESYNC_GRACE:g}s)"
                         ),
                     ))
                 run = []
     return findings
 
 
-def detect_resync_latency(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_resync_latency(bank: TimeSeriesBank) -> list[HealthFinding]:
     """Per fault trigger: time until the error re-enters tolerance.
 
     Healthy recoveries produce ``info`` findings (the measured latency
     belongs in the run report either way); slow recoveries are warnings
     and runs that never re-enter tolerance are critical.
     """
-    th = th or HealthThresholds()
     findings = []
     for series in _error_series(bank):
         triggers = _marker_times(
@@ -321,14 +312,14 @@ def detect_resync_latency(
             post = [p for p in points if p[0] >= trigger]
             breach = next(
                 (i for i, (_, v) in enumerate(post)
-                 if abs(v) > th.desync_tolerance),
+                 if abs(v) > DESYNC_TOLERANCE),
                 None,
             )
             if breach is None:
                 continue  # this fault never pushed the error out
             recovered = next(
                 (t for t, v in post[breach:]
-                 if abs(v) <= th.desync_tolerance),
+                 if abs(v) <= DESYNC_TOLERANCE),
                 None,
             )
             if recovered is None:
@@ -336,7 +327,7 @@ def detect_resync_latency(
                 severity, note = "critical", "never re-entered tolerance"
             else:
                 latency = recovered - trigger
-                slow = latency > th.resync_latency
+                slow = latency > RESYNC_LATENCY
                 severity = "warning" if slow else "info"
                 note = (
                     f"recovered {latency:.3g}s after the trigger"
@@ -350,17 +341,14 @@ def detect_resync_latency(
                 start=trigger,
                 end=trigger + latency,
                 value=latency,
-                threshold=th.resync_latency,
+                threshold=RESYNC_LATENCY,
                 message=f"fault at t={trigger:.3g}s: {note}",
             ))
     return findings
 
 
-def detect_stuck_clocks(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_stuck_clocks(bank: TimeSeriesBank) -> list[HealthFinding]:
     """A series flat-lining at a constant non-zero value."""
-    th = th or HealthThresholds()
     findings = []
     for series in _error_series(bank):
         points = series.points
@@ -374,8 +362,8 @@ def detect_stuck_clocks(
                 continue
             run = points[start:i]
             if (
-                len(run) >= th.stuck_min_points
-                and run[-1][0] - run[0][0] >= th.stuck_span
+                len(run) >= STUCK_MIN_POINTS
+                and run[-1][0] - run[0][0] >= STUCK_SPAN
                 and run[0][1] != 0.0
             ):
                 findings.append(HealthFinding(
@@ -386,7 +374,7 @@ def detect_stuck_clocks(
                     start=run[0][0],
                     end=run[-1][0],
                     value=run[0][1],
-                    threshold=float(th.stuck_min_points),
+                    threshold=float(STUCK_MIN_POINTS),
                     message=(
                         f"{len(run)} consecutive samples frozen at "
                         f"{run[0][1]:.3g} over "
@@ -406,9 +394,7 @@ def _stale_series(bank: TimeSeriesBank):
     ]
 
 
-def detect_stale_reads(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_stale_reads(bank: TimeSeriesBank) -> list[HealthFinding]:
     """Service stale-read rate out of tolerance for a sustained window.
 
     The service driver samples the fraction of responses per reporting
@@ -418,20 +404,19 @@ def detect_stale_reads(
     policy is losing against the drift — warning, escalating to
     critical when the rate says most reads are stale.
     """
-    th = th or HealthThresholds()
     findings = []
     for series in _stale_series(bank):
         run: list[tuple[float, float]] = []
         for point in series.points + [(float("inf"), 0.0)]:
-            if point[1] > th.stale_rate_tolerance:
+            if point[1] > STALE_RATE_TOLERANCE:
                 run.append(point)
                 continue
             if run:
                 span = run[-1][0] - run[0][0]
-                if span >= th.stale_window:
+                if span >= STALE_WINDOW:
                     peak = max(v for _, v in run)
                     severity = (
-                        "critical" if peak >= th.stale_rate_critical
+                        "critical" if peak >= STALE_RATE_CRITICAL
                         else "warning"
                     )
                     findings.append(HealthFinding(
@@ -442,11 +427,11 @@ def detect_stale_reads(
                         start=run[0][0],
                         end=run[-1][0],
                         value=peak,
-                        threshold=th.stale_rate_tolerance,
+                        threshold=STALE_RATE_TOLERANCE,
                         message=(
                             f"stale-read rate peaked at {peak:.3g}, above "
-                            f"{th.stale_rate_tolerance:.3g} for {span:.3g}s "
-                            f"(window {th.stale_window:g}s)"
+                            f"{STALE_RATE_TOLERANCE:.3g} for {span:.3g}s "
+                            f"(window {STALE_WINDOW:g}s)"
                         ),
                     ))
                 run = []
@@ -466,9 +451,7 @@ def _depth_series(bank: TimeSeriesBank):
     ]
 
 
-def detect_depth_anomalies(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_depth_anomalies(bank: TimeSeriesBank) -> list[HealthFinding]:
     """Critical-path depth above the algorithm's structural bound.
 
     The causal tracer deposits one ``sync.critical.depth_ratio`` sample
@@ -479,14 +462,13 @@ def detect_depth_anomalies(
     than the structure predicts — congestion, a delay attack, or a
     mis-built tree.
     """
-    th = th or HealthThresholds()
     findings = []
     for series in _depth_series(bank):
         for time, ratio in series.points:
-            if ratio <= th.depth_ratio:
+            if ratio <= DEPTH_RATIO:
                 continue
             severity = (
-                "critical" if ratio >= th.depth_ratio_critical
+                "critical" if ratio >= DEPTH_RATIO_CRITICAL
                 else "warning"
             )
             findings.append(HealthFinding(
@@ -497,10 +479,10 @@ def detect_depth_anomalies(
                 start=time,
                 end=time,
                 value=ratio,
-                threshold=th.depth_ratio,
+                threshold=DEPTH_RATIO,
                 message=(
                     f"critical-path depth ratio {ratio:.3g} exceeds the "
-                    f"structural bound (x{th.depth_ratio:g})"
+                    f"structural bound (x{DEPTH_RATIO:g})"
                 ),
             ))
     return findings
@@ -516,41 +498,38 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def detect_byzantine_suspects(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_byzantine_suspects(bank: TimeSeriesBank) -> list[HealthFinding]:
     """One rank's mean |error| towers over its scope's cohort median.
 
     An honest-but-drifting rank degrades gradually and drags the whole
     cohort's statistics with it; a byzantine rank (lying timestamps, a
     stepped clock) sits alone far from an otherwise-converged median.
-    The ratio is floored at ``desync_tolerance`` in absolute terms so a
+    The ratio is floored at ``DESYNC_TOLERANCE`` in absolute terms so a
     near-perfect cohort (median ~ 0) does not flag nanosecond noise.
     """
-    th = th or HealthThresholds()
     findings = []
     by_scope: dict[str, list] = {}
     for series in _error_series(bank):
         by_scope.setdefault(split_scope(series.name)[0], []).append(series)
     for scope in sorted(by_scope):
         cohort = by_scope[scope]
-        if len(cohort) < th.byzantine_min_series:
+        if len(cohort) < BYZANTINE_MIN_SERIES:
             continue
         means = [
             sum(abs(v) for _, v in s.points) / len(s.points)
             for s in cohort
         ]
         median = _median(means)
-        baseline = max(median, th.desync_tolerance / th.byzantine_factor)
+        baseline = max(median, DESYNC_TOLERANCE / BYZANTINE_FACTOR)
         for series, mean_abs in zip(cohort, means):
             ratio = mean_abs / baseline if baseline > 0.0 else 0.0
             if (
-                ratio <= th.byzantine_factor
-                or mean_abs <= th.desync_tolerance
+                ratio <= BYZANTINE_FACTOR
+                or mean_abs <= DESYNC_TOLERANCE
             ):
                 continue
             severity = (
-                "critical" if ratio > th.byzantine_factor_critical
+                "critical" if ratio > BYZANTINE_FACTOR_CRITICAL
                 else "warning"
             )
             findings.append(HealthFinding(
@@ -561,7 +540,7 @@ def detect_byzantine_suspects(
                 start=series.points[0][0],
                 end=series.points[-1][0],
                 value=ratio,
-                threshold=th.byzantine_factor,
+                threshold=BYZANTINE_FACTOR,
                 message=(
                     f"mean |error| {mean_abs:.3g}s is {ratio:.3g}x the "
                     f"cohort median {median:.3g}s "
@@ -580,9 +559,7 @@ def _queue_series(bank: TimeSeriesBank):
     ]
 
 
-def detect_congestion_desync(
-    bank: TimeSeriesBank, th: HealthThresholds | None = None
-) -> list[HealthFinding]:
+def detect_congestion_desync(bank: TimeSeriesBank) -> list[HealthFinding]:
     """Sustained standing queues, escalated when the scope desynced.
 
     A CoDel-healthy bottleneck sheds its backlog within an interval;
@@ -592,23 +569,22 @@ def detect_congestion_desync(
     scope is simultaneously out of tolerance, the finding is critical —
     the congestion is plausibly *causing* the desync.
     """
-    th = th or HealthThresholds()
     desynced_scopes = {
         split_scope(series.name)[0]
         for series in _error_series(bank)
-        if any(abs(v) > th.desync_tolerance for _, v in series.points)
+        if any(abs(v) > DESYNC_TOLERANCE for _, v in series.points)
     }
     findings = []
     for series in _queue_series(bank):
         scope = split_scope(series.name)[0]
         run: list[tuple[float, float]] = []
         for point in series.points + [(float("inf"), 0.0)]:
-            if point[1] > th.queue_delay_tolerance:
+            if point[1] > QUEUE_DELAY_TOLERANCE:
                 run.append(point)
                 continue
             if run:
                 span = run[-1][0] - run[0][0]
-                if span >= th.queue_window:
+                if span >= QUEUE_WINDOW:
                     peak = max(v for _, v in run)
                     desynced = scope in desynced_scopes
                     findings.append(HealthFinding(
@@ -619,10 +595,10 @@ def detect_congestion_desync(
                         start=run[0][0],
                         end=run[-1][0],
                         value=peak,
-                        threshold=th.queue_delay_tolerance,
+                        threshold=QUEUE_DELAY_TOLERANCE,
                         message=(
                             f"queueing sojourn peaked at {peak:.3g}s, "
-                            f"above {th.queue_delay_tolerance:.3g}s for "
+                            f"above {QUEUE_DELAY_TOLERANCE:.3g}s for "
                             f"{span:.3g}s"
                             + (
                                 " while the scope was desynchronized"
@@ -648,24 +624,18 @@ DETECTORS = (
 )
 
 
-def evaluate_health(
-    bank: TimeSeriesBank, thresholds: HealthThresholds | None = None
-) -> HealthVerdict:
+def evaluate_health(bank: TimeSeriesBank) -> HealthVerdict:
     """Run every detector over ``bank``; returns the per-run verdict.
 
     The verdict always carries one entry per detector (even when it
     found nothing), so ``report.json`` records that each check ran.
     """
-    th = thresholds or HealthThresholds()
     verdict = HealthVerdict(series_scanned=len(_error_series(bank)))
     for name, detector in DETECTORS:
-        found = detector(bank, th)
-        worst = -1
-        for finding in found:
-            worst = max(worst, SEVERITIES.index(finding.severity))
+        found = detector(bank)
         verdict.detectors[name] = {
             "findings": len(found),
-            "worst": SEVERITIES[worst] if worst > 0 else "ok",
+            "worst": _worst_status(found),
         }
         verdict.findings.extend(found)
     verdict.findings.sort(

@@ -68,14 +68,6 @@ class SyncRoundRecord:
     def max_abs_residual(self) -> float:
         return max((abs(r) for r in self.residuals), default=0.0)
 
-    @property
-    def rms_residual(self) -> float:
-        if not self.residuals:
-            return 0.0
-        return math.sqrt(
-            sum(r * r for r in self.residuals) / len(self.residuals)
-        )
-
 
 @dataclass
 class SyncStatsCollector:
@@ -95,9 +87,6 @@ class SyncStatsCollector:
     # ------------------------------------------------------------------
     def for_level(self, level: str) -> list[SyncRoundRecord]:
         return [r for r in self.rounds if r.level == level]
-
-    def for_client(self, rank: int) -> list[SyncRoundRecord]:
-        return [r for r in self.rounds if r.client_rank == rank]
 
     def levels(self) -> list[str]:
         seen: list[str] = []

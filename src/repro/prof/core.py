@@ -176,15 +176,6 @@ class Profiler:
 
         yield from _walk((), self.root)
 
-    def find(self, *path: str) -> Zone | None:
-        """The zone at ``path`` (root-relative), or None."""
-        node = self.root
-        for name in path:
-            node = node.children.get(name)
-            if node is None:
-                return None
-        return node
-
     def merge_from(self, other: "Profiler") -> None:
         """Fold another profiler's tree into this one (root-aligned).
 

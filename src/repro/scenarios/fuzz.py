@@ -32,13 +32,16 @@ import os
 import sys
 
 from repro.context import run_context
-from repro.errors import InvariantViolation
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.scenarios.runner import CellResult, run_scenario_cell
 
 #: Bumped when the repro-file layout changes incompatibly (2: a
 #: scenario is one ``faults`` list plus ``error_budget``, no
 #: ``adversaries``).
 REPRO_VERSION = 2
+
+#: A cell's integer fields and the least value each may take.
+_CELL_INTS = {"num_nodes": 1, "ranks_per_node": 1, "rounds": 1, "seed": 0}
 
 
 def run_cell(cell: dict) -> CellResult:
@@ -69,6 +72,21 @@ def run_cell(cell: dict) -> CellResult:
         )
         result.violations.append(f"invariant:{exc}")
         return result
+
+
+def _cell_problem(cell) -> str | None:
+    """Why ``cell`` (read from a repro file) cannot be run, or None."""
+    if not isinstance(cell, dict):
+        return "no cell object"
+    if not isinstance(cell.get("scenario"), dict):
+        return "cell has no scenario object"
+    if not isinstance(cell.get("label"), str):
+        return "cell has no label string"
+    for key, least in _CELL_INTS.items():
+        value = cell.get(key)
+        if type(value) is not int or value < least:
+            return f"cell {key} must be an integer >= {least}, got {value!r}"
+    return None
 
 
 def archive_path(out_dir: str, cell: dict) -> str:
@@ -162,7 +180,8 @@ def replay(path: str) -> int:
     """Re-run an archived repro; exit 1 when the violation reproduces.
 
     A file that cannot be read or parsed exits 2, like a repro of
-    another layout version: 1 is reserved for "reproduced".
+    another layout version or one whose cell cannot be built: 1 is
+    reserved for "reproduced".
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -178,7 +197,16 @@ def replay(path: str) -> int:
             file=sys.stderr,
         )
         return 2
-    result = run_cell(data["cell"])
+    cell = data.get("cell")
+    problem = _cell_problem(cell)
+    if problem is None:
+        try:
+            result = run_cell(cell)
+        except ConfigurationError as exc:
+            problem = str(exc)
+    if problem is not None:
+        print(f"malformed repro file {path!r}: {problem}", file=sys.stderr)
+        return 2
     expected = data.get("violations", [])
     print(f"archived violations: {expected}")
     print(f"replayed violations: {result.violations}")
@@ -226,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.replay:
         return replay(args.replay)
+    if args.budget < 1:
+        print(f"--budget must be >= 1, got {args.budget}", file=sys.stderr)
+        return 2
     return fuzz(args.budget, args.seed, args.out, hostile=args.hostile)
 
 

@@ -31,7 +31,6 @@ from repro.service.workload import (
     OP_COMPARE,
     OP_NOW,
     OP_TRANSLATE,
-    BatchingModel,
     QueryStream,
     WorkloadSpec,
     generate,
@@ -42,7 +41,6 @@ __all__ = [
     "OP_NOW",
     "OP_TRANSLATE",
     "SERVICE_TIME",
-    "BatchingModel",
     "ClockService",
     "ErrorBoundResyncPolicy",
     "ModelEpoch",

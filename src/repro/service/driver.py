@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,41 +62,38 @@ from repro.service.workload import (
     OP_COMPARE,
     OP_NOW,
     OP_TRANSLATE,
-    BatchingModel,
     WorkloadSpec,
     generate,
+    respond,
 )
 from repro.simtime.hardware import HardwareClock
-from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec, make_node_clocks
+from repro.simtime.sources import CLOCK_GETTIME, make_node_clocks
 from repro.sync.linear_model import LinearDriftModel
 
-#: Default time source: drifty enough that a 20 s old model matters at a
-#: tens-of-microseconds SLO (between the package default and the resync
-#: tests' TWITCHY preset).
+#: The cluster's time source: drifty enough that a 20 s old model
+#: matters at a tens-of-microseconds SLO (between the package default and
+#: the resync tests' TWITCHY preset).
 SERVICE_TIME = CLOCK_GETTIME.with_(skew_walk_sigma=3e-7)
+#: Span of the offset-measurement window each fit uses, seconds.
+FIT_WINDOW = 1.0
+#: Offset measurements per fit.
+FIT_POINTS = 24
+#: Std-dev of per-measurement offset noise, seconds.
+NOISE = 0.3e-6
+#: Telemetry bucket width, seconds.
+SAMPLE_INTERVAL = 1.0
+#: Floor on the spacing between sync rounds (guards degenerate policies
+#: from resyncing every batch).
+MIN_RESYNC_INTERVAL = 0.25
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Cluster + sync-oracle + serving parameters of one run."""
+    """The cluster size and SLO of one run."""
 
     num_ranks: int = 8
     #: Target clock-error SLO the service reports staleness against.
     slo: float = 25e-6
-    time_source: TimeSourceSpec = SERVICE_TIME
-    #: Span of the offset-measurement window each fit uses, seconds.
-    fit_window: float = 1.0
-    #: Offset measurements per fit.
-    fit_points: int = 24
-    #: Std-dev of per-measurement offset noise, seconds.
-    noise: float = 0.3e-6
-    #: Request batching cost model.
-    batching: BatchingModel = field(default_factory=BatchingModel)
-    #: Telemetry bucket width, seconds.
-    sample_interval: float = 1.0
-    #: Floor on the spacing between sync rounds (guards degenerate
-    #: policies from resyncing every batch).
-    min_resync_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.num_ranks < 2:
@@ -104,17 +101,6 @@ class ServiceConfig:
         # Chained comparisons: NaN fails every one, inf the upper bound.
         if not 0.0 < self.slo < math.inf:
             raise ConfigurationError("slo must be finite and > 0")
-        if not 0.0 < self.fit_window < math.inf or self.fit_points < 2:
-            raise ConfigurationError(
-                "fit_window must be finite and > 0, fit_points >= 2"
-            )
-        if not 0.0 <= self.noise < math.inf:
-            raise ConfigurationError("noise must be finite and >= 0")
-        if not (0.0 < self.sample_interval < math.inf
-                and 0.0 < self.min_resync_interval < math.inf):
-            raise ConfigurationError(
-                "sample_interval/min_resync_interval must be finite and > 0"
-            )
 
 
 class SimulatedCluster:
@@ -133,10 +119,9 @@ class SimulatedCluster:
         self, config: ServiceConfig, seed: np.random.SeedSequence
     ) -> None:
         clock_seed, noise_seed = seed.spawn(2)
-        self.config = config
         self.clocks: list[HardwareClock] = make_node_clocks(
             config.num_ranks,
-            config.time_source,
+            SERVICE_TIME,
             np.random.default_rng(clock_seed),
         )
         self._noise_rng = np.random.default_rng(noise_seed)
@@ -154,8 +139,7 @@ class SimulatedCluster:
 
     def sync(self, t: float) -> None:
         """Fit fresh per-rank models from measurements ending at ``t``."""
-        cfg = self.config
-        ts = np.linspace(t - cfg.fit_window, t, cfg.fit_points)
+        ts = np.linspace(t - FIT_WINDOW, t, FIT_POINTS)
         ref_readings = self.clocks[self.ref_rank].read_many(ts)
         models: list[LinearDriftModel] = []
         residual = 0.0
@@ -164,7 +148,7 @@ class SimulatedCluster:
                 models.append(LinearDriftModel.ZERO)
                 continue
             local = clock.read_many(ts)
-            noise = self._noise_rng.normal(0.0, cfg.noise, cfg.fit_points)
+            noise = self._noise_rng.normal(0.0, NOISE, FIT_POINTS)
             offsets = local - ref_readings + noise
             model = LinearDriftModel.fit(local, offsets)
             models.append(model)
@@ -291,11 +275,9 @@ def run_service(
     root = np.random.SeedSequence(seed)
     cluster_seed, workload_seed = root.spawn(2)
     cluster = SimulatedCluster(config, cluster_seed)
-    stream = generate(
-        workload, config.num_ranks, workload_seed, config.batching
-    )
+    stream = generate(workload, config.num_ranks, workload_seed)
     # Serving starts after the first fit window has history to fit on.
-    t_start = config.fit_window
+    t_start = FIT_WINDOW
     times = stream.times + t_start
     t_end = t_start + workload.duration
     ctx = current_context()
@@ -310,7 +292,7 @@ def run_service(
     service = ClockService(cluster, config.slo)
 
     with zone("service.batching"):
-        done, _sizes = config.batching.respond(times)
+        done, _sizes = respond(times)
     latencies = done - times
 
     # Sync fits models, it never adjusts a clock: a reading is a function
@@ -361,7 +343,7 @@ def run_service(
         epoch = service.epoch()
         t_next = max(
             policy.next_resync(epoch),
-            epoch.synced_at + config.min_resync_interval,
+            epoch.synced_at + MIN_RESYNC_INTERVAL,
         )
         stop = int(np.searchsorted(times, min(t_next, t_end), side="left"))
         seg = slice(start, stop)
@@ -434,7 +416,7 @@ def run_service(
         metrics.counter("service.cache.misses").inc(stats.epoch_misses)
         metrics.counter("service.resyncs").inc(syncs)
     if bank is not None and times.size:
-        buckets = np.floor(times / config.sample_interval).astype(np.int64)
+        buckets = np.floor(times / SAMPLE_INTERVAL).astype(np.int64)
         base = int(buckets.min())
         counts = np.bincount(buckets - base)
         stale_counts = np.bincount(
@@ -443,7 +425,7 @@ def run_service(
         for b in range(counts.size):
             if counts[b] == 0:
                 continue
-            t_b = (base + b + 1) * config.sample_interval
+            t_b = (base + b + 1) * SAMPLE_INTERVAL
             in_bucket = buckets - base == b
             bank.sample(
                 "service.stale_rate", t_b,

@@ -11,10 +11,10 @@ IEEE-754 operation order (``t - (slope * t + intercept)``), so a batched
 answer is bit-identical to the scalar one — the property
 ``tests/properties/test_property_service.py`` pins.
 
-Per-response staleness comes from the paper's accuracy analysis
-(:func:`repro.analysis.accuracy.error_bound`): the bound starts at the
-fit's residual error and grows with model age at a rate set by each
-rank's drift family.  The reference rank serves its own readings, so its
+Per-response staleness comes from the paper's accuracy analysis: the
+bound ``base_error + (1 + |slope|) * growth(age)`` starts at the fit's
+residual error and grows with model age at a rate set by each rank's
+drift family (``DriftModel.error_growth_many``).  The reference rank serves its own readings, so its
 bound is identically zero; every other rank accumulates both its own and
 the reference oscillator's wander.  Ranks are grouped by family at
 compile time (``DriftModel.growth_key()``), so a batch evaluates each

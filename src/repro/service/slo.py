@@ -8,9 +8,8 @@ clock error stays under it:
 * :class:`PeriodicResyncPolicy` — the paper's fixed-age schedule
   (service-side mirror of :class:`~repro.sync.resync.PeriodicResyncClock`).
 * :class:`ErrorBoundResyncPolicy` — resync when the *predicted* worst
-  per-rank error bound reaches ``margin * slo`` (the service-side mirror
-  of :class:`~repro.sync.resync.ErrorBoundResyncClock`); adapts the
-  schedule to the drift actually present instead of a worst-case period.
+  per-rank error bound reaches ``margin * slo``; adapts the schedule to
+  the drift actually present instead of a worst-case period.
 """
 
 from __future__ import annotations

@@ -34,50 +34,38 @@ from repro.errors import ConfigurationError
 OP_NOW, OP_TRANSLATE, OP_COMPARE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class BatchingModel:
-    """Deterministic cost model of the service's request batching.
+#: The service's request batching: queries arriving within one
+#: ``BATCH_WINDOW`` (s) are served together at the window boundary, and a
+#: batch of ``B`` queries costs ``BATCH_COST_BASE + BATCH_COST_PER_QUERY
+#: * B`` seconds of service time.
+BATCH_WINDOW = 5e-3
+BATCH_COST_BASE = 50e-6
+BATCH_COST_PER_QUERY = 0.2e-6
 
-    Queries arriving within one ``window`` are served together at the
-    window boundary; a batch of ``B`` queries costs
-    ``cost_base + cost_per_query * B`` of service time.  Latency of a
-    query is therefore (window remainder) + batch cost — the batching
-    trade-off the tail-latency histograms measure.
+
+def respond(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Completion time and batch size for each arrival.
+
+    A query's latency is (window remainder) + batch cost — the batching
+    trade-off the tail-latency histograms measure.  Pure and vectorized:
+    arrivals map to window indices, window populations come from one
+    ``bincount``.
     """
-
-    window: float = 5e-3
-    cost_base: float = 50e-6
-    cost_per_query: float = 0.2e-6
-
-    def __post_init__(self) -> None:
-        if self.window <= 0.0:
-            raise ConfigurationError("window must be > 0")
-        if self.cost_base < 0.0 or self.cost_per_query < 0.0:
-            raise ConfigurationError("batch costs must be >= 0")
-
-    def respond(
-        self, times: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Completion time and batch size for each arrival.
-
-        Pure and vectorized: arrivals map to window indices, window
-        populations come from one ``bincount``.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        windows = np.floor(times / self.window).astype(np.int64)
-        base = int(windows.min())
-        sizes = np.bincount(windows - base)[windows - base]
-        done = (
-            (windows + 1) * self.window
-            + self.cost_base
-            + self.cost_per_query * sizes
+    times = np.asarray(times, dtype=np.float64)
+    if times.size == 0:
+        return (
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.int64),
         )
-        return done, sizes
+    windows = np.floor(times / BATCH_WINDOW).astype(np.int64)
+    base = int(windows.min())
+    sizes = np.bincount(windows - base)[windows - base]
+    done = (
+        (windows + 1) * BATCH_WINDOW
+        + BATCH_COST_BASE
+        + BATCH_COST_PER_QUERY * sizes
+    )
+    return done, sizes
 
 
 @dataclass(frozen=True)
@@ -153,9 +141,7 @@ def _open_arrivals(
 
 
 def _closed_arrivals(
-    spec: WorkloadSpec,
-    batching: BatchingModel,
-    rng: np.random.Generator,
+    spec: WorkloadSpec, rng: np.random.Generator
 ) -> np.ndarray:
     """Wave-based closed loop: think → query → batched response → think."""
     # Staggered start: clients come online over one think period.
@@ -166,7 +152,7 @@ def _closed_arrivals(
         if live.size == 0:
             break
         waves.append(live)
-        done, _ = batching.respond(live)
+        done, _ = respond(live)
         thinks = rng.exponential(spec.think_time, size=pending.size)
         next_pending = np.full(pending.size, np.inf)
         next_pending[pending < spec.duration] = done + thinks[
@@ -180,13 +166,12 @@ def generate(
     spec: WorkloadSpec,
     num_ranks: int,
     seed: np.random.SeedSequence | int,
-    batching: BatchingModel | None = None,
 ) -> QueryStream:
     """Generate the full query stream for one service run.
 
     Deterministic: the stream is a pure function of ``(spec, num_ranks,
-    seed, batching)``.  Closed-loop generation needs the batching model
-    to compute the response times its arrivals feed back on.
+    seed)``.  Closed-loop generation uses the batching model
+    (:func:`respond`) for the response times its arrivals feed back on.
     """
     if num_ranks < 2:
         raise ConfigurationError("need at least 2 ranks to query across")
@@ -194,7 +179,7 @@ def generate(
     if spec.mode == "open":
         times = _open_arrivals(spec, rng)
     else:
-        times = _closed_arrivals(spec, batching or BatchingModel(), rng)
+        times = _closed_arrivals(spec, rng)
     order = np.argsort(times, kind="stable")
     times = times[order]
     n = times.size

@@ -104,9 +104,7 @@ def _reduce_bcast(
     from repro.simmpi.collectives.bcast import bcast as _bcast
     from repro.simmpi.collectives.reduce import reduce as _reduce
 
-    total = yield from _reduce(
-        comm, value, op=op, root=0, size=size, algorithm="binomial"
-    )
+    total = yield from _reduce(comm, value, op=op, root=0, size=size)
     result = yield from _bcast(
         comm, total, root=0, size=size, algorithm="binomial"
     )

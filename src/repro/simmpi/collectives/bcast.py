@@ -1,4 +1,4 @@
-"""``MPI_Bcast`` algorithm variants: binomial tree and flat linear."""
+"""``MPI_Bcast`` algorithm variants: binomial tree and scatter + allgather."""
 
 from __future__ import annotations
 
@@ -26,34 +26,6 @@ def _binomial(
     return value
 
 
-def _linear(
-    comm: "Communicator", value: Any, root: int, size: int, tag: int
-) -> Generator[Any, Any, Any]:
-    """Root sends to every rank individually (O(p) at the root)."""
-    if comm.rank == root:
-        for peer in range(comm.size):
-            if peer != root:
-                yield from comm.send_raw(peer, tag, value, size)
-        return value
-    msg = yield from comm.recv_raw(root, tag)
-    return msg.payload
-
-
-def _chain(
-    comm: "Communicator", value: Any, root: int, size: int, tag: int
-) -> Generator[Any, Any, Any]:
-    """Pipeline chain: each rank forwards to the next (large messages)."""
-    rank, nprocs = comm.rank, comm.size
-    relative = (rank - root) % nprocs
-    if relative > 0:
-        prev = (rank - 1) % nprocs
-        msg = yield from comm.recv_raw(prev, tag)
-        value = msg.payload
-    if relative < nprocs - 1:
-        yield from comm.send_raw((rank + 1) % nprocs, tag, value, size)
-    return value
-
-
 def _scatter_allgather(
     comm: "Communicator", value: Any, root: int, size: int, tag: int
 ) -> Generator[Any, Any, Any]:
@@ -75,19 +47,15 @@ def _scatter_allgather(
         [(i, value) for i in range(nprocs)] if comm.rank == root else None
     )
     my_segment = yield from _scatter(
-        comm, segments, root=root, size=segment_size, algorithm="binomial"
+        comm, segments, root=root, size=segment_size
     )
-    pieces = yield from _allgather(
-        comm, my_segment, size=segment_size, algorithm="ring"
-    )
+    pieces = yield from _allgather(comm, my_segment, size=segment_size)
     # Any piece carries the broadcast value (piece = (segment_idx, value)).
     return pieces[0][1]
 
 
 BCAST_ALGORITHMS = {
     "binomial": _binomial,
-    "linear": _linear,
-    "chain": _chain,
     "scatter_allgather": _scatter_allgather,
 }
 

@@ -1,20 +1,25 @@
-"""``MPI_Gather`` algorithm variants: linear and binomial."""
+"""``MPI_Gather``: every rank sends straight to the root (linear)."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import CommunicatorError
-from repro.simmpi.collectives._tree import binomial_children, binomial_parent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.comm import Communicator
 
 
-def _linear(
-    comm: "Communicator", value: Any, root: int, size: int, tag: int
+def gather(
+    comm: "Communicator",
+    value: Any,
+    root: int = 0,
+    size: int = 8,
 ) -> Generator[Any, Any, list[Any] | None]:
-    """Every rank sends directly to the root."""
+    """Gather one value per rank to ``root`` (root gets the rank-ordered list)."""
+    if not 0 <= root < comm.size:
+        raise CommunicatorError(f"invalid gather root {root}")
+    tag = comm.next_collective_tag()
     if comm.rank != root:
         yield from comm.send_raw(root, tag, value, size)
         return None
@@ -26,54 +31,3 @@ def _linear(
         msg = yield from comm.recv_raw(peer, tag)
         out[peer] = msg.payload
     return out
-
-
-def _binomial(
-    comm: "Communicator", value: Any, root: int, size: int, tag: int
-) -> Generator[Any, Any, list[Any] | None]:
-    """Gather up a binomial tree; inner nodes forward growing blocks."""
-    rank, nprocs = comm.rank, comm.size
-    relative = (rank - root) % nprocs
-    # collected: {comm_rank: value} for our whole subtree.
-    collected: dict[int, Any] = {rank: value}
-    for child in reversed(binomial_children(relative, nprocs)):
-        msg = yield from comm.recv_raw((child + root) % nprocs, tag)
-        collected.update(msg.payload)
-    parent = binomial_parent(relative, nprocs)
-    if parent is not None:
-        yield from comm.send_raw(
-            (parent + root) % nprocs, tag, collected, size * len(collected)
-        )
-        return None
-    out: list[Any] = [None] * nprocs
-    for r, v in collected.items():
-        out[r] = v
-    return out
-
-
-GATHER_ALGORITHMS = {
-    "linear": _linear,
-    "binomial": _binomial,
-}
-
-
-def gather(
-    comm: "Communicator",
-    value: Any,
-    root: int = 0,
-    size: int = 8,
-    algorithm: str = "linear",
-) -> Generator[Any, Any, list[Any] | None]:
-    """Gather one value per rank to ``root`` (root gets the rank-ordered list)."""
-    if not 0 <= root < comm.size:
-        raise CommunicatorError(f"invalid gather root {root}")
-    try:
-        impl = GATHER_ALGORITHMS[algorithm]
-    except KeyError:
-        raise CommunicatorError(
-            f"unknown gather algorithm {algorithm!r}; "
-            f"choose from {sorted(GATHER_ALGORITHMS)}"
-        ) from None
-    tag = comm.next_collective_tag()
-    result = yield from impl(comm, value, root, size, tag)
-    return result

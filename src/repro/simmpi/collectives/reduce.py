@@ -1,4 +1,4 @@
-"""``MPI_Reduce`` algorithm variants: binomial tree and flat linear.
+"""``MPI_Reduce``: binomial-tree reduction.
 
 Reduction operators are plain Python callables ``op(a, b)``; they must be
 associative (and, for the recursive/tree shapes, commutative — true for all
@@ -17,15 +17,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.comm import Communicator
 
 
-def _binomial(
+def reduce(
     comm: "Communicator",
     value: Any,
-    op: Callable[[Any, Any], Any],
-    root: int,
-    size: int,
-    tag: int,
+    op: Callable[[Any, Any], Any] | None = None,
+    root: int = 0,
+    size: int = 8,
 ) -> Generator[Any, Any, Any]:
-    """Binomial-tree reduction toward ``root``."""
+    """Reduce ``value`` to ``root``; root returns the result, others None."""
+    if not 0 <= root < comm.size:
+        raise CommunicatorError(f"invalid reduce root {root}")
+    op = op or operator.add
+    tag = comm.next_collective_tag()
     rank, nprocs = comm.rank, comm.size
     relative = (rank - root) % nprocs
     acc = value
@@ -39,54 +42,3 @@ def _binomial(
         yield from comm.send_raw((parent + root) % nprocs, tag, acc, size)
         return None
     return acc
-
-
-def _linear(
-    comm: "Communicator",
-    value: Any,
-    op: Callable[[Any, Any], Any],
-    root: int,
-    size: int,
-    tag: int,
-) -> Generator[Any, Any, Any]:
-    """All ranks send to the root, which combines in rank order."""
-    if comm.rank != root:
-        yield from comm.send_raw(root, tag, value, size)
-        return None
-    acc = value
-    for peer in range(comm.size):
-        if peer == root:
-            continue
-        msg = yield from comm.recv_raw(peer, tag)
-        acc = op(acc, msg.payload)
-    return acc
-
-
-REDUCE_ALGORITHMS = {
-    "binomial": _binomial,
-    "linear": _linear,
-}
-
-
-def reduce(
-    comm: "Communicator",
-    value: Any,
-    op: Callable[[Any, Any], Any] | None = None,
-    root: int = 0,
-    size: int = 8,
-    algorithm: str = "binomial",
-) -> Generator[Any, Any, Any]:
-    """Reduce ``value`` to ``root``; root returns the result, others None."""
-    if not 0 <= root < comm.size:
-        raise CommunicatorError(f"invalid reduce root {root}")
-    op = op or operator.add
-    try:
-        impl = REDUCE_ALGORITHMS[algorithm]
-    except KeyError:
-        raise CommunicatorError(
-            f"unknown reduce algorithm {algorithm!r}; "
-            f"choose from {sorted(REDUCE_ALGORITHMS)}"
-        ) from None
-    tag = comm.next_collective_tag()
-    result = yield from impl(comm, value, op, root, size, tag)
-    return result

@@ -1,4 +1,4 @@
-"""``MPI_Scatter`` algorithm variants: linear and binomial.
+"""``MPI_Scatter``: binomial-tree scatter.
 
 HCA/HCA2 distribute the learned clock models with ``MPI_Scatter`` (Fig. 1a
 in the paper); this module provides that operation for the substrate.
@@ -15,37 +15,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.comm import Communicator
 
 
-def _linear(
+def scatter(
     comm: "Communicator",
-    values: Sequence[Any] | None,
-    root: int,
-    size: int,
-    tag: int,
+    values: Sequence[Any] | None = None,
+    root: int = 0,
+    size: int = 8,
 ) -> Generator[Any, Any, Any]:
-    """Root sends each rank its block directly."""
+    """Scatter ``values`` (rank-indexed, root only) to all ranks.
+
+    Down a binomial tree: inner nodes split the blocks they forward.
+    """
+    if not 0 <= root < comm.size:
+        raise CommunicatorError(f"invalid scatter root {root}")
     if comm.rank == root:
-        assert values is not None
-        for peer in range(comm.size):
-            if peer != root:
-                yield from comm.send_raw(peer, tag, values[peer], size)
-        return values[root]
-    msg = yield from comm.recv_raw(root, tag)
-    return msg.payload
-
-
-def _binomial(
-    comm: "Communicator",
-    values: Sequence[Any] | None,
-    root: int,
-    size: int,
-    tag: int,
-) -> Generator[Any, Any, Any]:
-    """Scatter down a binomial tree; inner nodes split forwarded blocks."""
+        if values is None or len(values) != comm.size:
+            raise CommunicatorError(
+                "scatter root must supply one value per rank"
+            )
+    tag = comm.next_collective_tag()
     rank, nprocs = comm.rank, comm.size
     relative = (rank - root) % nprocs
 
     if relative == 0:
-        assert values is not None
         block: dict[int, Any] = {
             ((r + root) % nprocs): values[(r + root) % nprocs]
             for r in range(nprocs)
@@ -69,36 +60,3 @@ def _binomial(
             (child + root) % nprocs, tag, sub, size * max(1, len(sub))
         )
     return block[rank]
-
-
-SCATTER_ALGORITHMS = {
-    "linear": _linear,
-    "binomial": _binomial,
-}
-
-
-def scatter(
-    comm: "Communicator",
-    values: Sequence[Any] | None = None,
-    root: int = 0,
-    size: int = 8,
-    algorithm: str = "linear",
-) -> Generator[Any, Any, Any]:
-    """Scatter ``values`` (rank-indexed, root only) to all ranks."""
-    if not 0 <= root < comm.size:
-        raise CommunicatorError(f"invalid scatter root {root}")
-    if comm.rank == root:
-        if values is None or len(values) != comm.size:
-            raise CommunicatorError(
-                "scatter root must supply one value per rank"
-            )
-    try:
-        impl = SCATTER_ALGORITHMS[algorithm]
-    except KeyError:
-        raise CommunicatorError(
-            f"unknown scatter algorithm {algorithm!r}; "
-            f"choose from {sorted(SCATTER_ALGORITHMS)}"
-        ) from None
-    tag = comm.next_collective_tag()
-    result = yield from impl(comm, values, root, size, tag)
-    return result

@@ -125,11 +125,6 @@ class Communicator:
             )
         return self._ranks[comm_rank]
 
-    @property
-    def group(self) -> tuple[int, ...]:
-        """The ordered tuple of member global ranks."""
-        return self._ranks
-
     def _user_tag(self, tag: int) -> int:
         if not 0 <= tag < MAX_USER_TAG:
             raise CommunicatorError(f"user tag must be in [0, {MAX_USER_TAG})")
@@ -291,15 +286,12 @@ class Communicator:
         self._obs_exit("MPI_Bcast")
         return result
 
-    def reduce(self, value: Any, op=None, root: int = 0, size: int = 8,
-               algorithm: str = "binomial"):
+    def reduce(self, value: Any, op=None, root: int = 0, size: int = 8):
         """MPI_Reduce: root returns op-combined value, others None."""
         from repro.simmpi.collectives.reduce import reduce as _reduce
 
         self._obs_enter("MPI_Reduce")
-        result = yield from _reduce(
-            self, value, op=op, root=root, size=size, algorithm=algorithm
-        )
+        result = yield from _reduce(self, value, op=op, root=root, size=size)
         self._obs_exit("MPI_Reduce")
         return result
 
@@ -315,50 +307,40 @@ class Communicator:
         self._obs_exit("MPI_Allreduce")
         return result
 
-    def gather(self, value: Any, root: int = 0, size: int = 8,
-               algorithm: str = "linear"):
+    def gather(self, value: Any, root: int = 0, size: int = 8):
         """MPI_Gather: root returns the rank-ordered list, others None."""
         from repro.simmpi.collectives.gather import gather as _gather
 
         self._obs_enter("MPI_Gather")
-        result = yield from _gather(
-            self, value, root=root, size=size, algorithm=algorithm
-        )
+        result = yield from _gather(self, value, root=root, size=size)
         self._obs_exit("MPI_Gather")
         return result
 
     def scatter(self, values: Sequence[Any] | None = None, root: int = 0,
-                size: int = 8, algorithm: str = "linear"):
+                size: int = 8):
         """MPI_Scatter: every rank returns its block of root's values."""
         from repro.simmpi.collectives.scatter import scatter as _scatter
 
         self._obs_enter("MPI_Scatter")
-        result = yield from _scatter(
-            self, values, root=root, size=size, algorithm=algorithm
-        )
+        result = yield from _scatter(self, values, root=root, size=size)
         self._obs_exit("MPI_Scatter")
         return result
 
-    def allgather(self, value: Any, size: int = 8, algorithm: str = "ring"):
+    def allgather(self, value: Any, size: int = 8):
         """MPI_Allgather: every rank returns the rank-ordered list."""
         from repro.simmpi.collectives.allgather import allgather as _allgather
 
         self._obs_enter("MPI_Allgather")
-        result = yield from _allgather(
-            self, value, size=size, algorithm=algorithm
-        )
+        result = yield from _allgather(self, value, size=size)
         self._obs_exit("MPI_Allgather")
         return result
 
-    def alltoall(self, values: Sequence[Any], size: int = 8,
-                 algorithm: str = "pairwise"):
+    def alltoall(self, values: Sequence[Any], size: int = 8):
         """MPI_Alltoall: exchange values[i] with rank i."""
         from repro.simmpi.collectives.alltoall import alltoall as _alltoall
 
         self._obs_enter("MPI_Alltoall")
-        result = yield from _alltoall(
-            self, values, size=size, algorithm=algorithm
-        )
+        result = yield from _alltoall(self, values, size=size)
         self._obs_exit("MPI_Alltoall")
         return result
 

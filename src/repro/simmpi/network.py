@@ -17,15 +17,15 @@ parameter.
 
 Randomness contract: every stochastic term is derived from *uniform*
 variates by explicit inverse-CDF transforms (``Exp(s) = -s·log1p(-U)``),
-consuming exactly one uniform per variate.  The engine feeds these from
-chunked :class:`~repro.simmpi.rngpool.UniformPool` buffers; the scalar
-:meth:`NetworkModel.delay` entry point consumes the same one-uniform-per-
-variate pattern straight from a generator, so pooled and scalar execution
-produce bit-identical delay sequences for the same seed.
+consuming exactly one uniform per variate, in a fixed order (jitter,
+outlier test, outlier).  The engine feeds these from chunked
+:class:`~repro.simmpi.rngpool.UniformPool` buffers, whose draws are
+bit for bit the generator's own, so a delay sequence is a function of
+the seed alone, whatever the pool's chunk size.
 
 Message-size validation happens where messages are *constructed*
 (:class:`~repro.simmpi.engine.SendCmd` rejects negative sizes), not here:
-``delay`` is the per-message hot path and stays branch-minimal.
+:func:`draw_delay` is the per-message hot path and stays branch-minimal.
 """
 
 from __future__ import annotations
@@ -34,15 +34,7 @@ import enum
 from dataclasses import dataclass, field
 from math import log1p
 
-import numpy as np
-
 from repro.simmpi.rngpool import UniformPool
-
-#: Entries kept in the per-model ``(level, size) -> base delay`` cache
-#: before it is reset.  Sync workloads use a handful of distinct message
-#: sizes, so the cache almost never cycles; the bound only guards against
-#: adversarial size churn growing memory without limit.
-_BASE_CACHE_LIMIT = 4096
 
 
 class Level(enum.IntEnum):
@@ -118,8 +110,6 @@ class NetworkModel:
     _fast: list[tuple[float, float, float, float, float]] = field(
         init=False, repr=False
     )
-    #: Bounded ``(level, size) -> latency + size/bandwidth`` cache.
-    _base_cache: dict[tuple[int, int], float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -150,46 +140,10 @@ class NetworkModel:
             )
             for level in sorted(Level)
         ]
-        self._base_cache = {}
 
     def params_for(self, level: Level) -> LinkParams:
         """The effective link parameters for a topology level."""
         return self._resolved[level]
-
-    def base_delay(self, level: Level, size: int) -> float:
-        """Deterministic wire time ``latency + size/bandwidth``, cached.
-
-        The cache is keyed by ``(level, size)`` and bounded (it resets
-        after ``_BASE_CACHE_LIMIT`` distinct keys); sync workloads reuse a
-        handful of sizes, so the division is paid once per size.
-        """
-        key = (level, size)
-        cache = self._base_cache
-        base = cache.get(key)
-        if base is None:
-            if len(cache) >= _BASE_CACHE_LIMIT:
-                cache.clear()
-            lat, inv_bw, _, _, _ = self._fast[level]
-            base = lat + size * inv_bw
-            cache[key] = base
-        return base
-
-    def delay(self, level: Level, size: int, rng: np.random.Generator) -> float:
-        """Draw the wire time of one ``size``-byte message at ``level``.
-
-        Scalar reference path: consumes one ``rng.random()`` per variate
-        in the same order as :meth:`delay_from_pool`, so a pool wrapped
-        around an identically seeded generator yields the same delays.
-        ``size`` is validated at :class:`~repro.simmpi.engine.SendCmd`
-        construction, not here.
-        """
-        _, _, jitter, outlier_prob, outlier_scale = self._fast[level]
-        d = self.base_delay(level, size)
-        if jitter > 0.0:
-            d += jitter * -log1p(-rng.random())
-        if outlier_prob > 0.0 and rng.random() < outlier_prob:
-            d += outlier_scale * -log1p(-rng.random())
-        return d
 
     def link(
         self, level: Level, size: int
@@ -197,15 +151,14 @@ class NetworkModel:
         """``(base, jitter_scale, outlier_prob, outlier_scale)`` of a
         ``size``-byte message at ``level``: the constants of one
         :func:`draw_delay`, which a sender may resolve once per peer.
-        ``base`` is :meth:`base_delay`'s sum, uncached (a multiply-add
-        costs less than the cache probe)."""
+        ``base`` is the wire time ``latency + size/bandwidth``."""
         lat, inv_bw, jitter, outlier_prob, outlier_scale = self._fast[level]
         return lat + size * inv_bw, jitter, outlier_prob, outlier_scale
 
     def delay_from_pool(
         self, level: Level, size: int, pool: UniformPool
     ) -> float:
-        """Pooled hot-path twin of :meth:`delay` (same variate order)."""
+        """The wire time of one ``size``-byte message at ``level``."""
         return draw_delay(self.link(level, size), pool)
 
 
@@ -213,8 +166,7 @@ def draw_delay(
     link: tuple[float, float, float, float], pool: UniformPool
 ) -> float:
     """The wire time of one message on ``link`` (:meth:`NetworkModel.link`),
-    its variates taken from ``pool``: the one pooled delay body, drawing
-    in the order of the scalar reference :meth:`NetworkModel.delay`."""
+    its variates taken from ``pool``: the one delay body."""
     d, jitter, outlier_prob, outlier_scale = link
     if jitter > 0.0:
         d += jitter * -log1p(-pool.next())

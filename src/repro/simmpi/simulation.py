@@ -75,10 +75,6 @@ class SimulationResult:
     #: Sanitizer report when the job ran with checking enabled.
     check_report: CheckReport | None = None
 
-    def true_offset(self, rank: int, ref_rank: int, true_time: float) -> float:
-        """Ground-truth clock offset ``rank - ref_rank`` at a true time."""
-        return self.clocks[rank].offset_to(self.clocks[ref_rank], true_time)
-
 
 MainFn = Callable[[ProcessContext, Communicator], Generator]
 
@@ -269,15 +265,6 @@ class Simulation:
         if self.clocks_per == "socket":
             return (placement.node, placement.socket)
         return (placement.node, placement.socket, placement.core)
-
-    def shared_time_source(self, ranks) -> bool:
-        """Ground-truth oracle: do all ``ranks`` share one hardware clock?
-
-        Plays the role of ``clock_getcpuclockid`` checks on a real system;
-        ClockPropSync is only semantically valid when this holds.
-        """
-        clocks = {id(self.clocks[r]) for r in ranks}
-        return len(clocks) == 1
 
     def world(self, rank: int) -> Communicator:
         """A fresh MPI_COMM_WORLD handle for ``rank``."""

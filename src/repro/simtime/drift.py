@@ -47,32 +47,23 @@ class DriftModel(abc.ABC):
         """
         return math.inf
 
-    def error_growth(self, age: float) -> float:
-        """Bound on accumulated clock error ``age`` seconds after a sync.
+    def error_growth_many(self, ages: np.ndarray) -> np.ndarray:
+        """Bound on accumulated clock error ``ages`` seconds after a sync.
 
         The integral of the skew deviation since the sync instant — the
         paper's per-second accuracy degradation, generalized per drift
         family.  The default integrates the worst case
         (``excursion_bound() * age``); stochastic models override it
-        with a tighter high-confidence bound.
-        """
-        if age <= 0.0:
-            return 0.0
-        return self.excursion_bound() * age
-
-    def error_growth_many(self, ages: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`error_growth` over an array of ages.
-
-        The batch-serving layer calls this per response; overrides must
-        keep the same formula as their scalar ``error_growth``.
+        with a tighter high-confidence bound.  Negative ages count as 0.
+        The batch-serving layer calls this per response.
         """
         ages = np.clip(np.asarray(ages, dtype=np.float64), 0.0, None)
         return self.excursion_bound() * ages
 
     def growth_key(self) -> Hashable | None:
-        """Hashable value of everything :meth:`error_growth` depends on.
+        """Hashable value of everything :meth:`error_growth_many` depends on.
 
-        Two models with equal keys have the same ``error_growth`` at
+        Two models with equal keys have the same ``error_growth_many`` at
         every age, so a batch layer may evaluate it once for both.
         ``None`` (the default) means unknown: never shared.
         """
@@ -167,7 +158,7 @@ class RandomWalkDrift(DriftModel):
         # segments can differ by at most the full corridor width.
         return 2.0 * self.max_excursion
 
-    def error_growth(self, age: float) -> float:
+    def error_growth_many(self, ages: np.ndarray) -> np.ndarray:
         """3-sigma bound on the integrated walk, capped by the corridor.
 
         The skew deviation after ``a`` segments is a random walk with
@@ -177,12 +168,6 @@ class RandomWalkDrift(DriftModel):
         and the reflecting corridor caps the worst case at
         ``2 * max_excursion * a``.
         """
-        if age <= 0.0:
-            return 0.0
-        walk = 3.0 * self.sigma * age ** 1.5 / math.sqrt(3.0)
-        return min(walk, self.excursion_bound() * age)
-
-    def error_growth_many(self, ages: np.ndarray) -> np.ndarray:
         ages = np.clip(np.asarray(ages, dtype=np.float64), 0.0, None)
         walk = 3.0 * self.sigma * ages ** 1.5 / math.sqrt(3.0)
         return np.minimum(walk, self.excursion_bound() * ages)

@@ -173,23 +173,6 @@ class HardwareClock(Clock):
         t0 = idx * self.segment_length
         return t0 + (reading - self._local_at[idx]) / (1.0 + skew)
 
-    # ------------------------------------------------------------------
-    # Introspection helpers (used by drift-analysis experiments)
-    # ------------------------------------------------------------------
-    def skew_at(self, true_time: float) -> float:
-        """The instantaneous skew active at ``true_time``."""
-        idx = int(true_time / self.segment_length)
-        self._ensure_segments(idx)
-        return self._skews[idx]
-
-    def offset_to(self, other: "HardwareClock", true_time: float) -> float:
-        """Raw reading difference ``self - other`` at a common true time.
-
-        This is the ground-truth clock offset the synchronization algorithms
-        try to estimate; experiments use it to score accuracy.
-        """
-        return self.read_raw(true_time) - other.read_raw(true_time)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HardwareClock(offset={self.offset:g}, drift={self.drift!r}, "

@@ -109,18 +109,6 @@ class SteppedClock(Clock):
             f"reading {reading} is not attained by this stepped clock"
         )
 
-    # ------------------------------------------------------------------
-    # HardwareClock-compatible introspection (ground-truth oracles)
-    # ------------------------------------------------------------------
-    def skew_at(self, true_time: float) -> float:
-        """Instantaneous skew (steps do not change the rate)."""
-        return self.inner.skew_at(true_time)
-
-    def offset_to(self, other: Clock, true_time: float) -> float:
-        """Raw reading difference ``self - other`` at a common true time."""
-        other_raw = other.read_raw(true_time)  # type: ignore[attr-defined]
-        return self.read_raw(true_time) - other_raw
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         steps = list(zip(self._times, self._amounts))
         return f"SteppedClock(inner={self.inner!r}, steps={steps})"

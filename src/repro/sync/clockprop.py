@@ -44,9 +44,8 @@ class ClockPropagationSync(ClockSyncAlgorithm):
         return self.name
 
     # The real implementation checks the shared-time-source precondition
-    # with clock_getcpuclockid(0); the simulation-level oracle is
-    # Simulation.shared_time_source(ranks) (tests use it to demonstrate
-    # that violating the precondition yields an incorrect clock).
+    # with clock_getcpuclockid(0); the simulation cannot, and a test
+    # shows that violating it yields an incorrect clock.
 
     def sync_clocks(self, comm: "Communicator", clock: Clock) -> Generator:
         if not 0 <= self.p_ref < comm.size:

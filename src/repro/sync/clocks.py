@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ClockError
 from repro.simtime.base import Clock
 from repro.sync.linear_model import LinearDriftModel
 
@@ -103,31 +102,3 @@ def base_hardware_clock(clock: Clock) -> Clock:
     while isinstance(current, GlobalClockLM):
         current = current.base
     return current
-
-
-def stack_depth(clock: Clock) -> int:
-    """Number of model layers wrapped around the hardware clock."""
-    depth = 0
-    current = clock
-    while isinstance(current, GlobalClockLM):
-        depth += 1
-        current = current.base
-    return depth
-
-
-def effective_model(clock: Clock) -> LinearDriftModel:
-    """Collapse a nested stack into a single equivalent model.
-
-    Composition of the affine layers from the outside in; raises
-    :class:`~repro.errors.ClockError` when the stack is empty.
-    """
-    models = flatten_clock(clock)
-    if not models:
-        raise ClockError("clock has no model layers")
-    # The outermost layer is applied LAST on a reading, so compose with the
-    # innermost first: reading -> inner.apply -> ... -> outer.apply.
-    # g_total = g_outer ∘ g_inner  ==>  outer.compose(inner) per model algebra
-    result = LinearDriftModel(*models[0])
-    for slope, intercept in models[1:]:
-        result = result.compose(LinearDriftModel(slope, intercept))
-    return result

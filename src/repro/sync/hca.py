@@ -120,12 +120,10 @@ class HCA2Sync(ModelLearningSync):
             for k, lm in models.items():
                 buckets[k] = lm
             my_lm = yield from comm.scatter(
-                buckets, root=0, size=MODEL_BYTES, algorithm="binomial"
+                buckets, root=0, size=MODEL_BYTES
             )
         else:
-            my_lm = yield from comm.scatter(
-                None, root=0, size=MODEL_BYTES, algorithm="binomial"
-            )
+            my_lm = yield from comm.scatter(None, root=0, size=MODEL_BYTES)
         return my_lm
 
     def sync_clocks(self, comm: "Communicator", clock: Clock) -> Generator:

@@ -7,11 +7,10 @@ is why "MPI tracing tools ... have to re-synchronize clocks periodically"
 packages that policy: it owns a synchronization algorithm and re-runs it
 whenever the current model is older than ``max_model_age`` seconds,
 giving long-running campaigns a clock whose error stays bounded instead
-of growing linearly with elapsed time.  :class:`ErrorBoundResyncClock`
-is its error-driven sibling: instead of a fixed age it resyncs when the
-*predicted* clock error (:func:`repro.analysis.accuracy.error_bound`)
-approaches an SLO — the policy the service layer sweeps against
-periodic schedules.
+of growing linearly with elapsed time.  The error-driven policy (resync
+when the *predicted* error approaches an SLO) lives in the service
+layer, :class:`repro.service.slo.ErrorBoundResyncPolicy`, which sweeps
+it against periodic schedules.
 
 Usage (inside an SPMD body)::
 
@@ -165,54 +164,3 @@ class PeriodicResyncClock(ResyncClock):
 
     def label(self) -> str:
         return f"resync[{self.max_model_age:g}s]/{self.algorithm.label()}"
-
-
-class ErrorBoundResyncClock(ResyncClock):
-    """Re-syncs when the predicted clock error approaches an SLO.
-
-    Rank 0 evaluates :func:`repro.analysis.accuracy.error_bound` for the
-    current model age against its hardware clock's drift family (or an
-    explicit ``drift`` rate/model) and triggers a round once the bound
-    reaches ``margin * slo``.  With a drifty oscillator this adapts the
-    schedule to the drift actually present instead of a fixed worst-case
-    period — the trade the ``service_slo`` experiment quantifies.
-    """
-
-    def __init__(
-        self,
-        algorithm: ClockSyncAlgorithm,
-        slo: float,
-        margin: float = 0.8,
-        drift=None,
-        base_error: float = 0.0,
-    ) -> None:
-        if slo <= 0.0:
-            raise SyncError("slo must be > 0")
-        if not 0.0 < margin <= 1.0:
-            raise SyncError("margin must be in (0, 1]")
-        if base_error < 0.0:
-            raise SyncError("base_error must be >= 0")
-        super().__init__(algorithm)
-        self.slo = slo
-        self.margin = margin
-        #: ``DriftModel``, plain rate in s/s, or ``None`` to use rank 0's
-        #: hardware-clock drift model at decision time.
-        self.drift = drift
-        self.base_error = base_error
-
-    def _stale(self, age: float, ctx: "ProcessContext") -> bool:
-        from repro.analysis.accuracy import error_bound
-        from repro.sync.clocks import effective_model
-
-        drift = (
-            self.drift if self.drift is not None
-            else ctx.hardware_clock.drift
-        )
-        model = effective_model(self._clock)
-        bound = error_bound(model, age, drift, base_error=self.base_error)
-        return bound >= self.margin * self.slo
-
-    def label(self) -> str:
-        return (
-            f"slo[{self.slo:g}s@{self.margin:g}]/{self.algorithm.label()}"
-        )

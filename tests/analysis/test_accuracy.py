@@ -168,86 +168,3 @@ class TestGroundTruth:
         clocks = [HardwareClock(offset=0.0), HardwareClock(offset=1.0),
                   HardwareClock(offset=-2.0)]
         assert ground_truth_accuracy(clocks, 0.5) == pytest.approx(2.0)
-
-
-class TestErrorBound:
-    """The reusable accuracy-analysis helper, pinned on constant drift.
-
-    With constant drift everything is exactly linear, so the worst-case
-    bound and the ground-truth error can be compared analytically.
-    """
-
-    def _clocks(self, skew):
-        from repro.simtime.drift import ConstantDrift
-        from repro.simtime.hardware import HardwareClock
-
-        ref = HardwareClock(offset=0.0, drift=ConstantDrift(0.0))
-        client = HardwareClock(offset=0.0, drift=ConstantDrift(skew))
-        return ref, client
-
-    def test_unsynced_constant_drift_matches_ground_truth(self):
-        from repro.analysis.accuracy import error_bound
-        from repro.sync.linear_model import LinearDriftModel
-
-        skew = 2e-5
-        ref, client = self._clocks(skew)
-        # An identity "model" (no sync at all): the error is exactly the
-        # accumulated skew, and so is the bound with drift = rate.
-        for age in (1.0, 7.5, 30.0):
-            truth = ground_truth_accuracy([ref, client], age)
-            bound = error_bound(LinearDriftModel.ZERO, age, drift=skew)
-            assert truth == pytest.approx(skew * age, rel=1e-9)
-            assert bound == pytest.approx(truth, rel=1e-9)
-            assert truth <= bound * (1.0 + 1e-12)
-
-    def test_exact_fit_bounds_the_corrected_clock(self):
-        from repro.analysis.accuracy import error_bound
-        from repro.sync.clocks import GlobalClockLM
-        from repro.sync.linear_model import LinearDriftModel
-
-        skew = 2e-5
-        ref, client = self._clocks(skew)
-        # Fit the model from exact offset measurements: constant drift
-        # makes the offset curve a perfect line, so the fit is exact.
-        ts = [10.0 + 0.1 * i for i in range(8)]
-        locals_ = [client.read(t) for t in ts]
-        offsets = [client.read(t) - ref.read(t) for t in ts]
-        model = LinearDriftModel.fit(locals_, offsets)
-        corrected = GlobalClockLM(client, model)
-        residual = max(
-            abs(model.apply(loc) - (loc - off))
-            for loc, off in zip(locals_, offsets)
-        )
-        for age in (0.0, 5.0, 60.0):
-            truth = ground_truth_accuracy([ref, corrected], 10.7 + age)
-            # ConstantDrift's error growth is identically zero, so the
-            # bound never degrades with age — it is the fit residual.
-            bound = error_bound(
-                model, age, drift=client.drift, base_error=residual
-            )
-            assert bound == pytest.approx(residual)
-            assert truth <= residual + 1e-12
-
-    def test_negative_age_is_unbounded(self):
-        from repro.analysis.accuracy import error_bound
-        from repro.sync.linear_model import LinearDriftModel
-
-        assert error_bound(
-            LinearDriftModel.ZERO, -1.0, drift=1e-5
-        ) == float("inf")
-
-    def test_drift_model_growth_path(self):
-        from repro.analysis.accuracy import error_bound
-        from repro.simtime.drift import SinusoidalDrift
-
-        drift = SinusoidalDrift(mean_skew=1e-5, amplitude=3e-6, period=60.0,
-                                segment_length=1.0)
-        model_slope = 1e-5
-        from repro.sync.linear_model import LinearDriftModel
-
-        model = LinearDriftModel(slope=model_slope, intercept=0.0)
-        age = 1e6  # growth saturates at the excursion bound * age
-        bound = error_bound(model, age, drift=drift, base_error=1e-7)
-        assert bound == pytest.approx(
-            1e-7 + (1.0 + model_slope) * drift.error_growth(age)
-        )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from math import log1p
 
 import pytest
 
@@ -22,6 +24,7 @@ except ImportError:  # pragma: no cover
 
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
+from repro.faults.schedule import FaultSchedule
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
 
@@ -89,6 +92,55 @@ def expected_delay(network, level, size: int) -> float:
         + p.jitter_scale
         + p.outlier_prob * p.outlier_scale
     )
+
+
+def scalar_delay(network, level, size: int, rng) -> float:
+    """The wire time of one message at ``level``, its variates drawn
+    straight from ``rng``: the scalar reference for
+    :func:`repro.simmpi.network.draw_delay` (one ``rng.random()`` per
+    variate, in the same order)."""
+    d, jitter, outlier_prob, outlier_scale = network.link(level, size)
+    if jitter > 0.0:
+        d += jitter * -log1p(-rng.random())
+    if outlier_prob > 0.0 and rng.random() < outlier_prob:
+        d += outlier_scale * -log1p(-rng.random())
+    return d
+
+
+def bruck_allgather(comm, value, size: int):
+    """The Bruck allgather with real blocks, the oracle of
+    ``Communicator.split``'s wire messages: ceil(log2 p) rounds at
+    doubling distance, ``min(dist, p - dist)`` blocks each way, then one
+    rotation puts the list in rank order."""
+    rank, nprocs = comm.rank, comm.size
+    tag = comm.next_collective_tag()
+    blocks = [value]
+    dist = 1
+    while dist < nprocs:
+        count = min(dist, nprocs - dist)
+        msg = yield from comm.sendrecv_raw(
+            (rank - dist) % nprocs, tag, blocks[:count], size * count,
+            source=(rank + dist) % nprocs,
+        )
+        blocks += msg.payload
+        dist <<= 1
+    return blocks[nprocs - rank:] + blocks[:nprocs - rank]
+
+
+def json_round_trip(schedule):
+    """``schedule`` rebuilt from its dict after a trip through JSON text."""
+    text = json.dumps(schedule.to_dict(), sort_keys=True)
+    return FaultSchedule.from_dict(json.loads(text))
+
+
+def find_zone(prof, *path: str):
+    """The profiler zone at ``path`` below the root, or None."""
+    node = prof.root
+    for name in path:
+        node = node.children.get(name)
+        if node is None:
+            return None
+    return node
 
 
 @pytest.fixture

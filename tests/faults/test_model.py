@@ -22,6 +22,7 @@ from repro.faults.model import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.faults.scenarios import SCENARIOS, make_scenario
+from tests.conftest import json_round_trip
 
 ALL_FAULTS = [
     ClockStepFault(start=20.0, step=500e-6, node=1),
@@ -212,13 +213,15 @@ class TestFaultSchedule:
 
     def test_json_round_trip(self):
         sched = FaultSchedule(name="s", description="d", faults=ALL_FAULTS)
-        assert FaultSchedule.from_json(sched.to_json()) == sched
+        assert json_round_trip(sched) == sched
 
     def test_save_load(self, tmp_path):
+        """A schedule survives a JSON file, the way the fuzzer's repro
+        files carry it."""
         sched = FaultSchedule(name="s", faults=ALL_FAULTS)
         path = tmp_path / "scenario.json"
-        sched.save(path)
-        assert FaultSchedule.load(path) == sched
+        path.write_text(json.dumps(sched.to_dict(), sort_keys=True))
+        assert FaultSchedule.from_dict(json.loads(path.read_text())) == sched
 
     def test_needs_name(self):
         with pytest.raises(ConfigurationError):
@@ -236,11 +239,9 @@ class TestFaultSchedule:
         with pytest.raises(ConfigurationError, match="adversaries"):
             FaultSchedule.from_dict(data)
 
-    def test_json_is_key_sorted_and_carries_the_budget(self):
+    def test_json_round_trip_carries_the_budget(self):
         sched = FaultSchedule(name="s", faults=ALL_KINDS, error_budget=1e-3)
-        text = sched.to_json()
-        assert text == json.dumps(sched.to_dict(), indent=2, sort_keys=True)
-        assert FaultSchedule.from_json(text).error_budget == 1e-3
+        assert json_round_trip(sched).error_budget == 1e-3
 
     def test_same_kind_entries_keep_their_relative_order(self):
         """Machine faults tie-break on target, adversaries on name, and
@@ -267,7 +268,7 @@ class TestScenarios:
         sched = make_scenario(name)
         assert sched.name == name
         assert len(sched) >= 1
-        assert FaultSchedule.from_json(sched.to_json()) == sched
+        assert json_round_trip(sched) == sched
 
     def test_overrides(self):
         sched = make_scenario("ntp_step", at=5.0, step=-1e-3, node=0)

@@ -20,8 +20,10 @@ from repro.faults.evaluate import run_recovery
 from repro.faults.scenarios import make_scenario
 from repro.obs.health import (
     DEPTH_METRIC,
+    QUEUE_DELAY_TOLERANCE,
     QUEUE_METRIC,
-    HealthThresholds,
+    STALE_METRIC,
+    STALE_RATE_TOLERANCE,
     detect_byzantine_suspects,
     detect_congestion_desync,
     detect_depth_anomalies,
@@ -241,13 +243,6 @@ class TestDetectorSemantics:
             "stuck estimator"
         )
 
-    def test_thresholds_are_tunable(self):
-        bank = _bank_stuck()
-        strict = HealthThresholds(stuck_min_points=3, stuck_span=0.5)
-        lax = HealthThresholds(stuck_min_points=100)
-        assert detect_stuck_clocks(bank, strict)
-        assert not detect_stuck_clocks(bank, lax)
-
     def test_stale_read_severity_and_sustain_window(self):
         found = detect_stale_reads(_bank_stale())
         # The blip at t=20 spans 0 s: filtered by the sustain window.
@@ -255,9 +250,14 @@ class TestDetectorSemantics:
         by_rank = {f.rank: f for f in found}
         assert by_rank[None].severity == "warning"
         assert by_rank[1].severity == "critical"
-        # A lax tolerance silences the warning-level series.
-        lax = HealthThresholds(stale_rate_tolerance=0.1)
-        assert all(f.rank == 1 for f in detect_stale_reads(_bank_stale(), lax))
+        # A rate sustained just under the tolerance is healthy; just
+        # over it, the same run warns.
+        below, above = TimeSeriesBank(), TimeSeriesBank()
+        for i in range(10):
+            below.sample(STALE_METRIC, float(i), 0.99 * STALE_RATE_TOLERANCE)
+            above.sample(STALE_METRIC, float(i), 1.01 * STALE_RATE_TOLERANCE)
+        assert not detect_stale_reads(below)
+        assert [f.severity for f in detect_stale_reads(above)] == ["warning"]
 
     def test_depth_anomaly_thresholds_and_severity(self):
         found = detect_depth_anomalies(_bank_depth())
@@ -267,9 +267,7 @@ class TestDetectorSemantics:
         ]
         assert all(f.detector == "depth_anomaly" for f in found)
         # A single sample is enough for this detector (one per traced
-        # run is the normal case) and thresholds stay tunable.
-        lax = HealthThresholds(depth_ratio=3.0)
-        assert not detect_depth_anomalies(_bank_depth(), lax)
+        # run is the normal case).
 
     def test_byzantine_outlier_ranks_and_cohort_minimum(self):
         found = detect_byzantine_suspects(_bank_byzantine())
@@ -279,8 +277,6 @@ class TestDetectorSemantics:
         assert [(f.rank, f.severity) for f in found] == [
             (3, "critical"), (6, "warning"),
         ]
-        lax = HealthThresholds(byzantine_min_series=7)
-        assert not detect_byzantine_suspects(_bank_byzantine(), lax)
 
     def test_byzantine_ignores_converged_cohorts(self):
         bank = TimeSeriesBank()
@@ -300,8 +296,11 @@ class TestDetectorSemantics:
         assert set(by_scope) == {"hot", "warm"}
         assert by_scope["hot"].severity == "critical"
         assert by_scope["warm"].severity == "warning"
-        lax = HealthThresholds(queue_delay_tolerance=1e-3)
-        assert not detect_congestion_desync(_bank_congestion(), lax)
+        # The same sustained queue just under the tolerance is healthy.
+        bank = TimeSeriesBank()
+        for i in range(16):
+            bank.sample(QUEUE_METRIC, 0.002 * i, 0.99 * QUEUE_DELAY_TOLERANCE)
+        assert not detect_congestion_desync(bank)
 
     def test_verdict_always_reports_all_detectors(self):
         verdict = evaluate_health(TimeSeriesBank())

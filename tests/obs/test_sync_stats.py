@@ -41,12 +41,10 @@ class TestRecord:
         assert rec.min_rtt == 2e-6
         assert abs(rec.mean_rtt - 2.1e-6) < 1e-12
         assert rec.max_abs_residual == 2e-7
-        assert abs(rec.rms_residual - math.sqrt(2.5e-14)) < 1e-20
 
     def test_empty_residuals(self):
         rec = make_record(residuals=())
         assert rec.max_abs_residual == 0.0
-        assert rec.rms_residual == 0.0
 
 
 class TestCollector:
@@ -57,8 +55,7 @@ class TestCollector:
         coll.record(make_record(level="internode", client=3))
         assert len(coll) == 3
         assert coll.levels() == ["internode", "intranode"]
-        assert len(coll.for_level("internode")) == 2
-        assert [r.client_rank for r in coll.for_client(2)] == [2]
+        assert [r.client_rank for r in coll.for_level("internode")] == [1, 3]
 
     def test_summary_per_level(self):
         coll = SyncStatsCollector()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.context import current_context, run_context
 from repro.prof.core import Profiler, Zone, profiled
+from tests.conftest import find_zone
 
 
 class FakeClock:
@@ -33,7 +34,7 @@ class TestZoneStack:
     def test_push_pop_accumulates(self, prof):
         start = prof.push("a")
         prof.pop(start)
-        zone = prof.find("a")
+        zone = find_zone(prof, "a")
         assert zone.count == 1
         # One clock read at push, one at pop: 10ns elapsed.
         assert zone.total_ns == 10
@@ -45,18 +46,18 @@ class TestZoneStack:
                 pass
             with prof.zone("inner"):
                 pass
-        outer = prof.find("outer")
-        inner = prof.find("outer", "inner")
+        outer = find_zone(prof, "outer")
+        inner = find_zone(prof, "outer", "inner")
         assert outer.count == 1
         assert inner.count == 2
-        assert prof.find("inner") is None  # nested, not top-level
+        assert find_zone(prof, "inner") is None  # nested, not top-level
 
     def test_self_ns_excludes_children(self, prof):
         with prof.zone("outer"):
             with prof.zone("inner"):
                 pass
-        outer = prof.find("outer")
-        inner = prof.find("outer", "inner")
+        outer = find_zone(prof, "outer")
+        inner = find_zone(prof, "outer", "inner")
         assert outer.self_ns() == outer.total_ns - inner.total_ns
         assert inner.self_ns() == inner.total_ns
 
@@ -64,8 +65,8 @@ class TestZoneStack:
         for _ in range(3):
             with prof.zone("hot"):
                 pass
-        assert prof.find("hot").count == 3
-        assert prof.find("hot").total_ns == 30
+        assert find_zone(prof, "hot").count == 3
+        assert find_zone(prof, "hot").total_ns == 30
 
     def test_total_ns_sums_top_level(self, prof):
         with prof.zone("a"):
@@ -74,20 +75,20 @@ class TestZoneStack:
             with prof.zone("c"):
                 pass
         assert prof.total_ns() == (
-            prof.find("a").total_ns + prof.find("b").total_ns
+            find_zone(prof, "a").total_ns + find_zone(prof, "b").total_ns
         )
 
     def test_add_accounts_leaf_without_stack(self, prof):
         with prof.zone("outer"):
             prof.add("leaf", 123, count=2)
-        leaf = prof.find("outer", "leaf")
+        leaf = find_zone(prof, "outer", "leaf")
         assert leaf.total_ns == 123
         assert leaf.count == 2
 
     def test_tick_counts_without_time(self, prof):
         prof.tick("rounds")
         prof.tick("rounds", count=4)
-        zone = prof.find("rounds")
+        zone = find_zone(prof, "rounds")
         assert zone.count == 5
         assert zone.total_ns == 0
 
@@ -96,7 +97,7 @@ class TestZoneStack:
             with prof.zone("boom"):
                 raise RuntimeError
         assert prof.depth == 0
-        assert prof.find("boom").count == 1
+        assert find_zone(prof, "boom").count == 1
 
 
 class TestWalkAndSerialize:
@@ -117,7 +118,7 @@ class TestWalkAndSerialize:
                 pass
         clone = Profiler.from_dict(prof.to_dict())
         assert clone.to_dict() == prof.to_dict()
-        assert clone.find("outer", "inner").count == 1
+        assert find_zone(clone, "outer", "inner").count == 1
 
     def test_merge_from_aggregates_paths(self):
         a, b = Profiler(clock=FakeClock()), Profiler(clock=FakeClock())
@@ -127,11 +128,11 @@ class TestWalkAndSerialize:
             b.add("leaf", 50)
             b.add("other", 7)
         a.merge_from(b)
-        assert a.find("run").count == 2
-        assert a.find("run", "leaf").total_ns == 150
-        assert a.find("run", "other").total_ns == 7
+        assert find_zone(a, "run").count == 2
+        assert find_zone(a, "run", "leaf").total_ns == 150
+        assert find_zone(a, "run", "other").total_ns == 7
         # b is untouched by the merge.
-        assert b.find("run", "leaf").total_ns == 50
+        assert find_zone(b, "run", "leaf").total_ns == 50
 
     def test_zone_from_dict_tolerates_missing_fields(self):
         zone = Zone.from_dict({"name": "x"})
@@ -168,5 +169,5 @@ class TestDefaultProfiler:
         prof = Profiler(clock=FakeClock())
         with run_context(profiler=prof):
             assert fn() == 42
-        assert prof.find("deco.zone").count == 1
-        assert prof.find("deco.zone").total_ns == 10
+        assert find_zone(prof, "deco.zone").count == 1
+        assert find_zone(prof, "deco.zone").total_ns == 10

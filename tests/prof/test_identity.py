@@ -15,6 +15,7 @@ import pytest
 from repro.experiments import fig3_flat_algorithms
 from repro.experiments.common import summary_json
 from repro.prof import Profiler, default_profiler
+from tests.conftest import find_zone
 
 GOLDEN = (
     Path(__file__).parent.parent
@@ -53,14 +54,14 @@ class TestCampaignProfileShape:
         assert top and all(name.startswith("job:") for name in top)
         # Every job zone wraps a full simulation: sim.run -> engine.run.
         for name in top:
-            engine = serial.find(name, "sim.run", "engine.run")
+            engine = find_zone(serial, name, "sim.run", "engine.run")
             assert engine is not None and engine.total_ns > 0
 
     def test_engine_zones_cover_engine_wall(self, profs):
         """Zone self times must attribute >= 80% of the engine wall."""
         serial, _ = profs
         for name in serial.root.children:
-            engine = serial.find(name, "sim.run", "engine.run")
+            engine = find_zone(serial, name, "sim.run", "engine.run")
             attributed = sum(
                 c.total_ns for c in engine.children.values()
             )

@@ -93,8 +93,7 @@ class TestCollectiveProperties:
         op = ops[op_name]
 
         def main(ctx, comm):
-            out = yield from comm.reduce(comm.rank + 1, op=op, root=0,
-                                         algorithm="binomial")
+            out = yield from comm.reduce(comm.rank + 1, op=op, root=0)
             return out
 
         _, res = run_spmd(main, num_nodes=nodes, ranks_per_node=rpn,

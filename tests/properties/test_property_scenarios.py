@@ -39,6 +39,7 @@ from repro.scenarios.strategies import (
     scenarios,
 )
 from repro.sync.registry import algorithm_from_label
+from tests.conftest import json_round_trip
 
 #: Reference job shape the plain adversary strategies are keyed to.
 NUM_NODES = 4
@@ -122,7 +123,7 @@ class TestScenarioProperties:
         assert scenario.validate(
             num_ranks=NUM_RANKS, num_nodes=NUM_NODES
         ) is scenario
-        assert FaultSchedule.from_json(scenario.to_json()) == scenario
+        assert json_round_trip(scenario) == scenario
 
     @given(scenario=scenarios(NUM_RANKS, NUM_NODES))
     @SETTINGS

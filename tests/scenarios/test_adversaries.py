@@ -21,6 +21,7 @@ from repro.faults.model import (
 )
 from repro.faults.scenarios import SCENARIOS, make_scenario
 from repro.faults.schedule import DEFAULT_ERROR_BUDGET, FaultSchedule
+from tests.conftest import json_round_trip
 
 
 class TestConstructionValidation:
@@ -266,14 +267,9 @@ class TestScenario:
             s.validate(num_ranks=4)
 
     def test_json_round_trip(self):
-        s = make_scenario("region_tiers")
-        assert FaultSchedule.from_json(s.to_json()) == s
-
-    def test_save_load_round_trip(self, tmp_path):
-        s = make_scenario("delay_attack", extra_delay=5e-4)
-        path = tmp_path / "scenario.json"
-        s.save(path)
-        assert FaultSchedule.load(path) == s
+        for s in (make_scenario("region_tiers"),
+                  make_scenario("delay_attack", extra_delay=5e-4)):
+            assert json_round_trip(s) == s
 
     def test_presets_all_valid_on_reference_shape(self):
         for name in SCENARIOS:

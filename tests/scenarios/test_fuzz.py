@@ -128,6 +128,28 @@ class TestReplay:
         assert captured.out == ""
         assert captured.err.count(message) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("cell"), "no cell object"),
+        (lambda doc: doc["cell"].pop("label"), "no label string"),
+        (lambda doc: doc["cell"].update(rounds="1"), "rounds must be"),
+        (lambda doc: doc["cell"].update(num_nodes=0), "num_nodes must be"),
+        (lambda doc: doc["cell"]["scenario"].pop("name"), "missing 'name'"),
+    ], ids=["no-cell", "no-label", "str-rounds", "zero-nodes", "no-name"])
+    def test_malformed_cell_exits_2(self, tmp_path, capsys, edit, message):
+        """A version-2 file whose cell cannot be built is bad input (2),
+        not a crash and not "reproduced" (1)."""
+        doc = {"repro_version": REPRO_VERSION, "cell": preset_cell(),
+               "violations": ["x"]}
+        edit(doc)
+        path = tmp_path / "repro_bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "malformed repro file" in captured.err
+        assert message in captured.err
+
     def test_clean_cell_does_not_reproduce(self, tmp_path, capsys):
         # Archive a violation the cell never actually produces.
         path = archive(str(tmp_path), preset_cell(), ["error_budget:fake"])
@@ -165,6 +187,16 @@ class TestFuzzEndToEnd:
         ]) == 1
         repro = sorted(out.glob("repro_*.json"))[0]
         assert main(["--replay", str(repro)]) == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_exits_2(tmp_path, capsys, budget):
+    out = tmp_path / "repros"
+    assert main(["--budget", budget, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--budget must be >= 1, got {int(budget)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--seed", "--out",

@@ -25,9 +25,9 @@ from repro.service import (
     run_service,
 )
 from repro.experiments.service_slo import _policy_job
-from repro.service.driver import _reads
+from repro.service.driver import FIT_WINDOW, _reads
 from repro.service.epoch import ModelEpoch
-from repro.service.workload import generate
+from repro.service.workload import generate, respond
 
 QUICK = ServiceConfig(num_ranks=4)
 SHORT = WorkloadSpec(mode="open", duration=12.0, rate=1500.0)
@@ -65,13 +65,8 @@ class TestSimulatedCluster:
             ServiceConfig(num_ranks=1)
         with pytest.raises(ConfigurationError):
             ServiceConfig(slo=0.0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(fit_points=1)
 
-    @pytest.mark.parametrize("field", [
-        "slo", "fit_window", "noise", "sample_interval",
-        "min_resync_interval",
-    ])
+    @pytest.mark.parametrize("field", ["slo"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite(self, field, value):
         # NaN passes every "<= 0" check, so finiteness is its own rule.
@@ -182,11 +177,9 @@ class TestRunService:
     def _latencies(seed: int) -> np.ndarray:
         """The latency array ``run_service(..., SHORT, QUICK, seed)`` scores."""
         _cluster_seed, workload_seed = np.random.SeedSequence(seed).spawn(2)
-        stream = generate(
-            SHORT, QUICK.num_ranks, workload_seed, QUICK.batching
-        )
-        times = stream.times + QUICK.fit_window
-        done, _sizes = QUICK.batching.respond(times)
+        stream = generate(SHORT, QUICK.num_ranks, workload_seed)
+        times = stream.times + FIT_WINDOW
+        done, _sizes = respond(times)
         return done - times
 
     def test_emits_metrics_and_timeseries(self):
@@ -254,10 +247,8 @@ class TestReadsOncePerStream:
         """What run_service hoists out of its epoch loop: one read of the
         whole stream, sliced at resync instants, is exactly the per-epoch
         reads (on fresh clocks, so lazy segment growth is covered)."""
-        stream = generate(
-            SHORT, QUICK.num_ranks, np.random.SeedSequence(4), QUICK.batching
-        )
-        times = stream.times + QUICK.fit_window
+        stream = generate(SHORT, QUICK.num_ranks, np.random.SeedSequence(4))
+        times = stream.times + FIT_WINDOW
 
         def fresh_clocks():  # spawn() advances a SeedSequence: new one each
             return SimulatedCluster(QUICK, np.random.SeedSequence(3)).clocks

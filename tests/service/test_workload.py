@@ -8,32 +8,29 @@ from repro.service.workload import (
     OP_COMPARE,
     OP_NOW,
     OP_TRANSLATE,
-    BatchingModel,
+    BATCH_COST_BASE,
+    BATCH_COST_PER_QUERY,
+    BATCH_WINDOW,
     WorkloadSpec,
     generate,
+    respond,
 )
 
 
 class TestBatchingModel:
     def test_respond_batches_by_window(self):
-        model = BatchingModel(window=1e-2, cost_base=1e-4,
-                              cost_per_query=1e-6)
-        times = np.array([0.001, 0.002, 0.009, 0.011, 0.025])
-        done, sizes = model.respond(times)
+        times = np.array([0.1, 0.2, 0.9, 1.1, 2.5]) * BATCH_WINDOW
+        done, sizes = respond(times)
         assert list(sizes) == [3, 3, 3, 1, 1]
-        # First window closes at 0.01; batch of 3 costs 1e-4 + 3e-6.
-        assert done[0] == pytest.approx(0.01 + 1e-4 + 3e-6)
+        # The first window closes at BATCH_WINDOW; its batch holds 3.
+        assert done[0] == pytest.approx(
+            BATCH_WINDOW + BATCH_COST_BASE + 3 * BATCH_COST_PER_QUERY
+        )
         assert np.all(done > times)
 
     def test_empty_input(self):
-        done, sizes = BatchingModel().respond(np.empty(0))
+        done, sizes = respond(np.empty(0))
         assert done.size == 0 and sizes.size == 0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BatchingModel(window=0.0)
-        with pytest.raises(ConfigurationError):
-            BatchingModel(cost_base=-1.0)
 
 
 class TestWorkloadSpec:

@@ -14,7 +14,7 @@ from repro.errors import CommunicatorError
 from repro.simmpi.comm import MAX_USER_TAG, Communicator, split_groups
 from repro.simmpi.simulation import Simulation
 from repro.sync.registry import algorithm_from_label
-from tests.conftest import run_spmd, small_machine
+from tests.conftest import bruck_allgather, run_spmd, small_machine
 
 
 class TestRankTranslation:
@@ -145,7 +145,10 @@ class TestSplit:
     def test_dup_preserves_group(self):
         def main(ctx, comm):
             dup = yield from comm.dup()
-            return (dup.group == comm.group, dup.comm_id != comm.comm_id)
+            same = [dup.global_rank(r) for r in range(dup.size)] == [
+                comm.global_rank(r) for r in range(comm.size)
+            ]
+            return (same, dup.comm_id != comm.comm_id)
 
         _, res = run_spmd(main)
         assert all(a and b for a, b in res.values)
@@ -183,7 +186,9 @@ def _split_everywhere(p, split):
 
     def main(ctx, comm):
         sub = yield from split(ctx, comm)
-        got = None if sub is None else (sub.group, sub.rank)
+        got = None if sub is None else (
+            tuple(sub.global_rank(r) for r in range(sub.size)), sub.rank
+        )
         return got, (ctx.node, ctx.socket)
 
     _, res = run_spmd(main, num_nodes=nodes, ranks_per_node=rpn)
@@ -278,8 +283,8 @@ def _wire(p, collective):
 def test_split_moves_sizes_not_blocks(p):
     """The split's messages are the Bruck allgather's, block-free."""
     split = _wire(p, lambda comm: comm.split(comm.rank % 3))
-    gather = _wire(p, lambda comm: comm.allgather(
-        (comm.rank % 3, comm.rank), size=16, algorithm="bruck"
+    gather = _wire(p, lambda comm: bruck_allgather(
+        comm, (comm.rank % 3, comm.rank), 16
     ))
     assert all(payload is None for _, payload in split)
     assert [wire for wire, _ in split] == [wire for wire, _ in gather]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simmpi.network import Level, LinkParams, NetworkModel
-from tests.conftest import expected_delay
+from tests.conftest import expected_delay, scalar_delay
 
 
 class TestLinkParams:
@@ -82,20 +82,22 @@ class TestDelay:
     def test_deterministic_without_jitter(self):
         model = self._model()
         rng = np.random.default_rng(0)
-        d = model.delay(Level.REMOTE, 1000, rng)
+        d = scalar_delay(model, Level.REMOTE, 1000, rng)
         assert d == pytest.approx(2e-6 + 1000 / 1e9)
 
     def test_size_scales_delay(self):
         model = self._model()
         rng = np.random.default_rng(0)
-        small = model.delay(Level.REMOTE, 8, rng)
-        big = model.delay(Level.REMOTE, 1 << 20, rng)
+        small = scalar_delay(model, Level.REMOTE, 8, rng)
+        big = scalar_delay(model, Level.REMOTE, 1 << 20, rng)
         assert big > small
 
     def test_jitter_is_nonnegative_addition(self):
         model = self._model(jitter_scale=1e-6)
         rng = np.random.default_rng(0)
-        delays = [model.delay(Level.REMOTE, 8, rng) for _ in range(1000)]
+        delays = [
+            scalar_delay(model, Level.REMOTE, 8, rng) for _ in range(1000)
+        ]
         base = 2e-6 + 8 / 1e9
         assert min(delays) >= base
         assert np.mean(delays) == pytest.approx(base + 1e-6, rel=0.15)
@@ -104,7 +106,7 @@ class TestDelay:
         model = self._model(outlier_prob=0.1, outlier_scale=100e-6)
         rng = np.random.default_rng(1)
         delays = np.array(
-            [model.delay(Level.REMOTE, 8, rng) for _ in range(5000)]
+            [scalar_delay(model, Level.REMOTE, 8, rng) for _ in range(5000)]
         )
         frac_large = float(np.mean(delays > 20e-6))
         assert 0.05 < frac_large < 0.15
@@ -119,7 +121,8 @@ class TestDelay:
         for size in (0, 8, 4096, 1 << 20):
             floor = 2e-6 + size / 1e9
             draws = [
-                model.delay(Level.REMOTE, size, rng) for _ in range(2000)
+                scalar_delay(model, Level.REMOTE, size, rng)
+                for _ in range(2000)
             ]
             assert min(draws) >= floor
 
@@ -134,9 +137,9 @@ class TestDelay:
             SendCmd(dest=1, tag=0, size=-1)
 
     def test_pooled_delay_matches_scalar(self):
-        # delay() and delay_from_pool() must consume uniforms in the same
-        # order: identical seeds -> bit-identical delay sequences, for any
-        # pool chunk size.  1,500 delays draw ~3,400 uniforms, past the
+        # delay_from_pool() must consume uniforms in the scalar
+        # reference's order: identical seeds -> bit-identical delay
+        # sequences, for any pool chunk size.  1,500 delays draw ~3,400 uniforms, past the
         # ramp (960) and into capped refills at DEFAULT_CHUNK.
         from repro.simmpi.rngpool import DEFAULT_CHUNK, UniformPool
 
@@ -147,7 +150,7 @@ class TestDelay:
             scalar_rng = np.random.default_rng(123)
             pool = UniformPool(np.random.default_rng(123), chunk=chunk)
             scalar = [
-                model.delay(Level.REMOTE, 64, scalar_rng)
+                scalar_delay(model, Level.REMOTE, 64, scalar_rng)
                 for _ in range(1500)
             ]
             pooled = [
@@ -161,17 +164,12 @@ class TestDelay:
             assert all(type(x) is float for x in draws)
             assert draws == [scalar_rng.random() for _ in draws]
 
-    def test_base_delay_cached(self):
-        model = self._model()
-        d1 = model.base_delay(Level.REMOTE, 4096)
-        assert (Level.REMOTE, 4096) in model._base_cache
-        assert model.base_delay(Level.REMOTE, 4096) == d1
-        assert d1 == pytest.approx(2e-6 + 4096 / 1e9)
-
     def test_expected_delay_matches_empirical(self):
         model = self._model(jitter_scale=0.5e-6)
         rng = np.random.default_rng(2)
-        delays = [model.delay(Level.REMOTE, 64, rng) for _ in range(20000)]
+        delays = [
+            scalar_delay(model, Level.REMOTE, 64, rng) for _ in range(20000)
+        ]
         assert np.mean(delays) == pytest.approx(
             expected_delay(model, Level.REMOTE, 64), rel=0.05
         )

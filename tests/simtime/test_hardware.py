@@ -96,14 +96,16 @@ class TestInvert:
 
 class TestIntrospection:
     def test_skew_at(self):
+        """The raw reading advances at 1 + skew around t = 7.5."""
         clk = HardwareClock(drift=ConstantDrift(3e-6))
-        assert clk.skew_at(7.5) == 3e-6
+        rate = (clk.read_raw(7.75) - clk.read_raw(7.25)) / 0.5
+        assert rate == pytest.approx(1.0 + 3e-6, abs=1e-12)
 
     def test_offset_to(self):
         a = HardwareClock(offset=10.0)
         b = HardwareClock(offset=4.0)
-        assert a.offset_to(b, 2.0) == pytest.approx(6.0)
-        assert b.offset_to(a, 2.0) == pytest.approx(-6.0)
+        assert a.read_raw(2.0) - b.read_raw(2.0) == pytest.approx(6.0)
+        assert b.read_raw(2.0) - a.read_raw(2.0) == pytest.approx(-6.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

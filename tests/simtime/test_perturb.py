@@ -71,7 +71,9 @@ class TestSteppedClock:
         clock = SteppedClock(inner, [(5.0, 1.0)])
         assert clock.granularity == 1e-6
         assert clock.read_overhead == 2e-8
-        assert clock.skew_at(3.0) == pytest.approx(1e-5)
+        # Between steps the clock runs at the inner clock's rate.
+        rate = clock.read_raw(3.5) - clock.read_raw(2.5)
+        assert rate == pytest.approx(1.0 + 1e-5, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

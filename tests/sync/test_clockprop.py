@@ -7,7 +7,7 @@ from repro.cluster.netmodels import ideal_network
 from repro.errors import SyncError
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync.clockprop import ClockPropagationSync
-from repro.sync.clocks import GlobalClockLM, dummy_global_clock
+from repro.sync.clocks import GlobalClockLM, dummy_global_clock, flatten_clock
 from repro.sync.linear_model import LinearDriftModel
 from tests.conftest import run_spmd
 
@@ -53,9 +53,7 @@ class TestClone:
             else:
                 clk = dummy_global_clock(ctx.hardware_clock)
             out = yield from alg.sync_clocks(comm, clk)
-            from repro.sync.clocks import stack_depth
-
-            return (out, stack_depth(out))
+            return (out, len(flatten_clock(out)))
 
         _, res = run_spmd(main, num_nodes=1, ranks_per_node=3,
                           network=ideal_network(),

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.errors import ClockError
 from repro.simtime.drift import ConstantDrift
 from repro.simtime.hardware import HardwareClock
 from repro.sync.clocks import (
     GlobalClockLM,
     base_hardware_clock,
     dummy_global_clock,
-    effective_model,
     flatten_clock,
     flattened_size_bytes,
-    stack_depth,
     unflatten_clock,
 )
 from repro.sync.linear_model import LinearDriftModel
@@ -94,25 +91,10 @@ class TestFlattenUnflatten:
 
 class TestStackHelpers:
     def test_stack_depth(self):
+        """flatten_clock lists one model per layer of the stack."""
         base = hw()
-        assert stack_depth(base) == 0
-        assert stack_depth(dummy_global_clock(base)) == 1
-        assert stack_depth(
+        assert len(flatten_clock(base)) == 0
+        assert len(flatten_clock(dummy_global_clock(base))) == 1
+        assert len(flatten_clock(
             GlobalClockLM(dummy_global_clock(base), LinearDriftModel.ZERO)
-        ) == 2
-
-    def test_effective_model_matches_nested_read(self):
-        base = hw(offset=0.0, skew=0.0)
-        clk = GlobalClockLM(
-            GlobalClockLM(base, LinearDriftModel(1e-5, 0.5)),
-            LinearDriftModel(-2e-5, 0.25),
-        )
-        collapsed = effective_model(clk)
-        for t in (0.0, 3.0, 100.0):
-            assert GlobalClockLM(base, collapsed).read(t) == pytest.approx(
-                clk.read(t), abs=1e-9
-            )
-
-    def test_effective_model_requires_layers(self):
-        with pytest.raises(ClockError):
-            effective_model(hw())
+        )) == 2

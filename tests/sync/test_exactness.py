@@ -15,7 +15,7 @@ from repro.sync import (
     JKSync,
     SKaMPIOffset,
 )
-from repro.sync.clocks import stack_depth
+from repro.sync.clocks import flatten_clock
 from tests.conftest import PERFECT_TIME, run_spmd
 
 #: Clocks with big constant offsets and ppm-scale constant skews — a
@@ -58,7 +58,7 @@ class TestLinearWorldExactness:
     @pytest.mark.parametrize("cls", ALGOS)
     def test_single_model_layer(self, cls):
         clocks, _ = sync_all(cls, 4)
-        assert all(stack_depth(c) == 1 for c in clocks)
+        assert all(len(flatten_clock(c)) == 1 for c in clocks)
 
     def test_offsets_learned_despite_huge_initial_offset(self):
         clocks, duration = sync_all(HCA3Sync, 4, seed=2)

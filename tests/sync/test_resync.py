@@ -7,7 +7,7 @@ from repro.cluster.netmodels import infiniband_qdr
 from repro.errors import SyncError
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync.hierarchical import h2hca
-from repro.sync.resync import ErrorBoundResyncClock, PeriodicResyncClock
+from repro.sync.resync import PeriodicResyncClock
 from tests.conftest import run_spmd
 
 #: Fast-drifting clocks so staleness matters within seconds.
@@ -122,78 +122,3 @@ class TestPeriodicResync:
         resync = PeriodicResyncClock(h2hca(nfitpoints=5),
                                      max_model_age=10.0)
         assert resync.label().startswith("resync[10s]/Top/hca3")
-
-
-def slo_resync_main(slo, waits, per_rank_state, **policy_kwargs):
-    def main(ctx, comm):
-        resync = per_rank_state.setdefault(
-            ctx.rank,
-            ErrorBoundResyncClock(
-                h2hca(nfitpoints=10, fitpoint_spacing=1e-4),
-                slo=slo, **policy_kwargs,
-            ),
-        )
-        ages = []
-        for wait in waits:
-            yield from resync.ensure(comm, ctx)
-            ages.append(resync.last_age)
-            yield from ctx.elapse(wait)
-        return ages, resync.resync_count
-
-    return main
-
-
-class TestErrorBoundResync:
-    def test_tight_slo_resyncs(self):
-        # 1 µs/s drift rate against a 3 µs SLO at margin 0.8: the bound
-        # crosses 2.4 µs within ~2.4 s, so 6 s waits force a round each
-        # ensure.
-        state = {}
-        _, res = run_spmd(
-            slo_resync_main(3e-6, [6.0, 6.0, 0.0], state, drift=1e-6),
-            network=infiniband_qdr(), time_source=TWITCHY, seed=3,
-        )
-        assert all(count == 3 for _, count in res.values)
-
-    def test_loose_slo_syncs_once(self):
-        state = {}
-        _, res = run_spmd(
-            slo_resync_main(1.0, [6.0, 6.0, 0.0], state, drift=1e-6),
-            network=infiniband_qdr(), time_source=TWITCHY, seed=3,
-        )
-        assert all(count == 1 for _, count in res.values)
-
-    def test_drift_defaults_to_hardware_model(self):
-        # No explicit drift: rank 0's RandomWalkDrift error_growth drives
-        # the decision; the tight SLO still forces resync rounds.
-        state = {}
-        _, res = run_spmd(
-            slo_resync_main(1e-6, [8.0, 8.0, 0.0], state, margin=0.5),
-            network=infiniband_qdr(), time_source=TWITCHY, seed=3,
-        )
-        assert all(count >= 2 for _, count in res.values)
-
-    def test_age_known_on_all_ranks(self):
-        state = {}
-        _, res = run_spmd(
-            slo_resync_main(3e-6, [6.0, 0.0], state, drift=1e-6),
-            network=infiniband_qdr(), time_source=TWITCHY, seed=4,
-        )
-        for ages, _count in res.values:
-            assert ages[0] == -1.0  # before the first sync
-            assert ages[1] >= 5.0   # broadcast with the decision
-
-    def test_validation(self):
-        alg = h2hca(nfitpoints=5)
-        with pytest.raises(SyncError):
-            ErrorBoundResyncClock(alg, slo=0.0)
-        with pytest.raises(SyncError):
-            ErrorBoundResyncClock(alg, slo=1e-6, margin=0.0)
-        with pytest.raises(SyncError):
-            ErrorBoundResyncClock(alg, slo=1e-6, margin=1.5)
-        with pytest.raises(SyncError):
-            ErrorBoundResyncClock(alg, slo=1e-6, base_error=-1.0)
-
-    def test_label(self):
-        resync = ErrorBoundResyncClock(h2hca(nfitpoints=5), slo=25e-6)
-        assert resync.label().startswith("slo[2.5e-05s@0.8]/Top/hca3")

@@ -9,11 +9,12 @@ with ``ast``.  ``from pkg import Name`` resolves through
 that only its package's ``__init__`` (or a test) imports is dead code.
 
 Inside every ``src/repro`` module, every function, class and method (dunder
-methods aside) must be named somewhere in ``src/``, ``tests/``,
-``examples/`` or ``perfbench/`` outside its own definition: as a name,
-an attribute, an imported name or an identifier-shaped string.  The
-match is by bare identifier, so this catches only code that nothing
-mentions at all.
+methods aside) must be named somewhere in ``src/``, ``examples/`` or
+``perfbench/`` outside its own definition: as a name, an attribute, an
+imported name or an identifier-shaped string.  A test is not a use: code
+that only tests reach is deleted, or moved under ``tests/`` when a test
+uses it as its oracle.  The match is by bare identifier, so this catches
+only code that no program mentions at all.
 """
 
 import ast
@@ -137,7 +138,7 @@ def _referenced_names(tree: ast.AST) -> list:
 
 def test_every_src_name_is_referenced_outside_its_definition():
     trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for folder in ("src", "tests", "examples", "perfbench")
+             for folder in ("src", "examples", "perfbench")
              for path in sorted(ROOT.joinpath(folder).rglob("*.py"))}
     uses: dict = {}
     for path, tree in trees.items():

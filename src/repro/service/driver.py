@@ -8,17 +8,20 @@ measurement noise), a :class:`~repro.service.core.ClockService` serving
 a generated query stream, and a resync policy deciding when the models
 are refreshed.
 
-Everything is vectorized, at the widest scope each quantity allows.
-**Per stream**, before the epoch loop: request latencies (the batching
-cost model over the full arrival sequence) and every clock reading —
-the queried readings, ``compare``'s second readings and the three kinds
-of ground truth.  Sync fits models and never adjusts a clock, so a
-:class:`~repro.simtime.hardware.HardwareClock` reading is a function of
-true time alone, and one batched read sliced per epoch is bit-identical
-to per-epoch reads.  **Per epoch** (one sync generation): the model
-arithmetic, staleness bounds and error scoring of the queries landing in
-it, through one batched evaluation per query shape.  Reported latency
-and clock-error quantiles are exact, computed from the run's own arrays.
+Everything is vectorized, and a query's scoring arrays live only for its
+epoch.  **Per stream**, 41 bytes per query: the drawn stream (arrival
+times, shapes, ranks and second ranks, drawn whole so the RNG order is
+fixed), the request latencies (the batching cost model over the full
+arrival sequence) and the absolute clock errors, which the exact
+quantiles and means need in full.  **Per epoch** (one sync generation):
+the clock readings of the queries landing in it — the queried readings,
+``compare``'s second readings and the ground truth — and their answers,
+error bounds and staleness flags, through one batched evaluation per
+query shape, all dropped when the epoch ends.  Sync fits models and
+never adjusts a clock, so a :class:`~repro.simtime.hardware.HardwareClock`
+reading is a function of true time alone: per-epoch reads are
+bit-identical to slices of one whole-stream read.  Reported latency and
+clock-error quantiles are exact, computed from the run's own arrays.
 The run is a pure function of ``(policy, config, workload, seed)`` — no
 wall-clock value feeds any reported quantity except the ``wall_s``
 throughput figure, which never enters ``report.json``.
@@ -225,13 +228,14 @@ def _check_epoch(
 ) -> tuple[list[Violation], int]:
     """Sanitizer pass: the first answers of each query shape equal the
     scalar model arithmetic, and served global time is monotone per
-    rank.  Returns the violations and the number of answers
-    recomputed."""
+    rank.  ``readings_b`` holds the second readings of the compare
+    queries only, in stream order.  Returns the violations and the
+    number of answers recomputed."""
     found: list[Violation] = []
     checked = 0
     model_for = service.epoch().model_for
     for op in (OP_NOW, OP_TRANSLATE, OP_COMPARE):
-        for i in np.flatnonzero(ops == op)[:CHECKED_PER_SHAPE]:
+        for j, i in enumerate(np.flatnonzero(ops == op)[:CHECKED_PER_SHAPE]):
             checked += 1
             global_a = model_for(int(ranks[i])).apply(float(readings[i]))
             if op == OP_NOW:
@@ -240,7 +244,7 @@ def _check_epoch(
                 expect = model_for(int(ranks2[i])).apply_inverse(global_a)
             else:
                 expect = global_a - model_for(int(ranks2[i])).apply(
-                    float(readings_b[i])
+                    float(readings_b[j])
                 )
             if expect != values[i]:
                 found.append(Violation(
@@ -264,21 +268,88 @@ def _check_epoch(
     return found, checked
 
 
+def _mean(a: np.ndarray) -> float:
+    """Exactly rounded mean (``math.fsum``) of a float array.
+
+    A function of its own, not a line of :func:`run_service`: ``fsum``
+    boxes every element, and under tracemalloc each of those allocations
+    looks up its caller's current line, at a cost that grows with the
+    caller's size: a traced run of the quick sweep's closed-loop cell
+    took 6 s with the sum inline and 0.7 s with it here.
+    """
+    return math.fsum(a) / a.size if a.size else 0.0
+
+
+class _BucketSeries:
+    """Per-``SAMPLE_INTERVAL`` telemetry, accumulated epoch by epoch.
+
+    Per bucket: the queries served, the stale ones, and the largest
+    clock error and error bound.  Counts add and maxima combine exactly,
+    so the samples equal one pass over the whole run's arrays.
+    """
+
+    def __init__(self, first: float, last: float) -> None:
+        self.base = int(np.floor(first / SAMPLE_INTERVAL))
+        size = int(np.floor(last / SAMPLE_INTERVAL)) - self.base + 1
+        self.counts = np.zeros(size, dtype=np.int64)
+        self.stale = np.zeros(size, dtype=np.int64)
+        self.error = np.full(size, -np.inf)
+        self.bound = np.full(size, -np.inf)
+
+    def add(
+        self,
+        times: np.ndarray,
+        errors: np.ndarray,
+        bounds: np.ndarray,
+        stale: np.ndarray,
+    ) -> None:
+        buckets = np.floor(times / SAMPLE_INTERVAL).astype(np.int64)
+        buckets -= self.base
+        size = self.counts.size
+        self.counts += np.bincount(buckets, minlength=size)
+        self.stale += np.bincount(buckets[stale], minlength=size)
+        np.maximum.at(self.error, buckets, errors)
+        np.maximum.at(self.bound, buckets, bounds)
+
+    def sample(self, bank) -> None:
+        """One sample per series for each bucket that served a query,
+        stamped at the bucket's end."""
+        for b in np.flatnonzero(self.counts).tolist():
+            t_b = (self.base + b + 1) * SAMPLE_INTERVAL
+            bank.sample(
+                "service.stale_rate", t_b,
+                float(self.stale[b] / self.counts[b]),
+            )
+            bank.sample("clock.error", t_b, float(self.error[b]))
+            bank.sample("service.error_bound", t_b, float(self.bound[b]))
+
+
 def run_service(
     policy: ResyncPolicy,
     workload: WorkloadSpec,
     config: ServiceConfig | None = None,
     seed: int = 0,
 ) -> ServicePolicyResult:
-    """Run one policy against one workload; score errors and latencies."""
+    """Run one policy against one workload; score errors and latencies.
+
+    The stream's arrival times, shapes and ranks are drawn whole, and the
+    per-query latencies and clock errors are kept whole for the exact
+    quantiles and means: 41 bytes per query for the run.  Everything else
+    a query needs (its clock readings, ground truth, answer, bound and
+    staleness flag) lives only for the epoch that serves it.
+    """
     config = config or ServiceConfig()
     root = np.random.SeedSequence(seed)
     cluster_seed, workload_seed = root.spawn(2)
     cluster = SimulatedCluster(config, cluster_seed)
     stream = generate(workload, config.num_ranks, workload_seed)
-    # Serving starts after the first fit window has history to fit on.
+    times, ops, ranks, ranks2 = (
+        stream.times, stream.ops, stream.ranks, stream.ranks2
+    )
+    # Serving starts after the first fit window has history to fit on
+    # (shifted in place: the unshifted arrivals are not kept).
     t_start = FIT_WINDOW
-    times = stream.times + t_start
+    times += t_start
     t_end = t_start + workload.duration
     ctx = current_context()
     metrics, bank, profiler = ctx.metrics, ctx.timeseries, ctx.profiler
@@ -292,45 +363,15 @@ def run_service(
     service = ClockService(cluster, config.slo)
 
     with zone("service.batching"):
-        done, _sizes = respond(times)
-    latencies = done - times
+        latencies = respond(times)
+    latencies -= times
 
-    # Sync fits models, it never adjusts a clock: a reading is a function
-    # of true time alone, so readings and ground truth are taken once
-    # over the whole stream and sliced per epoch below.
-    reads_t0 = time.perf_counter_ns()
-    ops, ranks, ranks2 = stream.ops, stream.ranks, stream.ranks2
-    # Stream positions of each query shape (ascending, so an epoch's
-    # share of one is a slice of it).
-    now_q = np.flatnonzero(ops == OP_NOW)
-    translate_q = np.flatnonzero(ops == OP_TRANSLATE)
-    compare_q = np.flatnonzero(ops == OP_COMPARE)
     clocks = cluster.clocks
-    readings = _reads(clocks, ranks, times)
-    readings_b = np.empty(times.size, dtype=np.float64)
-    readings_b[compare_q] = _reads(
-        clocks, ranks2[compare_q], times[compare_q]
-    )
-    # Both events of a compare happen at the same true instant, so its
-    # ground-truth delta is identically zero.
-    truth = np.zeros(times.size, dtype=np.float64)
-    truth[now_q] = clocks[cluster.ref_rank].read_raw_many(times[now_q])
-    truth[translate_q] = _reads(
-        clocks, ranks2[translate_q], times[translate_q], raw=True
-    )
-    if profiler is not None:
-        profiler.add(
-            "service.serve", time.perf_counter_ns() - reads_t0, count=0
-        )
-
-    values = np.empty(times.size, dtype=np.float64)
     err_abs = np.empty(times.size, dtype=np.float64)
-    bounds = np.empty(times.size, dtype=np.float64)
-    stale = np.empty(times.size, dtype=bool)
-
-    def in_epoch(queries: np.ndarray, seg: slice) -> np.ndarray:
-        lo, hi = np.searchsorted(queries, (seg.start, seg.stop))
-        return queries[lo:hi]
+    series = (
+        _BucketSeries(times[0], times[-1])
+        if bank is not None and times.size else None
+    )
 
     # The sanitizer pass: one report per run, counting the answers it
     # recomputed; strict mode raises at the first epoch with a violation.
@@ -346,39 +387,58 @@ def run_service(
             epoch.synced_at + MIN_RESYNC_INTERVAL,
         )
         stop = int(np.searchsorted(times, min(t_next, t_end), side="left"))
-        seg = slice(start, stop)
         if stop > start:
             seg_t0 = time.perf_counter_ns()
-            q = in_epoch(now_q, seg)
+            seg = slice(start, stop)
+            at, seg_ops, seg_ranks, seg_ranks2 = (
+                times[seg], ops[seg], ranks[seg], ranks2[seg]
+            )
+            # Sync fits models, it never adjusts a clock: a reading is a
+            # function of true time alone, so the epoch reads its own.
+            readings = _reads(clocks, seg_ranks, at)
+            values = np.empty(at.size, dtype=np.float64)
+            bounds = np.empty(at.size, dtype=np.float64)
+            stale = np.empty(at.size, dtype=bool)
+            # Both events of a compare happen at the same true instant,
+            # so its ground-truth delta is identically zero.
+            truth = np.zeros(at.size, dtype=np.float64)
+
+            q = np.flatnonzero(seg_ops == OP_NOW)
             if q.size:
                 values[q], bounds[q], stale[q] = service.now_batch(
-                    ranks[q], readings[q], times[q]
+                    seg_ranks[q], readings[q], at[q]
                 )
+                truth[q] = clocks[cluster.ref_rank].read_raw_many(at[q])
 
-            q = in_epoch(translate_q, seg)
+            q = np.flatnonzero(seg_ops == OP_TRANSLATE)
             if q.size:
                 values[q], bounds[q], stale[q] = service.translate_batch(
-                    readings[q], ranks[q], ranks2[q], times[q]
+                    readings[q], seg_ranks[q], seg_ranks2[q], at[q]
                 )
+                truth[q] = _reads(clocks, seg_ranks2[q], at[q], raw=True)
 
-            q = in_epoch(compare_q, seg)
+            q = np.flatnonzero(seg_ops == OP_COMPARE)
+            readings_b = _reads(clocks, seg_ranks2[q], at[q])
             if q.size:
                 values[q], bounds[q], stale[q] = service.compare_batch(
-                    ranks[q], readings[q], ranks2[q], readings_b[q],
-                    times[q],
+                    seg_ranks[q], readings[q], seg_ranks2[q], readings_b,
+                    at[q],
                 )
 
             if ctx.check is not None:
                 epoch_found, epoch_checked = _check_epoch(
-                    service, ops[seg], ranks[seg], ranks2[seg],
-                    readings[seg], readings_b[seg], values[seg],
+                    service, seg_ops, seg_ranks, seg_ranks2,
+                    readings, readings_b, values,
                 )
                 found += epoch_found
                 checked += epoch_checked
                 if ctx.check == "strict":
                     flag_violations(found, check_label)
 
-            err_abs[seg] = np.abs(values[seg] - truth[seg])
+            values -= truth
+            np.abs(values, out=err_abs[seg])
+            if series is not None:
+                series.add(at, err_abs[seg], bounds, stale)
             if profiler is not None:
                 profiler.add(
                     "service.serve",
@@ -415,29 +475,8 @@ def run_service(
         metrics.counter("service.cache.hits").inc(stats.epoch_hits)
         metrics.counter("service.cache.misses").inc(stats.epoch_misses)
         metrics.counter("service.resyncs").inc(syncs)
-    if bank is not None and times.size:
-        buckets = np.floor(times / SAMPLE_INTERVAL).astype(np.int64)
-        base = int(buckets.min())
-        counts = np.bincount(buckets - base)
-        stale_counts = np.bincount(
-            buckets - base, weights=stale.astype(np.float64)
-        )
-        for b in range(counts.size):
-            if counts[b] == 0:
-                continue
-            t_b = (base + b + 1) * SAMPLE_INTERVAL
-            in_bucket = buckets - base == b
-            bank.sample(
-                "service.stale_rate", t_b,
-                float(stale_counts[b] / counts[b]),
-            )
-            bank.sample(
-                "clock.error", t_b, float(err_abs[in_bucket].max())
-            )
-            bank.sample(
-                "service.error_bound", t_b,
-                float(bounds[in_bucket].max()),
-            )
+    if series is not None:
+        series.sample(bank)
 
     def quantiles(a: np.ndarray, qs: list[float]) -> list[float]:
         # One partition of the array serves every requested quantile.
@@ -463,9 +502,7 @@ def run_service(
         latency_p50=latency_p50,
         latency_p99=latency_p99,
         latency_p999=latency_p999,
-        latency_mean=(
-            math.fsum(latencies) / latencies.size if latencies.size else 0.0
-        ),
+        latency_mean=_mean(latencies),
         clock_error_p50=error_p50,
         clock_error_p99=error_p99,
         clock_error_max=float(err_abs.max()) if err_abs.size else 0.0,

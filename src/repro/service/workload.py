@@ -43,29 +43,30 @@ BATCH_COST_BASE = 50e-6
 BATCH_COST_PER_QUERY = 0.2e-6
 
 
-def respond(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Completion time and batch size for each arrival.
+def respond(times: np.ndarray) -> np.ndarray:
+    """Completion time of each arrival.
 
     A query's latency is (window remainder) + batch cost — the batching
     trade-off the tail-latency histograms measure.  Pure and vectorized:
     arrivals map to window indices, window populations come from one
-    ``bincount``.
+    ``bincount``, and each window's per-query cost is priced once.
+    Temporaries are reused in place, so the call holds at most three
+    arrays of the input's length.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size == 0:
-        return (
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.int64),
-        )
-    windows = np.floor(times / BATCH_WINDOW).astype(np.int64)
+        return np.empty(0, dtype=np.float64)
+    windows = times / BATCH_WINDOW
+    np.floor(windows, out=windows)
+    windows = windows.astype(np.int64)
     base = int(windows.min())
-    sizes = np.bincount(windows - base)[windows - base]
-    done = (
-        (windows + 1) * BATCH_WINDOW
-        + BATCH_COST_BASE
-        + BATCH_COST_PER_QUERY * sizes
-    )
-    return done, sizes
+    windows -= base
+    cost = (BATCH_COST_PER_QUERY * np.bincount(windows))[windows]
+    windows += base + 1
+    done = windows * BATCH_WINDOW
+    done += BATCH_COST_BASE
+    done += cost
+    return done
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def _closed_arrivals(
         if live.size == 0:
             break
         waves.append(live)
-        done, _ = respond(live)
+        done = respond(live)
         thinks = rng.exponential(spec.think_time, size=pending.size)
         next_pending = np.full(pending.size, np.inf)
         next_pending[pending < spec.duration] = done + thinks[
@@ -180,16 +181,14 @@ def generate(
         times = _open_arrivals(spec, rng)
     else:
         times = _closed_arrivals(spec, rng)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
+    times.sort(kind="stable")
     n = times.size
-    ops = rng.choice(3, size=n, p=np.asarray(spec.ops_mix))
-    ranks = rng.integers(0, num_ranks, size=n)
-    # Secondary rank, guaranteed distinct from the primary.
-    ranks2 = (ranks + 1 + rng.integers(0, num_ranks - 1, size=n)) % num_ranks
-    return QueryStream(
-        times=times,
-        ops=ops.astype(np.int8),
-        ranks=ranks.astype(np.int64),
-        ranks2=ranks2.astype(np.int64),
-    )
+    ops = rng.choice(3, size=n, p=np.asarray(spec.ops_mix)).astype(np.int8)
+    ranks = rng.integers(0, num_ranks, size=n, dtype=np.int64)
+    # Secondary rank, guaranteed distinct from the primary:
+    # (ranks + 1 + draw) % num_ranks, computed in place on the draw.
+    ranks2 = rng.integers(0, num_ranks - 1, size=n, dtype=np.int64)
+    ranks2 += ranks
+    ranks2 += 1
+    ranks2 %= num_ranks
+    return QueryStream(times=times, ops=ops, ranks=ranks, ranks2=ranks2)

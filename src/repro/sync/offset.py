@@ -44,6 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Wire size of one timestamp message (a double).
 TIMESTAMP_BYTES = 8
 
+#: The exchange shapes, as globals: reading an enum member off its class
+#: goes through the enum metaclass's attribute hook, about ten times the
+#: cost of a global read (see ``simmpi.engine``).
+_STAMPED = ExchangeShape.STAMPED
+_TIMED = ExchangeShape.TIMED
+_RENDEZVOUS = ExchangeShape.RENDEZVOUS
+
 
 @dataclass(frozen=True)
 class ClockOffset:
@@ -138,8 +145,7 @@ class SKaMPIOffset(OffsetAlgorithm):
         ctx = comm.ctx
         self._phase_begin(comm, p_ref, client)
         rounds = yield from self._pingpongs(
-            comm, clock, p_ref, client, self.nexchanges,
-            ExchangeShape.STAMPED,
+            comm, clock, p_ref, client, self.nexchanges, _STAMPED,
         )
         if rounds is None:
             self._phase_end(comm)
@@ -160,9 +166,8 @@ class SKaMPIOffset(OffsetAlgorithm):
             # send/recv zones; this marks one completed offset round.
             prof.tick("sync.offset.rounds")
         self._phase_end(comm)
-        return ClockOffset(
-            timestamp=timestamp, offset=-diff, rtt=float(rtt_min)
-        )
+        # Positional: keyword construction costs about twice as much.
+        return ClockOffset(timestamp, -diff, float(rtt_min))
 
 
 class MeanRTTOffset(OffsetAlgorithm):
@@ -201,16 +206,14 @@ class MeanRTTOffset(OffsetAlgorithm):
             # Mean round-trip time, measured at the client; the reference
             # side does not need the value.
             rounds = yield from self._pingpongs(
-                comm, clock, p_ref, client, self.rtt_pingpongs,
-                ExchangeShape.TIMED,
+                comm, clock, p_ref, client, self.rtt_pingpongs, _TIMED,
             )
             rtt_cache[key] = 0.0 if rounds is None else float(
                 np.mean([t1 - t0 for t0, _, t1 in rounds])
             )
         rtt = rtt_cache[key]
         rounds = yield from self._pingpongs(
-            comm, clock, p_ref, client, self.nexchanges,
-            ExchangeShape.RENDEZVOUS,
+            comm, clock, p_ref, client, self.nexchanges, _RENDEZVOUS,
         )
         if rounds is None:
             self._phase_end(comm)
@@ -227,9 +230,7 @@ class MeanRTTOffset(OffsetAlgorithm):
             t0 = prof.push("sync.offset.estimate")
         med_idx = int(np.argsort(time_var)[self.nexchanges // 2])
         offset = ClockOffset(
-            timestamp=float(local_times[med_idx]),
-            offset=float(time_var[med_idx]),
-            rtt=float(rtt),
+            float(local_times[med_idx]), float(time_var[med_idx]), float(rtt)
         )
         if prof is not None:
             prof.pop(t0)

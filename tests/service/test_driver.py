@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.service import (
     WorkloadSpec,
     run_service,
 )
-from repro.experiments.service_slo import _policy_job
+from repro.experiments.service_slo import _SCALE, DEFAULT_SLO, _policy_job
 from repro.service.driver import FIT_WINDOW, _reads
 from repro.service.epoch import ModelEpoch
 from repro.service.workload import generate, respond
@@ -179,8 +180,7 @@ class TestRunService:
         _cluster_seed, workload_seed = np.random.SeedSequence(seed).spawn(2)
         stream = generate(SHORT, QUICK.num_ranks, workload_seed)
         times = stream.times + FIT_WINDOW
-        done, _sizes = respond(times)
-        return done - times
+        return respond(times) - times
 
     def test_emits_metrics_and_timeseries(self):
         registry = MetricsRegistry()
@@ -244,9 +244,11 @@ class TestRunService:
 class TestReadsOncePerStream:
     @pytest.mark.parametrize("raw", [False, True], ids=["quantized", "raw"])
     def test_epoch_slices_equal_per_epoch_reads(self, raw):
-        """What run_service hoists out of its epoch loop: one read of the
-        whole stream, sliced at resync instants, is exactly the per-epoch
-        reads (on fresh clocks, so lazy segment growth is covered)."""
+        """Why run_service may read per epoch: reads of the epochs
+        between resync instants are exactly the slices of one read of
+        the whole stream (on fresh clocks, so lazy segment growth is
+        covered), so an epoch's readings and ground truth need not
+        outlive it."""
         stream = generate(SHORT, QUICK.num_ranks, np.random.SeedSequence(4))
         times = stream.times + FIT_WINDOW
 
@@ -259,6 +261,68 @@ class TestReadsOncePerStream:
         for a, b in zip(edges, edges[1:]):
             part = _reads(clocks, stream.ranks[a:b], times[a:b], raw=raw)
             assert np.array_equal(part, whole[a:b])
+
+
+class TestWorkingSet:
+    #: Bytes per query held for the whole run: arrival time 8, shape 1,
+    #: rank 8, second rank 8, latency 8, clock error 8.
+    RUN_BYTES = 41
+    #: Bytes per query of the epoch being served, at that epoch's peak.
+    EPOCH_BYTES = 96
+
+    def test_peak_is_the_run_arrays_plus_one_epoch(self):
+        """The tracemalloc peak of one ``run_service`` call on the quick
+        sweep's closed-loop cell stays within ``RUN_BYTES`` per query
+        plus ``EPOCH_BYTES`` per query of the largest epoch.
+
+        ``EPOCH_BYTES`` counts what lives while the ``now`` batch (60 %
+        of the queries) is served: the epoch's readings, answers, bounds
+        and ground truth (8 B each) and stale flags (1 B), 33 B; the
+        shape's stream positions, 0.6 x 8 B; and that call's gathered
+        ranks, readings and times, its three results and the model
+        evaluation's temporaries, about twelve float64 arrays over 0.6
+        of the epoch, 58 B.  33 + 5 + 58 = 96 B.
+
+        Whole-stream scoring arrays break it: the peak is about 122 B
+        per query when every scoring array spans the stream, and about
+        96 B when only the readings and ground truth are taken once per
+        stream and sliced per epoch.
+        """
+        num_ranks, _periods, _open, closed = _SCALE["quick"]
+        config = ServiceConfig(num_ranks=num_ranks, slo=DEFAULT_SLO)
+        policy = ErrorBoundResyncPolicy(slo=DEFAULT_SLO)
+        # A run with a bank attached gives the resync instants (and
+        # warms every lazy import up before the measured run).
+        bank = TimeSeriesBank()
+        with run_context(timeseries=bank):
+            run_service(policy, closed, config, seed=0)
+        resyncs = [t for _rank, t, _label in bank.marks_named("resync")]
+        _cluster_seed, workload_seed = np.random.SeedSequence(0).spawn(2)
+        times = generate(closed, num_ranks, workload_seed).times
+        times += FIT_WINDOW
+        edges = np.searchsorted(times, [0.0, *resyncs, math.inf])
+        largest_epoch = int(np.diff(edges).max())
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            res = run_service(policy, closed, config, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+        assert res.queries == times.size
+        bound = (
+            self.RUN_BYTES * res.queries + self.EPOCH_BYTES * largest_epoch
+        )
+        assert peak <= bound, (
+            f"peak {peak / res.queries:.1f} B/query > bound "
+            f"{bound / res.queries:.1f} B/query"
+        )
 
 
 class TestJobsMergeIdentity:

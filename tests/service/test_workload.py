@@ -20,17 +20,24 @@ from repro.service.workload import (
 class TestBatchingModel:
     def test_respond_batches_by_window(self):
         times = np.array([0.1, 0.2, 0.9, 1.1, 2.5]) * BATCH_WINDOW
-        done, sizes = respond(times)
-        assert list(sizes) == [3, 3, 3, 1, 1]
-        # The first window closes at BATCH_WINDOW; its batch holds 3.
+        done = respond(times)
+        # Each query completes at its window's end plus its batch's cost:
+        # the first window holds 3 queries, the second and third 1 each.
+        windows = np.array([1, 1, 1, 2, 3])
+        sizes = np.array([3, 3, 3, 1, 1])
+        assert list(done) == list(
+            windows * BATCH_WINDOW
+            + BATCH_COST_BASE
+            + BATCH_COST_PER_QUERY * sizes
+        )
         assert done[0] == pytest.approx(
             BATCH_WINDOW + BATCH_COST_BASE + 3 * BATCH_COST_PER_QUERY
         )
         assert np.all(done > times)
 
     def test_empty_input(self):
-        done, sizes = respond(np.empty(0))
-        assert done.size == 0 and sizes.size == 0
+        done = respond(np.empty(0))
+        assert done.size == 0 and done.dtype == np.float64
 
 
 class TestWorkloadSpec:

@@ -17,16 +17,10 @@ keeps the checker honest.
 
 from repro.check.clockcheck import (
     SLOPE_TOL,
-    assert_clock_sane,
     check_global_clock,
     clock_sanity_violations,
 )
-from repro.check.config import (
-    append_report,
-    checking,
-    load_reports,
-    write_aggregate,
-)
+from repro.check.config import checking
 from repro.check.sanitizer import (
     MAX_VIOLATIONS,
     CheckReport,
@@ -44,11 +38,7 @@ __all__ = [
     "SanitizerSink",
     "TeeSink",
     "Violation",
-    "append_report",
-    "assert_clock_sane",
     "check_global_clock",
     "checking",
     "clock_sanity_violations",
-    "load_reports",
-    "write_aggregate",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from repro.check.config import flag_violations
-from repro.check.sanitizer import SanitizerSink, Violation
+from repro.check.sanitizer import Violation
 from repro.context import current_context
 
 #: |fitted slope - 1| bound: generous vs the ~1e-5 skews the simulator
@@ -82,24 +82,6 @@ def clock_sanity_violations(
     return out
 
 
-def assert_clock_sane(
-    clock,
-    t0: float,
-    t1: float,
-    npoints: int = 64,
-    slope_tol: float = SLOPE_TOL,
-    rank: int = -1,
-) -> None:
-    """Raise :class:`~repro.errors.InvariantViolation` on the first issue."""
-    checker = SanitizerSink(mode="strict")
-    for v in clock_sanity_violations(
-        clock, t0, t1, npoints=npoints, slope_tol=slope_tol, rank=rank
-    ):
-        checker.violation(
-            v.rule, v.message, time=v.time, rank=v.rank, **v.details
-        )
-
-
 def check_global_clock(
     clock,
     t0: float,
@@ -112,7 +94,7 @@ def check_global_clock(
     """Mode-aware clock check for experiment code paths.
 
     No-op when checking is off; raises in strict mode; in report mode
-    appends any violations to the configured report directory (when
+    merges any violations into the context's ``check_report`` (when
     set) and returns them either way.
     """
     if current_context().check is None:

@@ -1,35 +1,31 @@
-"""Sanitizer activation and run-report files.
+"""Sanitizer activation and the run's report.
 
-The sanitizer mode and report directory are fields of the run context
-(:attr:`~repro.context.RunContext.check`, ``check_dir``), installed with
-:func:`repro.context.run_context`:
+The sanitizer mode and the report it fills are fields of the run context
+(:attr:`~repro.context.RunContext.check`, ``check_report``), installed
+with :func:`repro.context.run_context`:
 
 * ``strict`` — the first violation raises
   :class:`~repro.errors.InvariantViolation`;
-* ``report`` — violations accumulate, and each run's report is appended
-  to ``check_dir`` (one JSON line per sanitized run, one file per
-  process so parallel campaign workers never contend on a file).
+* ``report`` — violations accumulate, and each run's report is merged
+  into the context's ``check_report`` (when set).
 
-The parallel campaign executor carries both fields to its worker
-processes with each job's isolated context, which is what makes
-``python -m repro.experiments fig3 --jobs 8 --check`` check every
-simulated mpirun, wherever it executes.
+The parallel campaign executor hands each job an isolated context with a
+fresh report and merges it back in submission order, like every other
+hook, which is what makes ``python -m repro.experiments fig3 --jobs 8
+--check --record DIR`` check every simulated mpirun, wherever it
+executes, into one report that is identical for any ``--jobs``.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.check.sanitizer import CheckReport, Violation
 from repro.context import current_context, run_context
 from repro.errors import InvariantViolation
 
 
-def checking(mode: str = "strict", report_dir: str | None = None):
-    """``run_context(check=mode, check_dir=report_dir)``: kept for
-    ``perfbench/workloads.py``."""
-    return run_context(check=mode, check_dir=report_dir)
+def checking(mode: str = "strict"):
+    """``run_context(check=mode)``: kept for ``perfbench/workloads.py``."""
+    return run_context(check=mode)
 
 
 def flag_violations(
@@ -39,12 +35,12 @@ def flag_violations(
     """Outcome of a post-hoc check under the context's check mode.
 
     Strict mode raises :class:`~repro.errors.InvariantViolation` on the
-    first violation; report mode appends them all to ``check_dir`` (when
-    set) and returns them.  A check that counts itself as a run
-    (``runs``, with the ``events_checked`` it examined) is appended in
-    report mode even when clean, so a report tells "checked and clean"
-    from "never checked"; a check inside a sanitized simulation leaves
-    the counting to the simulation's own report.
+    first violation; report mode merges them all into the context's
+    ``check_report`` (when set) and returns them.  A check that counts
+    itself as a run (``runs``, with the ``events_checked`` it examined)
+    is merged in report mode even when clean, so a report tells "checked
+    and clean" from "never checked"; a check inside a sanitized
+    simulation leaves the counting to the simulation's own report.
     """
     ctx = current_context()
     if violations and ctx.check == "strict":
@@ -53,48 +49,11 @@ def flag_violations(
     if (
         (violations or runs)
         and ctx.check == "report"
-        and ctx.check_dir is not None
+        and ctx.check_report is not None
     ):
         report = CheckReport(
             label=label, runs=runs, events_checked=events_checked
         )
         report.violations.extend(violations)
-        append_report(report, ctx.check_dir)
+        ctx.check_report.merge_from(report)
     return violations
-
-
-def append_report(report: CheckReport, report_dir: str) -> str:
-    """Append one run's report to the per-process JSONL file."""
-    os.makedirs(report_dir, exist_ok=True)
-    path = os.path.join(report_dir, f"check-{os.getpid()}.jsonl")
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-    return path
-
-
-def load_reports(report_dir: str) -> CheckReport:
-    """Aggregate every per-process report file under ``report_dir``."""
-    merged = CheckReport(label="aggregate")
-    if not os.path.isdir(report_dir):
-        return merged
-    for name in sorted(os.listdir(report_dir)):
-        if not (name.startswith("check-") and name.endswith(".jsonl")):
-            continue
-        with open(os.path.join(report_dir, name), encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    merged.merge_from(
-                        CheckReport.from_dict(json.loads(line))
-                    )
-    return merged
-
-
-def write_aggregate(report_dir: str) -> tuple[str, CheckReport]:
-    """Merge all run reports in ``report_dir`` into ``check_report.json``."""
-    merged = load_reports(report_dir)
-    path = os.path.join(report_dir, "check_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(merged.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path, merged

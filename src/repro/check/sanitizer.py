@@ -108,16 +108,6 @@ class Violation:
             "details": dict(self.details),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        return cls(
-            rule=data["rule"],
-            message=data["message"],
-            time=data.get("time", -1.0),
-            rank=data.get("rank", -1),
-            details=dict(data.get("details", {})),
-        )
-
     def format(self) -> str:
         where = []
         if self.time >= 0.0:
@@ -166,18 +156,6 @@ class CheckReport:
             "violations": [v.to_dict() for v in self.violations],
             "dropped": self.dropped,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckReport":
-        return cls(
-            label=data.get("label", ""),
-            violations=[
-                Violation.from_dict(v) for v in data.get("violations", [])
-            ],
-            dropped=data.get("dropped", 0),
-            runs=data.get("runs", 0),
-            events_checked=data.get("events_checked", 0),
-        )
 
     def format_text(self) -> str:
         head = (

@@ -2,7 +2,7 @@
 
 One frozen :class:`RunContext` holds the six process-wide values a run
 is observed or checked through — the event sink, metrics registry,
-telemetry bank, profiler, sanitizer mode and report directory.
+telemetry bank, profiler, sanitizer mode and sanitizer report.
 :func:`current_context` reads it; :func:`run_context` installs a changed
 copy for a block and restores the previous one afterwards::
 
@@ -11,15 +11,14 @@ copy for a block and restores the previous one afterwards::
 
 An explicit keyword to :class:`~repro.simmpi.simulation.Simulation`
 still wins over the context.  The parallel campaign executor hands each
-job :meth:`RunContext.isolated` — fresh hooks of the same kinds, the
-check mode carried along — and folds them back with
+job :meth:`RunContext.isolated` — fresh hooks and a fresh report of the
+same kinds, the check mode carried along — and folds them back with
 :meth:`RunContext.merge_from` in submission order, so ``--jobs N``
 observes and checks every simulated mpirun wherever it executes.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
@@ -27,12 +26,13 @@ from typing import TYPE_CHECKING, Iterator
 from repro.obs.events import EventSink, RecordingSink
 
 if TYPE_CHECKING:
+    from repro.check.sanitizer import CheckReport
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.timeseries import TimeSeriesBank
     from repro.prof.core import Profiler
 
 #: Sanitizer modes: ``strict`` raises at the first violation, ``report``
-#: accumulates them (and appends run reports to ``check_dir`` when set).
+#: accumulates them (and merges run reports into ``check_report`` when set).
 CHECK_MODES = ("strict", "report")
 
 
@@ -46,14 +46,14 @@ class RunContext:
     profiler: Profiler | None = None
     #: Sanitizer mode (one of :data:`CHECK_MODES`), or None when off.
     check: str | None = None
-    #: Report-mode directory run reports are appended to.
-    check_dir: str | None = None
+    #: Report-mode report every checked run is merged into.
+    check_report: CheckReport | None = None
 
     def isolated(self) -> RunContext:
         """Fresh, empty, picklable hooks of the same kinds, for one job.
 
         A sink becomes a :class:`RecordingSink` whose events are replayed
-        on merge.  ``check`` and ``check_dir`` are carried over.
+        on merge.  ``check`` is carried over.
         """
         return replace(
             self,
@@ -61,6 +61,7 @@ class RunContext:
             metrics=_fresh(self.metrics),
             timeseries=_fresh(self.timeseries),
             profiler=_fresh(self.profiler),
+            check_report=_fresh(self.check_report),
         )
 
     def merge_from(self, job: RunContext) -> None:
@@ -84,6 +85,7 @@ class RunContext:
             (self.metrics, job.metrics),
             (self.timeseries, job.timeseries),
             (self.profiler, job.profiler),
+            (self.check_report, job.check_report),
         ):
             if mine is not None and theirs is not None:
                 mine.merge_from(theirs)
@@ -105,9 +107,8 @@ def current_context() -> RunContext:
 def run_context(**changes) -> Iterator[RunContext]:
     """Install the current context with ``changes`` for the block.
 
-    Raises ``ValueError`` on a check mode outside :data:`CHECK_MODES`;
-    creates ``check_dir`` when one is set.  The previous context is
-    restored on exit.
+    Raises ``ValueError`` on a check mode outside :data:`CHECK_MODES`.
+    The previous context is restored on exit.
     """
     global _current
     ctx = replace(_current, **changes)
@@ -115,8 +116,6 @@ def run_context(**changes) -> Iterator[RunContext]:
         raise ValueError(
             f"check mode must be strict/report, got {ctx.check!r}"
         )
-    if ctx.check_dir is not None:
-        os.makedirs(ctx.check_dir, exist_ok=True)
     previous, _current = _current, ctx
     try:
         yield ctx

@@ -4,8 +4,9 @@
 bank to every simulated job and writes ``manifest.json`` (the one
 description of the run) and the health ``report.json`` + ``report.html``
 into DIR, which must be new or empty.  Each switch adds one instrument
-and its artifact: ``--check`` the report-mode sanitizer
-(``check_report.json``, exit status 1 if anything was flagged),
+and its artifact: ``--check`` the report-mode sanitizer, whose one
+report the record holds (``check_report.json``, exit status 1 if
+anything was flagged),
 ``--profile`` the self-profiler (``profile.json`` +
 ``profile.speedscope.json``), ``--trace`` a span recorder tee'd with an
 event counter (``critical_path.json``, the depth series in the health
@@ -25,8 +26,7 @@ import subprocess
 import numpy as np
 
 from repro._version import __version__
-from repro.check.config import write_aggregate
-from repro.check.sanitizer import TeeSink
+from repro.check.sanitizer import CheckReport, TeeSink
 from repro.context import run_context
 from repro.experiments import fault_recovery, fig10_tracing
 from repro.obs.causal import (
@@ -81,6 +81,9 @@ class Record:
         self.profiler = Profiler() if args.profile else None
         self.counts = CountingSink() if args.trace else None
         self.recorder = SpanRecorder() if args.trace else None
+        self.check_report = (
+            CheckReport(label="aggregate") if args.check else None
+        )
         self.artifacts: list[str] = []
 
     def context(self):
@@ -94,8 +97,15 @@ class Record:
             timeseries=self.bank,
             profiler=self.profiler,
             check="report" if self.args.check else None,
-            check_dir=self.dir if self.args.check else None,
+            check_report=self.check_report,
         )
+
+    def _write_json(self, name: str, doc: dict) -> str:
+        path = os.path.join(self.dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path
 
     def _wrote(self, *paths: str) -> None:
         self.artifacts.extend(os.path.basename(p) for p in paths)
@@ -132,18 +142,19 @@ class Record:
                 )
         self._write_health_report(analyses)
         status = 0
-        if self.args.check:
-            path, merged = write_aggregate(self.dir)
+        report = self.check_report
+        if report is not None:
+            path = self._write_json("check_report.json", report.to_dict())
             self._wrote(path)
             print("=== sanitizer report ===")
-            print(f"runs checked: {merged.runs}, "
-                  f"events: {merged.events_checked}, "
-                  f"violations: {len(merged.violations)}"
-                  + (f" (+{merged.dropped} dropped)" if merged.dropped
+            print(f"runs checked: {report.runs}, "
+                  f"events: {report.events_checked}, "
+                  f"violations: {len(report.violations)}"
+                  + (f" (+{report.dropped} dropped)" if report.dropped
                      else ""))
             print(f"check_report.json: {path}")
-            if not merged.ok:
-                print(merged.format_text())
+            if not report.ok:
+                print(report.format_text())
                 status = 1
         self._write_manifest(wall_s)
         return status
@@ -229,8 +240,5 @@ class Record:
             "artifacts": sorted(self.artifacts),
             "metrics": format_summary(self.metrics, names).splitlines(),
         }
-        path = os.path.join(self.dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path = self._write_json("manifest.json", manifest)
         print(f"manifest.json: {path}")

@@ -12,20 +12,16 @@ the results bit-identical to serial execution:
   (``ProcessPoolExecutor.map``), so downstream aggregation sees the same
   sequence the serial loop would have produced.
 * **Run context** — worker processes cannot emit into the parent's hooks,
-  so each job runs under :meth:`~repro.context.RunContext.isolated` (fresh
-  hooks of the same kinds, the sanitizer mode carried along), ships it
+  so every job, under any ``jobs`` value, runs under
+  :meth:`~repro.context.RunContext.isolated` (fresh hooks and sanitizer
+  report of the same kinds, the sanitizer mode carried along), ships it
   back with the result, and the parent folds it in with
-  :meth:`~repro.context.RunContext.merge_from` in submission order.  When
-  any observability hook is installed, the **serial path routes through
-  the same per-job isolate + merge sequence**: some aggregates (reservoir
-  histograms, decimating time-series) are not invariant under
-  re-batching, so running both paths through identical merge sequences
-  is what makes ``--jobs 1`` and ``--jobs N`` outputs byte-identical —
-  the contract ``tests/obs/test_report.py`` pins.
-
-With no hook installed, ``jobs=1`` runs everything in-process with no
-isolation, no pickling and no sink indirection — the exact serial code
-path.
+  :meth:`~repro.context.RunContext.merge_from` in submission order.  Some
+  aggregates (reservoir histograms, decimating time-series, the capped
+  violation list) are not invariant under re-batching, so running
+  ``jobs=1`` and ``jobs=N`` through identical merge sequences is what
+  makes their outputs byte-identical — the contract
+  ``tests/obs/test_report.py`` pins.
 """
 
 from __future__ import annotations
@@ -77,49 +73,31 @@ def _execute_job(spec: JobSpec, ctx: RunContext) -> tuple[Any, RunContext]:
 def run_jobs(specs: Sequence[JobSpec], jobs: int | None = 1) -> list[Any]:
     """Run every job; returns their results in submission order.
 
-    ``jobs=1`` executes in-process (the serial reference path);
-    ``jobs>1`` fans out over a :class:`ProcessPoolExecutor`.  Both paths
-    return bit-identical results for deterministic job functions because
-    all randomness is fixed by the job specs themselves — and identical
-    merged observability, because both paths run each job under an
-    isolated copy of the current run context and fold it back in
-    submission order.  The executor publishes
+    ``jobs=1`` executes in-process; ``jobs>1`` fans out over a
+    :class:`ProcessPoolExecutor`.  Both return bit-identical results for
+    deterministic job functions because all randomness is fixed by the
+    job specs themselves — and identical merged observability, because
+    each job runs under an isolated copy of the current run context that
+    is folded back in submission order.  The executor publishes
     ``parallel.jobs.completed`` and ``parallel.workers`` through the
-    context's metrics registry either way.
+    context's metrics registry.
     """
     specs = list(specs)
     ctx = current_context()
-    metrics = ctx.metrics
     njobs = min(resolve_jobs(jobs), len(specs)) if specs else 1
-    observed = any(
-        hook is not None
-        for hook in (ctx.sink, metrics, ctx.timeseries, ctx.profiler)
-    )
-
-    results = []
+    # A generator, so the serial path holds one job's hooks at a time.
+    isolated = (ctx.isolated() for _ in specs)
     if njobs <= 1:
-        for spec in specs:
-            if observed:
-                result, job = _execute_job(spec, ctx.isolated())
-                ctx.merge_from(job)
-                results.append(result)
-            else:
-                results.append(spec.fn(*spec.args, **spec.kwargs))
-            if metrics is not None:
-                metrics.counter("parallel.jobs.completed").inc()
-        if metrics is not None:
-            metrics.gauge("parallel.workers").set(1)
-        return results
-
-    with ProcessPoolExecutor(max_workers=njobs) as pool:
-        outcomes = list(pool.map(
-            _execute_job, specs, [ctx.isolated() for _ in specs]
-        ))
+        outcomes = map(_execute_job, specs, isolated)
+    else:
+        with ProcessPoolExecutor(max_workers=njobs) as pool:
+            outcomes = list(pool.map(_execute_job, specs, isolated))
+    results = []
     for result, job in outcomes:
         results.append(result)
         ctx.merge_from(job)
-        if metrics is not None:
-            metrics.counter("parallel.jobs.completed").inc()
-    if metrics is not None:
-        metrics.gauge("parallel.workers").set(njobs)
+        if ctx.metrics is not None:
+            ctx.metrics.counter("parallel.jobs.completed").inc()
+    if ctx.metrics is not None:
+        ctx.metrics.gauge("parallel.workers").set(njobs)
     return results

@@ -12,7 +12,6 @@ from repro.prof.core import (
     Profiler,
     Zone,
     default_profiler,
-    profiled,
 )
 from repro.prof.export import (
     flatten,
@@ -31,7 +30,6 @@ __all__ = [
     "flatten",
     "format_table",
     "profile_dict",
-    "profiled",
     "speedscope_document",
     "top_zones",
     "total_effective_ns",

@@ -9,11 +9,10 @@ about.
 
 A :class:`Profiler` maintains a tree of **zones**.  A zone is opened with
 :meth:`Profiler.push` / closed with :meth:`Profiler.pop` (the raw API the
-engine hot path uses), with the :meth:`Profiler.zone` context manager, or
-with the :func:`profiled` decorator.  Zones nest: the tree mirrors the
-dynamic call structure of the *thread of execution* — one stack per
-profiler, which matches the simulator (one OS thread drives every
-simulated process inline).
+engine hot path uses) or with the :meth:`Profiler.zone` context manager.
+Zones nest: the tree mirrors the dynamic call structure of the *thread
+of execution* — one stack per profiler, which matches the simulator (one
+OS thread drives every simulated process inline).
 
 Two invariants the instrumentation sites must respect:
 
@@ -41,9 +40,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
-from repro.context import current_context, run_context
+from repro.context import run_context
 
 
 class Zone:
@@ -70,26 +69,6 @@ class Zone:
         return max(0, self.total_ns - sum(
             c.total_ns for c in self.children.values()
         ))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_ns": self.total_ns,
-            "children": [
-                self.children[k].to_dict() for k in sorted(self.children)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Zone":
-        zone = cls(data["name"])
-        zone.count = int(data.get("count", 0))
-        zone.total_ns = int(data.get("total_ns", 0))
-        for child in data.get("children", ()):
-            node = cls.from_dict(child)
-            zone.children[node.name] = node
-        return zone
 
     def merge_from(self, other: "Zone") -> None:
         """Fold another zone's counts/times (and subtree) into this one."""
@@ -184,47 +163,6 @@ class Profiler:
         shows one tree, not one tree per mpirun.
         """
         self.root.merge_from(other.root)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"zones": [
-            self.root.children[k].to_dict() for k in sorted(self.root.children)
-        ]}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Profiler":
-        prof = cls()
-        for child in data.get("zones", ()):
-            node = Zone.from_dict(child)
-            prof.root.children[node.name] = node
-        return prof
-
-
-def profiled(name: str) -> Callable:
-    """Decorator: run the function inside a zone of the context's profiler.
-
-    Resolves the profiler *per call*, so decorated functions are free
-    (one None check) while profiling is off and need no re-wiring when a
-    profiler is installed mid-process.  Do not use on generator
-    functions — the zone would span their yields.
-    """
-
-    def deco(fn: Callable) -> Callable:
-        def wrapper(*args, **kwargs):
-            prof = current_context().profiler
-            if prof is None:
-                return fn(*args, **kwargs)
-            start = prof.push(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                prof.pop(start)
-
-        wrapper.__name__ = getattr(fn, "__name__", "profiled")
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return deco
 
 
 def default_profiler(profiler: Profiler | None):

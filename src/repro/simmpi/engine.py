@@ -535,10 +535,6 @@ class Engine:
         """Current true time of a process (used by ProcessContext)."""
         return self._procs[rank].now
 
-    def set_proc_now(self, rank: int, value: float) -> None:
-        """Advance a process's local true time (ProcessContext hook)."""
-        self._procs[rank].now = value
-
     def rng_of(self, rank: int) -> np.random.Generator:
         """The per-process random stream (deterministic per seed)."""
         return self._procs[rank].get_rng()

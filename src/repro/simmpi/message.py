@@ -1,4 +1,4 @@
-"""Messages and point-to-point matching rules.
+"""Messages and the point-to-point matching rules the engine applies.
 
 Matching follows MPI semantics: a receive posted with ``(source, tag)``
 matches the *earliest-sent* pending message whose source and tag are
@@ -37,11 +37,3 @@ class Message:
     #: Set for synchronous (rendezvous) sends: the sending process handle,
     #: resumed once the receiver matches this message.
     sync_sender: Any = field(default=None, repr=False)
-
-    def matches(self, source: int, tag: int) -> bool:
-        """Whether a recv posted with ``(source, tag)`` accepts this message."""
-        if source != ANY_SOURCE and source != self.source:
-            return False
-        if tag != ANY_TAG and tag != self.tag:
-            return False
-        return True

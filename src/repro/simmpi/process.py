@@ -67,10 +67,6 @@ class ProcessContext:
         """Current *true* simulation time (not observable by algorithms)."""
         return self.engine.proc_now(self.rank)
 
-    @now.setter
-    def now(self, value: float) -> None:
-        self.engine.set_proc_now(self.rank, value)
-
     @property
     def rng(self) -> np.random.Generator:
         """This process's random stream (noise draws, poll slack)."""

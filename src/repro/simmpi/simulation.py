@@ -31,7 +31,6 @@ from typing import Any, Callable, Generator
 
 import numpy as np
 
-from repro.check.config import append_report
 from repro.check.sanitizer import CheckReport, SanitizerSink, TeeSink
 from repro.cluster.topology import Machine
 from repro.context import current_context
@@ -136,9 +135,9 @@ class Simulation:
         :mod:`repro.check`): ``"strict"`` raises
         :class:`~repro.errors.InvariantViolation` at the first broken
         engine invariant, ``"report"`` accumulates them into
-        ``SimulationResult.check_report`` and, when the context names a
-        ``check_dir``, appends it there.  Checking is passive — results
-        are bit-identical with it on or off.
+        ``SimulationResult.check_report`` and, when the run context holds
+        a ``check_report``, merges it there.  Checking is passive —
+        results are bit-identical with it on or off.
 
         ``profiler`` attaches the wall-time self-profiler (see
         :mod:`repro.prof`).  Profiling only reads the host clock, so
@@ -175,7 +174,7 @@ class Simulation:
             timeseries if timeseries is not None else ctx.timeseries
         )
         self.profiler = profiler if profiler is not None else ctx.profiler
-        self._check_dir = ctx.check_dir
+        self._check_report = ctx.check_report
         self.faults = faults
         if faults is not None:
             # Reject schedules that cannot act on this job: faults
@@ -310,8 +309,9 @@ class Simulation:
             report = self.checker.finalize(
                 self.engine, spans=self._span_recorder()
             )
-            if self.checker.mode == "report" and self._check_dir is not None:
-                append_report(report, self._check_dir)
+            if (self.checker.mode == "report"
+                    and self._check_report is not None):
+                self._check_report.merge_from(report)
             if prof is not None:
                 prof.pop(start)
         return SimulationResult(

@@ -29,7 +29,6 @@ service-side staleness bounds hold off-root too.
 
 from __future__ import annotations
 
-import abc
 from typing import TYPE_CHECKING, Generator
 
 from repro.errors import SyncError
@@ -46,16 +45,23 @@ if TYPE_CHECKING:  # pragma: no cover
 RESYNC_DECISION_BYTES = 9
 
 
-class ResyncClock(abc.ABC):
+class PeriodicResyncClock:
     """Keeps a global clock fresh by re-running the sync algorithm.
 
-    Subclasses supply the staleness policy (:meth:`_stale`); the
-    collective machinery — decide on rank 0, broadcast ``(stale, age)``,
-    re-sync, emit telemetry — is shared.
+    Re-syncs on a fixed model-age schedule (the paper's policy): rank 0
+    decides, broadcasts ``(stale, age)``, and every rank re-syncs and
+    emits telemetry together.
     """
 
-    def __init__(self, algorithm: ClockSyncAlgorithm) -> None:
+    def __init__(
+        self,
+        algorithm: ClockSyncAlgorithm,
+        max_model_age: float = 10.0,
+    ) -> None:
+        if max_model_age <= 0.0:
+            raise SyncError("max_model_age must be > 0")
         self.algorithm = algorithm
+        self.max_model_age = max_model_age
         self._clock: Clock | None = None
         self._synced_at: float | None = None  # global-clock reading
         self.resync_count = 0
@@ -64,19 +70,9 @@ class ResyncClock(abc.ABC):
         #: ``-1.0`` until the first post-sync decision.
         self.last_age = -1.0
 
-    @property
-    def clock(self) -> Clock:
-        if self._clock is None:
-            raise SyncError("ensure() has not run yet")
-        return self._clock
-
-    @abc.abstractmethod
-    def _stale(self, age: float, ctx: "ProcessContext") -> bool:
-        """Rank 0's policy decision: re-sync a model ``age`` seconds old?"""
-
-    @abc.abstractmethod
     def label(self) -> str:
         """Human-readable policy tag for reports and figures."""
+        return f"resync[{self.max_model_age:g}s]/{self.algorithm.label()}"
 
     def ensure(
         self, comm: "Communicator", ctx: "ProcessContext"
@@ -93,7 +89,7 @@ class ResyncClock(abc.ABC):
             stale = True
         elif comm.rank == 0:
             age = ctx.read_clock(self._clock) - self._synced_at
-            stale = self._stale(age, ctx)
+            stale = age >= self.max_model_age
         else:
             stale = False  # decided by rank 0 below
         if self._clock is not None:
@@ -145,22 +141,3 @@ class ResyncClock(abc.ABC):
                 )
         return self._clock
 
-
-class PeriodicResyncClock(ResyncClock):
-    """Re-syncs on a fixed model-age schedule (the paper's policy)."""
-
-    def __init__(
-        self,
-        algorithm: ClockSyncAlgorithm,
-        max_model_age: float = 10.0,
-    ) -> None:
-        if max_model_age <= 0.0:
-            raise SyncError("max_model_age must be > 0")
-        super().__init__(algorithm)
-        self.max_model_age = max_model_age
-
-    def _stale(self, age: float, ctx: "ProcessContext") -> bool:
-        return age >= self.max_model_age
-
-    def label(self) -> str:
-        return f"resync[{self.max_model_age:g}s]/{self.algorithm.label()}"

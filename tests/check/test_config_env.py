@@ -1,8 +1,9 @@
-"""Check activation through the run context, report files, and the
-Simulation wiring."""
+"""Check activation through the run context, the context-held report,
+the record's report file, and the Simulation wiring."""
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
@@ -10,16 +11,10 @@ import weakref
 
 import pytest
 
-from repro.check import (
-    CheckReport,
-    SanitizerSink,
-    TeeSink,
-    append_report,
-    checking,
-    load_reports,
-    write_aggregate,
-)
+from repro.check import CheckReport, SanitizerSink, TeeSink, checking
+from repro.check.config import flag_violations
 from repro.context import current_context, run_context
+from repro.experiments.record import Record
 from repro.obs.events import RecordingSink
 from tests.conftest import run_spmd
 
@@ -27,16 +22,15 @@ from tests.conftest import run_spmd
 class TestActivation:
     def test_off_by_default(self):
         assert current_context().check is None
-        assert current_context().check_dir is None
+        assert current_context().check_report is None
 
-    def test_run_context_creates_report_dir(self, tmp_path):
-        d = str(tmp_path / "r")
-        with run_context(check="report", check_dir=d):
+    def test_run_context_installs_report(self):
+        report = CheckReport()
+        with run_context(check="report", check_report=report):
             assert current_context().check == "report"
-            assert current_context().check_dir == d
-            assert os.path.isdir(d)
+            assert current_context().check_report is report
         assert current_context().check is None
-        assert current_context().check_dir is None
+        assert current_context().check_report is None
 
     def test_run_context_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -53,22 +47,26 @@ class TestActivation:
 
 class TestReportFiles:
     def test_append_and_aggregate(self, tmp_path):
-        d = str(tmp_path)
-        r1 = CheckReport(label="a", runs=1, events_checked=10)
-        r2 = CheckReport(label="b", runs=1, events_checked=5)
-        append_report(r1, d)
-        append_report(r2, d)
-        merged = load_reports(d)
-        assert merged.runs == 2
-        assert merged.events_checked == 15
-        path, merged2 = write_aggregate(d)
-        assert merged2.to_dict()["runs"] == 2
-        data = json.loads(open(path).read())
+        """Runs flagged under a record's context land in its one
+        ``check_report.json``, which the manifest lists; nothing else is
+        written beside the manifest's artifacts."""
+        args = argparse.Namespace(
+            record=str(tmp_path), check=True, profile=False, trace=False,
+            jobs=1, scale="quick", seed=0,
+        )
+        record = Record(args, ["fig3"])
+        with record.context():
+            flag_violations([], "a", runs=1, events_checked=10)
+            flag_violations([], "b", runs=1, events_checked=5)
+        assert record.finish({}) == 0
+        data = json.loads((tmp_path / "check_report.json").read_text())
         assert data["ok"] is True and data["runs"] == 2
-
-    def test_load_missing_dir_is_empty(self, tmp_path):
-        merged = load_reports(str(tmp_path / "nope"))
-        assert merged.runs == 0 and merged.ok
+        assert data["events_checked"] == 15
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["manifest.json", *manifest["artifacts"]]
+        )
+        assert "check_report.json" in manifest["artifacts"]
 
 
 class TestSimulationWiring:
@@ -144,12 +142,11 @@ class TestSimulationWiring:
         finally:
             gc.enable()
 
-    def test_report_mode_appends_to_dir(self, tmp_path):
-        d = str(tmp_path)
-        with run_context(check="report", check_dir=d):
+    def test_report_mode_merges_into_context_report(self):
+        merged = CheckReport()
+        with run_context(check="report", check_report=merged):
             run_spmd(self.body)
             run_spmd(self.body, seed=1)
-        merged = load_reports(d)
         assert merged.runs == 2 and merged.ok
 
     def test_results_identical_with_checking(self):

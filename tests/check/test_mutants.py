@@ -28,7 +28,7 @@ from math import inf
 
 import pytest
 
-from repro.check import InvariantViolation, assert_clock_sane, checking
+from repro.check import InvariantViolation, checking
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.obs import events as ev
@@ -37,6 +37,7 @@ from repro.simmpi.eventq import HeapQueue
 from repro.simmpi.message import ANY_SOURCE
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
+from tests.conftest import assert_clock_sane, matches
 
 
 def make_sim(check="strict"):
@@ -184,7 +185,7 @@ class TestEngineMutants:
         def lifo_match(self, proc, source, tag):
             for i in range(len(proc.mailbox) - 1, -1, -1):
                 msg = proc.mailbox[i]
-                if msg.matches(source, tag):
+                if matches(msg, source, tag):
                     del proc.mailbox[i]
                     return msg
             return None
@@ -322,7 +323,7 @@ class TestEngineMutants:
         def lifo_match(self, proc, source, tag):
             for i in range(len(proc.mailbox) - 1, -1, -1):
                 msg = proc.mailbox[i]
-                if msg.matches(source, tag):
+                if matches(msg, source, tag):
                     del proc.mailbox[i]
                     return msg
             return None

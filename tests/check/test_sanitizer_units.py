@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.check import (
@@ -12,6 +14,7 @@ from repro.check import (
     TeeSink,
     Violation,
 )
+from repro.context import RunContext
 from repro.obs import events as ev
 
 
@@ -304,12 +307,19 @@ class TestReportMechanics:
         assert s.report.total_violations == MAX_VIOLATIONS + 10
 
     def test_report_round_trip(self):
+        """A run's report comes home whole: into a job's isolated context,
+        across the pickle a worker process ships it back in, and merged
+        into the context-held report."""
         s = reporting()
         s.emit(deliver(seq=7))
         s.finalize()
-        clone = CheckReport.from_dict(s.report.to_dict())
-        assert clone.to_dict() == s.report.to_dict()
-        assert not clone.ok
+        ctx = RunContext(check="report",
+                         check_report=CheckReport(label=s.report.label))
+        job = ctx.isolated()
+        job.check_report.merge_from(s.report)
+        ctx.merge_from(pickle.loads(pickle.dumps(job)))
+        assert ctx.check_report.to_dict() == s.report.to_dict()
+        assert not ctx.check_report.ok
 
     def test_merge_accumulates(self):
         a = CheckReport(runs=1, events_checked=10)

@@ -22,9 +22,12 @@ try:  # Hypothesis profiles for tests/properties (absent → plain pytest).
 except ImportError:  # pragma: no cover
     pass
 
+from repro.check.clockcheck import check_global_clock
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
+from repro.context import run_context
 from repro.faults.schedule import FaultSchedule
+from repro.simmpi.message import ANY_SOURCE, ANY_TAG
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec
 
@@ -125,6 +128,21 @@ def bruck_allgather(comm, value, size: int):
         blocks += msg.payload
         dist <<= 1
     return blocks[nprocs - rank:] + blocks[:nprocs - rank]
+
+
+def matches(msg, source: int, tag: int) -> bool:
+    """Whether a recv posted with ``(source, tag)`` accepts ``msg``: the
+    rule the engine's mailbox scan applies, for the mutant engines."""
+    return (source == ANY_SOURCE or source == msg.source) and (
+        tag == ANY_TAG or tag == msg.tag
+    )
+
+
+def assert_clock_sane(clock, t0: float, t1: float, **kwargs) -> None:
+    """Raise :class:`~repro.errors.InvariantViolation` on the first
+    clock-sanity violation over ``[t0, t1]`` (the strict-mode check)."""
+    with run_context(check="strict"):
+        check_global_clock(clock, t0, t1, **kwargs)
 
 
 def json_round_trip(schedule):

@@ -242,6 +242,33 @@ class TestRecordIsJobsIndependent:
         assert one == two
 
 
+@pytest.mark.parametrize(
+    "target, runs, events",
+    [("fig3", 12, 246_250), ("scenario_degradation", 40, 79_345)],
+)
+def test_check_report_reaches_jobs_workers(tmp_path, target, runs, events):
+    """Report mode checks every job wherever it runs: the record's
+    ``check_report.json`` is byte-equal at ``--jobs 1`` and ``--jobs 2``
+    with the seed-0 counts, and a record directory holds nothing but the
+    manifest and the artifacts it lists."""
+    reports = []
+    for jobs in (1, 2):
+        out_dir, _, status = _record(
+            tmp_path, f"j{jobs}", target, "--scale", "quick", "--seed", "0",
+            "--jobs", str(jobs), "--check",
+        )
+        assert status == 0
+        manifest = _json(out_dir / "manifest.json")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["manifest.json", *manifest["artifacts"]]
+        )
+        reports.append((out_dir / "check_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert (report["runs"], report["events_checked"]) == (runs, events)
+    assert report["ok"]
+
+
 class TestCriticalPathFlag:
     def test_writes_artifact_and_prints_table(self, traced):
         out_dir, out, _ = traced[1]

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.check import load_reports
+from repro.check import MAX_VIOLATIONS, CheckReport, Violation
+from repro.check.config import flag_violations
 from repro.cluster.machines import JUPITER
 from repro.context import current_context, run_context
 from repro.experiments import scenario_degradation
@@ -35,6 +36,15 @@ def _fail() -> None:
 
 def _check_mode() -> str | None:
     return current_context().check
+
+
+def _plant(index: int, count: int) -> None:
+    """Module-level job: flag ``count`` violations named after ``index``."""
+    flag_violations(
+        [Violation(rule="planted", message=f"job {index} #{k}")
+         for k in range(count)],
+        f"job{index}",
+    )
 
 
 class TestResolveJobs:
@@ -108,6 +118,35 @@ class TestRunJobs:
     def test_empty_specs(self):
         assert run_jobs([], jobs=4) == []
 
+    @staticmethod
+    def _planted(jobs: int, count: int) -> CheckReport:
+        report = CheckReport()
+        specs = [JobSpec(fn=_plant, args=(i, count)) for i in range(6)]
+        with run_context(check="report", check_report=report):
+            run_jobs(specs, jobs=jobs)
+        return report
+
+    def test_violations_come_back_in_submission_order(self):
+        serial = self._planted(jobs=1, count=1)
+        parallel = self._planted(jobs=2, count=1)
+        assert [v.message for v in parallel.violations] == [
+            f"job {i} #0" for i in range(6)
+        ]
+        assert parallel.to_dict() == serial.to_dict()
+
+    def test_violation_cap_keeps_the_same_first_entries(self):
+        """Past the cap, the first MAX_VIOLATIONS in submission order
+        survive whatever the worker count."""
+        count = MAX_VIOLATIONS // 4  # 6 jobs flag 1.5x the cap
+        serial = self._planted(jobs=1, count=count)
+        parallel = self._planted(jobs=2, count=count)
+        first = [f"job {i} #{k}" for i in range(6) for k in range(count)]
+        assert [v.message for v in parallel.violations] == (
+            first[:MAX_VIOLATIONS]
+        )
+        assert parallel.dropped == 6 * count - MAX_VIOLATIONS
+        assert parallel.to_dict() == serial.to_dict()
+
     def test_check_mode_reaches_workers(self):
         specs = [JobSpec(fn=_check_mode) for _ in range(2)]
         with run_context(check="strict"):
@@ -122,32 +161,34 @@ class TestWorkerChecking:
                    nexchanges=4, nmpiruns=2)
     LABELS = ["hca/4/skampi_offset/4", "jk/4/skampi_offset/2"]
 
-    def _report(self, tmp_path, jobs: int):
-        d = str(tmp_path / f"jobs{jobs}")
-        with run_context(check="report", check_dir=d):
+    def _report(self, jobs: int) -> CheckReport:
+        report = CheckReport()
+        with run_context(check="report", check_report=report):
             run_sync_accuracy_campaign(
                 JUPITER, self.LABELS, scale=self.TINY, seed=0, jobs=jobs
             )
-        return load_reports(d)
+        return report
 
-    def test_report_mode_checks_every_job(self, tmp_path):
-        serial = self._report(tmp_path, jobs=1)
-        parallel = self._report(tmp_path, jobs=2)
+    def test_report_mode_checks_every_job(self):
+        serial = self._report(jobs=1)
+        parallel = self._report(jobs=2)
         njobs = len(self.LABELS) * self.TINY.nmpiruns
         assert serial.runs == parallel.runs == njobs
         assert serial.events_checked == parallel.events_checked > 0
         assert serial.ok and parallel.ok
+        assert serial.to_dict() == parallel.to_dict()
 
-    def _scenario_report(self, tmp_path, jobs: int):
-        d = str(tmp_path / f"scenario-jobs{jobs}")
-        with run_context(check="report", check_dir=d):
+    def _scenario_report(self, jobs: int) -> CheckReport:
+        report = CheckReport()
+        with run_context(check="report", check_report=report):
             scenario_degradation.run("quick", jobs=jobs)
-        return load_reports(d)
+        return report
 
-    def test_scenario_cells_are_checked_through_the_context(self, tmp_path):
+    def test_scenario_cells_are_checked_through_the_context(self):
         """The scenario harness takes its check mode only from the run
         context: 5 presets x 2 labels x 2 rounds x 2 twins = 40 runs."""
-        serial = self._scenario_report(tmp_path, jobs=1)
-        parallel = self._scenario_report(tmp_path, jobs=2)
+        serial = self._scenario_report(jobs=1)
+        parallel = self._scenario_report(jobs=2)
         assert serial.runs == parallel.runs == 40
         assert serial.events_checked == parallel.events_checked == 79_345
+        assert serial.to_dict() == parallel.to_dict()

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.accuracy import ground_truth_accuracy
-from repro.check import assert_clock_sane, checking
+from repro.check import checking
 from repro.cluster.netmodels import infiniband_qdr
 from repro.faults.evaluate import compare_recovery
 from repro.sync.registry import algorithm_from_label
-from tests.conftest import run_spmd
+from tests.conftest import assert_clock_sane, run_spmd
 from tests.properties.strategies import (
     collective_programs,
     expected_collective_results,

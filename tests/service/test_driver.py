@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.check.config import checking, load_reports
+from repro.check import CheckReport
+from repro.check.config import checking
 from repro.context import current_context, run_context
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.obs.health import evaluate_health
@@ -151,25 +152,21 @@ class TestRunService:
                     PeriodicResyncPolicy(4.0), compares_only, QUICK, seed=5
                 )
 
-    def test_check_mode_report_records_and_carries_on(
-        self, monkeypatch, tmp_path
-    ):
+    def test_check_mode_report_records_and_carries_on(self, monkeypatch):
         self._skew_batch_answers(monkeypatch)
-        d = str(tmp_path)
-        with checking("report", report_dir=d):
+        report = CheckReport()
+        with run_context(check="report", check_report=report):
             res = run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
         assert res.queries > 0
-        report = load_reports(d)
         assert not report.ok
         assert {v.rule for v in report.violations} == {"service-batch"}
 
-    def test_check_mode_report_counts_a_clean_run(self, tmp_path):
+    def test_check_mode_report_counts_a_clean_run(self):
         """A clean checked run still leaves its report: one run and the
         answers the sanitizer pass recomputed."""
-        d = str(tmp_path)
-        with checking("report", report_dir=d):
+        report = CheckReport()
+        with run_context(check="report", check_report=report):
             run_service(PeriodicResyncPolicy(4.0), SHORT, QUICK, seed=5)
-        report = load_reports(d)
         assert report.ok
         assert report.runs == 1
         assert report.events_checked > 0

@@ -109,11 +109,6 @@ class TestPeriodicResync:
             assert later and all(e.age >= 5.0 for e in later)
         assert registry.merged_counter("resync.rounds") == sum(counts)
 
-    def test_clock_property_before_sync_raises(self):
-        resync = PeriodicResyncClock(h2hca(nfitpoints=5))
-        with pytest.raises(SyncError):
-            _ = resync.clock
-
     def test_validation(self):
         with pytest.raises(SyncError):
             PeriodicResyncClock(h2hca(nfitpoints=5), max_model_age=0.0)

@@ -73,6 +73,21 @@ ROWS = [
         r"neighbor_exchange",
         ("src", "examples", *DOCS),
     ),
+    (
+        # The sanitizer report is a run-context instrument: no report files.
+        "check-report-files",
+        r"append_report|load_reports|write_aggregate|check_dir|\.jsonl",
+        ("src", "tests", "examples", *DOCS),
+    ),
+    (
+        # What only a same-named attribute or string kept alive.
+        "test-only-attributes",
+        r"\bprofiled\(|def profiled|def from_dict|Profiler\.to_dict|"
+        r"\.matches\(|set_proc_now|now\.setter|assert_clock_sane|"
+        r"\bResyncClock\b",
+        ("src/repro/prof", "src/repro/simmpi", "src/repro/check",
+         "src/repro/sync", "examples", *DOCS),
+    ),
 ]
 
 

@@ -169,9 +169,11 @@ class PhaseBegin:
 
     Emitted by the sync layer (``sync.learn`` / ``sync.offset`` /
     ``sync.resync``) on *both* sides of a pairwise exchange with
-    identical descriptors, so a phase instance is identified by
-    ``(name, algorithm, level, round_index, ref, peer)`` regardless of
-    which rank's events are inspected.  The critical-path analysis in
+    identical descriptors (a SKaMPI measurement's ``sync.offset`` by
+    the engine, from the phase descriptor of its ``ExchangeCmd``), so a
+    phase instance is identified by ``(name, algorithm, level,
+    round_index, ref, peer)`` regardless of which rank's events are
+    inspected.  The critical-path analysis in
     :mod:`repro.obs.causal` counts distinct ``sync.learn`` instances
     traversed to measure empirical round depth.
     """

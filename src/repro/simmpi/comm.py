@@ -194,18 +194,24 @@ class Communicator:
         shape: ExchangeShape,
         initiator: bool,
         size: int = 8,
+        points: int = 1,
+        spacing: float = 0.0,
+        phase: tuple | None = None,
     ) -> Generator[Any, Any, list[tuple] | None]:
-        """This side of ``n`` timestamped ping-pongs with rank ``peer``.
+        """This side of ``points`` measurements of ``n`` timestamped
+        ping-pongs each with rank ``peer``.
 
-        One :class:`ExchangeCmd`: the engine plays the round trips and
-        reads ``clock`` between the legs.  The initiator gets the
-        per-round ``(before, stamp, after)`` readings, the responder None.
+        One :class:`ExchangeCmd`: the engine plays the round trips, reads
+        ``clock`` between the legs and paces the initiator's points
+        ``spacing`` apart.  The initiator gets one ``(rounds, timestamp)``
+        pair per point, the responder None.  ``phase`` is the command's
+        ``(name, algorithm, ref, peer)`` phase descriptor, global ranks.
         """
-        rounds = yield ExchangeCmd(  # positional: see ProcessContext.send
+        points = yield ExchangeCmd(  # positional: see ProcessContext.send
             self.global_rank(peer), self._user_tag(tag), n, clock, shape,
-            initiator, size,
+            initiator, size, points, spacing, phase,
         )
-        return rounds
+        return points
 
     # ------------------------------------------------------------------
     # Raw p2p for collective implementations (tag already fully qualified)

@@ -6,8 +6,10 @@ true time* (``ProcessContext.now``) and yields command objects:
 * :class:`SendCmd` — deposit a message (eager or rendezvous),
 * :class:`RecvCmd` — blocking receive with source/tag matching,
 * :class:`SendRecvCmd` — fused exchange (send, then blocking receive),
-* :class:`ExchangeCmd` — one side of the *n* timestamped ping-pongs of an
-  offset measurement; the engine plays the legs itself,
+* :class:`ExchangeCmd` — one side of a learn round's offset measurements
+  (its fit points), *n* timestamped ping-pongs each; the engine plays the
+  legs, the clock reads, the pauses between points and their phase
+  records itself,
 * :class:`ElapseCmd` / :class:`WaitUntilCmd` — advance local time.
 
 The engine executes a process *inline* until it blocks on an unmatched
@@ -59,10 +61,17 @@ per message when ranks run concurrently, none for a serial ping-pong or a
 hand-over.
 
 An :class:`ExchangeCmd` is a program, not an action: the engine expands it
-into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs and clock reads the
-rank would have issued one generator resume at a time, and by default each
-leg goes through the gate (its sends do, its receives name their source),
-the send path and the delivery path like any other command.  *Accepting*
+into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs, clock reads and
+``ElapseCmd`` pauses the rank would have issued one generator resume at a
+time, and by default each leg goes through the gate (its sends do, its
+receives name their source), the send path and the delivery path like any
+other command.  One command is a whole learn round (Algorithm 2): its
+``points`` measurements of ``n`` round trips each, a ``STAMPED``
+initiator's timestamp read after each, the initiator's ``spacing`` pause
+between two (the injector's ``perturb_compute`` included) and, with a
+sink attached, each point's ``sync.offset`` ``PhaseBegin``/``PhaseEnd``
+on both sides, at the true times and stream positions where a rank
+program taking one measurement per command would emit them.  *Accepting*
 it touches no shared state and is not gated.  When an initiator's ping
 has passed the gate (or is a hand-over) and finds its responder already
 blocked in the matching exchange (same pair, tag, ``STAMPED`` or ``TIMED``
@@ -76,8 +85,10 @@ when the ready list is non-empty or its sender is past the frontier.
 Each message is priced by the one pricing body (``_price``, which
 ``_do_send`` calls too, NIC tables in global send order), every hook
 fires per message and read as on the leg path, and the loop stops where
-the gate would defer a leg or the last pong is delivered, leaving the
-state the leg path would have at that point.  ``RENDEZVOUS`` legs, and
+the gate would defer a leg or the last point's last pong is delivered,
+leaving the state the leg path would have at that point; it runs on from
+one point into the next, taking the phase records, timestamp read and
+pause where the leg path takes them.  ``RENDEZVOUS`` legs, and
 legs whose peer is not waiting yet, take the leg path.
 
 There is one configuration of the kernel.  Pending events, at most one
@@ -109,7 +120,8 @@ import numpy as np
 
 from repro.errors import DeadlockError, MatchingError, SimulationError
 from repro.obs.events import (
-    EventSink, MsgDeliver, MsgSend, NicQueue, ProcBlock, ProcWake,
+    EventSink, MsgDeliver, MsgSend, NicQueue, PhaseBegin, PhaseEnd,
+    ProcBlock, ProcWake,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesBank
@@ -233,19 +245,33 @@ _RENDEZVOUS = ExchangeShape.RENDEZVOUS
 
 @dataclass(slots=True)
 class ExchangeCmd:
-    """One side of ``n`` timestamped round trips with global rank ``peer``.
+    """One side of ``points`` offset measurements with global rank
+    ``peer``, each ``n`` timestamped round trips: a learn round's fit
+    points in one command.
 
-    The initiator (the client of an offset measurement) gets back a list
-    of ``n`` tuples ``(before, stamp, after)``: its clock reading before
-    the ping (``None`` for :attr:`ExchangeShape.RENDEZVOUS`, which takes
-    none), the pong's payload, and its reading once the pong is received.
-    The responder gets ``None``.  Both sides read their *own* ``clock``
-    (the reference of HCA3 passes its global clock model), each read
-    charging ``clock.read_overhead`` to the rank's time line.
+    The initiator (the client of an offset measurement) gets back one
+    ``(rounds, timestamp)`` pair per point.  ``rounds`` holds ``n``
+    tuples ``(before, stamp, after)``: its clock reading before the ping
+    (``None`` for :attr:`ExchangeShape.RENDEZVOUS`, which takes none), the
+    pong's payload, and its reading once the pong is received.
+    ``timestamp`` is a ``STAMPED`` initiator's one further reading after
+    the point's last round (the SKaMPI timestamp), ``None`` for the other
+    shapes.  Between two points the initiator computes for ``spacing``
+    seconds as an :class:`ElapseCmd` would, the injector's
+    ``perturb_compute`` included.  The responder gets ``None``.  Both
+    sides read their *own* ``clock`` (the reference of HCA3 passes its
+    global clock model), each read charging ``clock.read_overhead`` to
+    the rank's time line.
+
+    ``phase``, if given, is a ``(name, algorithm, ref, peer)`` descriptor:
+    with a sink attached each side emits a ``PhaseBegin`` of it before a
+    point's first leg and a ``PhaseEnd`` after its last (after the
+    initiator's timestamp reading).
 
     Equivalent, message for message and event for event, to the rank
-    program looping over ``read_clock``/``sendrecv``/``recv``/``send``/
-    ``ssend`` itself, minus the generator resumes between the legs.
+    program looping over the points and, within each, over
+    ``read_clock``/``sendrecv``/``recv``/``send``/``ssend`` itself, minus
+    the generator resumes between the legs.
     """
 
     peer: int
@@ -255,12 +281,21 @@ class ExchangeCmd:
     shape: ExchangeShape
     initiator: bool
     size: int = 8
+    points: int = 1
+    spacing: float = 0.0
+    phase: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SimulationError(
                 f"an exchange needs n >= 1 round trips, got {self.n}"
             )
+        if self.points < 1:
+            raise SimulationError(
+                f"an exchange needs points >= 1, got {self.points}"
+            )
+        if self.spacing < 0:
+            raise SimulationError("cannot elapse a negative duration")
         if self.size < 0:
             raise SimulationError(
                 f"message size must be >= 0, got {self.size}"
@@ -301,16 +336,19 @@ Command = (
 class _Exchange:
     """A rank's progress through its active :class:`ExchangeCmd`."""
 
-    __slots__ = ("cmd", "read", "overhead", "left", "send", "recv", "pinged",
-                 "before", "rounds")
+    __slots__ = ("cmd", "read", "overhead", "left", "points_left", "send",
+                 "recv", "pinged", "before", "rounds", "points", "pause",
+                 "phase")
 
-    def __init__(self, cmd: ExchangeCmd) -> None:
+    def __init__(self, cmd: ExchangeCmd, sink: EventSink | None) -> None:
         self.cmd = cmd
         #: The side's clock, resolved once for all of its reads.
         self.read = cmd.clock.read
         self.overhead = cmd.clock.read_overhead
-        #: Round trips not yet started.
+        #: Round trips of the current point not yet started.
         self.left = cmd.n
+        #: Points not yet started after the current one.
+        self.points_left = cmd.points - 1
         peer, tag, size = cmd.peer, cmd.tag, cmd.size
         rendezvous = cmd.shape is _RENDEZVOUS
         # The leg commands, built once and re-issued every round (a
@@ -326,8 +364,17 @@ class _Exchange:
         self.pinged = False
         #: Initiator: the current round's reading before the ping.
         self.before: float | None = None
-        #: Initiator: the finished rounds, handed back at the end.
+        #: Initiator: the current point's finished rounds, and the
+        #: finished points, handed back at the end.
         self.rounds: list[tuple] | None = [] if cmd.initiator else None
+        self.points: list[tuple] | None = [] if cmd.initiator else None
+        #: Initiator: the compute between two points, issued as a leg.
+        self.pause = (
+            ElapseCmd(cmd.spacing)
+            if cmd.initiator and cmd.spacing > 0.0 else None
+        )
+        #: The phase descriptor, when there is a sink to emit it to.
+        self.phase = cmd.phase if sink is not None else None
 
 
 class _Proc:
@@ -736,7 +783,7 @@ class Engine:
                         value = None
                         if cmd is None:
                             proc.exchange = None
-                            value = exchange.rounds
+                            value = exchange.points
                 if cmd is None:
                     # "proc.advance" is the inline execution of process code
                     # between two commands — the sync algorithms' compute
@@ -906,17 +953,18 @@ class Engine:
             raise MatchingError(f"exchange with invalid rank {peer}")
         if peer == proc.rank:
             raise MatchingError(f"rank {peer} cannot exchange with itself")
-        return _Exchange(cmd)
+        return _Exchange(cmd, self._hooks[0])
 
     def _exchange_leg(
         self, proc: _Proc, exchange: _Exchange, value: Message | None
-    ) -> SendCmd | RecvCmd | SendRecvCmd | None:
+    ) -> SendCmd | RecvCmd | SendRecvCmd | ElapseCmd | None:
         """The next leg of ``proc``'s exchange, or None once it is over.
 
         ``value`` is what the previous leg handed back: the matched
-        message after a receive, None after a send and at the start.
-        Clock reads happen here, between the legs, where the rank program
-        took them.
+        message after a receive, None after a send, after the pause
+        between two points and at the start.  Clock reads and phase
+        records happen here, between the legs, where the rank program
+        took them; the pause is an :class:`ElapseCmd` leg.
         """
         cmd = exchange.cmd
         shape = cmd.shape
@@ -929,8 +977,10 @@ class Engine:
                         proc, exchange.read, exchange.overhead
                     )
                 return pong
-            if not exchange.left:
-                return None
+            if not exchange.left and self._end_point(proc, exchange):
+                return None  # the last point's last pong is out
+            if exchange.left == cmd.n and exchange.phase is not None:
+                self._phase_begin(proc, exchange.phase)
             exchange.left -= 1
             return exchange.recv
         if value is not None:
@@ -939,12 +989,18 @@ class Engine:
                 exchange.before, value.payload,
                 self._read(proc, exchange.read, exchange.overhead),
             ))
+            if not exchange.left:
+                # And so is the point.
+                if self._end_point(proc, exchange):
+                    return None
+                if exchange.pause is not None:
+                    return exchange.pause
         elif exchange.pinged:
             # Rendezvous ping acknowledged: now wait for the pong.
             exchange.pinged = False
             return exchange.recv
-        if not exchange.left:
-            return None
+        if exchange.left == cmd.n and exchange.phase is not None:
+            self._phase_begin(proc, exchange.phase)
         exchange.left -= 1
         ping = exchange.send
         if shape is _RENDEZVOUS:
@@ -957,6 +1013,37 @@ class Engine:
                 ping.payload = before
         return ping
 
+    def _end_point(self, proc: _Proc, exchange: _Exchange) -> bool:
+        """Close the side's current point: the initiator's timestamp
+        reading (``STAMPED``) and the point handed back, then the phase
+        end.  Returns True when it was the last point, else sets up the
+        next one."""
+        points = exchange.points
+        if points is not None:
+            points.append((
+                exchange.rounds,
+                self._read(proc, exchange.read, exchange.overhead)
+                if exchange.cmd.shape is _STAMPED else None,
+            ))
+        if exchange.phase is not None:
+            self._phase_end(proc, exchange.phase)
+        if not exchange.points_left:
+            return True
+        exchange.points_left -= 1
+        exchange.left = exchange.cmd.n
+        if points is not None:
+            exchange.rounds = []
+        return False
+
+    def _phase_begin(self, proc: _Proc, phase: tuple) -> None:
+        name, algorithm, ref, peer = phase
+        self._hooks[0].emit(PhaseBegin(
+            proc.now, proc.rank, name, algorithm, "", -1, ref, peer,
+        ))
+
+    def _phase_end(self, proc: _Proc, phase: tuple) -> None:
+        self._hooks[0].emit(PhaseEnd(proc.now, proc.rank, phase[0]))
+
     def _waiting_responder(
         self, proc: _Proc, exchange: _Exchange
     ) -> _Proc | None:
@@ -965,11 +1052,11 @@ class Engine:
 
         It may when the responder is blocked on its own exchange's
         receive leg for this pair and tag, both sides have the same shape
-        (``STAMPED`` or ``TIMED``: the ping is a ``SendRecvCmd``) and the
-        same number of rounds left, and no message from the responder on
-        that tag waits in ``proc``'s mailbox (the pong would not be what
-        the receive leg matches).  The caller has ruled out an injector
-        with ``stateful_delays``.
+        (``STAMPED`` or ``TIMED``: the ping is a ``SendRecvCmd``), the
+        same ``n`` and the same numbers of rounds and points left, and no
+        message from the responder on that tag waits in ``proc``'s
+        mailbox (the pong would not be what the receive leg matches).
+        The caller has ruled out an injector with ``stateful_delays``.
         """
         cmd = exchange.cmd
         res = self._procs[cmd.peer]
@@ -982,6 +1069,8 @@ class Engine:
             or rex.cmd.tag != cmd.tag
             or rex.cmd.shape is not cmd.shape
             or rex.left != exchange.left
+            or rex.points_left != exchange.points_left
+            or rex.cmd.n != cmd.n
         ):
             return None
         peer, tag = res.rank, cmd.tag
@@ -1001,25 +1090,31 @@ class Engine:
         ping and wake the responder, the initiator's horizon check and
         block, the responder's stamp read, the pong's gate, price the
         pong and wake the initiator, the responder's next receive leg,
-        the initiator's reads and the next ping's gate.  No third rank
-        runs and nothing is scheduled meanwhile, so the queue frontier
-        and the ready list are those of the gate that let the first ping
-        through, and a gate test is one comparison: a leg to a waiting
-        receiver defers only on a ``REMOTE`` pair (else it is a
-        hand-over).  The state left behind is the leg path's at the same
-        point: returns the next ping when it would defer (exit A, for
-        ``_run_proc`` to defer), or None with the initiator blocked and
-        the responder on the ready list, its pong pending (exit B), or
-        both on the ready list, the responder on top, once the last pong
-        is delivered (exit C).
+        the initiator's reads and the next ping's gate.  A point's last
+        round carries on into the next point the same way: the
+        responder's phase end and begin come before its receive leg, and
+        the initiator's after-read is followed by its timestamp read,
+        phase end, pause (horizon check, ``perturb_compute``), phase
+        begin and before-read.  No third rank runs and nothing is
+        scheduled meanwhile, so the queue frontier and the ready list are
+        those of the gate that let the first ping through, and a gate
+        test is one comparison: a leg to a waiting receiver defers only
+        on a ``REMOTE`` pair (else it is a hand-over).  The state left
+        behind is the leg path's at the same point: returns the next ping
+        when it would defer (exit A, for ``_run_proc`` to defer), or None
+        with the initiator blocked and the responder on the ready list,
+        its pong pending (exit B), or both on the ready list, the
+        responder on top, once the last point's last pong is delivered
+        (exit C).
         """
         ex, rex = ini.exchange, res.exchange
         irank, rrank, tag = ini.rank, res.rank, ex.cmd.tag
-        sink = self._hooks[0]
+        sink, _, _, injector, _, _ = self._hooks
         horizon = self.max_true_time
         busy = bool(self._woken)
         frontier = self._queue.frontier
         stamped = ex.cmd.shape is _STAMPED
+        spacing = ex.cmd.spacing
         ping, pong = ex.send, rex.send
         up = self._route(ini, res, ex.cmd)
         up_gated = up[2] is _REMOTE
@@ -1056,14 +1151,20 @@ class Engine:
             payload, arrival, seq, send_time = leg(
                 res, ini, down, pong.payload
             )
-            if not rex.left:
-                ini.pending_value = Message(
-                    rrank, irank, tag, payload, rex.cmd.size, send_time,
-                    arrival, seq,
-                )
-                self._woken.append(ini)
-                self._woken.append(res)
-                return None  # (C)
+            # Both sides count down in step, rounds and points alike.
+            last = not rex.left
+            if last:
+                if not rex.points_left:
+                    ini.pending_value = Message(
+                        rrank, irank, tag, payload, rex.cmd.size,
+                        send_time, arrival, seq,
+                    )
+                    self._woken.append(ini)
+                    self._woken.append(res)
+                    return None  # (C)
+                self._end_point(res, rex)
+                if rex.phase is not None:
+                    self._phase_begin(res, rex.phase)
             rex.left -= 1
             if res.now > horizon:
                 raise SimulationError(
@@ -1074,7 +1175,22 @@ class Engine:
             if sink is not None:
                 sink.emit(ProcBlock(res.now, rrank, "recv", irank, tag))
             ex.rounds.append((ex.before, payload, read(ini, iread, iover)))
-            # Both sides count down in step, so rounds remain.
+            if last:
+                self._end_point(ini, ex)
+                if spacing:
+                    # The pause, as its ElapseCmd leg would run.
+                    if ini.now > horizon:
+                        raise SimulationError(
+                            f"simulation exceeded max_true_time={horizon}"
+                        )
+                    duration = spacing
+                    if injector is not None:
+                        duration = injector.perturb_compute(
+                            ini.now, irank, duration, ini.get_rng()
+                        )
+                    ini.now += duration
+                if ex.phase is not None:
+                    self._phase_begin(ini, ex.phase)
             ex.left -= 1
             before = ex.before = read(ini, iread, iover)
             if stamped:

@@ -6,10 +6,18 @@ local clocks (Fig. 1a): after ⌊log₂ p⌋ + 1 rounds the root holds a model
 the root composes them (``cm(0,3) = MERGE(cm(0,2), cm(2,3))``).  The root
 then distributes the models with ``MPI_Scatter``.
 
-The merging is where the error comes from: ``cm(2,3)`` was fitted earlier
-and against rank 2's *raw* clock, so by the time it is composed with
-``cm(0,2)`` both models extrapolate — HCA3 avoids this by always fitting
-against live emulated global time.
+Composing models fitted at different times is not, by itself, where the
+error comes from.  The simulator measures one staleness law for HCA2 and
+HCA3 alike (ROADMAP.md): a rank's global-clock slope error at the end of
+the sync is its own skew minus the root's there, plus, for each hop of
+its tree path, the difference of the hop's two clocks' mean skews over
+that hop's fit window.  Under a constant skew every term
+cancels; under a skew walk a hop fitted early goes stale.  HCA2 fits
+strides 1 → p/2, so its early hops are the intra-node ones, whose two
+clocks are one node clock and cancel, and its cross-node hops are fitted
+last.  HCA3 fits them in the opposite order, so it goes staler: at 32×16
+on Jupiter with the walk preset, its rms slope error is 79–113 ppb
+against HCA2's 43–63 ppb (seeds 1–3).
 
 HCA additionally re-anchors every client's intercept directly against the
 root after the scatter, one client at a time — an O(p) tail that makes HCA

@@ -3,9 +3,17 @@
 HCA3 pushes the reference time *down* a binomial tree (the PulseSync idea
 adapted to MPI): in each round, a process that already owns a global clock
 model acts as a reference and *uses that model when timestamping*, so its
-children fit their linear models directly against emulated global time.
-Compared to HCA2 this avoids merging models that were fitted at different
-times, which is where HCA2 accumulates extrapolation error.
+children fit their linear models directly against emulated global time
+instead of composing models as HCA2 does.
+
+That does not make its fits fresher.  A rank's slope error follows the
+same staleness law as HCA2's (see :mod:`repro.sync.hca`): one term per
+hop of its tree path, the hop's frozen skew difference over its fit
+window.  HCA3 fits strides p/2 → 1, so the cross-node hops (stride ≥ the
+ranks per node) come first, and under a skew walk they are its stalest
+terms at the end of the sync, while HCA2's stale early hops are
+intra-node and cancel.  At 32×16 on Jupiter with the walk preset HCA3's
+10 s error is the larger of the two; with the walk off they tie.
 
 Round structure for p processes (nrounds = ⌊log₂ p⌋, max_power = 2^nrounds):
 

@@ -1,7 +1,9 @@
 """LEARN_CLOCK_MODEL and COMPUTE_AND_SET_INTERCEPT (paper Algorithm 2).
 
 A pair of processes collects ``nfitpoints`` offset measurements (each one a
-full run of the configured offset algorithm); the client fits a
+full run of the configured offset algorithm, all of them one
+:meth:`~repro.sync.offset.OffsetAlgorithm.measure_offsets` call, which
+for SKaMPI is one engine command per side); the client fits a
 :class:`~repro.sync.linear_model.LinearDriftModel` over them.  With
 ``recompute_intercept`` enabled, one extra offset measurement re-anchors
 the intercept after the regression (the paper's accuracy refinement).
@@ -12,6 +14,7 @@ spreads the points over a long-enough baseline for the regression to
 resolve ppm-scale slopes; scaled-down simulations use explicit spacing to
 preserve that baseline (see EXPERIMENTS.md).  The reference side needs no
 pacing — it blocks in its receive until the client's next ping arrives.
+The spacing goes to ``measure_offsets`` with the fit points.
 """
 
 from __future__ import annotations
@@ -101,8 +104,9 @@ def learn_clock_model(
             peer=comm.global_rank(client),
         ))
     if rank == p_ref:
-        for _ in range(nfitpoints):
-            yield from offset_alg.measure_offset(comm, clock, p_ref, client)
+        yield from offset_alg.measure_offsets(
+            comm, clock, p_ref, client, nfitpoints, fitpoint_spacing
+        )
         if recompute_intercept:
             yield from compute_and_set_intercept(
                 comm, None, clock, p_ref, client, offset_alg
@@ -117,24 +121,12 @@ def learn_clock_model(
             f"rank {rank} called learn_clock_model for pair "
             f"({p_ref}, {client})"
         )
-    xfit = []
-    yfit = []
-    samples = []
     t_round_start = comm.ctx.now
-    for idx in range(nfitpoints):
-        measurement = yield from offset_alg.measure_offset(
-            comm, clock, p_ref, client
-        )
-        xfit.append(measurement.timestamp)
-        yfit.append(measurement.offset)
-        if stats is not None:
-            samples.append(FitpointSample(
-                timestamp=measurement.timestamp,
-                offset=measurement.offset,
-                rtt=measurement.rtt,
-            ))
-        if fitpoint_spacing > 0.0 and idx != nfitpoints - 1:
-            yield from comm.ctx.elapse(fitpoint_spacing)
+    measurements = yield from offset_alg.measure_offsets(
+        comm, clock, p_ref, client, nfitpoints, fitpoint_spacing
+    )
+    xfit = [m.timestamp for m in measurements]
+    yfit = [m.offset for m in measurements]
     prof = comm.ctx.engine.profiler
     if prof is not None:
         # Pure-compute section (no yields inside): safe to zone.  The
@@ -168,7 +160,12 @@ def learn_clock_model(
             round_index=round_index,
             ref_rank=comm.global_rank(p_ref),
             client_rank=comm.global_rank(client),
-            fitpoints=tuple(samples),
+            fitpoints=tuple(
+                FitpointSample(
+                    timestamp=m.timestamp, offset=m.offset, rtt=m.rtt,
+                )
+                for m in measurements
+            ),
             slope=lm.slope,
             intercept=lm.intercept,
             residuals=residuals,

@@ -17,12 +17,19 @@ Sign convention: the returned :class:`ClockOffset` carries
 
 Both sides of a pair call ``measure_offset`` collectively; the client
 returns the measurement, the reference returns ``None``.
+``measure_offsets`` takes ``k`` measurements the same way, the client
+pausing ``spacing`` between them (a learn round's fit points); the client
+returns the list.
 
-The ping-pongs themselves are one command per side
-(:meth:`Communicator.exchange`): the engine plays the round trips and
-takes the clock readings between the legs, and the client gets the
-per-round ``(before, stamp, after)`` readings back to do the arithmetic
-on.
+The ping-pongs themselves are commands (:meth:`Communicator.exchange`):
+the engine plays the round trips and takes the clock readings between
+the legs, and the client gets the per-round ``(before, stamp, after)``
+readings back to do the arithmetic on.  SKaMPI takes all ``k``
+measurements in one command per side: the engine also reads the client's
+timestamp after each measurement, elapses the spacing and, with a sink
+attached, emits each measurement's ``sync.offset`` phase on both sides.
+Mean-RTT keeps a loop of one measurement at a time, because its first
+measurement of a pair carries the RTT estimate.
 """
 
 from __future__ import annotations
@@ -83,6 +90,26 @@ class OffsetAlgorithm(abc.ABC):
     ) -> Generator:
         """Collective over {p_ref, client}: client returns a ClockOffset."""
 
+    def measure_offsets(
+        self,
+        comm: "Communicator",
+        clock: Clock,
+        p_ref: int,
+        client: int,
+        k: int,
+        spacing: float,
+    ) -> Generator:
+        """Collective over {p_ref, client}: ``k`` measurements, the client
+        computing for ``spacing`` seconds between two of them.  The client
+        returns the list of ClockOffsets, the reference None."""
+        offsets = []
+        for idx in range(k):
+            offset = yield from self.measure_offset(comm, clock, p_ref, client)
+            offsets.append(offset)
+            if spacing > 0.0 and idx != k - 1 and comm.rank == client:
+                yield from comm.ctx.elapse(spacing)
+        return offsets if comm.rank == client else None
+
     def label(self) -> str:
         return f"{self.name}/{self.nexchanges}"
 
@@ -94,10 +121,13 @@ class OffsetAlgorithm(abc.ABC):
         client: int,
         n: int,
         shape: ExchangeShape,
+        points: int = 1,
+        spacing: float = 0.0,
+        phase: tuple | None = None,
     ) -> Generator:
-        """This rank's side of ``n`` ping-pongs of the pair: the client
-        initiates and gets the per-round readings, the reference answers
-        and gets None."""
+        """This rank's side of ``points`` measurements of ``n`` ping-pongs
+        of the pair: the client initiates and gets each point's rounds
+        and timestamp, the reference answers and gets None."""
         rank = comm.rank
         if rank != p_ref and rank != client:
             raise SyncError(
@@ -106,28 +136,8 @@ class OffsetAlgorithm(abc.ABC):
             )
         return comm.exchange(
             client if rank == p_ref else p_ref, PINGPONG_TAG, n, clock,
-            shape, initiator=rank == client, size=TIMESTAMP_BYTES,
+            shape, rank == client, TIMESTAMP_BYTES, points, spacing, phase,
         )
-
-    # -- causal phase annotations (see repro.obs.spans) ---------------
-    def _phase_begin(self, comm: "Communicator", p_ref: int,
-                     client: int) -> None:
-        sink = comm.ctx.engine.sink
-        if sink is not None:
-            sink.emit(PhaseBegin(
-                time=comm.ctx.now, rank=comm.ctx.rank,
-                name="sync.offset", algorithm=self.name,
-                ref=comm.global_rank(p_ref),
-                peer=comm.global_rank(client),
-            ))
-
-    def _phase_end(self, comm: "Communicator") -> None:
-        sink = comm.ctx.engine.sink
-        if sink is not None:
-            sink.emit(PhaseEnd(
-                time=comm.ctx.now, rank=comm.ctx.rank,
-                name="sync.offset",
-            ))
 
 
 class SKaMPIOffset(OffsetAlgorithm):
@@ -142,32 +152,47 @@ class SKaMPIOffset(OffsetAlgorithm):
         p_ref: int,
         client: int,
     ) -> Generator:
-        ctx = comm.ctx
-        self._phase_begin(comm, p_ref, client)
-        rounds = yield from self._pingpongs(
-            comm, clock, p_ref, client, self.nexchanges, _STAMPED,
+        offsets = yield from self.measure_offsets(
+            comm, clock, p_ref, client, 1, 0.0
         )
-        if rounds is None:
-            self._phase_end(comm)
+        return None if offsets is None else offsets[0]
+
+    def measure_offsets(
+        self,
+        comm: "Communicator",
+        clock: Clock,
+        p_ref: int,
+        client: int,
+        k: int,
+        spacing: float,
+    ) -> Generator:
+        """One command per side for all ``k`` measurements."""
+        points = yield from self._pingpongs(
+            comm, clock, p_ref, client, self.nexchanges, _STAMPED, k,
+            spacing, ("sync.offset", self.name, comm.global_rank(p_ref),
+                      comm.global_rank(client)),
+        )
+        if points is None:
             return None
-        # td_min/td_max bound (ref - client); names follow the paper.
-        td_min = -np.inf
-        td_max = np.inf
-        rtt_min = np.inf
-        for s_last, t_last, s_now in rounds:
-            td_min = max(td_min, t_last - s_now)
-            td_max = min(td_max, t_last - s_last)
-            rtt_min = min(rtt_min, s_now - s_last)
-        diff = (td_min + td_max) / 2.0  # estimate of (ref - client)
-        timestamp = ctx.read_clock(clock)
-        prof = ctx.engine.profiler
+        offsets = []
+        for rounds, timestamp in points:
+            # td_min/td_max bound (ref - client); names follow the paper.
+            td_min = -np.inf
+            td_max = np.inf
+            rtt_min = np.inf
+            for s_last, t_last, s_now in rounds:
+                td_min = max(td_min, t_last - s_now)
+                td_max = min(td_max, t_last - s_last)
+                rtt_min = min(rtt_min, s_now - s_last)
+            diff = (td_min + td_max) / 2.0  # estimate of (ref - client)
+            # Positional: keyword construction costs about twice as much.
+            offsets.append(ClockOffset(timestamp, -diff, float(rtt_min)))
+        prof = comm.ctx.engine.profiler
         if prof is not None:
             # The exchange wall time itself lives in the engine's
-            # send/recv zones; this marks one completed offset round.
-            prof.tick("sync.offset.rounds")
-        self._phase_end(comm)
-        # Positional: keyword construction costs about twice as much.
-        return ClockOffset(timestamp, -diff, float(rtt_min))
+            # send/recv zones; this marks the completed offset rounds.
+            prof.tick("sync.offset.rounds", k)
+        return offsets
 
 
 class MeanRTTOffset(OffsetAlgorithm):
@@ -181,6 +206,9 @@ class MeanRTTOffset(OffsetAlgorithm):
     over (``comm.attrs``), so an instance reused across simulations
     re-measures instead of serving a dead run's RTT, and holds no
     per-run state itself.
+
+    ``measure_offsets`` is the base class's loop of one measurement at a
+    time, since a pair's first measurement carries the RTT exchange.
     """
 
     name = "mean_rtt_offset"
@@ -205,19 +233,20 @@ class MeanRTTOffset(OffsetAlgorithm):
         if key not in rtt_cache:
             # Mean round-trip time, measured at the client; the reference
             # side does not need the value.
-            rounds = yield from self._pingpongs(
+            points = yield from self._pingpongs(
                 comm, clock, p_ref, client, self.rtt_pingpongs, _TIMED,
             )
-            rtt_cache[key] = 0.0 if rounds is None else float(
-                np.mean([t1 - t0 for t0, _, t1 in rounds])
+            rtt_cache[key] = 0.0 if points is None else float(
+                np.mean([t1 - t0 for t0, _, t1 in points[0][0]])
             )
         rtt = rtt_cache[key]
-        rounds = yield from self._pingpongs(
+        points = yield from self._pingpongs(
             comm, clock, p_ref, client, self.nexchanges, _RENDEZVOUS,
         )
-        if rounds is None:
+        if points is None:
             self._phase_end(comm)
             return None
+        rounds = points[0][0]
         local_times = np.empty(self.nexchanges)
         time_var = np.empty(self.nexchanges)
         for i, (_, ref_time, local_time) in enumerate(rounds):
@@ -237,3 +266,24 @@ class MeanRTTOffset(OffsetAlgorithm):
             prof.tick("sync.offset.rounds")
         self._phase_end(comm)
         return offset
+
+    # -- causal phase annotations (see repro.obs.spans); SKaMPI's come
+    # from the engine, through its command's phase descriptor ----------
+    def _phase_begin(self, comm: "Communicator", p_ref: int,
+                     client: int) -> None:
+        sink = comm.ctx.engine.sink
+        if sink is not None:
+            sink.emit(PhaseBegin(
+                time=comm.ctx.now, rank=comm.ctx.rank,
+                name="sync.offset", algorithm=self.name,
+                ref=comm.global_rank(p_ref),
+                peer=comm.global_rank(client),
+            ))
+
+    def _phase_end(self, comm: "Communicator") -> None:
+        sink = comm.ctx.engine.sink
+        if sink is not None:
+            sink.emit(PhaseEnd(
+                time=comm.ctx.now, rank=comm.ctx.rank,
+                name="sync.offset",
+            ))

@@ -5,8 +5,9 @@ seeds, same submission order, same floats).  (That the delay pools'
 chunk size cannot change a draw is pinned on ``UniformPool`` itself, in
 ``tests/simmpi/test_network.py``; the engine takes no chunk argument.)
 
-CI runs this module with ``-rs`` and fails if anything was skipped, so
-the equivalence evidence cannot silently disappear.
+A skip here fails the test session (``EXPECTED_SKIPS`` in
+``tests/conftest.py``), so the equivalence evidence cannot silently
+disappear.
 """
 
 from __future__ import annotations

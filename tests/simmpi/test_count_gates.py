@@ -1,14 +1,18 @@
 """Count gates: how the engine steps a sync, pinned as exact counts.
 
 Wall time on a shared host says little; these counts say which path a
-run took.  Flat HCA3 at 256x4 ranks: an offset measurement is one
+run took.  Flat HCA3 at 256x4 ranks: a learn round's fit points are one
 command per side, the queue holds only the p starts and the gate's
 deferrals, a woken rank runs inside the activation that woke it, and a
 node-local send to a receiver waiting for it is not gated.  JK at 64x4:
-every SKaMPI round trip runs inside the engine's exchange loop.
+every SKaMPI round trip runs inside the engine's exchange loop, one loop
+entry per learn round.  H2HCA at 256x4: communicator creation keeps the
+message count at O(p log p).
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -36,8 +40,11 @@ def _sync(label: str, nodes: int, rpn: int, **hooks):
 class TestFlatHCA3ResumeCounts:
     """Flat HCA3 at 256x4: 72 messages per tree edge.
 
-    Spelling the ping-pongs out in the rank program again resumes
-    generators 118,669 times here against 26,599.  The queue holds only
+    Each of the p - 1 pairs resumes its two rank programs twice, once
+    after the learn round's command and once after the intercept's, on
+    top of one start per rank: p + 4·(p − 1) = 5,116 resumes.  One
+    command per offset measurement again gives 26,599, and spelling the
+    ping-pongs out in the rank program again 118,669.  The queue holds only
     the p starts and the gate's deferrals, so a wake routed back through
     it breaks ``events == p + deferrals``.  A send defers at most once:
     255 of the tree's 1,023 edges cross nodes and carry 72 messages
@@ -84,7 +91,8 @@ class TestFlatHCA3ResumeCounts:
 
     def test_ping_pongs_stay_out_of_the_rank_program(self, counts):
         _, resumes, _ = counts
-        assert resumes <= 26 * self.NODES * self.RPN
+        p = self.NODES * self.RPN
+        assert resumes == p + 4 * (p - 1) == 5_116
 
     def test_a_wake_is_not_a_queue_event(self, counts):
         stats, _, _ = counts
@@ -127,3 +135,23 @@ def test_jk_round_trips_run_in_the_exchange_loop():
     stats = sim.run(main).engine_stats
     assert stats["messages_sent"] == 16_575
     assert inside == 2 * 255 * 8 * 4
+
+
+def test_h2hca_communicator_creation_stays_logarithmic():
+    """H2HCA at 256x4: its two ``comm.split`` calls and the syncs behind
+    them send 38,336 messages against a bound of 6·p·⌈log₂ p⌉ = 61,440.
+    A linear-step split sends 2.1 M here, so the gate is a count, not a
+    stopwatch; the 20 s ceiling (the run takes about 1 s) only catches
+    quadratic host work per split."""
+    nodes, rpn = 256, 4
+    p = nodes * rpn
+    start = time.perf_counter()
+    sim, main = _sync(
+        "Top/hca3/8/skampi_offset/4/Bottom/ClockPropagation", nodes, rpn
+    )
+    messages = sim.run(main).engine_stats["messages_sent"]
+    wall = time.perf_counter() - start
+    bound = 6 * p * (p - 1).bit_length()
+    assert bound == 61_440
+    assert messages <= bound, "communicator creation is not logarithmic"
+    assert wall <= 20.0, f"H2HCA sync at p=1024 took {wall:.1f} s"

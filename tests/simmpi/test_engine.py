@@ -5,7 +5,9 @@ import pytest
 from repro.cluster.netmodels import ideal_network, infiniband_qdr
 from repro.cluster.topology import Machine
 from repro.errors import DeadlockError, MatchingError, SimulationError
-from repro.obs.events import MsgSend, ProcBlock, ProcWake, RecordingSink
+from repro.obs.events import (
+    MsgSend, PhaseBegin, PhaseEnd, ProcBlock, ProcWake, RecordingSink,
+)
 from repro.simmpi.engine import (
     ElapseCmd,
     Engine,
@@ -737,7 +739,8 @@ class TestDeterminism:
 
 
 class TestExchange:
-    """``ExchangeCmd``: one command per side of n timestamped ping-pongs.
+    """``ExchangeCmd``: one command per side of a learn round's points,
+    n timestamped ping-pongs each.
 
     That it equals the written-out loop message for message is
     tests/properties/test_property_exchange.py; here: what each side gets
@@ -745,13 +748,15 @@ class TestExchange:
     """
 
     @staticmethod
-    def _pair(shape, n=3):
+    def _pair(shape, n=3, points=1, spacing=0.0):
         engine = make_engine()
         clock = HardwareClock()  # reads true time
 
         def side(peer, initiator):
-            rounds = yield ExchangeCmd(peer, 7, n, clock, shape, initiator)
-            return rounds
+            measured = yield ExchangeCmd(
+                peer, 7, n, clock, shape, initiator, 8, points, spacing
+            )
+            return measured
 
         engine.bind(0, side(1, False))
         engine.bind(1, side(0, True))
@@ -761,10 +766,11 @@ class TestExchange:
     def test_initiator_gets_the_rounds_responder_none(self, shape):
         engine, (responder, initiator) = self._pair(shape)
         assert responder is None
-        assert len(initiator) == 3
+        [(rounds, timestamp)] = initiator
+        assert len(rounds) == 3
         assert engine.messages_sent == engine.messages_delivered == 6
         last = 0.0
-        for before, stamp, after in initiator:
+        for before, stamp, after in rounds:
             if shape is ExchangeShape.RENDEZVOUS:
                 assert before is None
             else:
@@ -776,9 +782,27 @@ class TestExchange:
                 # the ping's departure and the pong's arrival.
                 assert (before or last) < stamp < after
             last = after
+        if shape is ExchangeShape.STAMPED:
+            assert timestamp >= last  # the SKaMPI timestamp, read last
+        else:
+            assert timestamp is None
         assert engine.rendezvous_stalls == (
             6 if shape is ExchangeShape.RENDEZVOUS else 0
         )
+
+    @pytest.mark.parametrize("shape", list(ExchangeShape))
+    def test_points_are_paced_by_the_spacing(self, shape):
+        engine, (responder, initiator) = self._pair(
+            shape, n=2, points=3, spacing=1e-3
+        )
+        assert responder is None
+        assert [len(rounds) for rounds, _ in initiator] == [2, 2, 2]
+        assert engine.messages_sent == 12
+        for (rounds, _), (following, _) in zip(initiator, initiator[1:]):
+            # The initiator computed 1 ms between its last reading of a
+            # point and its first of the next.
+            gap = (following[0][0] or following[0][2]) - rounds[-1][2]
+            assert 0.999e-3 < gap < 1.1e-3
 
     def test_each_read_charges_the_clock_overhead(self):
         engine = make_engine(network=ideal_network(latency=1e-6))
@@ -799,6 +823,7 @@ class TestExchange:
     @pytest.mark.parametrize("field, value, complaint", [
         ("n", 0, "n >= 1"), ("size", -1, "size must be >= 0"),
         ("shape", "stamped", "must be an ExchangeShape"),
+        ("points", 0, "points >= 1"), ("spacing", -1e-3, "negative"),
     ])
     def test_construction_rejects(self, field, value, complaint):
         kwargs = {
@@ -843,12 +868,15 @@ class TestExchangeLoop:
     waits in the queue at ``t``, and the first exchange leg issued past
     ``t`` defers.  The loop must leave exactly the state the leg path
     would, so both runs agree on ``Engine.stats()``, final times, the
-    readings handed back and the event stream.
+    readings handed back and the event stream (``sync.offset`` phase
+    records included).  With several points, the loop carries on from
+    one point into the next.
     """
 
     N = 3
+    SPACING = 1e-4
 
-    def _run(self, third_at, fused, exits=None):
+    def _run(self, third_at, fused, exits=None, points=1):
         from repro.sync.offset import PINGPONG_TAG, TIMESTAMP_BYTES
         from tests.properties.test_property_exchange import _written_out
 
@@ -863,16 +891,18 @@ class TestExchangeLoop:
             initiator = ctx.rank == 2
             peer = 1 if initiator else 2
             clock = ctx.hardware_clock
+            phase = ("sync.offset", "skampi_offset", 1, 2)
             if fused:
-                rounds = yield ExchangeCmd(
+                measured = yield ExchangeCmd(
                     peer, PINGPONG_TAG, n, clock, shape, initiator,
-                    TIMESTAMP_BYTES,
+                    TIMESTAMP_BYTES, points, self.SPACING, phase,
                 )
             else:
-                rounds = yield from _written_out(
-                    ctx, peer, n, clock, shape, initiator
+                measured = yield from _written_out(
+                    ctx, peer, n, clock, shape, initiator, points,
+                    self.SPACING, phase,
                 )
-            return ctx.now, rounds
+            return ctx.now, measured
 
         sink = RecordingSink()
         sim = Simulation(
@@ -894,15 +924,15 @@ class TestExchangeLoop:
         result = sim.run(main)
         return result.engine_stats, result.values, sink.events
 
-    def _send_times(self):
+    def _send_times(self, points=1):
         """MsgSend times of the lone exchange: ping, pong, ping, ..."""
-        _, _, events = self._run(None, fused=True)
+        _, _, events = self._run(None, fused=True, points=points)
         return [e.time for e in events if type(e) is MsgSend]
 
-    def _check(self, third_at, expected):
+    def _check(self, third_at, expected, points=1):
         exits = []
-        fused = self._run(third_at, True, exits)
-        written_out = self._run(third_at, False)
+        fused = self._run(third_at, True, exits, points)
+        written_out = self._run(third_at, False, points=points)
         assert fused == written_out
         assert exits == expected
         return fused
@@ -910,7 +940,27 @@ class TestExchangeLoop:
     def test_exit_c_the_last_pong_is_delivered(self):
         stats, values, _ = self._check(None, ["C"])
         assert stats["gate_deferrals"] == 0
-        assert len(values[2][1]) == self.N
+        [(rounds, _)] = values[2][1]
+        assert len(rounds) == self.N
+
+    def test_the_loop_runs_on_across_points(self):
+        stats, values, events = self._check(None, ["C"], points=3)
+        assert stats["gate_deferrals"] == 0
+        assert [len(rounds) for rounds, _ in values[2][1]] == [self.N] * 3
+        for rank in (1, 2):
+            phases = [
+                type(e) for e in events
+                if type(e) in (PhaseBegin, PhaseEnd) and e.rank == rank
+            ]
+            assert phases == [PhaseBegin, PhaseEnd] * 3
+
+    def test_exit_a_in_the_pause_between_points(self):
+        times = self._send_times(points=2)
+        last_pong, next_ping = times[2 * self.N - 1], times[2 * self.N]
+        stats, _, _ = self._check(
+            (last_pong + next_ping) / 2, ["A", "C"], points=2
+        )
+        assert stats["gate_deferrals"] == 2
 
     def test_exit_a_the_next_ping_defers(self):
         ping1, pong1, ping2 = self._send_times()[:3]

@@ -166,15 +166,19 @@ class TestMeanRTTOffset:
 
 
 class TestOneCommandPerMeasurement:
-    """A measurement costs each side one generator resume, whatever n is.
+    """At most one generator resume per side and measurement, whatever n
+    is; SKaMPI takes a whole learn round's in one.
 
     Counts, not a stopwatch: with F fit points, R = 1 for
     ``recompute_intercept`` and n exchanges, a pair used to resume its two
     rank programs ``3·n·(F+R) + (F−1)`` times (a ``sendrecv`` per round
     trip on the client, a ``recv`` and a ``send`` on the reference, plus
-    the fit-point spacing); with the ping-pongs as one ``ExchangeCmd`` per
-    side it is ``2·(F+R) + (F−1)``.  Clock reads and offset rounds are
-    what they were before the command existed.
+    the fit-point spacing).  Mean-RTT, one ``ExchangeCmd`` per side and
+    measurement, resumes them ``2·(F+R) + (F−1)`` times plus 2 for the
+    cached RTT phase.  SKaMPI, one ``ExchangeCmd`` per side for the F fit
+    points with their spacing and one for the intercept, resumes them
+    ``2·(1+R)`` times.  Clock reads and offset rounds are what they were
+    before the command existed.
     """
 
     P, F, N, RTT = 16, 5, 3, 10
@@ -201,9 +205,11 @@ class TestOneCommandPerMeasurement:
         pairs = self.P - 1
         measurements = self.F + recompute
         mean_rtt = offset_cls is MeanRTTOffset
-        per_pair = 2 * measurements + (self.F - 1)
         if mean_rtt:
+            per_pair = 2 * measurements + (self.F - 1)
             per_pair += 2  # the cached RTT phase: one command per side
+        else:
+            per_pair = 2 * (1 + recompute)  # one command per learn round
         if sync_cls is JKSync:
             per_pair += 2  # the go-ahead message: one send, one recv
         # One resume starts each rank, one follows each command.

@@ -13,94 +13,50 @@ true time* (``ProcessContext.now``) and yields command objects:
 * :class:`ElapseCmd` / :class:`WaitUntilCmd` — advance local time.
 
 The engine executes a process *inline* until it blocks on an unmatched
-receive or a rendezvous acknowledgement — with a **causality gate** on the
-commands whose effects other ranks can see.  Those are the *ordered*
-commands: the send of a ``SendCmd``/``SendRecvCmd`` (NIC egress/ingress
-tables, message sequence numbers, where a deposit lands in the
-destination's mailbox, the injector's delay/gap/payload hooks) and a
-``RecvCmd`` from ``ANY_SOURCE`` (reads the order of a mailbox across
-sources).  An ordered command executes only when no other rank can act
-before it, otherwise it is deferred and re-issued when the event queue
-catches up; ordered commands therefore happen in simulated-time order
-(the sanitizer's ``send-order`` rule).  Everything else runs ungated: a
-``RecvCmd`` from a named source reads only that source's messages, which
-sit in the source's program order whatever the interleaving (MPI
-non-overtaking), and finding the message or blocking and being woken by
-it both end at ``max(now, arrival) + o_recv``; ``ElapseCmd`` and
-``WaitUntilCmd`` move the rank's own time line only; rank code between
-commands touches rank-local state.  One exception is read off the
-injector: a receive that completes a rendezvous prices the ack through
-``perturb_delay``, so under an injector whose delay hook keeps state
-between calls (``stateful_delays``, a bottleneck queue) receives are
-ordered too.
+receive or a rendezvous acknowledgement, with a **causality gate** on the
+*ordered* commands, whose effects other ranks can see: the send of a
+``SendCmd``/``SendRecvCmd`` (NIC tables, message sequence numbers,
+mailbox order, the injector's delay/gap/payload hooks) and a ``RecvCmd``
+from ``ANY_SOURCE`` (every receive under an injector whose delay hook
+keeps state, ``stateful_delays``: completing a rendezvous prices an ack
+through it).  An ordered command runs only when no other rank can act
+before it, else it is deferred until the event queue catches up, so
+ordered commands happen in simulated-time order.  Named receives,
+elapses and waits touch only the rank's own time line and messages.  A
+**hand-over** is not ordered either: a send whose receiver already waits
+for it on a pair that is not ``REMOTE`` (DESIGN §6 says why none of what
+the gate protects is in play).  A wake is not a queue event: a woken
+rank goes on a **ready list** that the running activation drains (last
+woken first), and while it is non-empty every ordered command defers, so
+the queue holds only starts and deferred ordered commands.
 
-One send is not ordered: a **hand-over**, a send whose receiver is already
-blocked on a receive that names this sender and accepts its tag, on a pair
-whose level is not ``REMOTE``, under an injector without
-``stateful_delays``.  It runs at once, through the same ``_do_send`` wake,
-however far ahead of the frontier its rank is, because none of what the
-gate protects is in play: the NIC tables and the fabric hook are
-``REMOTE``-only; the delay draw, the injector's delay and payload hooks
-and an ack's pricing use only the sender's pool and RNG and the blocked
-receiver's; a named receive consumes the message at once, so it never
-sits in a mailbox where an ``ANY_SOURCE`` receive could see its position;
-and the receiver resumes at ``max(now, arrival) + o_recv`` in either host
-order.  Only its ``seq`` number, a host-order fact, differs.  This is the
-node-local half of a ping-pong (and of a binomial tree's first rounds),
-which then never touches the queue.
-
-A wake is not a queue event.  A send that finds its receiver waiting (and
-a receive that releases a rendezvous sender) puts the woken rank on a
-**ready list**, which the running activation drains (last woken first)
-before the loop pops the next event, and while the list is non-empty
-every ordered command defers, which keeps the waker from overtaking the
-rank it just woke.  Every runnable rank is thus in the queue, on the
-ready list, or the one running, and the queue holds only starts and
-deferred ordered commands: one activation per event, at most one event
-per message when ranks run concurrently, none for a serial ping-pong or a
-hand-over.
-
-An :class:`ExchangeCmd` is a program, not an action: the engine expands it
-into the ``SendCmd``/``RecvCmd``/``SendRecvCmd`` legs, clock reads and
-``ElapseCmd`` pauses the rank would have issued one generator resume at a
-time, and by default each leg goes through the gate (its sends do, its
-receives name their source), the send path and the delivery path like any
-other command.  One command is a whole learn round (Algorithm 2): its
-``points`` measurements of ``n`` round trips each, a ``STAMPED``
-initiator's timestamp read after each, the initiator's ``spacing`` pause
-between two (the injector's ``perturb_compute`` included) and, with a
-sink attached, each point's ``sync.offset`` ``PhaseBegin``/``PhaseEnd``
-on both sides, at the true times and stream positions where a rank
-program taking one measurement per command would emit them.  *Accepting*
-it touches no shared state and is not gated.  When an initiator's ping
-has passed the gate (or is a hand-over) and finds its responder already
-blocked in the matching exchange (same pair, tag, ``STAMPED`` or ``TIMED``
-shape and rounds left, no stray message from the responder on that tag in
-the initiator's mailbox, no ``stateful_delays`` injector), the **exchange
-loop** (``_play_exchange``) plays their round trips in one call.  Only
-the two ranks act there and nothing is scheduled, so the frontier and the
-ready list stay those of the gate that let the ping through, and each
-leg's gate test is one comparison: a leg defers only on a ``REMOTE`` pair,
-when the ready list is non-empty or its sender is past the frontier.
-Each message is priced by the one pricing body (``_price``, which
-``_do_send`` calls too, NIC tables in global send order), every hook
-fires per message and read as on the leg path, and the loop stops where
-the gate would defer a leg or the last point's last pong is delivered,
-leaving the state the leg path would have at that point; it runs on from
-one point into the next, taking the phase records, timestamp read and
-pause where the leg path takes them.  ``RENDEZVOUS`` legs, and
-legs whose peer is not waiting yet, take the leg path.
+An :class:`ExchangeCmd` is a program, not an action: the engine expands
+it into the legs, clock reads and pauses the rank would have issued one
+generator resume at a time, each leg meeting the gate like any other
+command.  *Accepting* it touches no shared state and is not gated.  When
+an initiator's ping has passed the gate and finds its responder already
+blocked in the matching exchange (``STAMPED`` or ``TIMED``, no stateful
+injector), the **exchange loop** (``_play_exchange``) plays their round
+trips in one call, across point boundaries, until the gate would defer a
+leg or the last point's last pong is delivered, leaving the state the
+leg path would leave.  Only the two ranks act there, so a gate test is
+one comparison.  The loop writes each round trip out as one
+straight-line body over locals: its copy of ``_price``'s arithmetic,
+the accounting and the clock reads, with every hook firing per message
+or read as on the leg path.  ``RENDEZVOUS`` legs, and legs whose peer
+is not waiting yet, take the leg path.
 
 There is one configuration of the kernel.  Pending events, at most one
-per rank, live in a binary heap (:class:`repro.simmpi.eventq.HeapQueue`;
-DESIGN §14 times it against a calendar queue up to p = 4096), and every
-message outside the exchange loop goes through one send path
-(``_do_send``) and one delivery path (``_finish_delivery``); all of them
-are priced by ``_price``.  The six optional hooks — event sink, metrics
-registry, time-series bank, fault injector, profiler, fabric pricing —
-are read into locals at the top of those methods and each hook site is
-one ``is not None`` test on a local, so a run with no hook attached pays
-a dozen pointer comparisons per message and nothing else.
+per rank, live in a binary heap (:class:`repro.simmpi.eventq.HeapQueue`),
+and every message outside the exchange loop goes through one send path
+(``_do_send``, priced by ``_price``) and one delivery path
+(``_finish_delivery``).  So a message is priced by one of two written
+forms, ``_price`` and the loop's copy, which
+``tests/properties/test_property_exchange.py`` holds to one contract.
+The six optional hooks — event sink, metrics registry, time-series bank,
+fault injector, profiler, fabric pricing — are read into locals and each
+hook site is one ``is not None`` test on a local, so a run with no hook
+attached pays a dozen pointer comparisons per message and nothing else.
 
 Determinism: queue ties are broken by a monotonic sequence number, and all
 randomness flows from per-process `numpy` generators spawned from a single
@@ -142,6 +98,46 @@ _LEVEL_NAMES = tuple(level.name for level in Level)
 #: off its class goes through the enum metaclass's attribute hook, about
 #: ten times the cost of a global read.
 _REMOTE = Level.REMOTE
+_INF = float("inf")
+
+
+#: Metric names of a message and its bytes, sent and delivered, and of
+#: the NIC backlog a message finds.
+_SENT = ("engine.messages.sent", "engine.bytes.sent")
+_DELIVERED = ("engine.messages.delivered", "engine.bytes.delivered")
+_BACKLOG = "engine.nic.backlog"
+#: The exchange loop's exit value until an exit other than the horizon
+#: check sets it.
+_PAST = object()
+
+
+def _count(
+    metrics: MetricsRegistry, names: tuple, rank: int, size: int
+) -> None:
+    """Count one message of ``size`` bytes on ``rank``'s ``names``."""
+    messages, nbytes = names
+    metrics.counter(messages, rank).inc()
+    metrics.counter(nbytes, rank).inc(size)
+
+
+def _past(horizon: float) -> SimulationError:
+    """The error of a rank or event past ``max_true_time``."""
+    return SimulationError(f"simulation exceeded max_true_time={horizon}")
+
+
+def _timed(prof: "Profiler", fn: Callable, zone: str) -> Callable:
+    """``fn`` of one argument, its wall time added to ``zone`` under the
+    profiler's current zone (the exchange loop's clock reads and timed
+    sink records)."""
+    clock, add = prof.clock, prof.add
+
+    def timed(arg):
+        t0 = clock()
+        value = fn(arg)
+        add(zone, clock() - t0)
+        return value
+
+    return timed
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +334,7 @@ class _Exchange:
 
     __slots__ = ("cmd", "read", "overhead", "left", "points_left", "send",
                  "recv", "pinged", "before", "rounds", "points", "pause",
-                 "phase")
+                 "phase", "route")
 
     def __init__(self, cmd: ExchangeCmd, sink: EventSink | None) -> None:
         self.cmd = cmd
@@ -375,6 +371,9 @@ class _Exchange:
         )
         #: The phase descriptor, when there is a sink to emit it to.
         self.phase = cmd.phase if sink is not None else None
+        #: The exchange loop's constants for this side's sends
+        #: (:meth:`Engine._route`), resolved on its first loop entry.
+        self.route: tuple | None = None
 
 
 class _Proc:
@@ -680,9 +679,7 @@ class Engine:
                 if proc.finished:
                     continue
                 if t > max_true_time:
-                    raise SimulationError(
-                        f"simulation exceeded max_true_time={max_true_time}"
-                    )
+                    raise _past(max_true_time)
                 if t > proc.now:
                     proc.now = t
                 self._run_proc(proc)
@@ -839,9 +836,7 @@ class Engine:
                 if proc.now > horizon:
                     # A process that runs inline never goes through the queue,
                     # so the event loop's horizon check would never see it.
-                    raise SimulationError(
-                        f"simulation exceeded max_true_time={horizon}"
-                    )
+                    raise _past(horizon)
                 if cls is SendCmd or cls is SendRecvCmd:
                     exchange = proc.exchange
                     if (
@@ -934,7 +929,8 @@ class Engine:
         return self._read(self._procs[rank], clock.read, clock.read_overhead)
 
     def _read(self, proc: _Proc, read: Callable, overhead: float) -> float:
-        """The one clock-read body: charge ``overhead``, then ``read``."""
+        """The clock-read body outside the exchange loop (which writes it
+        out): charge ``overhead``, then ``read``."""
         prof = self.profiler
         t0 = prof.clock() if prof is not None else 0
         if overhead:
@@ -1086,125 +1082,348 @@ class Engine:
         :meth:`_waiting_responder`) from the ping that just passed the
         gate, until the exchange ends or the gate would defer a leg.
 
-        Each round takes the leg path's steps in its order: price the
-        ping and wake the responder, the initiator's horizon check and
-        block, the responder's stamp read, the pong's gate, price the
-        pong and wake the initiator, the responder's next receive leg,
-        the initiator's reads and the next ping's gate.  A point's last
-        round carries on into the next point the same way: the
-        responder's phase end and begin come before its receive leg, and
-        the initiator's after-read is followed by its timestamp read,
-        phase end, pause (horizon check, ``perturb_compute``), phase
-        begin and before-read.  No third rank runs and nothing is
-        scheduled meanwhile, so the queue frontier and the ready list are
-        those of the gate that let the first ping through, and a gate
-        test is one comparison: a leg to a waiting receiver defers only
-        on a ``REMOTE`` pair (else it is a hand-over).  The state left
-        behind is the leg path's at the same point: returns the next ping
-        when it would defer (exit A, for ``_run_proc`` to defer), or None
-        with the initiator blocked and the responder on the ready list,
-        its pong pending (exit B), or both on the ready list, the
+        One round trip is one straight-line body over locals, in the leg
+        path's order: the ping (``_do_send``'s accounting,
+        :meth:`_price`'s arithmetic in its order, the delivery), the
+        initiator's horizon check and block, the responder's stamp read
+        and the pong's gate, the pong the same way, the responder's next
+        receive leg, the initiator's reads and the next ping's gate; at
+        a point's end, the phase records, timestamp read and pause
+        (``perturb_compute``).  Its hook sites are those of
+        ``_do_send``/``_price``, each an ``is not None`` test on a local.
+        A side's route constants are resolved once per exchange
+        (``_Exchange.route``), and what only the pong needs waits until
+        a pong passes its gate.  Only the two ranks act, so the frontier and the ready list stay
+        those of the first ping's gate and a leg defers only on a
+        ``REMOTE`` pair.  The locals are stored back once, leaving the
+        leg path's state at the exit: the next ping is returned for
+        ``_run_proc`` to defer (A), or None with the responder on the
+        ready list, its pong pending (B), or both ranks on it, the
         responder on top, once the last point's last pong is delivered
-        (exit C).
+        (C); a rank past ``max_true_time`` raises.
         """
         ex, rex = ini.exchange, res.exchange
         irank, rrank, tag = ini.rank, res.rank, ex.cmd.tag
-        sink, _, _, injector, _, _ = self._hooks
+        sink, metrics, bank, injector, prof, _ = self._hooks
+        network = self.network
+        o_send, o_recv = network.o_send, network.o_recv
+        gap, cj = network.nic_gap, network.congestion_jitter
         horizon = self.max_true_time
-        busy = bool(self._woken)
-        frontier = self._queue.frontier
+        woken = self._woken
         stamped = ex.cmd.shape is _STAMPED
-        spacing = ex.cmd.spacing
-        ping, pong = ex.send, rex.send
-        up = self._route(ini, res, ex.cmd)
-        up_gated = up[2] is _REMOTE
-        # The pong's constants wait until a pong passes its gate: on a
-        # busy REMOTE pair the first one often defers.
-        down = None
-        down_gated = self._level(rrank, irank) is _REMOTE
-        leg = self._leg
-        read = self._read
-        iread, iover = ex.read, ex.overhead
+        ping, pong, irecv = ex.send, rex.send, ex.recv
         rread, rover = rex.read, rex.overhead
-        while True:
-            leg(ini, res, up, ping.payload)
-            if ini.now > horizon:
-                raise SimulationError(
-                    f"simulation exceeded max_true_time={horizon}"
-                )
-            ini.blocked = ex.recv
-            ini.block_time = ini.now
+        # Each of these is used only behind its hook's test.
+        if sink is not None:
+            emit = timed_emit = sink.emit
+        if prof is not None:
+            # The zones _read and _do_send account these calls to.
+            clock = prof.clock
+            rread = _timed(prof, rread, "clock.read")
             if sink is not None:
-                sink.emit(ProcBlock(ini.now, irank, "recv", rrank, tag))
-            if stamped:
-                pong.payload = read(res, rread, rover)
-            if down_gated and (busy or res.now > frontier):
-                res.pending_cmd = pong
-                self._woken.append(res)
-                return None  # (B)
-            if res.now > horizon:
-                raise SimulationError(
-                    f"simulation exceeded max_true_time={horizon}"
+                timed_emit = _timed(prof, emit, "obs.sink")
+        usize = ex.cmd.size
+        route = ex.route
+        if route is None:
+            route = ex.route = self._route(ini, res, usize)
+        ulevel, ubase, ujit, uop, uos, ufab, upool = route
+        ubuf, ui, uend = upool.buf, upool.idx, len(upool.buf)
+        # A leg defers once its sender's time passes its gate's limit:
+        # the frontier on a REMOTE pair (any time while a woken rank
+        # waits), never on a hand-over.  Each gate test shares its
+        # comparison with the horizon check after it.
+        limit = -_INF if woken else self._queue.frontier
+        ulimit = limit if ulevel is _REMOTE else _INF
+        dlimit = limit if self._level(rrank, irank) is _REMOTE else _INF
+        ucut = ulimit if ulimit < horizon else horizon
+        dcut = dlimit if dlimit < horizon else horizon
+        egress_gap = ingress_gap = gap  # unless an injector scales them
+        unic = ulevel is _REMOTE and gap > 0.0
+        if unic:
+            inode, rnode = self._node_cache[irank], self._node_cache[rrank]
+            egress, ingress = self._nic_egress, self._nic_ingress
+            iegress, ringress = egress.get(inode, 0.0), ingress.get(rnode, 0.0)
+        dpool = None
+        inow, rnow = ini.now, res.now
+        mseq = seq0 = self._msg_seq
+        before, ipay, rpay = ex.before, ping.payload, pong.payload
+        out = _PAST
+        while True:
+            # The ping.
+            if prof is not None:
+                start = prof.push("engine.send")
+            send_time = inow
+            if sink is not None:
+                timed_emit(MsgSend(
+                    send_time, irank, rrank, tag, usize, mseq,
+                    _LEVEL_NAMES[ulevel], False,
+                ))
+            if metrics is not None:
+                _count(metrics, _SENT, irank, usize)
+            inow = send_time + o_send
+            if prof is not None:
+                t0 = clock()
+            delay = ubase
+            if ujit > 0.0:
+                if ui == uend:
+                    ubuf, ui, uend = upool.refill()
+                delay += ujit * -log1p(-ubuf[ui])
+                ui += 1
+            if uop > 0.0:
+                if ui == uend:
+                    ubuf, ui, uend = upool.refill()
+                ui += 1
+                if ubuf[ui - 1] < uop:
+                    if ui == uend:
+                        ubuf, ui, uend = upool.refill()
+                    delay += uos * -log1p(-ubuf[ui])
+                    ui += 1
+            if injector is not None:
+                delay = injector.perturb_delay(
+                    send_time, ulevel, delay, ini.get_rng(),
+                    src=irank, dst=rrank,
                 )
-            if down is None:
-                down = self._route(res, ini, rex.cmd)
-            payload, arrival, seq, send_time = leg(
-                res, ini, down, pong.payload
-            )
+            if ufab:
+                delay += ufab
+            arrival = inow + delay
+            if unic:
+                if injector is not None:
+                    egress_gap = gap * injector.nic_gap_factor(inow, inode)
+                    ingress_gap = gap * injector.nic_gap_factor(inow, rnode)
+                inject = inow if inow > iegress else iegress
+                iegress = inject + egress_gap
+                backlog = (inject - inow) / egress_gap
+                if backlog > 0.0 and cj > 0.0:
+                    if ui == uend:
+                        ubuf, ui, uend = upool.refill()
+                    delay += cj * backlog * -log1p(-ubuf[ui])
+                    ui += 1
+                arrival = inject + egress_gap + delay
+                if ringress > arrival:
+                    arrival = ringress
+                ringress = arrival + ingress_gap
+                if sink is not None and backlog > 0.0:
+                    emit(NicQueue(send_time, irank, inode, backlog, inject))
+                if metrics is not None:
+                    metrics.histogram(_BACKLOG).observe(max(0.0, backlog))
+                if bank is not None and backlog > 0.0:
+                    bank.sample(_BACKLOG, send_time, backlog, rank=irank)
+            if prof is not None:
+                prof.add("net.delay", clock() - t0)
+            payload = ipay
+            if injector is not None and injector.perturbs_payloads:
+                payload = injector.perturb_payload(
+                    send_time, irank, rrank, tag, payload, ini.get_rng()
+                )
+            res.blocked = None
+            matched = arrival if arrival > rnow else rnow
+            rnow = matched + o_recv
+            if sink is not None:
+                emit(ProcWake(matched, rrank, "deliver", mseq))
+                timed_emit(MsgDeliver(
+                    rnow, rrank, irank, tag, usize, mseq, rnow - send_time,
+                    arrival, matched == arrival,
+                ))
+            if metrics is not None:
+                _count(metrics, _DELIVERED, rrank, usize)
+            if prof is not None:
+                prof.pop(start)
+            mseq += 1
+            if inow > horizon:
+                break
+            ini.blocked = irecv
+            ini.block_time = inow
+            if sink is not None:
+                emit(ProcBlock(inow, irank, "recv", rrank, tag))
+            if stamped:
+                rnow += rover
+                rpay = rread(rnow)
+            if rnow > dcut:
+                if rnow > dlimit:
+                    pong.payload = rpay
+                    res.pending_cmd = pong
+                    woken.append(res)
+                    out = None  # (B)
+                break
+            if dpool is None:
+                # The rest of the round's constants wait until a pong
+                # passes its gate: on a busy REMOTE pair the first one
+                # often defers.
+                dsize, rrecv, spacing = rex.cmd.size, rex.recv, ex.cmd.spacing
+                route = rex.route
+                if route is None:
+                    route = rex.route = self._route(res, ini, dsize)
+                dlevel, dbase, djit, dop, dos, dfab, dpool = route
+                dbuf, di, dend = dpool.buf, dpool.idx, len(dpool.buf)
+                dnic = dlevel is _REMOTE and gap > 0.0
+                if dnic:
+                    nodes = self._node_cache
+                    inode, rnode = nodes[irank], nodes[rrank]
+                    egress, ingress = self._nic_egress, self._nic_ingress
+                    regress = egress.get(rnode, 0.0)
+                    iingress = ingress.get(inode, 0.0)
+                iread, iover = ex.read, ex.overhead
+                if prof is not None:
+                    iread = _timed(prof, iread, "clock.read")
+                record = ex.rounds.append
+            # The pong, the same way.
+            if prof is not None:
+                start = prof.push("engine.send")
+            send_time = rnow
+            if sink is not None:
+                timed_emit(MsgSend(
+                    send_time, rrank, irank, tag, dsize, mseq,
+                    _LEVEL_NAMES[dlevel], False,
+                ))
+            if metrics is not None:
+                _count(metrics, _SENT, rrank, dsize)
+            rnow = send_time + o_send
+            if prof is not None:
+                t0 = clock()
+            delay = dbase
+            if djit > 0.0:
+                if di == dend:
+                    dbuf, di, dend = dpool.refill()
+                delay += djit * -log1p(-dbuf[di])
+                di += 1
+            if dop > 0.0:
+                if di == dend:
+                    dbuf, di, dend = dpool.refill()
+                di += 1
+                if dbuf[di - 1] < dop:
+                    if di == dend:
+                        dbuf, di, dend = dpool.refill()
+                    delay += dos * -log1p(-dbuf[di])
+                    di += 1
+            if injector is not None:
+                delay = injector.perturb_delay(
+                    send_time, dlevel, delay, res.get_rng(),
+                    src=rrank, dst=irank,
+                )
+            if dfab:
+                delay += dfab
+            arrival = rnow + delay
+            if dnic:
+                if injector is not None:
+                    egress_gap = gap * injector.nic_gap_factor(rnow, rnode)
+                    ingress_gap = gap * injector.nic_gap_factor(rnow, inode)
+                inject = rnow if rnow > regress else regress
+                regress = inject + egress_gap
+                backlog = (inject - rnow) / egress_gap
+                if backlog > 0.0 and cj > 0.0:
+                    if di == dend:
+                        dbuf, di, dend = dpool.refill()
+                    delay += cj * backlog * -log1p(-dbuf[di])
+                    di += 1
+                arrival = inject + egress_gap + delay
+                if iingress > arrival:
+                    arrival = iingress
+                iingress = arrival + ingress_gap
+                if sink is not None and backlog > 0.0:
+                    emit(NicQueue(send_time, rrank, rnode, backlog, inject))
+                if metrics is not None:
+                    metrics.histogram(_BACKLOG).observe(max(0.0, backlog))
+                if bank is not None and backlog > 0.0:
+                    bank.sample(_BACKLOG, send_time, backlog, rank=rrank)
+            if prof is not None:
+                prof.add("net.delay", clock() - t0)
+            payload = rpay
+            if injector is not None and injector.perturbs_payloads:
+                payload = injector.perturb_payload(
+                    send_time, rrank, irank, tag, payload, res.get_rng()
+                )
+            ini.blocked = None
+            matched = arrival if arrival > inow else inow
+            inow = matched + o_recv
+            if sink is not None:
+                emit(ProcWake(matched, irank, "deliver", mseq))
+                timed_emit(MsgDeliver(
+                    inow, irank, rrank, tag, dsize, mseq, inow - send_time,
+                    arrival, matched == arrival,
+                ))
+            if metrics is not None:
+                _count(metrics, _DELIVERED, irank, dsize)
+            if prof is not None:
+                prof.pop(start)
+            mseq += 1
             # Both sides count down in step, rounds and points alike.
             last = not rex.left
             if last:
                 if not rex.points_left:
                     ini.pending_value = Message(
-                        rrank, irank, tag, payload, rex.cmd.size,
-                        send_time, arrival, seq,
+                        rrank, irank, tag, payload, dsize, send_time,
+                        arrival, mseq - 1,
                     )
-                    self._woken.append(ini)
-                    self._woken.append(res)
-                    return None  # (C)
+                    woken.append(ini)
+                    woken.append(res)
+                    out = None  # (C)
+                    break
+                res.now = rnow
                 self._end_point(res, rex)
                 if rex.phase is not None:
                     self._phase_begin(res, rex.phase)
             rex.left -= 1
-            if res.now > horizon:
-                raise SimulationError(
-                    f"simulation exceeded max_true_time={horizon}"
-                )
-            res.blocked = rex.recv
-            res.block_time = res.now
+            if rnow > horizon:
+                break
+            res.blocked = rrecv
+            res.block_time = rnow
             if sink is not None:
-                sink.emit(ProcBlock(res.now, rrank, "recv", irank, tag))
-            ex.rounds.append((ex.before, payload, read(ini, iread, iover)))
+                emit(ProcBlock(rnow, rrank, "recv", irank, tag))
+            inow += iover
+            record((before, payload, iread(inow)))
             if last:
+                ini.now = inow
                 self._end_point(ini, ex)
+                inow = ini.now
+                record = ex.rounds.append
                 if spacing:
                     # The pause, as its ElapseCmd leg would run.
-                    if ini.now > horizon:
-                        raise SimulationError(
-                            f"simulation exceeded max_true_time={horizon}"
-                        )
+                    if inow > horizon:
+                        break
                     duration = spacing
                     if injector is not None:
                         duration = injector.perturb_compute(
-                            ini.now, irank, duration, ini.get_rng()
+                            inow, irank, duration, ini.get_rng()
                         )
-                    ini.now += duration
+                    inow += duration
                 if ex.phase is not None:
+                    ini.now = inow
                     self._phase_begin(ini, ex.phase)
             ex.left -= 1
-            before = ex.before = read(ini, iread, iover)
+            inow += iover
+            before = iread(inow)
             if stamped:
-                ping.payload = before
-            if up_gated and (busy or ini.now > frontier):
-                return ping  # (A)
-            if ini.now > horizon:
-                raise SimulationError(
-                    f"simulation exceeded max_true_time={horizon}"
-                )
+                ipay = before
+            if inow > ucut:
+                if inow > ulimit:
+                    ping.payload = ipay
+                    out = ping  # (A)
+                break
+        ini.now, res.now, ex.before = inow, rnow, before
+        upool.idx = ui
+        if unic:
+            egress[inode], ingress[rnode] = iegress, ringress
+        # Pings and pongs alternate, a ping first.
+        sent = mseq - seq0
+        nbytes = (sent - sent // 2) * usize
+        if dpool is not None:
+            dpool.idx = di
+            if dnic:
+                egress[rnode], ingress[inode] = regress, iingress
+            nbytes += sent // 2 * dsize
+        self._msg_seq = mseq
+        self.messages_sent += sent
+        self.messages_delivered += sent
+        self.bytes_sent += nbytes
+        self.bytes_delivered += nbytes
+        if out is _PAST:
+            raise _past(horizon)
+        return out
 
-    def _route(self, src: _Proc, dst: _Proc, cmd: ExchangeCmd) -> tuple:
-        """One direction's constants for the exchange loop: ``(tag, size,
-        level, link, fabric latency, delay pool)``."""
+    def _route(self, src: _Proc, dst: _Proc, size: int) -> tuple:
+        """One direction's constants for the exchange loop: the level,
+        the four of :meth:`NetworkModel.link`, the fabric latency and
+        the sender's delay pool."""
         level = self._level(src.rank, dst.rank)
         fabric = self._hooks[5]
         fab = 0.0
@@ -1214,63 +1433,10 @@ class Engine:
         pool = src.pool
         if pool is None:
             pool = self._pool_of(src)
-        size = cmd.size
-        return cmd.tag, size, level, self.network.link(level, size), fab, pool
-
-    def _leg(
-        self, src: _Proc, dst: _Proc, route: tuple, payload: Any
-    ) -> tuple[Any, float, int, float]:
-        """One exchange-loop message to a ``dst`` blocked waiting for it:
-        ``_do_send``'s accounting and records, :meth:`_price`, then the
-        wake and ``_finish_delivery``'s accounting and records, without
-        a :class:`Message`.  Returns the wire payload, arrival time,
-        sequence number and send time."""
-        tag, size, level, link, fab, pool = route
-        sink, metrics, _, _, prof, _ = self._hooks
-        start = prof.push("engine.send") if prof is not None else 0
-        rank, dest_rank = src.rank, dst.rank
-        send_time = src.now
-        seq = self._msg_seq
-        self._msg_seq = seq + 1
-        self.messages_sent += 1
-        self.bytes_sent += size
-        if sink is not None:
-            t0 = prof.clock() if prof is not None else 0
-            sink.emit(MsgSend(
-                send_time, rank, dest_rank, tag, size, seq,
-                _LEVEL_NAMES[level], False,
-            ))
-            if prof is not None:
-                prof.add("obs.sink", prof.clock() - t0)
-        if metrics is not None:
-            metrics.counter("engine.messages.sent", rank).inc()
-            metrics.counter("engine.bytes.sent", rank).inc(size)
-        arrival, payload = self._price(
-            src, dest_rank, tag, payload, send_time, pool, level, link, fab
+        base, jitter, outlier_prob, outlier_scale = self.network.link(
+            level, size
         )
-        dst.blocked = None
-        matched_at = dst.now
-        if arrival > matched_at:
-            matched_at = arrival
-        if sink is not None:
-            sink.emit(ProcWake(matched_at, dest_rank, "deliver", seq))
-        now = dst.now = matched_at + self.network.o_recv
-        self.messages_delivered += 1
-        self.bytes_delivered += size
-        if sink is not None:
-            t0 = prof.clock() if prof is not None else 0
-            sink.emit(MsgDeliver(
-                now, dest_rank, rank, tag, size, seq, now - send_time,
-                arrival, matched_at == arrival,
-            ))
-            if prof is not None:
-                prof.add("obs.sink", prof.clock() - t0)
-        if metrics is not None:
-            metrics.counter("engine.messages.delivered", dest_rank).inc()
-            metrics.counter("engine.bytes.delivered", dest_rank).inc(size)
-        if prof is not None:
-            prof.pop(start)
-        return payload, arrival, seq, send_time
+        return level, base, jitter, outlier_prob, outlier_scale, fab, pool
 
     # ------------------------------------------------------------------
     # Point-to-point mechanics
@@ -1365,8 +1531,7 @@ class Engine:
             # receiver that is already waiting is the last write.
             proc.blocked = "ssend"
         if metrics is not None:
-            metrics.counter("engine.messages.sent", rank).inc()
-            metrics.counter("engine.bytes.sent", rank).inc(size)
+            _count(metrics, _SENT, rank, size)
             if synchronous:
                 metrics.counter("engine.rendezvous.stalls", rank).inc()
         fab = 0.0
@@ -1416,7 +1581,8 @@ class Engine:
         send_time: float, pool: UniformPool, level: Level,
         link: tuple[float, float, float, float], fab: float,
     ) -> tuple[float, Any]:
-        """The one pricing body, behind ``_do_send`` and the exchange loop.
+        """The single-message pricing body, behind ``_do_send`` (the
+        exchange loop writes the same steps out over its locals).
 
         Charges ``o_send`` to ``proc``, draws the delay on ``link``
         (:meth:`NetworkModel.link`) from ``pool``, applies the injector's
@@ -1474,13 +1640,9 @@ class Engine:
             if sink is not None and backlog > 0.0:
                 sink.emit(NicQueue(send_time, rank, src_node, backlog, inject))
             if metrics is not None:
-                metrics.histogram("engine.nic.backlog").observe(
-                    max(0.0, backlog)
-                )
+                metrics.histogram(_BACKLOG).observe(max(0.0, backlog))
             if bank is not None and backlog > 0.0:
-                bank.sample(
-                    "engine.nic.backlog", send_time, backlog, rank=rank
-                )
+                bank.sample(_BACKLOG, send_time, backlog, rank=rank)
         if prof is not None:
             # Delay draw + fault perturbation + NIC serialization model:
             # the per-message network pricing.
@@ -1529,9 +1691,7 @@ class Engine:
             if prof is not None:
                 prof.add("obs.sink", prof.clock() - t0)
         if metrics is not None:
-            metrics.counter("engine.messages.delivered", proc.rank).inc()
-            metrics.counter("engine.bytes.delivered",
-                            proc.rank).inc(msg.size)
+            _count(metrics, _DELIVERED, proc.rank, msg.size)
         sender = msg.sync_sender
         if sender is not None:
             # The ack travels back; the sender resumes after its arrival.

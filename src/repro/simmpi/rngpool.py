@@ -62,12 +62,16 @@ class UniformPool:
 
     ``next()`` returns the same float sequence as repeated scalar
     ``rng.random()`` calls on a generator with the same seed, for *any*
-    chunk cap and ramp schedule.  The buffer is packed doubles
+    chunk cap and ramp schedule.  The buffer ``buf`` is packed doubles
     (``array('d')``); indexing it yields a Python ``float``, never an
-    ``np.float64``, whose repr would differ.
+    ``np.float64``, whose repr would differ.  ``buf[idx:]`` are the
+    variates not yet taken, so a reader may also index ``buf`` itself,
+    store its cursor back in ``idx`` and call :meth:`refill` when it
+    finds the buffer drained (the engine's exchange loop does): mixed
+    with ``next()`` in any order, that still yields the scalar stream.
     """
 
-    __slots__ = ("rng", "chunk", "_buf", "_idx", "_next_len")
+    __slots__ = ("rng", "chunk", "buf", "idx", "_next_len")
 
     def __init__(
         self, rng: np.random.Generator, chunk: int = DEFAULT_CHUNK
@@ -76,25 +80,31 @@ class UniformPool:
             raise ValueError("chunk must be >= 1")
         self.rng = rng
         self.chunk = int(chunk)
-        self._buf = array("d")
-        self._idx = 0
+        self.buf = array("d")
+        self.idx = 0
         self._next_len = min(RAMP_START, self.chunk)
 
     def next(self) -> float:
         """The next uniform variate in [0, 1)."""
-        idx = self._idx
-        buf = self._buf
+        idx = self.idx
+        buf = self.buf
         if idx >= len(buf):
-            n = self._next_len
-            if n < self.chunk:
-                self._next_len = min(n << 1, self.chunk)
-            buf = self._buf = array("d", self.rng.random(n).tobytes())
-            idx = 0
-        self._idx = idx + 1
+            buf, idx, _ = self.refill()
+        self.idx = idx + 1
         return buf[idx]
+
+    def refill(self) -> tuple[array, int, int]:
+        """Replace the drained buffer with the ramp's next draw; returns
+        ``(buf, idx, len(buf))``, the cursor at 0."""
+        n = self._next_len
+        if n < self.chunk:
+            self._next_len = min(n << 1, self.chunk)
+        buf = self.buf = array("d", self.rng.random(n).tobytes())
+        self.idx = 0
+        return buf, 0, n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"UniformPool(chunk={self.chunk}, "
-            f"buffered={len(self._buf) - self._idx})"
+            f"buffered={len(self.buf) - self.idx})"
         )

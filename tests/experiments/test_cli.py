@@ -314,8 +314,14 @@ class TestCriticalPathFlag:
 
 
 class TestProfileFlag:
-    def test_profile_writes_artifacts(self, tmp_path):
-        out_dir, out, _ = _record(tmp_path, "p", "fig3", "--profile")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_profile_writes_artifacts(self, tmp_path, jobs):
+        # At --jobs 2 the profile is merged from the workers' trees; the
+        # exporter keeps the self times' sum equal to the measured total
+        # either way.
+        out_dir, out, _ = _record(
+            tmp_path, "p", "fig3", "--profile", "--jobs", str(jobs)
+        )
         assert "=== simulator self-profile ===" in out
         doc = _json(out_dir / "profile.json")
         assert doc["format"] == "repro-profile"

@@ -30,21 +30,36 @@ between points is stretched inside the loop) and a stateful one (which
 keeps every point on the leg path), and may leave a stray message from
 the reference on the ping-pong tag in the client's mailbox, which the
 client's first receive leg must take instead of the pong.
+
+The loop writes each message's pricing out over locals rather than
+calling ``_price``, so the drawn programs also reach the branches it
+copies: a network whose ``REMOTE`` level has outliers on 30 % of its
+messages and a torus fabric's latency (the outlier draw and ``fab``),
+a node-mate's burst to the peer just before an exchange (NIC backlog
+and congestion-jitter draws inside a loop entry), ``n`` up to 40 (one
+entry crosses pool refills) and a ``max_true_time`` that falls inside
+the run, where both forms must raise the same error and leave the same
+state behind.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.fabric import TorusFabric
 from repro.cluster.netmodels import infiniband_qdr
+from repro.errors import SimulationError
 from repro.faults import (
     ByzantineClockAdversary, CongestionAdversary, FaultInjector,
     FaultSchedule, LinkFault, NicStormFault, StragglerFault,
 )
-from repro.obs import SpanRecorder
+from repro.obs import MetricsRegistry, SpanRecorder, TimeSeriesBank
 from repro.obs.events import PhaseBegin, PhaseEnd, RecordingSink
 from repro.prof import Profiler
+from repro.simmpi.network import Level
 from repro.simmpi.engine import (
     ElapseCmd,
     ExchangeCmd,
@@ -56,7 +71,16 @@ from repro.simmpi.engine import (
 from repro.sync.clocks import GlobalClockLM
 from repro.sync.linear_model import LinearDriftModel
 from repro.sync.offset import PINGPONG_TAG, TIMESTAMP_BYTES
-from tests.conftest import run_spmd
+from repro.simmpi.simulation import Simulation
+from tests.conftest import small_machine
+
+#: Tag of the bursts node-mates send to a pair before its exchange.
+BURST_TAG = 11
+#: The client's wait after a burst of one message: a little more than
+#: QDR's ``o_send``, so that its ping comes after the burst's last send
+#: (which then cannot stop the loop) while a burst of 48 still holds
+#: the sender's NIC busy through the round trip.
+BURST_WAIT = 0.26e-6
 
 #: HCA3's reference side reads through its global clock model.
 REFERENCE_MODEL = LinearDriftModel(2e-6, 0.25)
@@ -123,16 +147,43 @@ def _pairs(pattern: str, k: int, size: int) -> list[tuple[int, int]]:
     return [(0, client) for client in range(1, size)]  # "star"
 
 
+def _bursts(ctx, ref, client, legs):
+    """``(sender, receiver)`` of the bursts before a pair's exchange: a
+    node-mate of the client (the client itself if it has none) sends one
+    to the reference, which backs up the ping's NICs, and a node-mate of
+    the reference one to the client, which backs up the pong's; ``legs``
+    picks ``"ping"``, ``"pong"`` or ``"both"``."""
+    node_of = ctx.engine.node_of
+
+    def mate(rank, peer):
+        for other in range(ctx.nprocs):
+            if other not in (rank, peer) and node_of(other) == node_of(rank):
+                return other
+        return rank
+
+    bursts = {"ping": (mate(client, ref), ref),
+              "pong": (mate(ref, client), client)}
+    return [bursts[leg] for leg in bursts if legs in (leg, "both")]
+
+
 def _program(steps, fused: bool):
     def main(ctx, comm):
         handed_back = []
         for (pattern, k, n, shape, stagger, stray, points, spacing,
-             phased, split) in steps:
+             phased, split, (burst, legs)) in steps:
             yield from ctx.elapse(((comm.rank * 7 + k) % 5) * stagger)
+            start = ctx.now
             # A stray needs eager legs: behind it a rendezvous pong
             # would wait for a receive that the next ping blocks.
             stray = stray and shape is not ExchangeShape.RENDEZVOUS
-            for ref, client in _pairs(pattern, k, comm.size):
+            pairs = _pairs(pattern, k, comm.size)
+            for ref, client in pairs:
+                for sender, receiver in _bursts(ctx, ref, client, legs):
+                    if comm.rank == sender:
+                        # Backlog on the ping's or the pong's way.
+                        for _ in range(burst):
+                            yield SendCmd(receiver, BURST_TAG, None, 64)
+            for ref, client in pairs:
                 if comm.rank not in (ref, client):
                     continue
                 initiator = comm.rank == client
@@ -142,6 +193,8 @@ def _program(steps, fused: bool):
                     clock = GlobalClockLM(clock, REFERENCE_MODEL)
                 if stray and not initiator:
                     yield SendCmd(peer, PINGPONG_TAG, -1.0, TIMESTAMP_BYTES)
+                if burst and initiator:
+                    yield from ctx.wait_until_true(start + burst * BURST_WAIT)
                 phase = ("sync.offset", shape.value, ref, client)
                 phase = phase if phased else None
                 if fused and split == ("initiator", "responder")[
@@ -172,18 +225,41 @@ def _program(steps, fused: bool):
                 if stray and initiator:
                     # The last pong, left over behind the stray.
                     yield RecvCmd(peer, PINGPONG_TAG)
+                for sender, receiver in _bursts(ctx, ref, client, legs):
+                    if comm.rank == receiver:
+                        for _ in range(burst):
+                            yield RecvCmd(sender, BURST_TAG)
                 handed_back.append(rounds)
         return ctx.now, handed_back
 
     return main
 
 
-def _run(nodes, rpn, seed, steps, fused, **hooks):
+def _network(net: str):
+    """``"qdr"``, or QDR with outliers on 30 % of its ``REMOTE``
+    messages behind a 2x2 torus (a fabric latency between any two
+    nodes)."""
+    network = infiniband_qdr()
+    if net == "qdr":
+        return network, None
+    levels = dict(network.levels)
+    levels[Level.REMOTE] = replace(levels[Level.REMOTE], outlier_prob=0.3)
+    return replace(network, levels=levels), TorusFabric((2, 2))
+
+
+def _simulation(nodes, rpn, seed, net, **hooks):
     if nodes * rpn < 2:
         nodes = 2
-    _, result = run_spmd(
-        _program(steps, fused), num_nodes=nodes, ranks_per_node=rpn,
-        network=infiniband_qdr(), seed=seed, **hooks,
+    network, fabric = _network(net)
+    return Simulation(
+        machine=small_machine(nodes, rpn), network=network, seed=seed,
+        fabric=fabric, **hooks,
+    )
+
+
+def _run(nodes, rpn, seed, net, steps, fused, **hooks):
+    result = _simulation(nodes, rpn, seed, net, **hooks).run(
+        _program(steps, fused)
     )
     return result.engine_stats, result.values
 
@@ -192,7 +268,10 @@ steps = st.lists(
     st.tuples(
         st.sampled_from(["neighbours", "xor", "star"]),
         st.integers(min_value=0, max_value=7),
-        st.integers(min_value=1, max_value=6),
+        st.one_of(
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=30, max_value=40),
+        ),
         st.sampled_from(list(ExchangeShape)),
         st.sampled_from([0.0, 1e-7, 2e-6]),
         st.booleans(),
@@ -200,6 +279,9 @@ steps = st.lists(
         st.sampled_from([0.0, 1e-4, 1e-3]),
         st.booleans(),
         st.sampled_from(["", "initiator", "responder"]),
+        st.sampled_from(
+            [(0, ""), (0, ""), (4, "both"), (48, "ping"), (48, "pong")]
+        ),
     ),
     min_size=1, max_size=8,
 )
@@ -207,37 +289,78 @@ shapes = dict(
     nodes=st.integers(min_value=1, max_value=4),
     rpn=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
+    net=st.sampled_from(["qdr", "outliers"]),
     steps=steps,
 )
 
 
 @settings(max_examples=40)
 @given(loud=st.booleans(), **shapes)
-def test_exchange_equals_the_written_out_loop(nodes, rpn, seed, steps, loud):
+def test_exchange_equals_the_written_out_loop(
+    nodes, rpn, seed, net, steps, loud
+):
     runs = []
     for fused in (True, False):
-        sink = RecordingSink() if loud else None
-        stats, values = _run(
-            nodes, rpn, seed, steps, fused,
-            sink=sink, check="strict" if loud else None,
-        )
-        runs.append((stats, values, sink.events if loud else None))
+        hooks = {}
+        if loud:
+            hooks = dict(
+                sink=RecordingSink(), check="strict",
+                metrics=MetricsRegistry(), timeseries=TimeSeriesBank(),
+            )
+        stats, values = _run(nodes, rpn, seed, net, steps, fused, **hooks)
+        runs.append((stats, values, _observed(**hooks)))
     fused, written_out = runs
     assert fused[0] == written_out[0]  # Engine.stats(), deferrals included
     assert fused[1] == written_out[1]  # final times, readings handed back
-    assert fused[2] == written_out[2]  # event stream (None when quiet)
+    assert fused[2] == written_out[2]  # events, metrics, series (if loud)
+
+
+def _observed(sink=None, metrics=None, timeseries=None, **_):
+    """What the hooks of a loud run recorded: the event stream, the
+    metrics and the time series."""
+    if sink is None:
+        return None
+    series = [(key, s.to_dict()) for key, s in timeseries.items()]
+    return sink.events, metrics.snapshot(), series
+
+
+@settings(max_examples=60)
+@given(horizon=st.floats(min_value=1e-6, max_value=2e-3), **shapes)
+def test_a_horizon_inside_the_run_stops_both_forms_alike(
+    nodes, rpn, seed, net, steps, horizon
+):
+    """A rank that passes ``max_true_time`` raises the same error at the
+    same point, inside the exchange loop or on the leg path: counters,
+    every rank's time and the event stream up to the error agree."""
+    runs = []
+    for fused in (True, False):
+        sink = RecordingSink()
+        sim = _simulation(
+            nodes, rpn, seed, net, sink=sink, max_true_time=horizon
+        )
+        try:
+            outcome = sim.run(_program(steps, fused)).values
+        except SimulationError as error:
+            outcome = str(error)
+        engine = sim.engine
+        runs.append((
+            outcome, engine.stats(),
+            [engine.proc_now(rank) for rank in range(engine.num_ranks)],
+            sink.events,
+        ))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=15)
 @given(**shapes)
-def test_a_byzantine_rank_tampers_with_every_leg(nodes, rpn, seed, steps):
+def test_a_byzantine_rank_tampers_with_every_leg(nodes, rpn, seed, net, steps):
     runs = []
     for fused in (True, False):
         injector = FaultInjector(FaultSchedule(name="liar", faults=[
             ByzantineClockAdversary(ranks=(1,), bias=1e-3, noise=1e-6),
         ]))
         runs.append((
-            _run(nodes, rpn, seed, steps, fused, injector=injector),
+            _run(nodes, rpn, seed, net, steps, fused, injector=injector),
             injector.payloads_perturbed,
         ))
     assert runs[0] == runs[1]
@@ -254,11 +377,11 @@ def test_a_byzantine_rank_tampers_with_every_leg(nodes, rpn, seed, steps):
 
 @settings(max_examples=15)
 @given(**shapes)
-def test_span_edges_keep_their_waited_bits(nodes, rpn, seed, steps):
+def test_span_edges_keep_their_waited_bits(nodes, rpn, seed, net, steps):
     edges = []
     for fused in (True, False):
         recorder = SpanRecorder()
-        _run(nodes, rpn, seed, steps, fused, sink=recorder)
+        _run(nodes, rpn, seed, net, steps, fused, sink=recorder)
         edges.append([run.edges for run in recorder.runs])
     assert edges[0] == edges[1]
     assert any(edge.waited for run in edges[0] for edge in run.values())
@@ -270,22 +393,24 @@ def _zone_counts(prof: Profiler) -> dict[str, int]:
         counts[path[-1]] = counts.get(path[-1], 0) + zone.count
     return {
         name: counts.get(name, 0)
-        for name in ("engine.send", "net.delay", "clock.read")
+        for name in ("engine.send", "net.delay", "clock.read", "obs.sink")
     }
 
 
 @settings(max_examples=15)
 @given(**shapes)
 def test_profiled_zones_count_every_message_and_read(
-    nodes, rpn, seed, steps
+    nodes, rpn, seed, net, steps
 ):
     runs = []
     for fused in (True, False):
-        prof = Profiler()
-        stats, values = _run(nodes, rpn, seed, steps, fused, profiler=prof)
-        runs.append((stats, values, _zone_counts(prof)))
+        prof, sink = Profiler(), RecordingSink()
+        stats, values = _run(
+            nodes, rpn, seed, net, steps, fused, profiler=prof, sink=sink
+        )
+        runs.append((stats, values, _zone_counts(prof), sink.events))
     assert runs[0] == runs[1]
-    stats, _, zones = runs[0]
+    stats, _, zones, _ = runs[0]
     assert zones["engine.send"] == stats["messages_sent"]
 
 
@@ -316,7 +441,7 @@ def _bottleneck():
     make=st.sampled_from([_link_and_nic_storm, _straggler, _bottleneck]),
     **shapes,
 )
-def test_injectors_see_every_leg(nodes, rpn, seed, steps, make):
+def test_injectors_see_every_leg(nodes, rpn, seed, net, steps, make):
     """A stateless injector (link + NIC storm faults) prices the loop's
     legs through the same body, and a straggler stretches the pause
     between two points there as it stretches an ``ElapseCmd``; under a
@@ -327,7 +452,7 @@ def test_injectors_see_every_leg(nodes, rpn, seed, steps, make):
         injector = make()
         assert injector.stateful_delays == (make is _bottleneck)
         runs.append((
-            _run(nodes, rpn, seed, steps, fused, injector=injector),
+            _run(nodes, rpn, seed, net, steps, fused, injector=injector),
             injector.computes_perturbed,
         ))
     assert runs[0] == runs[1]

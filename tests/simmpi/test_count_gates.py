@@ -6,7 +6,8 @@ command per side, the queue holds only the p starts and the gate's
 deferrals, a woken rank runs inside the activation that woke it, and a
 node-local send to a receiver waiting for it is not gated.  JK at 64x4:
 every SKaMPI round trip runs inside the engine's exchange loop, one loop
-entry per learn round.  H2HCA at 256x4: communicator creation keeps the
+entry per learn round, which prices its messages without calling
+``_price``.  H2HCA at 256x4: communicator creation keeps the
 message count at O(p log p).
 """
 
@@ -135,6 +136,27 @@ def test_jk_round_trips_run_in_the_exchange_loop():
     stats = sim.run(main).engine_stats
     assert stats["messages_sent"] == 16_575
     assert inside == 2 * 255 * 8 * 4
+
+
+def test_jk_prices_only_the_go_signals_through_price():
+    """JK at 64x4: the exchange loop writes each message's pricing out
+    over locals, so ``Engine._price`` prices only the messages outside
+    it, the root's 255 go-signals.  A loop that calls ``_price`` per
+    message again prices all 16,575."""
+    sim, main = _sync("jk/8/skampi_offset/4", 64, 4)
+    engine = sim.engine
+    price = engine._price
+    calls = 0
+
+    def counting_price(*args):
+        nonlocal calls
+        calls += 1
+        return price(*args)
+
+    engine._price = counting_price
+    stats = sim.run(main).engine_stats
+    assert stats["messages_sent"] == 16_575
+    assert calls == 255
 
 
 def test_h2hca_communicator_creation_stays_logarithmic():

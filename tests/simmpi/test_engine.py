@@ -975,6 +975,70 @@ class TestExchangeLoop:
         stats, _, _ = self._check((ping2 + pong2) / 2, ["B", "C"])
         assert stats["gate_deferrals"] == 2
 
+    def _stopped(self, horizon, fused, points):
+        """The run cut at ``max_true_time=horizon``: the error, the
+        state it leaves and whether it left through the loop."""
+        from repro.sync.offset import PINGPONG_TAG, TIMESTAMP_BYTES
+        from tests.properties.test_property_exchange import _written_out
+
+        def main(ctx, comm):
+            if ctx.rank == 0:
+                return None
+            initiator = ctx.rank == 2
+            peer = 1 if initiator else 2
+            shape, clock = ExchangeShape.STAMPED, ctx.hardware_clock
+            if fused:
+                yield ExchangeCmd(
+                    peer, PINGPONG_TAG, self.N, clock, shape, initiator,
+                    TIMESTAMP_BYTES, points, self.SPACING,
+                )
+            else:
+                yield from _written_out(
+                    ctx, peer, self.N, clock, shape, initiator, points,
+                    self.SPACING,
+                )
+
+        sink = RecordingSink()
+        sim = Simulation(
+            Machine(3, 1, 1, 1), infiniband_qdr(), seed=4, sink=sink,
+            max_true_time=horizon,
+        )
+        engine = sim.engine
+        play, raised = engine._play_exchange, []
+
+        def spy(ini, res):
+            try:
+                return play(ini, res)
+            except SimulationError:
+                raised.append(True)
+                raise
+
+        engine._play_exchange = spy
+        with pytest.raises(SimulationError) as error:
+            sim.run(main)
+        state = (
+            str(error.value), engine.stats(),
+            [engine.proc_now(rank) for rank in range(3)], sink.events,
+        )
+        return state, raised
+
+    @pytest.mark.parametrize("where", ["ping", "pong", "pause"])
+    def test_a_horizon_inside_the_loop(self, where):
+        """``max_true_time`` just past the first ping's send, the first
+        pong's, or the last pong of the first of two points: the loop
+        raises where the leg path does and stores back its state."""
+        o_send = infiniband_qdr().o_send
+        times = self._send_times(points=2)
+        horizon = {
+            "ping": times[0] + o_send / 2,
+            "pong": times[1] + o_send / 2,
+            "pause": times[2 * self.N - 1] + o_send * 1.01,
+        }[where]
+        fused, raised = self._stopped(horizon, True, 2)
+        written_out, _ = self._stopped(horizon, False, 2)
+        assert fused == written_out
+        assert raised == [True]
+
 
 class TestRemovedOptions:
     """The engine has one configuration; its old perf knobs are gone."""

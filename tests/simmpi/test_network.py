@@ -164,6 +164,45 @@ class TestDelay:
             assert all(type(x) is float for x in draws)
             assert draws == [scalar_rng.random() for _ in draws]
 
+    def test_direct_reads_interleave_with_next(self):
+        # A reader that indexes ``buf`` from ``idx`` itself, calls
+        # ``refill()`` when it finds the buffer drained and stores its
+        # cursor back (the engine's exchange loop), mixed with ``next()``
+        # in any order, draws the scalar stream for any chunk cap.  Its
+        # refills are next()'s: on the ramp, and only once the buffer is
+        # drained, so the pool holds no more variates than before.
+        from repro.simmpi.rngpool import DEFAULT_CHUNK, RAMP_START, UniformPool
+
+        order = np.random.default_rng(5)
+        for chunk in (1, 7, 256, DEFAULT_CHUNK):
+            scalar_rng = np.random.default_rng(123)
+            pool = UniformPool(np.random.default_rng(123), chunk=chunk)
+            drawn, bufs = [], [pool.buf]
+            while len(drawn) < 3000:
+                turn = int(order.integers(0, 9))
+                if order.random() < 0.5:
+                    for _ in range(turn):
+                        drawn.append(pool.next())
+                        if pool.buf is not bufs[-1]:
+                            bufs.append(pool.buf)
+                    continue
+                buf, idx, end = pool.buf, pool.idx, len(pool.buf)
+                for _ in range(turn):
+                    if idx == end:
+                        buf, idx, end = pool.refill()
+                        bufs.append(buf)
+                    drawn.append(buf[idx])
+                    idx += 1
+                pool.idx = idx
+            assert all(type(x) is float for x in drawn)
+            assert drawn == [scalar_rng.random() for _ in drawn]
+            sizes = [len(buf) for buf in bufs[1:]]
+            ramp = [min(RAMP_START, chunk)]
+            while len(ramp) < len(sizes):
+                ramp.append(min(ramp[-1] * 2, chunk))
+            assert sizes == ramp
+            assert sum(sizes[:-1]) < len(drawn) <= sum(sizes)
+
     def test_expected_delay_matches_empirical(self):
         model = self._model(jitter_scale=0.5e-6)
         rng = np.random.default_rng(2)
